@@ -12,25 +12,27 @@ use crate::table::Table;
 use rfd_core::{class_report, CheckParams, ClassId, ProcessId, Time};
 use rfd_net::clock::Nanos;
 use rfd_net::estimator::{ChenEstimator, FixedTimeout};
-use rfd_net::membership::{run_membership, MembershipOutcome, MembershipScenario};
+use rfd_net::membership::{run_membership, MembershipOutcome};
+use rfd_net::online::{Fault, FaultSchedule, OnlineScenario};
 use rfd_sim::Campaign;
 
 fn ms(v: u64) -> Nanos {
     Nanos::from_millis(v)
 }
 
-fn churn_scenario(loss: f64, seed: u64, duration_ms: u64) -> MembershipScenario {
-    MembershipScenario {
+fn churn_scenario(loss: f64, seed: u64, duration_ms: u64) -> OnlineScenario {
+    OnlineScenario {
         n: 5,
-        crashes: vec![
-            (ProcessId::new(2), ms(duration_ms / 4)),
-            (ProcessId::new(0), ms(duration_ms / 2)),
-        ],
+        schedule: FaultSchedule::new()
+            .at(ms(duration_ms / 4), Fault::Crash(ProcessId::new(2)))
+            .at(ms(duration_ms / 2), Fault::Crash(ProcessId::new(0))),
         period: ms(50),
         loss,
         delay: (ms(1), ms(5)),
         duration: ms(duration_ms),
+        sample_every: ms(1),
         seed,
+        ..OnlineScenario::default()
     }
 }
 

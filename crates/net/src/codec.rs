@@ -34,9 +34,11 @@
 //! accept/produce byte-identical frames.
 
 use crate::clock::Nanos;
+use crate::transport::Datagram;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rfd_algo::consensus::RotatingMsg;
 use rfd_core::{ProcessId, ProcessSet};
+use std::ops::ControlFlow;
 
 const MAGIC: u16 = 0xFD02; // "failure detector, DSN'02"
 
@@ -823,6 +825,40 @@ pub fn decode_borrowed(mut data: &[u8]) -> Result<WireView<'_>, DecodeError> {
 /// Returns [`DecodeError`] on short or malformed input.
 pub fn decode(data: &[u8]) -> Result<WireMsg, DecodeError> {
     decode_borrowed(data).map(WireView::into_owned)
+}
+
+/// The one receive loop of every node type: empties `rx` (the datagrams
+/// a node just drained from its transport), decodes each through
+/// [`decode_borrowed`] and hands `on_frame` the sender, the delivery
+/// instant and the frame. A [`Batch`](WireMsg::Batch) is datagram
+/// framing, not a protocol message: its sub-frames are handed over one
+/// by one, in order, exactly as if each had arrived alone (the decoder
+/// rejects nesting, so one level is exact). When `on_frame` breaks (a
+/// node that halts never polls again) the rest of the drain — the rest
+/// of the current batch included — is dropped unprocessed.
+///
+/// Returns how many datagrams failed to decode; those reach no protocol
+/// layer, and the caller counts them as malformed.
+pub(crate) fn for_each_frame(
+    rx: &mut Vec<Datagram>,
+    mut on_frame: impl FnMut(ProcessId, Nanos, &WireView<'_>) -> ControlFlow<()>,
+) -> u64 {
+    let mut undecodable = 0;
+    for dg in rx.drain(..) {
+        let Ok(view) = decode_borrowed(&dg.payload) else {
+            undecodable += 1;
+            continue;
+        };
+        let mut deliver = |frame: &WireView<'_>| on_frame(dg.from, dg.delivered_at, frame);
+        let stop = match &view {
+            WireView::Batch(batch) => batch.iter().any(|sub| deliver(&sub).is_break()),
+            frame => deliver(frame).is_break(),
+        };
+        if stop {
+            break;
+        }
+    }
+    undecodable
 }
 
 /// Converts a member bitmap to a [`ProcessSet`].

@@ -2,11 +2,12 @@
 //! peer, a suspect-set view, and a transport-driven node loop.
 
 use crate::clock::{Clock, Nanos};
-use crate::codec::{decode_borrowed, encode_into, Heartbeat, WireMsg, WireView};
+use crate::codec::{encode_into, for_each_frame, Heartbeat, WireMsg, WireView};
 use crate::estimator::ArrivalEstimator;
 use crate::transport::{Datagram, Transport};
 use bytes::Bytes;
 use rfd_core::{ProcessId, ProcessSet};
+use std::ops::ControlFlow;
 
 /// Per-node heartbeat detector: monitors every peer with its own clone
 /// of an estimator prototype.
@@ -99,9 +100,9 @@ impl<E: ArrivalEstimator + Clone> HeartbeatDetector<E> {
 /// borrowed-view codec, and the heartbeat payload recycles one buffer
 /// through the `freeze`/`try_into_mut` cycle. A detector-only node owes
 /// each peer exactly one frame per period, so there is nothing to
-/// coalesce on the send side; [`Batch`](WireMsg::Batch) frames from
-/// richer peers (e.g. the membership layer) are always understood on
-/// the receive side.
+/// coalesce on the send side; [`Batch`](WireMsg::Batch) datagrams from
+/// richer peers (e.g. the membership layer) are unpacked by the shared
+/// receive loop, so their heartbeats are observed like any other.
 #[derive(Debug)]
 pub struct DetectorNode<E, T, C> {
     detector: HeartbeatDetector<E>,
@@ -177,20 +178,12 @@ where
         let now = self.clock.now();
         let mut rx = std::mem::take(&mut self.rx_buf);
         self.transport.recv_batch(&mut rx);
-        for dg in rx.drain(..) {
-            match decode_borrowed(&dg.payload) {
-                Ok(WireView::Heartbeat(hb)) => self.note_heartbeat(&hb, dg.delivered_at),
-                Ok(WireView::Batch(batch)) => {
-                    for sub in batch.iter() {
-                        if let WireView::Heartbeat(hb) = sub {
-                            self.note_heartbeat(&hb, dg.delivered_at);
-                        }
-                    }
-                }
-                Ok(_) => {}
-                Err(_) => self.malformed_frames += 1,
+        self.malformed_frames += for_each_frame(&mut rx, |_, delivered_at, frame| {
+            if let WireView::Heartbeat(hb) = frame {
+                self.note_heartbeat(hb, delivered_at);
             }
-        }
+            ControlFlow::Continue(())
+        });
         self.rx_buf = rx;
         if now >= self.next_beat {
             let hb = WireMsg::Heartbeat(Heartbeat {

@@ -35,16 +35,18 @@
 //! turns the coalescing off, reverting to one datagram per frame — the
 //! differential tests pin that both modes install the same views.
 
-use crate::clock::{Clock, Nanos, VirtualClock};
+use crate::clock::{Clock, Nanos};
 use crate::codec::{
-    decode_borrowed, encode, encode_batch_into, encode_into, members_to_set, set_to_members,
+    encode, encode_batch_into, encode_into, for_each_frame, members_to_set, set_to_members,
     Heartbeat, ViewChange, WireMsg, WireView,
 };
 use crate::detector::HeartbeatDetector;
 use crate::estimator::ArrivalEstimator;
-use crate::transport::{Datagram, InMemoryNetwork, NetworkConfig, Transport};
+use crate::online::{membership_fleet, OnlineScenario};
+use crate::transport::{Datagram, Transport};
 use bytes::{Bytes, BytesMut};
 use rfd_core::{FailurePattern, History, ProcessId, ProcessSet, Time};
+use std::ops::ControlFlow;
 
 /// A membership view: numbered, with a member set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -270,28 +272,24 @@ where
     }
 
     /// One iteration of the membership loop: drain the transport, then
-    /// run the periodic duties ([`MembershipNode::tick`]).
+    /// run the periodic duties ([`MembershipNode::tick`]). A node that
+    /// halts mid-drain never polls again, so the rest of the drain is
+    /// dropped.
     pub fn poll(&mut self) {
         if self.halted {
             return;
         }
         let mut rx = std::mem::take(&mut self.rx_buf);
         self.transport.recv_batch(&mut rx);
-        for dg in rx.drain(..) {
+        self.malformed_frames += for_each_frame(&mut rx, |_, delivered_at, frame| {
+            self.on_wire_view(frame, delivered_at);
             if self.halted {
-                // A halted node never polls again, so dropping the rest
-                // of the drain matches the old leave-it-queued behavior.
-                break;
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            match decode_borrowed(&dg.payload) {
-                Ok(view) => self.on_wire_view(&view, dg.delivered_at),
-                Err(_) => self.malformed_frames += 1,
-            }
-        }
+        });
         self.rx_buf = rx;
-        if self.halted {
-            return;
-        }
         self.tick();
     }
 
@@ -312,56 +310,25 @@ where
         }
     }
 
-    fn on_view_change_frame(&mut self, vc: &ViewChange) {
-        self.adopt(View {
-            id: vc.view_id,
-            members: members_to_set(vc.members, self.n),
-        });
-    }
-
     /// Feeds one borrowed wire frame into the membership state machine
-    /// (heartbeats, view changes and batches of them; other protocol
-    /// layers' frames are ignored). A caller that multiplexes several
-    /// protocols over one transport — e.g.
-    /// [`crate::service::DecisionService`] — drains the socket itself,
-    /// routes membership traffic here, and then calls
-    /// [`MembershipNode::tick`] once per loop iteration.
+    /// (heartbeats and view changes; other protocol layers' frames are
+    /// ignored). A caller that multiplexes several protocols over one
+    /// transport — e.g. [`crate::service::DecisionService`] — drains the
+    /// socket itself, routes membership traffic here, and then calls
+    /// [`MembershipNode::tick`] once per loop iteration. A
+    /// [`Batch`](WireMsg::Batch) is datagram framing, not a protocol
+    /// message: hand its sub-frames over one by one
+    /// ([`crate::codec::BatchView::iter`]).
     pub fn on_wire_view(&mut self, msg: &WireView<'_>, delivered_at: Nanos) {
         if self.halted {
             return;
         }
         match msg {
             WireView::Heartbeat(hb) => self.on_heartbeat_frame(hb, delivered_at),
-            WireView::ViewChange(vc) => self.on_view_change_frame(vc),
-            WireView::Batch(batch) => {
-                for sub in batch.iter() {
-                    self.on_wire_view(&sub, delivered_at);
-                    if self.halted {
-                        return;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Owned-message twin of [`MembershipNode::on_wire_view`], kept for
-    /// callers that hold a decoded [`WireMsg`].
-    pub fn on_wire(&mut self, msg: &WireMsg, delivered_at: Nanos) {
-        if self.halted {
-            return;
-        }
-        match msg {
-            WireMsg::Heartbeat(hb) => self.on_heartbeat_frame(hb, delivered_at),
-            WireMsg::ViewChange(vc) => self.on_view_change_frame(vc),
-            WireMsg::Batch(frames) => {
-                for sub in frames {
-                    self.on_wire(sub, delivered_at);
-                    if self.halted {
-                        return;
-                    }
-                }
-            }
+            WireView::ViewChange(vc) => self.adopt(View {
+                id: vc.view_id,
+                members: members_to_set(vc.members, self.n),
+            }),
             _ => {}
         }
     }
@@ -533,95 +500,43 @@ pub struct MembershipOutcome {
     pub duration_ms: u64,
 }
 
-/// Scenario parameters for [`run_membership`].
-#[derive(Clone, Debug)]
-pub struct MembershipScenario {
-    /// Number of processes.
-    pub n: usize,
-    /// Crash schedule.
-    pub crashes: Vec<(ProcessId, Nanos)>,
-    /// Heartbeat period.
-    pub period: Nanos,
-    /// Network loss probability.
-    pub loss: f64,
-    /// One-way delay bounds.
-    pub delay: (Nanos, Nanos),
-    /// Total virtual duration.
-    pub duration: Nanos,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for MembershipScenario {
-    fn default() -> Self {
-        Self {
-            n: 4,
-            crashes: Vec::new(),
-            period: Nanos::from_millis(50),
-            loss: 0.0,
-            delay: (Nanos::from_millis(1), Nanos::from_millis(5)),
-            duration: Nanos::from_millis(30_000),
-            seed: 0,
-        }
-    }
-}
-
 /// Runs a full membership scenario over the virtual network and returns
-/// the emulated history plus accounting.
+/// the emulated history plus accounting. The history records every
+/// node's emulated-`P` output once per `scenario.sample_every` tick, at
+/// millisecond resolution (sample every 1 ms for a gapless history); the
+/// ground-truth pattern holds each process's final crash — a crash
+/// followed by a `Recover` is churn, not a crash-stop failure.
 pub fn run_membership<E: ArrivalEstimator + Clone>(
     prototype: E,
-    scenario: &MembershipScenario,
+    scenario: &OnlineScenario,
 ) -> MembershipOutcome {
     let n = scenario.n;
-    let clock = VirtualClock::new();
-    let config = NetworkConfig::reliable(scenario.delay.0, scenario.delay.1)
-        .with_loss(scenario.loss)
-        .with_seed(scenario.seed);
-    let net = InMemoryNetwork::new(n, config, clock.clone());
-    let mut nodes: Vec<_> = ProcessSet::full(n)
-        .iter()
-        .map(|pid| {
-            MembershipNode::new(
-                n,
-                prototype.clone(),
-                net.endpoint(pid),
-                clock.clone(),
-                scenario.period,
-            )
-        })
-        .collect();
+    let (endpoints, net, clock) = scenario.simulated_substrate();
+    let mut fleet = membership_fleet(prototype, scenario, endpoints, net, clock);
     let mut pattern = FailurePattern::new(n);
-    for (pid, t) in &scenario.crashes {
-        pattern.set_crash(*pid, Time::new(t.as_millis()));
+    for pid in ProcessSet::full(n) {
+        if let Some(t) = scenario.schedule.final_crash(pid) {
+            pattern.set_crash(pid, Time::new(t.as_millis()));
+        }
     }
     let mut emulated: History<ProcessSet> = History::new(n, ProcessSet::empty());
-    let step = Nanos::from_millis(1);
-    let mut crashed = ProcessSet::empty();
-    while clock.now() < scenario.duration {
-        let now = clock.now();
-        for (pid, t) in &scenario.crashes {
-            if now >= *t && crashed.insert(*pid) {
-                net.take_down(*pid);
-            }
+    fleet.run(|mut tick| {
+        for (_, node) in tick.up_nodes() {
+            node.poll();
         }
-        for (pid, node) in ProcessSet::full(n).iter().zip(nodes.iter_mut()) {
-            if !crashed.contains(pid) {
-                node.poll();
-            }
+        let at = Time::new(tick.now.as_millis());
+        for (pid, node) in ProcessSet::full(n).iter().zip(tick.nodes.iter()) {
+            emulated.set_from(pid, at, node.emulated_suspects());
         }
-        let tick = Time::new(now.as_millis());
-        for (pid, node) in ProcessSet::full(n).iter().zip(nodes.iter()) {
-            emulated.set_from(pid, tick, node.emulated_suspects());
-        }
-        clock.advance(step);
-    }
+    });
     // False exclusions: correct processes missing from any surviving
     // correct node's final view.
     let correct = pattern.correct();
     let mut falsely_excluded = ProcessSet::empty();
     for pid in correct {
         for other in correct {
-            let excluded_by_other = nodes
+            let excluded_by_other = fleet
+                .nodes
                 .get(other.index())
                 .is_some_and(|node| !node.view().members.contains(pid));
             if excluded_by_other {
@@ -633,8 +548,12 @@ pub fn run_membership<E: ArrivalEstimator + Clone>(
         emulated,
         pattern,
         false_exclusions: falsely_excluded.len(),
-        view_changes: nodes.iter().map(MembershipNode::views_installed).sum(),
-        messages: net.stats().0,
+        view_changes: fleet
+            .nodes
+            .iter()
+            .map(MembershipNode::views_installed)
+            .sum(),
+        messages: fleet.net.stats().0,
         duration_ms: scenario.duration.as_millis(),
     }
 }
@@ -643,6 +562,8 @@ pub fn run_membership<E: ArrivalEstimator + Clone>(
 mod tests {
     use super::*;
     use crate::estimator::ChenEstimator;
+    use crate::online::{Fault, FaultSchedule};
+    use crate::transport::{InMemoryNetwork, NetworkConfig};
 
     fn ms(v: u64) -> Nanos {
         Nanos::from_millis(v)
@@ -652,18 +573,29 @@ mod tests {
         ChenEstimator::new(ms(150), 16, ms(600))
     }
 
+    /// Four nodes, 50 ms heartbeats, 1–5 ms delays, 30 s sampled every
+    /// millisecond.
+    fn scenario() -> OnlineScenario {
+        OnlineScenario {
+            period: ms(50),
+            delay: (ms(1), ms(5)),
+            sample_every: ms(1),
+            ..OnlineScenario::default()
+        }
+    }
+
     #[test]
     fn stable_group_keeps_the_full_view() {
-        let outcome = run_membership(chen(), &MembershipScenario::default());
+        let outcome = run_membership(chen(), &scenario());
         assert_eq!(outcome.view_changes, 0);
         assert_eq!(outcome.false_exclusions, 0);
     }
 
     #[test]
     fn crashed_member_is_excluded_everywhere() {
-        let scenario = MembershipScenario {
-            crashes: vec![(ProcessId::new(2), ms(5_000))],
-            ..MembershipScenario::default()
+        let scenario = OnlineScenario {
+            schedule: FaultSchedule::new().at(ms(5_000), Fault::Crash(ProcessId::new(2))),
+            ..scenario()
         };
         let outcome = run_membership(chen(), &scenario);
         assert!(outcome.view_changes >= 1);
@@ -682,10 +614,9 @@ mod tests {
 
     #[test]
     fn coordinator_crash_promotes_the_next_member() {
-        let scenario = MembershipScenario {
-            crashes: vec![(ProcessId::new(0), ms(5_000))],
-            duration: ms(30_000),
-            ..MembershipScenario::default()
+        let scenario = OnlineScenario {
+            schedule: FaultSchedule::new().at(ms(5_000), Fault::Crash(ProcessId::new(0))),
+            ..scenario()
         };
         let outcome = run_membership(chen(), &scenario);
         assert_eq!(outcome.false_exclusions, 0);
@@ -776,12 +707,12 @@ mod tests {
         // Under heavy loss with an aggressive timeout, a correct process
         // may be excluded — the membership enforces the suspicion by
         // halting it. This is precisely the §1.3 mechanism.
-        let scenario = MembershipScenario {
+        let scenario = OnlineScenario {
             loss: 0.45,
             period: ms(100),
             duration: ms(40_000),
             seed: 11,
-            ..MembershipScenario::default()
+            ..scenario()
         };
         let aggressive = crate::estimator::FixedTimeout::new(ms(220));
         let outcome = run_membership(aggressive, &scenario);

@@ -24,7 +24,13 @@
 //!   latency. [`run_membership_churn`] drives a [`MembershipNode`] fleet
 //!   through a fault schedule and returns the watcher's report.
 //!
-//! Both drivers are generic over the execution substrate — the per-node
+//! Every driver — these two, [`crate::service::ServiceRunner`] one layer
+//! up and [`crate::membership::run_membership`] — is a thin shell around
+//! one crate-private `Fleet` core, which owns the scenario, the nodes,
+//! the ground-truth up set and the fault cursor, and defines
+//! the tick once: stop at `duration`, apply due faults, run the
+//! driver's body over the nodes, pace the clock to the next tick. The
+//! core is generic over the execution substrate — the per-node
 //! [`Transport`], the [`ChurnableTransport`] fault plane the schedule
 //! acts on, and the [`Pacer`] clock pacing the ticks — so one scenario
 //! runs deterministically on the simulated network
@@ -119,51 +125,6 @@ impl FaultSchedule {
     }
 }
 
-/// Applies every fault due at or before `now` to the network and the
-/// ground-truth `up` vector, advancing the schedule cursor `next` and
-/// calling `on_fault` once per applied fault (for caller-side
-/// bookkeeping: event emission, watcher notes). Shared by
-/// [`OnlineRunner::step`] and [`run_membership_churn`] so the two
-/// drivers cannot drift in churn semantics — and generic over
-/// [`ChurnableTransport`], so the semantics are also identical between
-/// the simulated and the real-socket fleets.
-pub(crate) fn apply_due_faults<N: ChurnableTransport, F: FnMut(Nanos, &Fault)>(
-    schedule: &FaultSchedule,
-    next: &mut usize,
-    now: Nanos,
-    net: &N,
-    up: &mut [bool],
-    mut on_fault: F,
-) {
-    while let Some((at, fault)) = schedule.events().get(*next) {
-        if *at > now {
-            break;
-        }
-        match fault {
-            Fault::Crash(p) => {
-                net.take_down(*p);
-                up[p.index()] = false;
-            }
-            Fault::Recover(p) => {
-                net.bring_up(*p);
-                up[p.index()] = true;
-            }
-            Fault::Partition(side) => net.set_partition(*side),
-            Fault::Heal => net.heal_partition(),
-            Fault::Weather(d) => {
-                assert!(
-                    net.apply_weather(d),
-                    "the schedule carries weather ({d:?}) but this substrate's fault \
-                     plane declined it — drive weather schedules over a \
-                     FaultInjector-wrapped fleet (see rfd_net::weather::weather_fleet)"
-                );
-            }
-        }
-        on_fault(*at, fault);
-        *next += 1;
-    }
-}
-
 /// Parameters of an online (long-running) detection scenario.
 #[derive(Clone, Debug)]
 pub struct OnlineScenario {
@@ -187,8 +148,10 @@ pub struct OnlineScenario {
     /// partition heals (see
     /// [`MembershipNode::with_heal_merge`](crate::membership::MembershipNode::with_heal_merge)).
     /// Off by default: the classic §1.3 service split-brains by design —
-    /// exclusion is forever. Only [`run_membership_churn`] reads this;
-    /// the detector fleet of [`OnlineRunner`] has no views to merge.
+    /// exclusion is forever. Read by every driver whose nodes hold views
+    /// ([`run_membership_churn`], [`crate::membership::run_membership`],
+    /// [`crate::service::ServiceRunner`]); the detector fleet of
+    /// [`OnlineRunner`] has none to merge.
     pub heal_merge: bool,
     /// Per-node clock skew rates (index = process id), identity where
     /// absent or empty. Every node's local clock — heartbeat pacing,
@@ -215,6 +178,204 @@ impl Default for OnlineScenario {
             skews: Vec::new(),
         }
     }
+}
+
+impl OnlineScenario {
+    /// Builds the simulated substrate the scenario's `n`, `delay`,
+    /// `loss` and `seed` fields describe: a fresh seeded in-memory
+    /// network on a fresh virtual clock, and one endpoint per process in
+    /// id order. Deterministic per seed.
+    pub(crate) fn simulated_substrate(&self) -> (Vec<Endpoint>, InMemoryNetwork, VirtualClock) {
+        let clock = VirtualClock::new();
+        let config = NetworkConfig::reliable(self.delay.0, self.delay.1)
+            .with_loss(self.loss)
+            .with_seed(self.seed);
+        let net = InMemoryNetwork::new(self.n, config, clock.clone());
+        let endpoints = (0..self.n)
+            .map(|ix| net.endpoint(ProcessId::new(ix)))
+            .collect();
+        (endpoints, net, clock)
+    }
+}
+
+/// What every scenario driver owns, whatever its nodes are: the
+/// scenario, the driver clock, the fault plane, the nodes, the
+/// ground-truth up set and the fault-schedule cursor. The
+/// drivers ([`OnlineRunner`], [`run_membership_churn_over`],
+/// [`crate::service::ServiceRunner`],
+/// [`crate::membership::run_membership`]) add only what they measure,
+/// so they cannot drift in churn semantics — between each other, or
+/// between the simulated and the real-socket substrates.
+#[derive(Debug)]
+pub(crate) struct Fleet<Node, C, N> {
+    pub(crate) scenario: OnlineScenario,
+    pub(crate) clock: C,
+    pub(crate) net: N,
+    pub(crate) nodes: Vec<Node>,
+    /// Ground truth: the processes that are not crashed.
+    pub(crate) up: ProcessSet,
+    next_fault: usize,
+    done: bool,
+}
+
+/// One tick as a driver's body sees it (see [`Fleet::step`]).
+pub(crate) struct Tick<'a, Node> {
+    /// The tick's instant on the (unskewed) driver clock.
+    pub(crate) now: Nanos,
+    /// The faults this tick applied, in schedule order.
+    pub(crate) faults: &'a [(Nanos, Fault)],
+    /// Every node, in id order — up or not.
+    pub(crate) nodes: &'a mut [Node],
+    /// Ground truth after this tick's faults.
+    pub(crate) up: ProcessSet,
+}
+
+impl<Node> Tick<'_, Node> {
+    /// The nodes that are up, with their identity. A crashed node takes
+    /// no steps, so this is what a driver polls and observes.
+    pub(crate) fn up_nodes(&mut self) -> impl Iterator<Item = (ProcessId, &mut Node)> {
+        let up = self.up;
+        ProcessSet::full(self.nodes.len())
+            .iter()
+            .zip(self.nodes.iter_mut())
+            .filter(move |(pid, _)| up.contains(*pid))
+    }
+}
+
+impl<Node, C, N> Fleet<Node, C, N>
+where
+    C: Pacer + Clone,
+    N: ChurnableTransport,
+{
+    /// Assembles a fleet over an arbitrary substrate: `build_node` turns
+    /// each endpoint (in process-id order) and that node's clock — the
+    /// driver clock seen through the node's [`ClockSkew`], identity
+    /// where `scenario.skews` is short — into a node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `endpoints.len() != scenario.n`, if an endpoint's
+    /// identity disagrees with its position, or if the schedule crashes
+    /// or recovers a process outside the fleet.
+    pub(crate) fn over<T: Transport>(
+        scenario: OnlineScenario,
+        endpoints: Vec<T>,
+        net: N,
+        clock: C,
+        mut build_node: impl FnMut(T, SkewedClock<C>) -> Node,
+    ) -> Self {
+        let n = scenario.n;
+        assert_eq!(endpoints.len(), n, "one endpoint per process");
+        for (at, fault) in scenario.schedule.events() {
+            if let Fault::Crash(p) | Fault::Recover(p) = fault {
+                assert!(
+                    p.index() < n,
+                    "the schedule's {fault:?} at {at} names a process outside the fleet of {n}"
+                );
+            }
+        }
+        let nodes = endpoints
+            .into_iter()
+            .enumerate()
+            .map(|(ix, endpoint)| {
+                assert_eq!(endpoint.me(), ProcessId::new(ix), "endpoints out of order");
+                let skew = scenario.skews.get(ix).copied().unwrap_or_default();
+                build_node(endpoint, SkewedClock::new(clock.clone(), skew))
+            })
+            .collect();
+        Self {
+            up: ProcessSet::full(n),
+            nodes,
+            net,
+            clock,
+            next_fault: 0,
+            done: false,
+            scenario,
+        }
+    }
+
+    /// Whether the scenario duration has elapsed.
+    pub(crate) fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// Applies every fault due at or before `now` to the fault plane and
+    /// the ground-truth `up` set, advancing the schedule cursor.
+    fn apply_due_faults(&mut self, now: Nanos) {
+        let events = self.scenario.schedule.events();
+        while let Some((at, fault)) = events.get(self.next_fault) {
+            if *at > now {
+                break;
+            }
+            match fault {
+                Fault::Crash(p) => {
+                    self.net.take_down(*p);
+                    self.up.remove(*p);
+                }
+                Fault::Recover(p) => {
+                    self.net.bring_up(*p);
+                    self.up.insert(*p);
+                }
+                Fault::Partition(side) => self.net.set_partition(*side),
+                Fault::Heal => self.net.heal_partition(),
+                Fault::Weather(d) => {
+                    assert!(
+                        self.net.apply_weather(d),
+                        "the schedule carries weather ({d:?}) but this substrate's fault \
+                         plane declined it — drive weather schedules over a \
+                         FaultInjector-wrapped fleet (see rfd_net::weather::weather_fleet)"
+                    );
+                }
+            }
+            self.next_fault += 1;
+        }
+    }
+
+    /// Executes one sample tick — the only definition of it: `None`
+    /// once the scenario duration has elapsed (and from then on);
+    /// otherwise apply the due faults, run `body` over the nodes, and
+    /// pace the clock to the next tick.
+    ///
+    /// Under a [`VirtualClock`] the pacing is an instantaneous jump;
+    /// under a [`crate::clock::SystemClock`] it genuinely sleeps out the
+    /// remainder of `sample_every`, so stepping in a loop paces the
+    /// fleet in wall time.
+    pub(crate) fn step<R>(&mut self, body: impl FnOnce(Tick<'_, Node>) -> R) -> Option<R> {
+        if self.done {
+            return None;
+        }
+        let now = self.clock.now();
+        if now >= self.scenario.duration {
+            self.done = true;
+            return None;
+        }
+        let first = self.next_fault;
+        self.apply_due_faults(now);
+        let out = body(Tick {
+            now,
+            faults: &self.scenario.schedule.events()[first..self.next_fault],
+            nodes: &mut self.nodes,
+            up: self.up,
+        });
+        self.clock
+            .pace_to(now.saturating_add(self.scenario.sample_every));
+        Some(out)
+    }
+
+    /// Steps to the end of the scenario with a body that yields nothing.
+    pub(crate) fn run(&mut self, mut body: impl FnMut(Tick<'_, Node>)) {
+        while self.step(&mut body).is_some() {}
+    }
+}
+
+/// Drives `step` until it returns `None`, concatenating the events of
+/// every tick — the body of every runner's `run_to_end`.
+pub(crate) fn run_to_end<Ev>(mut step: impl FnMut() -> Option<Vec<Ev>>) -> Vec<Ev> {
+    let mut all = Vec::new();
+    while let Some(mut events) = step() {
+        all.append(&mut events);
+    }
+    all
 }
 
 /// A typed event yielded by [`OnlineRunner::step`].
@@ -286,13 +447,7 @@ pub struct OnlineRunner<E, T = Endpoint, C = VirtualClock, N = InMemoryNetwork>
 where
     E: ArrivalEstimator + Clone,
 {
-    scenario: OnlineScenario,
-    clock: C,
-    net: N,
-    /// Each node's clock is the driver clock seen through that node's
-    /// [`ClockSkew`] (identity unless the scenario skews it).
-    nodes: Vec<DetectorNode<E, T, SkewedClock<C>>>,
-    up: Vec<bool>,
+    fleet: Fleet<DetectorNode<E, T, SkewedClock<C>>, C, N>,
     /// `monitors[observer][target]`, `None` on the diagonal.
     monitors: Vec<Vec<Option<QosMonitor>>>,
     /// Batch shadows fed the identical sample stream (the equality
@@ -302,9 +457,7 @@ where
     /// deployment must not pay for it by default.
     shadows: Option<Vec<Vec<Option<QosTracker>>>>,
     last_suspects: Vec<ProcessSet>,
-    next_fault: usize,
     stepped: bool,
-    done: bool,
 }
 
 impl<E: ArrivalEstimator + Clone> OnlineRunner<E> {
@@ -313,13 +466,7 @@ impl<E: ArrivalEstimator + Clone> OnlineRunner<E> {
     /// `loss`, `delay` and `seed` fields), deterministic per seed.
     #[must_use]
     pub fn new(prototype: E, scenario: OnlineScenario) -> Self {
-        let n = scenario.n;
-        let clock = VirtualClock::new();
-        let config = NetworkConfig::reliable(scenario.delay.0, scenario.delay.1)
-            .with_loss(scenario.loss)
-            .with_seed(scenario.seed);
-        let net = InMemoryNetwork::new(n, config, clock.clone());
-        let endpoints = (0..n).map(|ix| net.endpoint(ProcessId::new(ix))).collect();
+        let (endpoints, net, clock) = scenario.simulated_substrate();
         Self::over(prototype, scenario, endpoints, net, clock)
     }
 }
@@ -334,7 +481,9 @@ where
     /// Builds the runner over an arbitrary substrate: one [`Transport`]
     /// per node (in process-id order), the [`ChurnableTransport`] control
     /// plane the fault schedule drives, and the [`Pacer`] clock that
-    /// paces the sample ticks. One [`QosMonitor`] per ordered
+    /// paces the sample ticks. Each node's clock is the driver clock
+    /// seen through that node's [`ClockSkew`] (identity unless the
+    /// scenario skews it). One [`QosMonitor`] per ordered
     /// observer–target pair is primed with the schedule's final crash
     /// times.
     ///
@@ -344,8 +493,9 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `endpoints.len() != scenario.n` or an endpoint's
-    /// identity disagrees with its position.
+    /// Panics if `endpoints.len() != scenario.n`, if an endpoint's
+    /// identity disagrees with its position, or if the schedule crashes
+    /// or recovers a process outside the fleet.
     #[must_use]
     pub fn over(
         prototype: E,
@@ -354,23 +504,7 @@ where
         net: N,
         clock: C,
     ) -> Self {
-        let n = scenario.n;
-        assert_eq!(endpoints.len(), n, "one endpoint per process");
-        let nodes = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(ix, endpoint)| {
-                assert_eq!(endpoint.me(), ProcessId::new(ix), "endpoints out of order");
-                let skew = scenario.skews.get(ix).copied().unwrap_or_default();
-                DetectorNode::new(
-                    n,
-                    prototype.clone(),
-                    endpoint,
-                    SkewedClock::new(clock.clone(), skew),
-                    scenario.period,
-                )
-            })
-            .collect();
+        let (n, period) = (scenario.n, scenario.period);
         let monitors = (0..n)
             .map(|obs| {
                 (0..n)
@@ -382,18 +516,15 @@ where
                     .collect()
             })
             .collect();
+        let fleet = Fleet::over(scenario, endpoints, net, clock, |endpoint, clock| {
+            DetectorNode::new(n, prototype.clone(), endpoint, clock, period)
+        });
         Self {
-            up: vec![true; n],
-            last_suspects: vec![ProcessSet::empty(); n],
+            fleet,
             monitors,
             shadows: None,
-            nodes,
-            net,
-            clock,
-            next_fault: 0,
+            last_suspects: vec![ProcessSet::empty(); n],
             stepped: false,
-            done: false,
-            scenario,
         }
     }
 
@@ -408,7 +539,7 @@ where
     /// first [`OnlineRunner::step`].
     #[must_use]
     pub fn with_batch_shadow(mut self) -> Self {
-        let n = self.scenario.n;
+        let n = self.monitors.len();
         debug_assert!(
             !self.stepped,
             "enable the shadow before stepping, or it will miss samples"
@@ -424,25 +555,29 @@ where
     /// The current virtual time.
     #[must_use]
     pub fn now(&self) -> Nanos {
-        self.clock.now()
+        self.fleet.clock.now()
     }
 
     /// Whether the scenario duration has elapsed.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.done
+        self.fleet.is_done()
+    }
+
+    /// The instant reports are taken at: the current time, or the
+    /// scenario end once done.
+    fn report_time(&self) -> Nanos {
+        if self.fleet.is_done() {
+            self.fleet.scenario.duration
+        } else {
+            self.now()
+        }
     }
 
     /// Which processes are currently up (ground truth).
     #[must_use]
     pub fn up_set(&self) -> ProcessSet {
-        let mut s = ProcessSet::empty();
-        for (ix, up) in self.up.iter().enumerate() {
-            if *up {
-                s.insert(ProcessId::new(ix));
-            }
-        }
-        s
+        self.fleet.up
     }
 
     /// Executes one sample tick: applies due faults, polls every live
@@ -455,65 +590,48 @@ where
     /// remainder of `sample_every`, so driving the runner in a loop
     /// paces the fleet in wall time.
     pub fn step(&mut self) -> Option<Vec<OnlineEvent>> {
-        if self.done {
-            return None;
-        }
         self.stepped = true;
-        let now = self.clock.now();
-        if now >= self.scenario.duration {
-            self.done = true;
-            return None;
-        }
-        let mut events = Vec::new();
-        apply_due_faults(
-            &self.scenario.schedule,
-            &mut self.next_fault,
-            now,
-            &self.net,
-            &mut self.up,
-            |at, fault| events.push(OnlineEvent::Fault { at, fault: *fault }),
-        );
-        for ix in 0..self.scenario.n {
-            if !self.up[ix] {
-                continue;
-            }
-            let suspects = self.nodes[ix].poll();
-            let flips = suspects
-                .union(self.last_suspects[ix])
-                .difference(suspects.intersection(self.last_suspects[ix]));
-            for target in flips {
-                events.push(OnlineEvent::Suspicion {
-                    observer: ProcessId::new(ix),
-                    target,
-                    at: now,
-                    suspected: suspects.contains(target),
-                });
-            }
-            self.last_suspects[ix] = suspects;
-            for t in 0..self.scenario.n {
-                let verdict = suspects.contains(ProcessId::new(t));
-                if let Some(m) = &mut self.monitors[ix][t] {
-                    m.sample(now, verdict);
+        self.fleet.step(|mut tick| {
+            let now = tick.now;
+            let mut events: Vec<_> = tick
+                .faults
+                .iter()
+                .map(|&(at, fault)| OnlineEvent::Fault { at, fault })
+                .collect();
+            for (observer, node) in tick.up_nodes() {
+                let ix = observer.index();
+                let suspects = node.poll();
+                let flips = suspects
+                    .union(self.last_suspects[ix])
+                    .difference(suspects.intersection(self.last_suspects[ix]));
+                for target in flips {
+                    events.push(OnlineEvent::Suspicion {
+                        observer,
+                        target,
+                        at: now,
+                        suspected: suspects.contains(target),
+                    });
                 }
-                if let Some(shadows) = &mut self.shadows {
-                    if let Some(s) = &mut shadows[ix][t] {
-                        s.sample(now, verdict);
+                self.last_suspects[ix] = suspects;
+                for t in 0..self.monitors.len() {
+                    let verdict = suspects.contains(ProcessId::new(t));
+                    if let Some(m) = &mut self.monitors[ix][t] {
+                        m.sample(now, verdict);
+                    }
+                    if let Some(shadows) = &mut self.shadows {
+                        if let Some(s) = &mut shadows[ix][t] {
+                            s.sample(now, verdict);
+                        }
                     }
                 }
             }
-        }
-        self.clock
-            .pace_to(now.saturating_add(self.scenario.sample_every));
-        Some(events)
+            events
+        })
     }
 
     /// Runs the remaining ticks and returns every event produced.
     pub fn run_to_end(&mut self) -> Vec<OnlineEvent> {
-        let mut all = Vec::new();
-        while let Some(mut events) = self.step() {
-            all.append(&mut events);
-        }
-        all
+        run_to_end(|| self.step())
     }
 
     /// The live QoS report of `observer` about `target` as of the
@@ -521,14 +639,9 @@ where
     /// incremental monitor. `None` on the diagonal.
     #[must_use]
     pub fn report(&self, observer: ProcessId, target: ProcessId) -> Option<QosReport> {
-        let end = if self.done {
-            self.scenario.duration
-        } else {
-            self.clock.now()
-        };
         self.monitors[observer.index()][target.index()]
             .as_ref()
-            .map(|m| m.report(end))
+            .map(|m| m.report(self.report_time()))
     }
 
     /// The batch-path report of the same pair: the shadow
@@ -541,17 +654,13 @@ where
     /// [`OnlineRunner::with_batch_shadow`].
     #[must_use]
     pub fn batch_report(&self, observer: ProcessId, target: ProcessId) -> Option<QosReport> {
-        let end = if self.done {
-            self.scenario.duration
-        } else {
-            self.clock.now()
-        };
+        let schedule = &self.fleet.scenario.schedule;
         self.shadows
             .as_ref()
             .expect("batch shadow not enabled; build the runner with with_batch_shadow()")
             [observer.index()][target.index()]
         .as_ref()
-        .map(|s| s.finalize(self.scenario.schedule.final_crash(target), end))
+        .map(|s| s.finalize(schedule.final_crash(target), self.report_time()))
     }
 
     /// Whether the incremental monitor and the batch tracker agree
@@ -711,6 +820,19 @@ impl MembershipWatcher {
         }
     }
 
+    /// Notes one applied ground-truth [`Fault`] — the one mapping from
+    /// the fault vocabulary onto the `note_*` family, shared by every
+    /// driver that watches a fleet.
+    pub fn note_fault(&mut self, at: Nanos, fault: &Fault) {
+        match fault {
+            Fault::Crash(p) => self.note_crash(*p, at),
+            Fault::Recover(p) => self.note_recover(*p),
+            Fault::Heal => self.note_heal(at),
+            Fault::Partition(_) => {}
+            Fault::Weather(_) => self.note_weather(),
+        }
+    }
+
     /// Notes a ground-truth crash of `p` at `at`. Out-of-range processes
     /// (`p.index() >= n`) are ignored — the watcher tracks only the
     /// fleet it was sized for.
@@ -781,7 +903,8 @@ impl MembershipWatcher {
     ///
     /// Members with an out-of-range index (`>= n`) are skipped rather
     /// than indexed — the same latent panic family as the heartbeat
-    /// sender guard in [`crate::membership::MembershipNode::on_wire`].
+    /// sender guard in
+    /// [`crate::membership::MembershipNode::on_wire_view`].
     pub fn observe<I>(&mut self, now: Nanos, views: I)
     where
         I: IntoIterator<Item = (ProcessId, u64, ProcessSet)>,
@@ -894,14 +1017,40 @@ pub fn run_membership_churn<E: ArrivalEstimator + Clone>(
     prototype: E,
     scenario: &OnlineScenario,
 ) -> MembershipChurnReport {
-    let n = scenario.n;
-    let clock = VirtualClock::new();
-    let config = NetworkConfig::reliable(scenario.delay.0, scenario.delay.1)
-        .with_loss(scenario.loss)
-        .with_seed(scenario.seed);
-    let net = InMemoryNetwork::new(n, config, clock.clone());
-    let endpoints = (0..n).map(|ix| net.endpoint(ProcessId::new(ix))).collect();
+    let (endpoints, net, clock) = scenario.simulated_substrate();
     run_membership_churn_over(prototype, scenario, endpoints, net, clock)
+}
+
+/// A [`MembershipNode`] fleet for `scenario` over an arbitrary
+/// substrate, reconciling after heals iff `scenario.heal_merge`.
+pub(crate) fn membership_fleet<E, T, C, N>(
+    prototype: E,
+    scenario: &OnlineScenario,
+    endpoints: Vec<T>,
+    net: N,
+    clock: C,
+) -> Fleet<MembershipNode<E, T, SkewedClock<C>>, C, N>
+where
+    E: ArrivalEstimator + Clone,
+    T: Transport,
+    C: Pacer + Clone,
+    N: ChurnableTransport,
+{
+    let (n, period, heal_merge) = (scenario.n, scenario.period, scenario.heal_merge);
+    Fleet::over(
+        scenario.clone(),
+        endpoints,
+        net,
+        clock,
+        |endpoint, clock| {
+            let node = MembershipNode::new(n, prototype.clone(), endpoint, clock, period);
+            if heal_merge {
+                node.with_heal_merge()
+            } else {
+                node
+            }
+        },
+    )
 }
 
 /// The transport-generic membership churn driver behind
@@ -914,7 +1063,9 @@ pub fn run_membership_churn<E: ArrivalEstimator + Clone>(
 ///
 /// # Panics
 ///
-/// Panics if `endpoints.len() != scenario.n`.
+/// Panics if `endpoints.len() != scenario.n`, if an endpoint's identity
+/// disagrees with its position, or if the schedule crashes or recovers
+/// a process outside the fleet.
 pub fn run_membership_churn_over<E, T, C, N>(
     prototype: E,
     scenario: &OnlineScenario,
@@ -928,72 +1079,32 @@ where
     C: Pacer + Clone,
     N: ChurnableTransport,
 {
-    let n = scenario.n;
-    assert_eq!(endpoints.len(), n, "one endpoint per process");
-    let mut nodes: Vec<_> = endpoints
-        .into_iter()
-        .enumerate()
-        .map(|(ix, endpoint)| {
-            assert_eq!(endpoint.me(), ProcessId::new(ix), "endpoints out of order");
-            let skew = scenario.skews.get(ix).copied().unwrap_or_default();
-            let node = MembershipNode::new(
-                n,
-                prototype.clone(),
-                endpoint,
-                SkewedClock::new(clock.clone(), skew),
-                scenario.period,
-            );
-            if scenario.heal_merge {
-                node.with_heal_merge()
-            } else {
-                node
-            }
-        })
-        .collect();
-    let mut watcher = MembershipWatcher::new(n);
-    let mut up = vec![true; n];
-    let mut next_fault = 0usize;
-    while clock.now() < scenario.duration {
-        let now = clock.now();
-        apply_due_faults(
-            &scenario.schedule,
-            &mut next_fault,
-            now,
-            &net,
-            &mut up,
-            |at, fault| match fault {
-                Fault::Crash(p) => watcher.note_crash(*p, at),
-                Fault::Recover(p) => watcher.note_recover(*p),
-                Fault::Heal => watcher.note_heal(at),
-                Fault::Partition(_) => {}
-                Fault::Weather(_) => watcher.note_weather(),
-            },
-        );
-        for (ix, node) in nodes.iter_mut().enumerate() {
-            if up[ix] {
-                node.poll();
-            }
+    let mut fleet = membership_fleet(prototype, scenario, endpoints, net, clock);
+    let mut watcher = MembershipWatcher::new(scenario.n);
+    fleet.run(|mut tick| {
+        for (at, fault) in tick.faults {
+            watcher.note_fault(*at, fault);
+        }
+        for (_, node) in tick.up_nodes() {
+            node.poll();
         }
         watcher.observe(
-            now,
-            nodes
-                .iter()
-                .enumerate()
-                .filter(|(ix, node)| up[*ix] && !node.is_halted())
-                .map(|(ix, node)| {
+            tick.now,
+            tick.up_nodes()
+                .filter(|(_, node)| !node.is_halted())
+                .map(|(pid, node)| {
                     let v = node.view();
-                    (ProcessId::new(ix), v.id, v.members)
+                    (pid, v.id, v.members)
                 }),
         );
-        clock.pace_to(now.saturating_add(scenario.sample_every));
-    }
+    });
     watcher.report()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SystemClock;
+    use crate::clock::{Clock, SystemClock};
     use crate::estimator::{ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual};
     use crate::qos::{evaluate_qos, QosScenario};
     use crate::transport::faulty_cluster;
@@ -1019,6 +1130,174 @@ mod tests {
         // Events come back time-sorted regardless of insertion order.
         let times: Vec<u64> = s.events().iter().map(|(t, _)| t.as_millis()).collect();
         assert_eq!(times, vec![5_000, 10_000, 20_000]);
+    }
+
+    /// A transport that carries nothing: the fleet core never touches
+    /// a node's traffic, only its identity.
+    struct Silent(ProcessId);
+
+    impl Transport for Silent {
+        fn me(&self) -> ProcessId {
+            self.0
+        }
+        fn send(&self, _to: ProcessId, _payload: bytes::Bytes) {}
+        fn recv(&self) -> Option<crate::transport::Datagram> {
+            None
+        }
+    }
+
+    /// A fault plane that only records what the schedule did to it.
+    #[derive(Default)]
+    struct Recorder(std::cell::RefCell<Vec<String>>);
+
+    impl ChurnableTransport for &Recorder {
+        fn take_down(&self, node: ProcessId) {
+            self.0.borrow_mut().push(format!("down {node}"));
+        }
+        fn bring_up(&self, node: ProcessId) {
+            self.0.borrow_mut().push(format!("up {node}"));
+        }
+        fn set_partition(&self, side: ProcessSet) {
+            self.0.borrow_mut().push(format!("cut {}", side.len()));
+        }
+        fn heal_partition(&self) {
+            self.0.borrow_mut().push("heal".into());
+        }
+    }
+
+    /// A stub fleet whose "nodes" are poll counters: `ids` are the
+    /// endpoint identities handed over, in that order.
+    fn stub_fleet<'a>(
+        scenario: OnlineScenario,
+        ids: &[usize],
+        plane: &'a Recorder,
+    ) -> Fleet<u32, VirtualClock, &'a Recorder> {
+        let endpoints = ids.iter().map(|&ix| Silent(p(ix))).collect();
+        Fleet::over(scenario, endpoints, plane, VirtualClock::new(), |_, _| 0)
+    }
+
+    /// Steps the stub fleet to the end, polling (= counting) every up
+    /// node; returns per tick `(now, applied faults, up set)`.
+    fn drive(
+        fleet: &mut Fleet<u32, VirtualClock, &Recorder>,
+    ) -> Vec<(u64, Vec<Fault>, ProcessSet)> {
+        let mut ticks = Vec::new();
+        while let Some(tick) = fleet.step(|mut tick| {
+            for (_, polls) in tick.up_nodes() {
+                *polls += 1;
+            }
+            let faults = tick.faults.iter().map(|(_, fault)| *fault).collect();
+            (tick.now.as_millis(), faults, tick.up)
+        }) {
+            ticks.push(tick);
+        }
+        ticks
+    }
+
+    fn stub_scenario(schedule: FaultSchedule) -> OnlineScenario {
+        OnlineScenario {
+            n: 3,
+            duration: ms(50),
+            sample_every: ms(10),
+            schedule,
+            ..OnlineScenario::default()
+        }
+    }
+
+    #[test]
+    fn fleet_crash_and_recover_flip_up_and_skip_polling() {
+        let plane = Recorder::default();
+        let schedule = FaultSchedule::new()
+            .at(ms(10), Fault::Crash(p(1)))
+            .at(ms(25), Fault::Recover(p(1)));
+        let mut fleet = stub_fleet(stub_scenario(schedule), &[0, 1, 2], &plane);
+        let ticks = drive(&mut fleet);
+        let up_of_p1: Vec<bool> = ticks.iter().map(|(_, _, up)| up.contains(p(1))).collect();
+        // Ticks at 0, 10, 20, 30, 40 ms: down from the 10 ms tick, back
+        // at the first tick at or after 25 ms.
+        assert_eq!(up_of_p1, vec![true, false, false, true, true]);
+        assert_eq!(fleet.nodes, vec![5, 3, 5], "a down node is not polled");
+        assert_eq!(*plane.0.borrow(), vec!["down p1", "up p1"]);
+    }
+
+    #[test]
+    fn fleet_applies_same_instant_faults_in_insertion_order() {
+        let plane = Recorder::default();
+        let schedule = FaultSchedule::new()
+            .at(ms(20), Fault::Crash(p(2)))
+            .at(ms(20), Fault::Partition(ProcessSet::singleton(p(0))))
+            .at(ms(20), Fault::Recover(p(2)))
+            .at(ms(20), Fault::Heal);
+        let mut fleet = stub_fleet(stub_scenario(schedule), &[0, 1, 2], &plane);
+        let ticks = drive(&mut fleet);
+        assert_eq!(*plane.0.borrow(), vec!["down p2", "cut 1", "up p2", "heal"]);
+        let (at, faults, up) = &ticks[2];
+        assert_eq!(*at, 20);
+        assert_eq!(faults.len(), 4, "the tick body sees all four, in order");
+        assert_eq!(faults[0], Fault::Crash(p(2)));
+        assert_eq!(faults[3], Fault::Heal);
+        assert!(
+            up.contains(p(2)),
+            "crash then recover in one tick leaves p2 up"
+        );
+        assert!(ticks.iter().all(|(at, f, _)| *at == 20 || f.is_empty()));
+    }
+
+    #[test]
+    fn fleet_never_fires_a_fault_scheduled_past_the_duration() {
+        let plane = Recorder::default();
+        // The last tick is at 40 ms; `duration` itself is not a tick.
+        let schedule = FaultSchedule::new()
+            .at(ms(50), Fault::Crash(p(0)))
+            .at(ms(41), Fault::Heal);
+        let mut fleet = stub_fleet(stub_scenario(schedule), &[0, 1, 2], &plane);
+        let ticks = drive(&mut fleet);
+        assert_eq!(ticks.len(), 5);
+        assert!(plane.0.borrow().is_empty());
+        assert_eq!(fleet.up, ProcessSet::full(3));
+    }
+
+    #[test]
+    fn fleet_step_returns_none_at_the_duration_and_stays_there() {
+        let plane = Recorder::default();
+        let mut fleet = stub_fleet(stub_scenario(FaultSchedule::new()), &[0, 1, 2], &plane);
+        assert!(!fleet.is_done());
+        assert_eq!(drive(&mut fleet).len(), 5);
+        assert!(fleet.is_done());
+        assert_eq!(fleet.clock.now(), ms(50));
+        for _ in 0..3 {
+            assert!(fleet.step(|_| ()).is_none());
+        }
+        assert_eq!(
+            fleet.clock.now(),
+            ms(50),
+            "a finished fleet paces no further"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one endpoint per process")]
+    fn fleet_rejects_a_wrong_endpoint_count() {
+        let plane = Recorder::default();
+        let _ = stub_fleet(stub_scenario(FaultSchedule::new()), &[0, 1], &plane);
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoints out of order")]
+    fn fleet_rejects_endpoints_out_of_order() {
+        let plane = Recorder::default();
+        let _ = stub_fleet(stub_scenario(FaultSchedule::new()), &[0, 2, 1], &plane);
+    }
+
+    /// A schedule naming a process the fleet does not have used to die
+    /// with a bare index-out-of-bounds at the tick the fault fired; it
+    /// is now refused at construction, naming the fault.
+    #[test]
+    #[should_panic(expected = "Crash(p5) at 20.000ms names a process outside the fleet of 3")]
+    fn fleet_rejects_a_schedule_naming_a_process_outside_it() {
+        let plane = Recorder::default();
+        let schedule = FaultSchedule::new().at(ms(20), Fault::Crash(p(5)));
+        let _ = stub_fleet(stub_scenario(schedule), &[0, 1, 2], &plane);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use super::log::{Decision, ReplicatedLog, Snapshot, ViewStamp};
 use crate::clock::{Clock, Nanos};
 use crate::codec::{
-    decode_borrowed, encode, set_to_members, Command, ConsensusFrame, DecidedMsg, SnapshotReply,
+    encode, for_each_frame, set_to_members, Command, ConsensusFrame, DecidedMsg, SnapshotReply,
     SnapshotRequest, SyncReply, SyncRequest, WireMsg, WireView, MAX_SYNC_ENTRIES,
 };
 use crate::estimator::ArrivalEstimator;
@@ -14,6 +14,7 @@ use rfd_algo::consensus::{RotatingConsensus, RotatingMsg};
 use rfd_algo::driver::{SlotDriver, SlotSend};
 use rfd_core::{ProcessId, ProcessSet};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 
 /// How many pending commands one node re-gossips per heartbeat period —
 /// the anti-entropy that lets a command submitted on a once-partitioned
@@ -162,9 +163,9 @@ impl CompactionPolicy {
 /// The receive path is zero-copy: datagrams drain in one batch into a
 /// reusable buffer and route through the borrowed-view codec, so the
 /// steady-state tick of an idle or heartbeat-only fleet allocates
-/// nothing. [`Batch`](WireMsg::Batch) frames (e.g. a coordinator's
-/// coalesced heartbeat + view announcement) are unpacked inline and each
-/// sub-frame routed as if it had arrived alone.
+/// nothing. [`Batch`](WireMsg::Batch) datagrams (e.g. a coordinator's
+/// coalesced heartbeat + view announcement) are unpacked by the shared
+/// receive loop and each sub-frame routed as if it had arrived alone.
 #[derive(Debug)]
 pub struct DecisionService<E, T, C> {
     n: usize,
@@ -413,8 +414,8 @@ where
         true
     }
 
-    /// Routes one decoded frame. Returns `true` if the node halted while
-    /// processing it (the caller stops draining).
+    /// Routes one decoded frame. Breaks if the node halted while
+    /// processing it (the receive loop stops draining).
     fn route_frame(
         &mut self,
         from: ProcessId,
@@ -422,12 +423,12 @@ where
         frame: &WireView<'_>,
         consensus_in: &mut Vec<(u64, ProcessId, RotatingMsg<u64>)>,
         events: &mut Vec<ServiceOutput>,
-    ) -> bool {
+    ) -> ControlFlow<()> {
         match frame {
             WireView::Heartbeat(_) | WireView::ViewChange(_) => {
                 self.membership.on_wire_view(frame, delivered_at);
                 if self.membership.is_halted() {
-                    return true;
+                    return ControlFlow::Break(());
                 }
             }
             WireView::Command(c) => self.learn_command(c.value),
@@ -479,15 +480,10 @@ where
                 self.on_snapshot_reply(from, &snapshot, &entries, events);
                 self.sync_scratch = entries;
             }
-            WireView::Batch(batch) => {
-                for sub in batch.iter() {
-                    if self.route_frame(from, delivered_at, &sub, consensus_in, events) {
-                        return true;
-                    }
-                }
-            }
+            // Datagram framing: the receive loop hands over sub-frames.
+            WireView::Batch(_) => {}
         }
-        false
+        ControlFlow::Continue(())
     }
 
     /// One service tick: drain and route the transport (membership,
@@ -504,30 +500,12 @@ where
         consensus_in.clear();
         let mut rx = std::mem::take(&mut self.rx_buf);
         self.membership.transport().recv_batch(&mut rx);
-        let mut halted = false;
-        for dg in rx.drain(..) {
-            if halted {
-                // A halted node never polls again; dropping the rest of
-                // the drain matches the old leave-it-queued behavior.
-                break;
-            }
-            let Ok(frame) = decode_borrowed(&dg.payload) else {
-                self.malformed_frames += 1;
-                continue;
-            };
-            halted = self.route_frame(
-                dg.from,
-                dg.delivered_at,
-                &frame,
-                &mut consensus_in,
-                &mut events,
-            );
-        }
+        self.malformed_frames += for_each_frame(&mut rx, |from, delivered_at, frame| {
+            self.route_frame(from, delivered_at, frame, &mut consensus_in, &mut events)
+        });
         self.rx_buf = rx;
-        if halted {
-            self.consensus_in = consensus_in;
-            return events;
-        }
+        // A node the drain halted does nothing here, and never polls
+        // again.
         self.membership.tick();
         if self.membership.is_halted() {
             self.consensus_in = consensus_in;

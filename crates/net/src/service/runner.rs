@@ -8,9 +8,10 @@ use super::node::{CompactionPolicy, DecisionService, ServiceOutput};
 use crate::clock::{Nanos, Pacer, SkewedClock, VirtualClock};
 use crate::estimator::ArrivalEstimator;
 use crate::membership::View;
-use crate::online::OnlineScenario;
-use crate::online::{apply_due_faults, Fault, MembershipChurnReport, MembershipWatcher};
-use crate::transport::{ChurnableTransport, Endpoint, InMemoryNetwork, NetworkConfig, Transport};
+use crate::online::{
+    run_to_end, Fault, Fleet, MembershipChurnReport, MembershipWatcher, OnlineScenario,
+};
+use crate::transport::{ChurnableTransport, Endpoint, InMemoryNetwork, Transport};
 use rfd_core::{ProcessId, ProcessSet};
 
 /// A service scenario: an [`OnlineScenario`] (fleet size, network,
@@ -296,23 +297,16 @@ pub struct ServiceRunner<E, T = Endpoint, C = VirtualClock, N = InMemoryNetwork>
 where
     E: ArrivalEstimator + Clone,
 {
-    scenario: ServiceScenario,
-    clock: C,
-    net: N,
-    /// Each node's clock is the driver clock seen through that node's
-    /// [`crate::clock::ClockSkew`] (identity unless the scenario skews
-    /// it).
-    nodes: Vec<DecisionService<E, T, SkewedClock<C>>>,
-    watcher: MembershipWatcher,
-    up: Vec<bool>,
-    next_fault: usize,
+    fleet: Fleet<DecisionService<E, T, SkewedClock<C>>, C, N>,
+    /// The client submissions, sorted by time.
+    commands: Vec<(Nanos, ProcessId, u64)>,
     next_command: usize,
+    watcher: MembershipWatcher,
     decisions: Vec<(Nanos, ProcessId, Decision)>,
     /// Set when a heal fires: `(heal time, longest absolute log then)`.
     /// Resolved into a rejoin latency once every live node has caught
     /// up to that length.
     heal_pending: Option<(Nanos, u64)>,
-    done: bool,
 }
 
 impl<E: ArrivalEstimator + Clone> ServiceRunner<E> {
@@ -320,16 +314,7 @@ impl<E: ArrivalEstimator + Clone> ServiceRunner<E> {
     /// network (deterministic per seed).
     #[must_use]
     pub fn new(prototype: E, scenario: ServiceScenario) -> Self {
-        let n = scenario.online.n;
-        let clock = VirtualClock::new();
-        let config = NetworkConfig::reliable(scenario.online.delay.0, scenario.online.delay.1)
-            .with_loss(scenario.online.loss)
-            .with_seed(scenario.online.seed);
-        let net = InMemoryNetwork::new(n, config, clock.clone());
-        let endpoints = ProcessSet::full(n)
-            .iter()
-            .map(|pid| net.endpoint(pid))
-            .collect();
+        let (endpoints, net, clock) = scenario.online.simulated_substrate();
         Self::over(prototype, scenario, endpoints, net, clock)
     }
 }
@@ -348,70 +333,59 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `endpoints.len() != scenario.online.n` or an endpoint
-    /// disagrees with its position.
+    /// Panics if `endpoints.len() != scenario.online.n`, if an endpoint
+    /// disagrees with its position, or if the schedule crashes or
+    /// recovers a process outside the fleet.
     #[must_use]
     pub fn over(
         prototype: E,
-        mut scenario: ServiceScenario,
+        scenario: ServiceScenario,
         endpoints: Vec<T>,
         net: N,
         clock: C,
     ) -> Self {
-        let n = scenario.online.n;
-        assert_eq!(endpoints.len(), n, "one endpoint per process");
-        scenario.commands.sort_by_key(|(at, _, _)| *at);
-        let nodes = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(ix, endpoint)| {
-                assert_eq!(endpoint.me().index(), ix, "endpoints out of order");
-                let skew = scenario.online.skews.get(ix).copied().unwrap_or_default();
-                let node = DecisionService::new(
-                    n,
-                    prototype.clone(),
-                    endpoint,
-                    SkewedClock::new(clock.clone(), skew),
-                    scenario.online.period,
-                )
-                .with_batching(scenario.batching);
-                let node = if let Some(policy) = scenario.compaction {
-                    node.with_compaction(policy)
-                } else {
-                    node
-                };
-                if scenario.online.heal_merge {
-                    node.with_heal_merge()
-                } else {
-                    node
-                }
-            })
-            .collect();
+        let ServiceScenario {
+            online,
+            mut commands,
+            batching,
+            compaction,
+        } = scenario;
+        commands.sort_by_key(|(at, _, _)| *at);
+        let (n, period, heal_merge) = (online.n, online.period, online.heal_merge);
+        let fleet = Fleet::over(online, endpoints, net, clock, |endpoint, clock| {
+            let node = DecisionService::new(n, prototype.clone(), endpoint, clock, period)
+                .with_batching(batching);
+            let node = if let Some(policy) = compaction {
+                node.with_compaction(policy)
+            } else {
+                node
+            };
+            if heal_merge {
+                node.with_heal_merge()
+            } else {
+                node
+            }
+        });
         Self {
-            watcher: MembershipWatcher::new(n),
-            up: vec![true; n],
-            nodes,
-            net,
-            clock,
-            next_fault: 0,
+            fleet,
+            commands,
             next_command: 0,
+            watcher: MembershipWatcher::new(n),
             decisions: Vec::new(),
             heal_pending: None,
-            done: false,
-            scenario,
         }
     }
 
     /// The current time.
     #[must_use]
     pub fn now(&self) -> Nanos {
-        self.clock.now()
+        self.fleet.clock.now()
     }
 
     /// Whether the scenario duration has elapsed.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.done
+        self.fleet.is_done()
     }
 
     /// Read access to one node (e.g. its live log mid-run). The node's
@@ -421,194 +395,139 @@ where
     #[must_use]
     pub fn node(&self, ix: usize) -> &DecisionService<E, T, SkewedClock<C>> {
         // rfd-lint: allow(wire-safety, harness accessor with a documented panic contract; ix is caller-chosen and never datagram-derived)
-        &self.nodes[ix]
+        &self.fleet.nodes[ix]
     }
 
     /// Executes one sample tick: injects due faults and commands, polls
     /// every up node, observes the fleet, and paces the clock. `None`
     /// once the duration has elapsed.
     pub fn step(&mut self) -> Option<Vec<ServiceEvent>> {
-        if self.done {
-            return None;
-        }
-        let now = self.clock.now();
-        if now >= self.scenario.online.duration {
-            self.done = true;
-            return None;
-        }
-        let mut events = Vec::new();
-        let watcher = &mut self.watcher;
-        apply_due_faults(
-            &self.scenario.online.schedule,
-            &mut self.next_fault,
-            now,
-            &self.net,
-            &mut self.up,
-            |at, fault| {
-                match fault {
-                    Fault::Crash(p) => watcher.note_crash(*p, at),
-                    Fault::Recover(p) => watcher.note_recover(*p),
-                    Fault::Heal => watcher.note_heal(at),
-                    Fault::Partition(_) => {}
-                    Fault::Weather(_) => watcher.note_weather(),
+        self.fleet.step(|mut tick| {
+            let now = tick.now;
+            let mut events = Vec::new();
+            for &(at, fault) in tick.faults {
+                self.watcher.note_fault(at, &fault);
+                events.push(ServiceEvent::Fault { at, fault });
+                if fault == Fault::Heal {
+                    // Rejoin latency: time from this heal until every
+                    // live node has at least the longest absolute log
+                    // observed right now.
+                    let target = tick.nodes.iter().map(|node| node.log().len()).max();
+                    self.heal_pending = Some((now, target.unwrap_or(0)));
                 }
-                events.push(ServiceEvent::Fault { at, fault: *fault });
-            },
-        );
-        let healed = events.iter().any(|e| {
-            matches!(
-                e,
-                ServiceEvent::Fault {
-                    fault: Fault::Heal,
-                    ..
+            }
+            while let Some(&(at, node, value)) = self.commands.get(self.next_command) {
+                if at > now {
+                    break;
                 }
-            )
-        });
-        if healed {
-            // Rejoin latency: time from this heal until every live node
-            // has at least the longest absolute log observed right now.
-            let target = self
-                .nodes
-                .iter()
-                .map(|node| node.log().len())
-                .max()
-                .unwrap_or(0);
-            self.heal_pending = Some((now, target));
-        }
-        while let Some(&(at, node, value)) = self.scenario.commands.get(self.next_command) {
-            if at > now {
-                break;
+                self.next_command += 1;
+                if tick.up.contains(node)
+                    && tick
+                        .nodes
+                        .get_mut(node.index())
+                        .is_some_and(|target| target.propose(value))
+                {
+                    events.push(ServiceEvent::Submitted { at, node, value });
+                }
             }
-            self.next_command += 1;
-            let up = self.up.get(node.index()).copied().unwrap_or(false);
-            if up
-                && self
-                    .nodes
-                    .get_mut(node.index())
-                    .is_some_and(|target| target.propose(value))
-            {
-                events.push(ServiceEvent::Submitted { at, node, value });
-            }
-        }
-        for (node, &up) in self.nodes.iter_mut().zip(&self.up) {
-            if !up {
-                continue;
-            }
-            let me = node.me();
-            for output in node.poll() {
-                match output {
-                    ServiceOutput::Decided(decision) => {
-                        self.decisions.push((now, me, decision));
-                        events.push(ServiceEvent::Decided {
-                            at: now,
-                            node: me,
-                            decision,
-                        });
-                    }
-                    ServiceOutput::ViewInstalled(view) => {
-                        events.push(ServiceEvent::ViewInstalled {
-                            at: now,
-                            node: me,
-                            view,
-                        });
-                    }
-                    ServiceOutput::Transferred { adopted, lost } => {
-                        self.watcher.note_state_transfer(adopted, lost);
-                        events.push(ServiceEvent::Transferred {
-                            at: now,
-                            node: me,
-                            adopted,
-                            lost,
-                        });
-                    }
-                    ServiceOutput::SyncServed { bytes, snapshot } => {
-                        self.watcher.note_sync_served(bytes, snapshot);
-                        events.push(ServiceEvent::SyncServed {
-                            at: now,
-                            node: me,
-                            bytes,
-                            snapshot,
-                        });
-                    }
-                    ServiceOutput::SnapshotInstalled { covered } => {
-                        self.watcher.note_state_transfer(covered, 0);
-                        events.push(ServiceEvent::SnapshotInstalled {
-                            at: now,
-                            node: me,
-                            covered,
-                        });
+            for (me, node) in tick.up_nodes() {
+                for output in node.poll() {
+                    match output {
+                        ServiceOutput::Decided(decision) => {
+                            self.decisions.push((now, me, decision));
+                            events.push(ServiceEvent::Decided {
+                                at: now,
+                                node: me,
+                                decision,
+                            });
+                        }
+                        ServiceOutput::ViewInstalled(view) => {
+                            events.push(ServiceEvent::ViewInstalled {
+                                at: now,
+                                node: me,
+                                view,
+                            });
+                        }
+                        ServiceOutput::Transferred { adopted, lost } => {
+                            self.watcher.note_state_transfer(adopted, lost);
+                            events.push(ServiceEvent::Transferred {
+                                at: now,
+                                node: me,
+                                adopted,
+                                lost,
+                            });
+                        }
+                        ServiceOutput::SyncServed { bytes, snapshot } => {
+                            self.watcher.note_sync_served(bytes, snapshot);
+                            events.push(ServiceEvent::SyncServed {
+                                at: now,
+                                node: me,
+                                bytes,
+                                snapshot,
+                            });
+                        }
+                        ServiceOutput::SnapshotInstalled { covered } => {
+                            self.watcher.note_state_transfer(covered, 0);
+                            events.push(ServiceEvent::SnapshotInstalled {
+                                at: now,
+                                node: me,
+                                covered,
+                            });
+                        }
                     }
                 }
             }
-        }
-        if let Some((healed_at, target)) = self.heal_pending {
-            let caught_up = self
-                .nodes
-                .iter()
-                .zip(&self.up)
-                .filter(|(node, &up)| up && !node.is_halted())
-                .all(|(node, _)| node.log().len() >= target);
-            if caught_up {
-                self.watcher.note_rejoin(Nanos::from_nanos(
-                    now.as_nanos().saturating_sub(healed_at.as_nanos()),
-                ));
-                self.heal_pending = None;
+            if let Some((healed_at, target)) = self.heal_pending {
+                let caught_up = tick
+                    .up_nodes()
+                    .filter(|(_, node)| !node.is_halted())
+                    .all(|(_, node)| node.log().len() >= target);
+                if caught_up {
+                    self.watcher.note_rejoin(now.saturating_sub(healed_at));
+                    self.heal_pending = None;
+                }
             }
-        }
-        self.watcher.observe(
-            now,
-            self.nodes
-                .iter()
-                .zip(&self.up)
-                .filter(|(node, &up)| up && !node.is_halted())
-                .map(|(node, _)| {
-                    let v = node.view();
-                    (node.me(), v.id, v.members)
-                }),
-        );
-        self.clock
-            .pace_to(now.saturating_add(self.scenario.online.sample_every));
-        Some(events)
+            self.watcher.observe(
+                now,
+                tick.up_nodes()
+                    .filter(|(_, node)| !node.is_halted())
+                    .map(|(me, node)| {
+                        let v = node.view();
+                        (me, v.id, v.members)
+                    }),
+            );
+            events
+        })
     }
 
     /// Runs the remaining ticks, returning every event produced.
     pub fn run_to_end(&mut self) -> Vec<ServiceEvent> {
-        let mut all = Vec::new();
-        while let Some(mut events) = self.step() {
-            all.append(&mut events);
-        }
-        all
+        run_to_end(|| self.step())
     }
 
     /// The report as of now (complete once [`ServiceRunner::is_done`]).
     #[must_use]
     pub fn report(&self) -> ServiceReport {
+        let nodes = &self.fleet.nodes;
         let mut membership = self.watcher.report();
         // The retransmission-plane counters live on the nodes, not the
         // watcher: sum them into the fleet report here.
-        membership.retransmits_sent = self
-            .nodes
-            .iter()
-            .map(DecisionService::retransmits_sent)
-            .sum();
-        membership.duplicate_frames_dropped = self
-            .nodes
+        membership.retransmits_sent = nodes.iter().map(DecisionService::retransmits_sent).sum();
+        membership.duplicate_frames_dropped = nodes
             .iter()
             .map(DecisionService::duplicate_frames_dropped)
             .sum();
         ServiceReport {
-            logs: self
-                .nodes
+            logs: nodes
                 .iter()
                 .map(|node| node.log().entries().to_vec())
                 .collect(),
-            bases: self
-                .nodes
+            bases: nodes.iter().map(|node| node.log().first_index()).collect(),
+            halted: nodes.iter().map(DecisionService::is_halted).collect(),
+            up: ProcessSet::full(nodes.len())
                 .iter()
-                .map(|node| node.log().first_index())
+                .map(|pid| self.fleet.up.contains(pid))
                 .collect(),
-            halted: self.nodes.iter().map(DecisionService::is_halted).collect(),
-            up: self.up.clone(),
             membership,
             decisions: self.decisions.clone(),
         }

@@ -4,9 +4,10 @@
 //! The static pass proves no `unwrap`/`panic!`/unchecked indexing is
 //! *written* in datagram-facing code; these properties check the same
 //! contract *observably* — an attacker-controlled datagram never
-//! panics a [`MembershipNode`] or [`DecisionService`], rejected frames
+//! panics a [`DetectorNode`], [`MembershipNode`] or [`DecisionService`]
+//! (the three callers of the crate's one receive loop), rejected frames
 //! leave node state untouched, and every rejection is charged to the
-//! `malformed_frames` counter. This regression-pins the PR 5
+//! `malformed_frames` counter exactly once. This regression-pins the PR 5
 //! out-of-range `ProcessId` panic family: a heartbeat whose sender
 //! field exceeds the cluster size used to abort the process.
 //!
@@ -26,10 +27,11 @@ use rfd_net::codec::{
     decode_borrowed, encode, Command, ConsensusFrame, DecidedMsg, Heartbeat, SnapshotReply,
     SnapshotRequest, SyncReply, SyncRequest, ViewChange, WireMsg,
 };
-use rfd_net::estimator::ChenEstimator;
+use rfd_net::detector::DetectorNode;
+use rfd_net::estimator::{ArrivalEstimator, ChenEstimator};
 use rfd_net::membership::MembershipNode;
 use rfd_net::service::DecisionService;
-use rfd_net::transport::{InMemoryNetwork, NetworkConfig, Transport};
+use rfd_net::transport::{Endpoint, InMemoryNetwork, NetworkConfig, Transport};
 
 fn ms(v: u64) -> Nanos {
     Nanos::from_millis(v)
@@ -44,6 +46,90 @@ fn chen() -> ChenEstimator {
 }
 
 const N: usize = 3;
+
+/// The three node types behind one face: each is `p0` of its own
+/// three-process network, fed by an attacker at `p1`.
+enum AnyNode {
+    Detector(DetectorNode<ChenEstimator, Endpoint, VirtualClock>),
+    Membership(MembershipNode<ChenEstimator, Endpoint, VirtualClock>),
+    Service(Box<DecisionService<ChenEstimator, Endpoint, VirtualClock>>),
+}
+
+/// One node under test with its clock and the attacker's endpoint.
+struct Rig {
+    node: AnyNode,
+    clock: VirtualClock,
+    attacker: Endpoint,
+}
+
+impl Rig {
+    /// One rig per node type, in `[detector, membership, service]` order.
+    fn all() -> [Rig; 3] {
+        [0, 1, 2].map(|kind| {
+            let clock = VirtualClock::new();
+            let net = InMemoryNetwork::new(N, NetworkConfig::reliable(ms(1), ms(2)), clock.clone());
+            let (me, c) = (net.endpoint(p(0)), clock.clone());
+            let node = match kind {
+                0 => AnyNode::Detector(DetectorNode::new(N, chen(), me, c, ms(50))),
+                1 => AnyNode::Membership(MembershipNode::new(N, chen(), me, c, ms(50))),
+                _ => AnyNode::Service(Box::new(DecisionService::new(N, chen(), me, c, ms(50)))),
+            };
+            Rig {
+                node,
+                attacker: net.endpoint(p(1)),
+                clock,
+            }
+        })
+    }
+
+    /// Delivers one datagram from the attacker and polls the node.
+    fn feed(&mut self, payload: Bytes) {
+        self.attacker.send(p(0), payload);
+        self.clock.advance(ms(2));
+        match &mut self.node {
+            AnyNode::Detector(node) => drop(node.poll()),
+            AnyNode::Membership(node) => node.poll(),
+            AnyNode::Service(node) => drop(node.poll()),
+        }
+    }
+
+    fn malformed_frames(&self) -> u64 {
+        match &self.node {
+            AnyNode::Detector(node) => node.malformed_frames(),
+            AnyNode::Membership(node) => node.malformed_frames(),
+            AnyNode::Service(node) => node.malformed_frames(),
+        }
+    }
+
+    /// Everything a received frame can change that the node's public
+    /// surface shows: whether `p1` was ever heard, the view, the halt
+    /// flag, the pending pool and the log length — as applicable.
+    fn observed(&self) -> String {
+        match &self.node {
+            AnyNode::Detector(node) => {
+                let heard = node
+                    .detector()
+                    .monitor(p(1))
+                    .map(|est| est.deadline().is_some());
+                format!("heard p1: {heard:?}")
+            }
+            AnyNode::Membership(node) => format!(
+                "heard: {} view: {:?} installed: {} halted: {}",
+                node.trust_horizon().is_some(),
+                node.view(),
+                node.views_installed(),
+                node.is_halted()
+            ),
+            AnyNode::Service(node) => format!(
+                "view: {:?} pending: {} log: {} halted: {}",
+                node.view(),
+                node.pending(),
+                node.log().len(),
+                node.is_halted()
+            ),
+        }
+    }
+}
 
 /// One `SyncReply` worth of stream: `(start, entries)` with entries as
 /// `(value, view, members)` triples.
@@ -100,18 +186,15 @@ fn wire_msg(selector: u8, a: u64, b: u64, wide: u128, entries: Vec<(u64, u64, u1
 }
 
 proptest! {
-    /// Undecodable datagrams: no panic, no membership state change, and
-    /// every rejected frame charged to `malformed_frames`.
+    /// Undecodable datagrams, the same corpus into all three node
+    /// types: no panic, no state change, and every rejected datagram
+    /// charged to `malformed_frames` exactly once.
     #[test]
     fn membership_rejects_arbitrary_bytes_without_state_change(
         frames in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..96), 1..24),
     ) {
-        let clock = VirtualClock::new();
-        let net = InMemoryNetwork::new(N, NetworkConfig::reliable(ms(1), ms(2)), clock.clone());
-        let mut node = MembershipNode::new(N, chen(), net.endpoint(p(0)), clock.clone(), ms(50));
-        let attacker = net.endpoint(p(1));
-        let view_before = node.view();
-        let installed_before = node.views_installed();
+        let mut rigs = Rig::all();
+        let before = rigs.each_ref().map(Rig::observed);
         let mut rejected = 0u64;
         for mut bytes in frames {
             // Steer the rare accidentally-valid frame back to garbage
@@ -126,14 +209,14 @@ proptest! {
                 continue;
             }
             rejected += 1;
-            attacker.send(p(0), Bytes::from(bytes));
-            clock.advance(ms(2));
-            node.poll();
+            for rig in &mut rigs {
+                rig.feed(Bytes::from(bytes.clone()));
+            }
         }
-        prop_assert_eq!(node.malformed_frames(), rejected);
-        prop_assert_eq!(node.view(), view_before);
-        prop_assert_eq!(node.views_installed(), installed_before);
-        prop_assert!(!node.is_halted());
+        for (rig, before) in rigs.iter().zip(before) {
+            prop_assert_eq!(rig.malformed_frames(), rejected);
+            prop_assert_eq!(rig.observed(), before);
+        }
     }
 
     /// Decodable heartbeats with wild sender fields — the exact PR 5
@@ -310,6 +393,58 @@ proptest! {
         prop_assert_eq!(node.malformed_frames(), 0);
         prop_assert_eq!(node.log().snapshots_installed(), 0);
         prop_assert!(!node.is_halted());
+    }
+}
+
+/// A batch is datagram framing, not a protocol message: every node
+/// type observes a `[Heartbeat, ViewChange, Command]` batch exactly as
+/// it observes the same three frames sent singly — and when the
+/// `ViewChange` excludes the receiver (a merge-less node halts on
+/// that), the halt stops the rest of the batch, as it stops every later
+/// datagram.
+#[test]
+fn a_batch_is_observed_as_its_frames_sent_singly_and_a_halt_stops_it() {
+    let members = |ids: &[usize]| ids.iter().fold(0u128, |acc, ix| acc | 1 << ix);
+    for (view, halts) in [(members(&[0, 1]), false), (members(&[1, 2]), true)] {
+        let frames = vec![
+            WireMsg::Heartbeat(Heartbeat {
+                sender: 1,
+                seq: 0,
+                sent_at: Nanos::ZERO,
+            }),
+            WireMsg::ViewChange(ViewChange {
+                view_id: 1,
+                members: view,
+            }),
+            WireMsg::Command(Command { value: 77 }),
+        ];
+        let mut batched = Rig::all();
+        let mut single = Rig::all();
+        for rig in &mut batched {
+            rig.feed(encode(&WireMsg::Batch(frames.clone())));
+        }
+        for rig in &mut single {
+            for frame in &frames {
+                rig.feed(encode(frame));
+            }
+        }
+        for (batched, single) in batched.iter().zip(&single) {
+            assert_eq!(batched.observed(), single.observed(), "halts: {halts}");
+            assert_eq!(batched.malformed_frames(), 0);
+        }
+        let [detector, membership, service] = batched.each_ref().map(Rig::observed);
+        assert_eq!(detector, "heard p1: Some(true)");
+        assert!(
+            membership.contains(&format!("halted: {halts}")),
+            "{membership}"
+        );
+        // The command follows the view change: learned unless the view
+        // change halted the node first.
+        let pending = usize::from(!halts);
+        assert!(
+            service.contains(&format!("pending: {pending} log: 0 halted: {halts}")),
+            "{service}"
+        );
     }
 }
 

@@ -14,24 +14,26 @@
 use realistic_failure_detectors::core::{class_report, CheckParams, ClassId, ProcessId, Time};
 use realistic_failure_detectors::net::clock::Nanos;
 use realistic_failure_detectors::net::estimator::ChenEstimator;
-use realistic_failure_detectors::net::membership::{run_membership, MembershipScenario};
+use realistic_failure_detectors::net::membership::run_membership;
+use realistic_failure_detectors::net::online::{Fault, FaultSchedule, OnlineScenario};
 
 fn ms(v: u64) -> Nanos {
     Nanos::from_millis(v)
 }
 
 fn main() {
-    let scenario = MembershipScenario {
+    let scenario = OnlineScenario {
         n: 5,
-        crashes: vec![
-            (ProcessId::new(2), ms(5_000)),
-            (ProcessId::new(0), ms(12_000)), // the coordinator itself
-        ],
+        schedule: FaultSchedule::new()
+            .at(ms(5_000), Fault::Crash(ProcessId::new(2)))
+            .at(ms(12_000), Fault::Crash(ProcessId::new(0))), // the coordinator itself
         period: ms(50),
         loss: 0.05,
         delay: (ms(1), ms(5)),
         duration: ms(30_000),
+        sample_every: ms(1),
         seed: 7,
+        ..OnlineScenario::default()
     };
     println!("membership: 5 nodes, 5% loss, crashes at 5s (p2) and 12s (p0 = coordinator)");
     let outcome = run_membership(ChenEstimator::new(ms(150), 16, ms(600)), &scenario);
