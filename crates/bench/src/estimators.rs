@@ -1,7 +1,9 @@
 //! A closed sum over the estimator line-up, shared by the experiments
 //! that sweep heterogeneous estimators through one closure (E7's QoS
-//! grid, E8's membership rows).
+//! grid, E8's membership rows, E11's churn schedules, and the service
+//! experiments' common line-up).
 
+use crate::ms;
 use rfd_net::clock::Nanos;
 use rfd_net::estimator::{
     ArrivalEstimator, ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual,
@@ -19,6 +21,32 @@ pub enum Estimators {
     Jacobson(JacobsonEstimator),
     /// φ-accrual.
     Phi(PhiAccrual),
+}
+
+impl Estimators {
+    /// The service experiments' line-up (E12–E16): a fixed baseline of
+    /// `fixed_ms` plus the three adaptive estimators, all capped at
+    /// 600 ms.
+    pub(crate) fn line_up(fixed_ms: u64) -> Vec<(String, Estimators)> {
+        vec![
+            (
+                format!("fixed-{fixed_ms}ms"),
+                Estimators::Fixed(FixedTimeout::new(ms(fixed_ms))),
+            ),
+            (
+                "chen(α=150ms)".into(),
+                Estimators::Chen(ChenEstimator::new(ms(150), 16, ms(600))),
+            ),
+            (
+                "jacobson(β=4)".into(),
+                Estimators::Jacobson(JacobsonEstimator::new(4.0, ms(600))),
+            ),
+            (
+                "φ-accrual(φ=3)".into(),
+                Estimators::Phi(PhiAccrual::new(3.0, 32, ms(600))),
+            ),
+        ]
+    }
 }
 
 impl ArrivalEstimator for Estimators {

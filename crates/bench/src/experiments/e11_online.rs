@@ -20,22 +20,15 @@
 //! and φ-accrual's saturating deadline never promises a crossing it
 //! cannot deliver.
 
+use crate::estimators::Estimators;
 use crate::table::Table;
+use crate::{mean_report, ms, p};
 use rfd_core::{ProcessId, ProcessSet};
-use rfd_net::clock::Nanos;
 use rfd_net::estimator::{ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual};
 use rfd_net::online::{run_membership_churn, Fault, FaultSchedule, OnlineRunner, OnlineScenario};
 use rfd_net::qos::QosReport;
 use rfd_net::ArrivalEstimator;
 use rfd_sim::Campaign;
-
-fn ms(v: u64) -> Nanos {
-    Nanos::from_millis(v)
-}
-
-fn p(i: usize) -> ProcessId {
-    ProcessId::new(i)
-}
 
 /// The churn schedules of the experiment, parameterized by duration.
 /// Each returns `(name, schedule, judged target)`.
@@ -102,85 +95,22 @@ fn run_one<E: ArrivalEstimator + Clone>(
     (report, matches)
 }
 
-fn mean_report(reports: &[QosReport]) -> QosReport {
-    let n = reports.len() as f64;
-    let det: Vec<u64> = reports
-        .iter()
-        .filter_map(|r| r.detection_time.map(rfd_net::Nanos::as_nanos))
-        .collect();
-    QosReport {
-        detection_time: if det.is_empty() {
-            None
-        } else {
-            Some(Nanos::from_nanos(
-                det.iter().sum::<u64>() / det.len() as u64,
-            ))
-        },
-        mistakes: (reports.iter().map(|r| f64::from(r.mistakes)).sum::<f64>() / n) as u32,
-        mistake_rate: reports.iter().map(|r| r.mistake_rate).sum::<f64>() / n,
-        avg_mistake_duration: Nanos::from_nanos(
-            (reports
-                .iter()
-                .map(|r| r.avg_mistake_duration.as_nanos() as f64)
-                .sum::<f64>()
-                / n) as u64,
-        ),
-        longest_mistake: reports
-            .iter()
-            .map(|r| r.longest_mistake)
-            .max()
-            .unwrap_or(Nanos::ZERO),
-        query_accuracy: reports.iter().map(|r| r.query_accuracy).sum::<f64>() / n,
-    }
-}
-
-fn line_up() -> Vec<(&'static str, EstimatorProto)> {
+fn line_up() -> Vec<(&'static str, Estimators)> {
     vec![
-        (
-            "fixed-400ms",
-            EstimatorProto::Fixed(FixedTimeout::new(ms(400))),
-        ),
+        ("fixed-400ms", Estimators::Fixed(FixedTimeout::new(ms(400)))),
         (
             "chen(α=50ms)",
-            EstimatorProto::Chen(ChenEstimator::new(ms(50), 32, ms(500))),
+            Estimators::Chen(ChenEstimator::new(ms(50), 32, ms(500))),
         ),
         (
             "jacobson(β=4)",
-            EstimatorProto::Jacobson(JacobsonEstimator::new(4.0, ms(500))),
+            Estimators::Jacobson(JacobsonEstimator::new(4.0, ms(500))),
         ),
         (
             "φ-accrual(φ=3)",
-            EstimatorProto::Phi(PhiAccrual::new(3.0, 64, ms(500))),
+            Estimators::Phi(PhiAccrual::new(3.0, 64, ms(500))),
         ),
     ]
-}
-
-/// A local closed sum so one sweep closure covers the heterogeneous
-/// line-up (same pattern as [`crate::estimators::Estimators`], kept
-/// separate to stay `Clone + Send` without touching the shared enum).
-#[derive(Clone, Debug)]
-enum EstimatorProto {
-    Fixed(FixedTimeout),
-    Chen(ChenEstimator),
-    Jacobson(JacobsonEstimator),
-    Phi(PhiAccrual),
-}
-
-impl EstimatorProto {
-    fn run(
-        &self,
-        schedule: FaultSchedule,
-        target: ProcessId,
-        seed: u64,
-        duration_ms: u64,
-    ) -> (QosReport, bool) {
-        match self.clone() {
-            EstimatorProto::Fixed(e) => run_one(e, schedule, target, seed, duration_ms),
-            EstimatorProto::Chen(e) => run_one(e, schedule, target, seed, duration_ms),
-            EstimatorProto::Jacobson(e) => run_one(e, schedule, target, seed, duration_ms),
-            EstimatorProto::Phi(e) => run_one(e, schedule, target, seed, duration_ms),
-        }
-    }
 }
 
 /// Runs E11 and returns the result table.
@@ -203,7 +133,7 @@ pub fn run_experiment(quick: bool) -> Table {
     for (schedule_name, schedule, target) in schedules(duration_ms) {
         for (est_name, proto) in line_up() {
             let outcomes: Vec<(QosReport, bool)> = Campaign::sweep(0..seeds)
-                .map(|seed| proto.run(schedule.clone(), target, seed, duration_ms));
+                .map(|seed| run_one(proto.clone(), schedule.clone(), target, seed, duration_ms));
             let all_match = outcomes.iter().all(|(_, m)| *m);
             let reports: Vec<QosReport> = outcomes.into_iter().map(|(r, _)| r).collect();
             let r = mean_report(&reports);

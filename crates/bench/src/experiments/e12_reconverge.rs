@@ -23,9 +23,9 @@
 
 use crate::estimators::Estimators;
 use crate::table::Table;
-use rfd_core::{ProcessId, ProcessSet};
+use crate::{ms, p};
+use rfd_core::ProcessSet;
 use rfd_net::clock::{Nanos, SystemClock};
-use rfd_net::estimator::{ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual};
 use rfd_net::online::{
     run_membership_churn, run_membership_churn_over, Fault, FaultSchedule, MembershipChurnReport,
     OnlineScenario,
@@ -33,14 +33,6 @@ use rfd_net::online::{
 use rfd_net::transport::faulty_cluster;
 use rfd_net::transport::udp::loopback_cluster;
 use rfd_sim::Campaign;
-
-fn ms(v: u64) -> Nanos {
-    Nanos::from_millis(v)
-}
-
-fn p(i: usize) -> ProcessId {
-    ProcessId::new(i)
-}
 
 /// The partition/heal schedules of the experiment, parameterized by
 /// duration: `(name, schedule, number of heals)`.
@@ -72,24 +64,6 @@ fn schedules(duration_ms: u64) -> Vec<(&'static str, FaultSchedule, usize)> {
                 .at(ms(3 * d / 5), Fault::Partition(even))
                 .at(ms(4 * d / 5), Fault::Heal),
             2,
-        ),
-    ]
-}
-
-fn line_up() -> Vec<(&'static str, Estimators)> {
-    vec![
-        ("fixed-400ms", Estimators::Fixed(FixedTimeout::new(ms(400)))),
-        (
-            "chen(α=150ms)",
-            Estimators::Chen(ChenEstimator::new(ms(150), 16, ms(600))),
-        ),
-        (
-            "jacobson(β=4)",
-            Estimators::Jacobson(JacobsonEstimator::new(4.0, ms(600))),
-        ),
-        (
-            "φ-accrual(φ=3)",
-            Estimators::Phi(PhiAccrual::new(3.0, 32, ms(600))),
         ),
     ]
 }
@@ -205,7 +179,7 @@ pub fn run_experiment(quick: bool) -> Table {
         ],
     );
     for (schedule_name, schedule, _heals) in schedules(duration_ms) {
-        for (est_name, proto) in line_up() {
+        for (est_name, proto) in &Estimators::line_up(400) {
             let reports: Vec<MembershipChurnReport> = Campaign::sweep(0..seeds).map(|seed| {
                 run_membership_churn(
                     proto.clone(),
@@ -226,9 +200,11 @@ pub fn run_experiment(quick: bool) -> Table {
         // cell), coarser sampling — these genuinely sleep.
         let udp_duration = 8_000;
         for (schedule_name, schedule, _heals) in schedules(udp_duration) {
-            for (est_name, proto) in line_up() {
-                let report =
-                    run_udp_cell(proto, &scenario(schedule.clone(), udp_duration, ms(5), 0));
+            for (est_name, proto) in &Estimators::line_up(400) {
+                let report = run_udp_cell(
+                    proto.clone(),
+                    &scenario(schedule.clone(), udp_duration, ms(5), 0),
+                );
                 push_row(
                     &mut table,
                     schedule_name,
@@ -245,6 +221,7 @@ pub fn run_experiment(quick: bool) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfd_net::estimator::ChenEstimator;
 
     #[test]
     fn e12_every_simulated_cell_reconverges() {

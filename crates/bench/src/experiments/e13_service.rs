@@ -26,22 +26,14 @@
 
 use crate::estimators::Estimators;
 use crate::table::Table;
-use rfd_core::{ProcessId, ProcessSet};
+use crate::{ms, p};
+use rfd_core::ProcessSet;
 use rfd_net::clock::{Nanos, SystemClock};
-use rfd_net::estimator::{ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual};
 use rfd_net::online::{Fault, FaultSchedule, OnlineScenario};
 use rfd_net::service::{run_service, ServiceReport, ServiceRunner, ServiceScenario};
 use rfd_net::transport::faulty_cluster;
 use rfd_net::transport::udp::loopback_cluster;
 use rfd_sim::Campaign;
-
-fn ms(v: u64) -> Nanos {
-    Nanos::from_millis(v)
-}
-
-fn p(i: usize) -> ProcessId {
-    ProcessId::new(i)
-}
 
 /// One schedule: name, faults, the disruptive event decisions must
 /// recover from, and the nodes clients submit to (kept clear of the
@@ -80,24 +72,6 @@ fn schedules(duration_ms: u64) -> Vec<Schedule> {
             recover_from_ms: 4 * d / 5,
             clients: &[0, 1],
         },
-    ]
-}
-
-fn line_up() -> Vec<(&'static str, Estimators)> {
-    vec![
-        ("fixed-400ms", Estimators::Fixed(FixedTimeout::new(ms(400)))),
-        (
-            "chen(α=150ms)",
-            Estimators::Chen(ChenEstimator::new(ms(150), 16, ms(600))),
-        ),
-        (
-            "jacobson(β=4)",
-            Estimators::Jacobson(JacobsonEstimator::new(4.0, ms(600))),
-        ),
-        (
-            "φ-accrual(φ=3)",
-            Estimators::Phi(PhiAccrual::new(3.0, 32, ms(600))),
-        ),
     ]
 }
 
@@ -226,7 +200,7 @@ pub fn run_experiment(quick: bool) -> Table {
         ],
     );
     for sched in schedules(duration_ms) {
-        for (est_name, proto) in line_up() {
+        for (est_name, proto) in &Estimators::line_up(400) {
             let cells: Vec<(u64, Option<u64>, u64, u64)> = Campaign::sweep(0..seeds).map(|seed| {
                 let report = run_service(
                     proto.clone(),
@@ -258,8 +232,11 @@ pub fn run_experiment(quick: bool) -> Table {
         // cell, coarser sampling — these genuinely sleep.
         let udp_duration = 8_000;
         for sched in schedules(udp_duration) {
-            for (est_name, proto) in line_up() {
-                let report = run_udp_cell(proto, &scenario(&sched, udp_duration, ms(10), 400, 0));
+            for (est_name, proto) in &Estimators::line_up(400) {
+                let report = run_udp_cell(
+                    proto.clone(),
+                    &scenario(&sched, udp_duration, ms(10), 400, 0),
+                );
                 // Wall-clock cells assert shape only (no gate): timing
                 // on a loaded host may leave stragglers mid-transfer.
                 push_row(
@@ -284,6 +261,7 @@ pub fn run_experiment(quick: bool) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfd_net::estimator::ChenEstimator;
 
     #[test]
     fn e13_every_simulated_cell_recovers_and_agrees() {

@@ -31,43 +31,16 @@
 
 use crate::estimators::Estimators;
 use crate::table::Table;
-use rfd_core::{ProcessId, ProcessSet};
-use rfd_net::clock::Nanos;
-use rfd_net::estimator::{ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual};
+use crate::{mean, ms, p};
+use rfd_core::ProcessSet;
 use rfd_net::online::{Fault, FaultSchedule, OnlineScenario};
 use rfd_net::service::{run_service, CompactionPolicy, ServiceReport, ServiceScenario};
 use rfd_sim::Campaign;
-
-fn ms(v: u64) -> Nanos {
-    Nanos::from_millis(v)
-}
-
-fn p(i: usize) -> ProcessId {
-    ProcessId::new(i)
-}
 
 /// How many decisions the retained tail keeps in snapshot mode — small
 /// against even the short outage, so both holds genuinely exercise the
 /// snapshot path.
 const RETAIN: u64 = 8;
-
-fn line_up() -> Vec<(&'static str, Estimators)> {
-    vec![
-        ("fixed-400ms", Estimators::Fixed(FixedTimeout::new(ms(400)))),
-        (
-            "chen(α=150ms)",
-            Estimators::Chen(ChenEstimator::new(ms(150), 16, ms(600))),
-        ),
-        (
-            "jacobson(β=4)",
-            Estimators::Jacobson(JacobsonEstimator::new(4.0, ms(600))),
-        ),
-        (
-            "φ-accrual(φ=3)",
-            Estimators::Phi(PhiAccrual::new(3.0, 32, ms(600))),
-        ),
-    ]
-}
 
 /// One rejoin scenario: p3 is cut off at 2 s, the majority keeps
 /// deciding a continuous workload through the outage, the partition
@@ -161,10 +134,6 @@ fn gate(label: &str, snapshot_mode: bool, report: &ServiceReport) -> Cell {
     }
 }
 
-fn mean(values: impl Iterator<Item = u64>, n: u64) -> u64 {
-    values.sum::<u64>() / n.max(1)
-}
-
 /// Runs E14 and returns the result table.
 ///
 /// # Panics
@@ -191,7 +160,7 @@ pub fn run_experiment(quick: bool) -> Table {
             "t_rejoin",
         ],
     );
-    for (est_name, proto) in line_up() {
+    for (est_name, proto) in &Estimators::line_up(400) {
         let mut cells: Vec<(&str, &str, Cell)> = Vec::new();
         for (hold_name, hold_ms) in [("short", short_hold), ("long", long_hold)] {
             for (mode, retain) in [("snapshot", Some(RETAIN)), ("suffix", None)] {
@@ -274,6 +243,7 @@ fn contrast_gate(est_name: &str, cells: &[(&str, &str, Cell)]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfd_net::estimator::ChenEstimator;
 
     #[test]
     fn e14_contrast_holds_on_every_estimator() {

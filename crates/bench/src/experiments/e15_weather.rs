@@ -26,48 +26,20 @@
 
 use crate::estimators::Estimators;
 use crate::table::Table;
-use rfd_core::{ProcessId, ProcessSet};
+use crate::{mean, ms, p};
+use rfd_core::ProcessSet;
 use rfd_net::clock::{ClockSkew, Nanos};
-use rfd_net::estimator::{ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual};
 use rfd_net::online::OnlineScenario;
 use rfd_net::qos::QosReport;
 use rfd_net::service::{ServiceReport, ServiceScenario};
 use rfd_net::weather::{run_weather_service, weather_online_runner, Weather};
 use rfd_sim::Campaign;
 
-fn ms(v: u64) -> Nanos {
-    Nanos::from_millis(v)
-}
-
-fn p(i: usize) -> ProcessId {
-    ProcessId::new(i)
-}
-
 /// The QoS pair every cell reduces: `OBSERVER` watches `TARGET`. Both
 /// stay alive under every weather, so any suspicion on this pair is a
 /// mistake by definition.
 const OBSERVER: usize = 0;
 const TARGET: usize = 1;
-
-/// The estimator zoo (E14's line-up: one aggressive fixed baseline plus
-/// the three adaptive estimators, all capped at 600 ms).
-fn line_up() -> Vec<(&'static str, Estimators)> {
-    vec![
-        ("fixed-400ms", Estimators::Fixed(FixedTimeout::new(ms(400)))),
-        (
-            "chen(α=150ms)",
-            Estimators::Chen(ChenEstimator::new(ms(150), 16, ms(600))),
-        ),
-        (
-            "jacobson(β=4)",
-            Estimators::Jacobson(JacobsonEstimator::new(4.0, ms(600))),
-        ),
-        (
-            "φ-accrual(φ=3)",
-            Estimators::Phi(PhiAccrual::new(3.0, 32, ms(600))),
-        ),
-    ]
-}
 
 /// The weather catalogue. Active windows sit inside 2–7 s of the 12 s
 /// run so every weather has passed with ≥ 5 s of calm left for the
@@ -204,10 +176,6 @@ fn qos_pair(proto: Estimators, weather: &Weather, seed: u64) -> QosReport {
         .expect("the observer pair is distinct and monitored")
 }
 
-fn mean_u64(values: impl Iterator<Item = u64>, n: u64) -> u64 {
-    values.sum::<u64>() / n.max(1)
-}
-
 /// Runs E15 and returns the result table.
 ///
 /// # Panics
@@ -230,7 +198,7 @@ pub fn run_experiment(quick: bool) -> Table {
         ],
     );
     let mut flap_degraded_someone = false;
-    for (est_name, proto) in line_up() {
+    for (est_name, proto) in &Estimators::line_up(400) {
         let mut cells: Vec<(&'static str, Cell)> = Vec::new();
         for (weather_name, weather) in catalogue() {
             let label = format!("{est_name}/{weather_name}");
@@ -248,9 +216,9 @@ pub fn run_experiment(quick: bool) -> Table {
             });
             let n = runs.len() as u64;
             let cell = Cell {
-                decided: mean_u64(runs.iter().map(|c| c.decided), n),
+                decided: mean(runs.iter().map(|c| c.decided), n),
                 mistakes: runs.iter().map(|c| c.mistakes).max().unwrap_or(0),
-                avg_mistake: Nanos::from_nanos(mean_u64(
+                avg_mistake: Nanos::from_nanos(mean(
                     runs.iter().map(|c| c.avg_mistake.as_nanos()),
                     n,
                 )),
@@ -319,6 +287,7 @@ fn contrast_gate(est_name: &str, cells: &[(&'static str, Cell)]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfd_net::estimator::ChenEstimator;
     use rfd_net::online::reports_equal;
 
     #[test]

@@ -37,19 +37,12 @@
 
 use crate::estimators::Estimators;
 use crate::table::Table;
-use rfd_core::{ProcessId, ProcessSet};
+use crate::{ms, p};
+use rfd_core::ProcessSet;
 use rfd_net::clock::Nanos;
-use rfd_net::estimator::{ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual};
+use rfd_net::estimator::ChenEstimator;
 use rfd_net::online::{Fault, FaultSchedule, OnlineScenario};
 use rfd_net::service::{CompactionPolicy, ServiceRunner, ServiceScenario};
-
-fn ms(v: u64) -> Nanos {
-    Nanos::from_millis(v)
-}
-
-fn p(i: usize) -> ProcessId {
-    ProcessId::new(i)
-}
 
 /// Heartbeat period (and the base the retransmission RTO derives from).
 const PERIOD_MS: u64 = 50;
@@ -85,26 +78,6 @@ fn cadence_ms(loss: f64) -> u64 {
     } else {
         50
     }
-}
-
-/// The estimator zoo: the E14/E15 adaptive line-up, with the fixed
-/// baseline provisioned for the 20% regime (module docs).
-fn line_up() -> Vec<(&'static str, Estimators)> {
-    vec![
-        ("fixed-800ms", Estimators::Fixed(FixedTimeout::new(ms(800)))),
-        (
-            "chen(α=150ms)",
-            Estimators::Chen(ChenEstimator::new(ms(150), 16, ms(600))),
-        ),
-        (
-            "jacobson(β=4)",
-            Estimators::Jacobson(JacobsonEstimator::new(4.0, ms(600))),
-        ),
-        (
-            "φ-accrual(φ=3)",
-            Estimators::Phi(PhiAccrual::new(3.0, 32, ms(600))),
-        ),
-    ]
 }
 
 /// One cell's scenario: `commands` commands at a fixed cadence from the
@@ -275,7 +248,8 @@ pub fn run_experiment(quick: bool) -> Table {
             "lag",
         ],
     );
-    for (est_name, proto) in line_up() {
+    // The fixed baseline is provisioned for the 20% regime (module docs).
+    for (est_name, proto) in &Estimators::line_up(800) {
         for loss in LOSSES {
             let label = format!("{est_name}/loss {loss}");
             let cell = soak(&label, proto.clone(), loss, commands, cycles, 1);

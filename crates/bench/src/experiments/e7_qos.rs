@@ -9,16 +9,12 @@
 
 use crate::estimators::Estimators;
 use crate::table::Table;
-use rfd_net::clock::Nanos;
+use crate::{mean_report, ms};
 use rfd_net::estimator::{
     ArrivalEstimator, ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual,
 };
 use rfd_net::qos::{evaluate_qos, QosReport, QosScenario};
 use rfd_sim::Campaign;
-
-fn ms(v: u64) -> Nanos {
-    Nanos::from_millis(v)
-}
 
 fn scenario(loss: f64, seed: u64, duration_ms: u64) -> QosScenario {
     QosScenario {
@@ -172,38 +168,6 @@ fn burst_scenario(burst: Option<(f64, f64, f64)>, seed: u64, duration_ms: u64) -
         duration: ms(duration_ms),
         seed,
         ..QosScenario::default()
-    }
-}
-
-fn mean_report(reports: &[QosReport]) -> QosReport {
-    let n = reports.len() as f64;
-    let det: Vec<u64> = reports
-        .iter()
-        .filter_map(|r| r.detection_time.map(rfd_net::Nanos::as_nanos))
-        .collect();
-    QosReport {
-        detection_time: if det.is_empty() {
-            None
-        } else {
-            Some(Nanos::from_nanos(
-                det.iter().sum::<u64>() / det.len() as u64,
-            ))
-        },
-        mistakes: (reports.iter().map(|r| f64::from(r.mistakes)).sum::<f64>() / n) as u32,
-        mistake_rate: reports.iter().map(|r| r.mistake_rate).sum::<f64>() / n,
-        avg_mistake_duration: Nanos::from_nanos(
-            (reports
-                .iter()
-                .map(|r| r.avg_mistake_duration.as_nanos() as f64)
-                .sum::<f64>()
-                / n) as u64,
-        ),
-        longest_mistake: reports
-            .iter()
-            .map(|r| r.longest_mistake)
-            .max()
-            .unwrap_or(Nanos::ZERO),
-        query_accuracy: reports.iter().map(|r| r.query_accuracy).sum::<f64>() / n,
     }
 }
 

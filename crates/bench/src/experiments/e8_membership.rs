@@ -8,17 +8,13 @@
 //! by fiat).
 
 use crate::estimators::Estimators;
+use crate::ms;
 use crate::table::Table;
 use rfd_core::{class_report, CheckParams, ClassId, ProcessId, Time};
-use rfd_net::clock::Nanos;
 use rfd_net::estimator::{ChenEstimator, FixedTimeout};
 use rfd_net::membership::{run_membership, MembershipOutcome};
 use rfd_net::online::{Fault, FaultSchedule, OnlineScenario};
 use rfd_sim::Campaign;
-
-fn ms(v: u64) -> Nanos {
-    Nanos::from_millis(v)
-}
 
 fn churn_scenario(loss: f64, seed: u64, duration_ms: u64) -> OnlineScenario {
     OnlineScenario {

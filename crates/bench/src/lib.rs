@@ -36,3 +36,55 @@ pub mod table;
 
 pub use estimators::Estimators;
 pub use table::Table;
+
+use rfd_core::ProcessId;
+use rfd_net::clock::Nanos;
+use rfd_net::qos::QosReport;
+
+fn ms(v: u64) -> Nanos {
+    Nanos::from_millis(v)
+}
+
+fn p(i: usize) -> ProcessId {
+    ProcessId::new(i)
+}
+
+/// The integer mean of `n` values (zero for none).
+fn mean(values: impl Iterator<Item = u64>, n: u64) -> u64 {
+    values.sum::<u64>() / n.max(1)
+}
+
+/// One seed-averaged report: means throughout, except `detection_time`
+/// (the mean over the seeds that detected at all) and `longest_mistake`
+/// (the maximum).
+fn mean_report(reports: &[QosReport]) -> QosReport {
+    let n = reports.len() as f64;
+    let det: Vec<u64> = reports
+        .iter()
+        .filter_map(|r| r.detection_time.map(Nanos::as_nanos))
+        .collect();
+    QosReport {
+        detection_time: if det.is_empty() {
+            None
+        } else {
+            Some(Nanos::from_nanos(
+                det.iter().sum::<u64>() / det.len() as u64,
+            ))
+        },
+        mistakes: (reports.iter().map(|r| f64::from(r.mistakes)).sum::<f64>() / n) as u32,
+        mistake_rate: reports.iter().map(|r| r.mistake_rate).sum::<f64>() / n,
+        avg_mistake_duration: Nanos::from_nanos(
+            (reports
+                .iter()
+                .map(|r| r.avg_mistake_duration.as_nanos() as f64)
+                .sum::<f64>()
+                / n) as u64,
+        ),
+        longest_mistake: reports
+            .iter()
+            .map(|r| r.longest_mistake)
+            .max()
+            .unwrap_or(Nanos::ZERO),
+        query_accuracy: reports.iter().map(|r| r.query_accuracy).sum::<f64>() / n,
+    }
+}

@@ -617,7 +617,8 @@ mod tests {
         assert_eq!(rejoiner.digest_at(6), veteran.digest_at(6));
         assert_eq!(rejoiner.snapshots_installed(), 1);
 
-        // Pull the retained tail the PR-5 way; the logs end identical.
+        // Pull the retained tail as a plain suffix merge; the logs end
+        // identical.
         let tail: Vec<_> = veteran
             .suffix(6)
             .iter()

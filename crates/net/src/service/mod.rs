@@ -39,6 +39,7 @@
 
 mod log;
 mod node;
+mod retry;
 mod runner;
 
 pub use log::{Decision, MergeOutcome, ReplicatedLog, Snapshot, ViewStamp};

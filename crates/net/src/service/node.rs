@@ -1,6 +1,7 @@
 //! One node of the live replicated-decision service.
 
 use super::log::{Decision, ReplicatedLog, Snapshot, ViewStamp};
+use super::retry::{RetryPlane, Timeouts};
 use crate::clock::{Clock, Nanos};
 use crate::codec::{
     encode, for_each_frame, set_to_members, Command, ConsensusFrame, DecidedMsg, SnapshotReply,
@@ -36,33 +37,6 @@ const FUTURE_WINDOW: u64 = 1024;
 /// few slots ahead of any live log; partitioned stragglers catch up via
 /// state transfer, not by joining far-future rounds.
 const SLOT_HORIZON: u64 = 1024;
-
-/// Retransmission-timeout floor, in heartbeat periods. Calm-network
-/// decisions complete within a couple of one-way delays — far under two
-/// periods — so no retransmission timer ever fires on a calm run.
-const RETX_FLOOR_PERIODS: u64 = 2;
-
-/// Retransmission-timeout ceiling, in heartbeat periods, clamping the
-/// estimator-derived timeout.
-const RETX_CAP_PERIODS: u64 = 8;
-
-/// Backoff ceiling, in heartbeat periods: the retransmission interval
-/// doubles per silent firing but never exceeds this, so a slot stalled
-/// on a long partition keeps probing at a bounded, non-zero rate
-/// (bounded *interval*, unbounded *attempts* — liveness under any loss
-/// rate needs retries to never give up).
-const RETX_BACKOFF_CAP_PERIODS: u64 = 16;
-
-/// One exponential-backoff retry timer of the retransmission plane.
-#[derive(Clone, Copy, Debug)]
-struct RetryTimer {
-    /// Next firing instant.
-    next: Nanos,
-    /// Current backoff interval (doubles per firing, capped).
-    interval: Nanos,
-    /// Firings so far — rotates probe targets across the view.
-    attempts: u32,
-}
 
 /// A typed event produced by one [`DecisionService::poll`].
 #[derive(Clone, Debug)]
@@ -106,8 +80,9 @@ pub enum ServiceOutput {
 /// history.
 ///
 /// Compaction is opt-in ([`DecisionService::with_compaction`]): without
-/// a policy the log grows unboundedly and every sync is the full PR-5
-/// suffix exchange.
+/// a policy the log grows unboundedly and every sync is the plain
+/// suffix exchange: the responder streams every entry from the
+/// requester's tail on, however long that is.
 ///
 /// ```
 /// use rfd_net::service::CompactionPolicy;
@@ -151,6 +126,15 @@ impl CompactionPolicy {
 ///    gets plain chunks, one that fell behind the compacted base
 ///    negotiates a snapshot ([`Snapshot`]) and fast-rejoins in O(tail)
 ///    instead of O(history).
+///
+/// Under all three sits the **retransmission plane**, which rebuilds the
+/// paper's quasi-reliable channels on a lossy wire: the open slot's
+/// stalled conversations, the suffix a stalled laggard is missing and
+/// an unanswered snapshot request are re-sent on an estimator-derived,
+/// exponentially backed-off timeout. The node holds the plane's timers
+/// as one `RetryPlane` (`service/retry.rs`, no I/O) and only decides
+/// what a firing sends; [`DecisionService::retransmits_sent`] counts
+/// the frames. See "The retransmission plane" in ARCHITECTURE.md.
 ///
 /// Commands enter through [`DecisionService::propose`] (a typed command
 /// queue: the pending pool), are gossiped to the group, and leave as
@@ -198,43 +182,12 @@ pub struct DecisionService<E, T, C> {
     /// the same once-per-tail-position throttle as `gap_synced_at`,
     /// for snapshot negotiation.
     snapshot_requested_at: Option<u64>,
-    /// Whether this node has an outstanding snapshot request. An
-    /// unsolicited [`SnapshotReply`] (nothing outstanding) is dropped
-    /// without touching any state — a forged summary cannot overwrite
-    /// a healthy log.
-    awaiting_snapshot: bool,
-    /// Snapshot summaries this node served to rejoiners.
-    snapshots_served: u64,
-    /// Per-open-slot consensus retransmission timers: armed when a slot
-    /// emits to peers, reset by fresh emission (progress), dropped with
-    /// the slot on decision. See the "Retransmission plane" section of
-    /// ARCHITECTURE.md for the timer derivation.
-    retx: BTreeMap<u64, RetryTimer>,
-    /// Reusable scratch: slots whose timers fired this poll.
-    retx_due: Vec<u64>,
-    /// Reusable scratch: slots that emitted fresh peer traffic this
-    /// poll (their timers reset instead of firing).
-    retx_touched: Vec<u64>,
-    /// Per-peer earliest next laggard-push instant — continuously
-    /// pushed back while the peer's acked length keeps up with ours
-    /// **or keeps growing**, so a push fires only after a peer stays
-    /// behind and stalled for a full timeout (the pull paths — sync
-    /// fanout, tail probes, snapshot negotiation — get to finish the
-    /// job on their own first; the push is the fallback of last
-    /// resort, not a parallel transfer).
-    push_at: Vec<Nanos>,
-    /// Per-peer laggard-push backoff interval.
-    push_interval: Vec<Nanos>,
-    /// Per-peer acked length observed when the push fuse was last
-    /// (re)armed — growth past it counts as progress.
-    push_acked: Vec<u64>,
-    /// Retry timer for an outstanding snapshot negotiation (armed by
-    /// [`DecisionService::maybe_request_snapshot`], cleared when the
-    /// rejoin completes through any channel).
-    snapshot_retry: Option<RetryTimer>,
-    /// Frames re-sent by the retransmission plane: consensus re-sends,
-    /// tail probes, laggard pushes and snapshot re-requests.
-    retransmits_sent: u64,
+    /// Every retry timer of the retransmission plane — the open slot's,
+    /// the per-peer laggard-push fuses, the outstanding snapshot
+    /// negotiation's — and the count of frames it re-sent. See the
+    /// "Retransmission plane" section of ARCHITECTURE.md for the timer
+    /// derivation.
+    retry: RetryPlane,
     /// Received frames dropped as duplicates: consensus frames for
     /// already-decided slots, re-relayed decisions, re-gossiped
     /// already-decided commands. Nonzero under retransmission (or plain
@@ -283,16 +236,7 @@ where
             compaction: None,
             peer_acked: vec![0; n],
             snapshot_requested_at: None,
-            awaiting_snapshot: false,
-            snapshots_served: 0,
-            retx: BTreeMap::new(),
-            retx_due: Vec::new(),
-            retx_touched: Vec::new(),
-            push_at: vec![Nanos::ZERO; n],
-            push_interval: vec![Nanos::ZERO; n],
-            push_acked: vec![0; n],
-            snapshot_retry: None,
-            retransmits_sent: 0,
+            retry: RetryPlane::new(n),
             duplicate_frames_dropped: 0,
             next_gossip: Nanos::ZERO,
             rx_buf: Vec::new(),
@@ -331,12 +275,6 @@ where
         self
     }
 
-    /// Snapshot summaries this node served to rejoiners.
-    #[must_use]
-    pub fn snapshots_served(&self) -> u64 {
-        self.snapshots_served
-    }
-
     /// Frames re-sent by the retransmission plane: stalled-slot
     /// consensus re-sends, tail probes, laggard pushes and snapshot
     /// re-requests. Stays **zero on a calm network** — every timer's
@@ -344,7 +282,7 @@ where
     /// insurance against loss.
     #[must_use]
     pub fn retransmits_sent(&self) -> u64 {
-        self.retransmits_sent
+        self.retry.sent
     }
 
     /// Received frames dropped as duplicates (idempotent receipt):
@@ -523,12 +461,9 @@ where
                 // missing suffix, and allow a fresh snapshot negotiation
                 // for this view.
                 self.snapshot_requested_at = None;
-                let req = encode(&WireMsg::SyncRequest(SyncRequest {
-                    from_index: self.log.len(),
-                }));
                 for to in view.members {
                     if to != self.me() {
-                        self.send_raw(to, req.clone());
+                        self.request_sync(to);
                     }
                 }
             }
@@ -558,7 +493,8 @@ where
         for (slot, value) in decided {
             self.commit(slot, value, &mut events);
         }
-        self.run_retransmission(now);
+        let timeouts = self.timeouts(now);
+        self.run_retransmission(now, timeouts);
         if now >= self.next_gossip {
             self.next_gossip = now.saturating_add(self.period);
             // GOSSIP_BATCH is small and fixed: snapshot the commands
@@ -571,38 +507,15 @@ where
             for value in batch.into_iter().flatten() {
                 self.broadcast(&WireMsg::Command(Command { value }));
             }
-            self.push_to_laggards(now, &mut events);
+            self.push_to_laggards(now, timeouts, &mut events);
             self.maybe_compact();
         }
         events
     }
 
-    /// The estimator-derived retransmission timeout (RTO): one
-    /// heartbeat period past the membership's trust horizon, clamped to
-    /// `[RETX_FLOOR_PERIODS, RETX_CAP_PERIODS]` periods.
-    ///
-    /// Waiting past the trust horizon guarantees a slot stalled on a
-    /// *crashed* peer is (typically) resolved first by exclusion-driven
-    /// round advancement — retransmission targets message *loss*, the
-    /// one failure the emulated-`P` membership cannot see.
-    fn retransmit_after(&self, now: Nanos) -> Nanos {
-        let period = self.period.as_nanos();
-        let floor = Nanos::from_nanos(period.saturating_mul(RETX_FLOOR_PERIODS));
-        let cap = Nanos::from_nanos(period.saturating_mul(RETX_CAP_PERIODS));
-        let derived = self
-            .membership
-            .trust_horizon()
-            .map_or(floor, |h| h.saturating_sub(now).saturating_add(self.period));
-        derived.clamp(floor, cap)
-    }
-
-    /// The backoff ceiling for every retry timer.
-    fn backoff_cap(&self) -> Nanos {
-        Nanos::from_nanos(
-            self.period
-                .as_nanos()
-                .saturating_mul(RETX_BACKOFF_CAP_PERIODS),
-        )
+    /// The retry timeouts at `now`, from the membership's trust horizon.
+    fn timeouts(&self, now: Nanos) -> Timeouts {
+        Timeouts::at(now, self.period, self.membership.trust_horizon())
     }
 
     /// The `attempts`-th current-view member other than this node
@@ -622,60 +535,33 @@ where
     }
 
     /// The consensus half of the retransmission plane, run once per
-    /// poll. Slots that emitted fresh peer traffic this poll reset
-    /// their timers (progress needs no retry); slots silent past their
-    /// deadline re-send their stalled conversations, re-derived from
+    /// poll. An open slot that emitted fresh peer traffic this poll
+    /// resets its timer (progress needs no retry); one silent past its
+    /// deadline re-sends its stalled conversations, re-derived from
     /// core state ([`rfd_algo::driver::SlotDriver::retransmit`]: an
     /// estimate for every visited round plus every unresolved
-    /// coordinated proposal) — idempotent on receipt — plus, for the
-    /// tail slot, a
+    /// coordinated proposal) — idempotent on receipt — plus a
     /// [`SyncRequest`] probe to one rotated member, covering the case
     /// where every peer already decided and retired the slot (plain
     /// re-sends would be dropped).
     /// Intervals back off exponentially up to the cap; attempts never
     /// stop — liveness under arbitrary loss needs unbounded retries.
     ///
-    /// The no-retry fast path (no open slots, or all making progress)
-    /// touches only the reusable scratch vectors: zero allocations.
-    fn run_retransmission(&mut self, now: Nanos) {
-        // Drop timers of retired slots.
-        let driver = &self.driver;
-        self.retx.retain(|slot, _| driver.is_open(*slot));
-        let rto = self.retransmit_after(now);
-        let cap = self.backoff_cap();
-        // Arm timers for newly opened slots.
-        for &slot in self.driver.open_slots() {
-            self.retx.entry(slot).or_insert(RetryTimer {
-                next: now.saturating_add(rto),
-                interval: rto,
-                attempts: 0,
-            });
-        }
-        // Fresh emission this poll = progress: reset timer and backoff.
-        let mut touched = std::mem::take(&mut self.retx_touched);
-        for slot in touched.drain(..) {
-            if self.driver.is_open(slot) {
-                self.retx.insert(
-                    slot,
-                    RetryTimer {
-                        next: now.saturating_add(rto),
-                        interval: rto,
-                        attempts: 0,
-                    },
-                );
-            }
-        }
-        self.retx_touched = touched;
-        // Fire due timers.
-        let mut due = std::mem::take(&mut self.retx_due);
-        due.clear();
-        due.extend(
-            self.retx
-                .iter()
-                .filter(|(_, t)| now >= t.next)
-                .map(|(slot, _)| *slot),
+    /// The no-retry fast path (no open slot, or one making progress)
+    /// allocates nothing.
+    fn run_retransmission(&mut self, now: Nanos, timeouts: Timeouts) {
+        // The plane keeps one slot timer because at most the tail slot
+        // is ever open: instances open only at `log.len()` and every
+        // appended entry resolves its slot. Pipelining slots would
+        // silently lose retries for all but the first — fail loudly.
+        let open = self.driver.open_slots().first().copied();
+        debug_assert!(
+            self.driver.open_slots().len() <= 1 && open.map_or(true, |s| s == self.log.len()),
+            "open slots {:?} are not just the log tail {}",
+            self.driver.open_slots(),
+            self.log.len(),
         );
-        for &slot in &due {
+        if let Some((slot, attempts)) = open.zip(self.retry.slot_due(now, timeouts, open)) {
             let mut resent = 0u64;
             for (to, slot, msg) in self.driver.retransmit(slot) {
                 self.send_raw(
@@ -684,29 +570,15 @@ where
                 );
                 resent += 1;
             }
-            let attempts = self.retx.get(&slot).map_or(0, |t| t.attempts);
-            if slot == self.log.len() {
-                // Tail probe: if the group decided this slot without us
-                // hearing, one peer's suffix reply revives us.
-                if let Some(target) = self.rotated_member(attempts) {
-                    self.send_raw(
-                        target,
-                        encode(&WireMsg::SyncRequest(SyncRequest {
-                            from_index: self.log.len(),
-                        })),
-                    );
-                    resent += 1;
-                }
+            // Tail probe: if the group decided this slot without us
+            // hearing, one peer's suffix reply revives us.
+            if let Some(target) = self.rotated_member(attempts) {
+                self.request_sync(target);
+                resent += 1;
             }
-            self.retransmits_sent += resent;
-            if let Some(t) = self.retx.get_mut(&slot) {
-                t.interval = Nanos::from_nanos(t.interval.as_nanos().saturating_mul(2)).min(cap);
-                t.next = now.saturating_add(t.interval);
-                t.attempts = t.attempts.saturating_add(1);
-            }
+            self.retry.sent += resent;
         }
-        self.retx_due = due;
-        self.retry_snapshot(now, rto, cap);
+        self.retry_snapshot(now, timeouts);
     }
 
     /// The sender-side half of acknowledged delivery: every gossip
@@ -720,43 +592,24 @@ where
     /// would only duplicate the suffix on the wire. Per-peer
     /// exponential backoff while the peer stays stalled; the fuse
     /// re-arms on any progress.
-    fn push_to_laggards(&mut self, now: Nanos, events: &mut Vec<ServiceOutput>) {
-        let rto = self.retransmit_after(now);
-        let cap = self.backoff_cap();
+    fn push_to_laggards(
+        &mut self,
+        now: Nanos,
+        timeouts: Timeouts,
+        events: &mut Vec<ServiceOutput>,
+    ) {
         let me = self.me();
-        let members = self.membership.view().members;
-        for member in members {
-            let ix = member.index();
-            if member == me || ix >= self.n {
+        for member in self.membership.view().members {
+            if member == me {
                 continue;
             }
-            let acked = self.peer_acked.get(ix).copied().unwrap_or(0);
-            let fuse_acked = self.push_acked.get(ix).copied().unwrap_or(0);
-            let due = self.push_at.get(ix).is_some_and(|&at| now >= at);
-            if acked >= self.log.len() || acked > fuse_acked {
-                // Caught up, or moving on its own: re-arm the fuse.
-                if let Some(at) = self.push_at.get_mut(ix) {
-                    *at = now.saturating_add(rto);
-                }
-                if let Some(interval) = self.push_interval.get_mut(ix) {
-                    *interval = rto;
-                }
-                if let Some(watermark) = self.push_acked.get_mut(ix) {
-                    *watermark = acked;
-                }
-            } else if due {
-                self.retransmits_sent += 1;
+            let acked = self.acked_by(member);
+            if self
+                .retry
+                .push_due(now, timeouts, member, acked, self.log.len())
+            {
+                self.retry.sent += 1;
                 self.on_sync_request(member, acked, events);
-                let interval = self.push_interval.get(ix).copied().unwrap_or(rto);
-                let doubled = Nanos::from_nanos(interval.as_nanos().saturating_mul(2))
-                    .min(cap)
-                    .max(rto);
-                if let Some(interval) = self.push_interval.get_mut(ix) {
-                    *interval = doubled;
-                }
-                if let Some(at) = self.push_at.get_mut(ix) {
-                    *at = now.saturating_add(doubled);
-                }
             }
         }
     }
@@ -766,35 +619,18 @@ where
     /// genuinely behind, re-send the request to a rotated member — a
     /// single lost `SnapshotRequest`/`SnapshotReply` can no longer
     /// strand a rejoiner behind the once-per-tail-position throttle.
-    fn retry_snapshot(&mut self, now: Nanos, rto: Nanos, cap: Nanos) {
-        if !self.awaiting_snapshot {
-            self.snapshot_retry = None;
-            return;
-        }
-        let Some(timer) = self.snapshot_retry else {
-            // Legacy arm (outstanding request from before the timer
-            // existed): start the clock now.
-            self.snapshot_retry = Some(RetryTimer {
-                next: now.saturating_add(rto),
-                interval: rto,
-                attempts: 0,
-            });
+    fn retry_snapshot(&mut self, now: Nanos, timeouts: Timeouts) {
+        let Some(attempts) = self.retry.snapshot_due(now, timeouts) else {
             return;
         };
-        if now < timer.next {
-            return;
-        }
         let me = self.me();
-        let behind = self.membership.view().members.iter().any(|p| {
-            p != me && self.peer_acked.get(p.index()).copied().unwrap_or(0) > self.log.len()
-        });
-        if !behind {
+        let mut members = self.membership.view().members.iter();
+        if !members.any(|p| p != me && self.acked_by(p) > self.log.len()) {
             // Caught up through other channels — stand down.
-            self.awaiting_snapshot = false;
-            self.snapshot_retry = None;
+            self.retry.disarm_snapshot();
             return;
         }
-        if let Some(target) = self.rotated_member(timer.attempts) {
+        if let Some(target) = self.rotated_member(attempts) {
             self.snapshot_requested_at = Some(self.log.len());
             self.send_raw(
                 target,
@@ -802,14 +638,8 @@ where
                     from_index: self.log.len(),
                 })),
             );
-            self.retransmits_sent += 1;
+            self.retry.sent += 1;
         }
-        let interval = Nanos::from_nanos(timer.interval.as_nanos().saturating_mul(2)).min(cap);
-        self.snapshot_retry = Some(RetryTimer {
-            next: now.saturating_add(interval),
-            interval,
-            attempts: timer.attempts.saturating_add(1),
-        });
     }
 
     /// Trims the log behind the all-replica stable index, keeping the
@@ -828,8 +658,7 @@ where
             if member == me {
                 continue;
             }
-            let acked = self.peer_acked.get(member.index()).copied().unwrap_or(0);
-            stable = stable.min(acked);
+            stable = stable.min(self.acked_by(member));
         }
         let target = stable.saturating_sub(policy.retain);
         if self.log.truncate_prefix(target) > 0 {
@@ -840,9 +669,9 @@ where
     /// Routes consensus sends: peers get encoded frames, self-addressed
     /// messages loop straight back into the driver (cores rely on
     /// self-delivery; looping locally keeps that deterministic on any
-    /// transport). Slots that emit to a peer are marked *touched*: fresh
-    /// emission is progress, so their retransmission timers reset
-    /// instead of firing.
+    /// transport). A slot that emits to a peer *touches* the retry
+    /// plane: fresh emission is progress, so its retransmission timer
+    /// resets instead of firing.
     fn flush_consensus(
         &mut self,
         mut sends: Vec<SlotSend<RotatingMsg<u64>>>,
@@ -850,24 +679,19 @@ where
         decided: &mut Vec<(u64, u64)>,
     ) {
         let me = self.me();
-        let mut touched = std::mem::take(&mut self.retx_touched);
-        touched.clear();
         while let Some((to, slot, msg)) = sends.pop() {
             if to == me {
                 let (more, d) = self.driver.on_message(slot, me, &msg, suspects);
                 sends.extend(more);
                 decided.extend(d.map(|v| (slot, v)));
             } else {
-                if !touched.contains(&slot) {
-                    touched.push(slot);
-                }
+                self.retry.touch();
                 self.send_raw(
                     to,
                     encode(&WireMsg::Consensus(ConsensusFrame { slot, msg })),
                 );
             }
         }
-        self.retx_touched = touched;
     }
 
     /// Applies a consensus decision for `slot`.
@@ -924,17 +748,9 @@ where
                 // only once per tail position: every peer relays every
                 // decision, and one full-suffix reply per stall is
                 // enough.
-                if self.gap_synced_at != Some(self.log.len())
-                    && from != self.me()
-                    && from.index() < self.n
-                {
+                if self.gap_synced_at != Some(self.log.len()) && self.is_peer(from) {
                     self.gap_synced_at = Some(self.log.len());
-                    self.send_raw(
-                        from,
-                        encode(&WireMsg::SyncRequest(SyncRequest {
-                            from_index: self.log.len(),
-                        })),
-                    );
+                    self.request_sync(from);
                 }
             }
         }
@@ -977,7 +793,7 @@ where
         from_index: u64,
         events: &mut Vec<ServiceOutput>,
     ) {
-        if from == self.me() || from.index() >= self.n {
+        if !self.is_peer(from) {
             return;
         }
         self.note_acked(from, from_index);
@@ -1057,12 +873,7 @@ where
                 // ahead, so it acts as a pure ack that stands the
                 // pusher's fuse down.
                 self.duplicate_frames_dropped += 1;
-                self.send_raw(
-                    from,
-                    encode(&WireMsg::SyncRequest(SyncRequest {
-                        from_index: self.log.len(),
-                    })),
-                );
+                self.request_sync(from);
             }
             return;
         }
@@ -1073,13 +884,12 @@ where
         for d in self.log.suffix(rewritten_from).to_vec() {
             self.note_committed(d.index, d.value);
         }
-        if outcome.adopted > 0 && self.awaiting_snapshot {
+        if outcome.adopted > 0 {
             // Entries are flowing through the plain sync path after
-            // all: the outstanding snapshot negotiation is moot (a late
+            // all: an outstanding snapshot negotiation is moot (a late
             // reply that no longer extends the log would be rejected
             // anyway). Stand the retry down.
-            self.awaiting_snapshot = false;
-            self.snapshot_retry = None;
+            self.retry.disarm_snapshot();
         }
         events.push(ServiceOutput::Transferred {
             adopted: outcome.adopted,
@@ -1094,12 +904,7 @@ where
         // a middle chunk was lost it re-pulls the remainder. Full-width
         // chunks skip the confirm (more of the stream is in flight).
         if entries.len() < MAX_SYNC_ENTRIES {
-            self.send_raw(
-                from,
-                encode(&WireMsg::SyncRequest(SyncRequest {
-                    from_index: self.log.len(),
-                })),
-            );
+            self.request_sync(from);
         }
     }
 
@@ -1107,23 +912,17 @@ where
     /// position — every compacted responder gap-signals, and one
     /// snapshot per stall is enough.
     fn maybe_request_snapshot(&mut self, from: ProcessId) {
-        if from == self.me() || from.index() >= self.n {
+        if !self.is_peer(from) {
             return;
         }
         if self.snapshot_requested_at == Some(self.log.len()) {
             return;
         }
         self.snapshot_requested_at = Some(self.log.len());
-        self.awaiting_snapshot = true;
         // Arm the retry timer: a lost request (or lost reply) re-fires
         // toward a rotated member instead of stranding the rejoin.
         let now = self.clock.now();
-        let rto = self.retransmit_after(now);
-        self.snapshot_retry = Some(RetryTimer {
-            next: now.saturating_add(rto),
-            interval: rto,
-            attempts: 0,
-        });
+        self.retry.arm_snapshot(now, self.timeouts(now));
         self.send_raw(
             from,
             encode(&WireMsg::SnapshotRequest(SnapshotRequest {
@@ -1142,7 +941,7 @@ where
         from_index: u64,
         events: &mut Vec<ServiceOutput>,
     ) {
-        if from == self.me() || from.index() >= self.n {
+        if !self.is_peer(from) {
             return;
         }
         self.note_acked(from, from_index);
@@ -1168,7 +967,6 @@ where
             view_members: snap.view.members,
             entries,
         }));
-        self.snapshots_served += 1;
         events.push(ServiceOutput::SyncServed {
             bytes: frame.len() as u64,
             snapshot: true,
@@ -1188,17 +986,16 @@ where
         entries: &[(u64, u64, u128)],
         events: &mut Vec<ServiceOutput>,
     ) {
-        if from == self.me() || from.index() >= self.n {
+        if !self.is_peer(from) {
             return;
         }
-        if !self.awaiting_snapshot {
+        if !self.retry.awaiting_snapshot() {
             return;
         }
         let Some(covered) = self.log.install_snapshot(snapshot) else {
             return;
         };
-        self.awaiting_snapshot = false;
-        self.snapshot_retry = None;
+        self.retry.disarm_snapshot();
         self.snapshot_requested_at = None;
         self.gap_synced_at = None;
         // The log jumped past every local in-flight slot: retire the
@@ -1216,12 +1013,29 @@ where
             self.on_sync_reply(from, snapshot.upto, entries, events);
         }
         // The responder may retain more tail than one chunk carries.
+        self.request_sync(from);
+    }
+
+    /// Whether `from` is a process of this group other than this node —
+    /// the only senders state transfer answers or asks.
+    fn is_peer(&self, from: ProcessId) -> bool {
+        from != self.me() && from.index() < self.n
+    }
+
+    /// Asks `to` for the log suffix from our tail on. Also what a
+    /// caught-up node acks with: a request from the tail serves nothing.
+    fn request_sync(&self, to: ProcessId) {
         self.send_raw(
-            from,
+            to,
             encode(&WireMsg::SyncRequest(SyncRequest {
                 from_index: self.log.len(),
             })),
         );
+    }
+
+    /// The highest log length `peer` is known to hold.
+    fn acked_by(&self, peer: ProcessId) -> u64 {
+        self.peer_acked.get(peer.index()).copied().unwrap_or(0)
     }
 
     /// Records that `from`'s log is at least `upto` long.

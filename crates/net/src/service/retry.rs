@@ -1,0 +1,445 @@
+//! The retransmission plane's timers, and nothing else: no transport, no
+//! wall clock, no log, no consensus driver. Every method is a function
+//! of `(now, inputs)`; the node (`node.rs`) decides which frames a firing
+//! sends and to whom. See "The retransmission plane" in ARCHITECTURE.md.
+
+use crate::clock::Nanos;
+use rfd_core::ProcessId;
+
+/// Retransmission-timeout floor, in heartbeat periods. Calm-network
+/// decisions complete within a couple of one-way delays — far under two
+/// periods — so no retransmission timer ever fires on a calm run.
+const RETX_FLOOR_PERIODS: u64 = 2;
+
+/// Retransmission-timeout ceiling, in heartbeat periods, clamping the
+/// estimator-derived timeout.
+const RETX_CAP_PERIODS: u64 = 8;
+
+/// Backoff ceiling, in heartbeat periods: the retransmission interval
+/// doubles per silent firing but never exceeds this, so a slot stalled
+/// on a long partition keeps probing at a bounded, non-zero rate
+/// (bounded *interval*, unbounded *attempts* — liveness under any loss
+/// rate needs retries to never give up).
+const RETX_BACKOFF_CAP_PERIODS: u64 = 16;
+
+/// The two durations every retry timer is armed and backed off with,
+/// derived once per poll.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) struct Timeouts {
+    /// The estimator-derived retransmission timeout: one heartbeat
+    /// period past the membership's trust horizon, clamped to
+    /// `[RETX_FLOOR_PERIODS, RETX_CAP_PERIODS]` periods.
+    ///
+    /// Waiting past the trust horizon guarantees a slot stalled on a
+    /// *crashed* peer is (typically) resolved first by exclusion-driven
+    /// round advancement — retransmission targets message *loss*, the
+    /// one failure the emulated-`P` membership cannot see.
+    pub(super) rto: Nanos,
+    /// The backoff ceiling of every retry timer.
+    pub(super) cap: Nanos,
+}
+
+impl Timeouts {
+    /// The timeouts at `now`, for a heartbeat `period` and the
+    /// membership's current trust horizon (`None` before the first
+    /// heartbeat: the floor applies).
+    pub(super) fn at(now: Nanos, period: Nanos, trust_horizon: Option<Nanos>) -> Self {
+        let periods = |k: u64| Nanos::from_nanos(period.as_nanos().saturating_mul(k));
+        let floor = periods(RETX_FLOOR_PERIODS);
+        let derived = trust_horizon.map_or(floor, |h| h.saturating_sub(now).saturating_add(period));
+        Self {
+            rto: derived.clamp(floor, periods(RETX_CAP_PERIODS)),
+            cap: periods(RETX_BACKOFF_CAP_PERIODS),
+        }
+    }
+}
+
+/// One exponential-backoff retry timer. The default is *unarmed*: due at
+/// once, with a zero interval.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(super) struct Backoff {
+    /// Next firing instant.
+    next: Nanos,
+    /// Current backoff interval (doubles per firing, capped).
+    interval: Nanos,
+    /// Firings since the timer was armed — rotates probe targets across
+    /// the view.
+    attempts: u32,
+}
+
+impl Backoff {
+    /// A timer that first fires one `rto` after `now`.
+    fn armed(now: Nanos, rto: Nanos) -> Self {
+        Self {
+            next: now.saturating_add(rto),
+            interval: rto,
+            attempts: 0,
+        }
+    }
+
+    fn is_due(&self, now: Nanos) -> bool {
+        now >= self.next
+    }
+
+    /// Records a firing at `now`: doubles the interval within
+    /// `[floor, cap]` and schedules the next firing one interval out.
+    /// Returns the number of firings *before* this one.
+    fn fire(&mut self, now: Nanos, floor: Nanos, cap: Nanos) -> u32 {
+        let doubled = Nanos::from_nanos(self.interval.as_nanos().saturating_mul(2));
+        self.interval = doubled.min(cap).max(floor);
+        self.next = now.saturating_add(self.interval);
+        let before = self.attempts;
+        self.attempts = before.saturating_add(1);
+        before
+    }
+}
+
+/// One peer's laggard-push fuse.
+#[derive(Clone, Copy, Debug, Default)]
+struct PushFuse {
+    timer: Backoff,
+    /// The peer's acked length when the fuse was last (re)armed — growth
+    /// past it counts as progress.
+    acked: u64,
+}
+
+/// Every retry timer of one node: the open consensus slot's, one
+/// laggard-push fuse per peer, and the outstanding snapshot
+/// negotiation's.
+#[derive(Debug)]
+pub(super) struct RetryPlane {
+    /// The timer of the one open consensus slot. One suffices: a node
+    /// opens an instance only at its log tail and every appended entry
+    /// resolves its slot, so at most the tail slot is ever open (the
+    /// node `debug_assert!`s this where it calls [`Self::slot_due`]).
+    /// `None` also while the slot is making progress: the next
+    /// [`Self::slot_due`] arms it afresh.
+    slot: Option<(u64, Backoff)>,
+    /// Per-peer laggard-push fuses, indexed by process. A fuse starts
+    /// unarmed (a peer that is behind and stalled from the outset is
+    /// pushed to at once) and is pushed back while the peer's acked
+    /// length keeps up with ours **or keeps growing**, so a push fires
+    /// only after a peer stays behind and stalled for a full timeout:
+    /// the pull paths — sync fan-out, tail probes, snapshot negotiation
+    /// — get to finish the job on their own first.
+    pushes: Vec<PushFuse>,
+    /// The timer of an outstanding snapshot negotiation. While it is
+    /// armed the node honours a `SnapshotReply`; an unsolicited one
+    /// (nothing outstanding) is dropped without touching any state — a
+    /// forged summary cannot overwrite a healthy log.
+    snapshot: Option<Backoff>,
+    /// Frames re-sent by the plane: consensus re-sends, tail probes,
+    /// laggard pushes and snapshot re-requests. The node adds to it.
+    pub(super) sent: u64,
+}
+
+impl RetryPlane {
+    /// The plane of one node among `n`, nothing armed.
+    pub(super) fn new(n: usize) -> Self {
+        Self {
+            slot: None,
+            pushes: vec![PushFuse::default(); n],
+            snapshot: None,
+            sent: 0,
+        }
+    }
+
+    /// Notes that the open slot emitted fresh peer traffic — progress,
+    /// so its timer starts over at the next [`Self::slot_due`].
+    pub(super) fn touch(&mut self) {
+        self.slot = None;
+    }
+
+    /// Once per poll, with the open slot if there is one: `Some(firings
+    /// so far)` if that slot has been silent past its deadline — the
+    /// node re-sends its stalled conversations and the timer backs off.
+    /// A slot touched since the last call, or not the open slot then,
+    /// re-arms instead.
+    pub(super) fn slot_due(&mut self, now: Nanos, t: Timeouts, open: Option<u64>) -> Option<u32> {
+        let Some(open) = open else {
+            self.slot = None;
+            return None;
+        };
+        match &mut self.slot {
+            Some((slot, timer)) if *slot == open => timer
+                .is_due(now)
+                .then(|| timer.fire(now, Nanos::ZERO, t.cap)),
+            _ => {
+                self.slot = Some((open, Backoff::armed(now, t.rto)));
+                None
+            }
+        }
+    }
+
+    /// Once per gossip period and view member: whether to push the
+    /// missing suffix to `member`, whose acked length is `acked` against
+    /// our `log_len`. Caught up, or moving on its own, re-arms the fuse;
+    /// behind and stalled past the deadline fires it, and the interval
+    /// backs off — never below the current `rto`: an unarmed fuse's zero
+    /// interval would otherwise double to zero and fire every period.
+    pub(super) fn push_due(
+        &mut self,
+        now: Nanos,
+        t: Timeouts,
+        member: ProcessId,
+        acked: u64,
+        log_len: u64,
+    ) -> bool {
+        let Some(fuse) = self.pushes.get_mut(member.index()) else {
+            return false;
+        };
+        if acked >= log_len || acked > fuse.acked {
+            *fuse = PushFuse {
+                timer: Backoff::armed(now, t.rto),
+                acked,
+            };
+            return false;
+        }
+        let due = fuse.timer.is_due(now);
+        if due {
+            fuse.timer.fire(now, t.rto, t.cap);
+        }
+        due
+    }
+
+    /// Starts the clock on a snapshot request just sent.
+    pub(super) fn arm_snapshot(&mut self, now: Nanos, t: Timeouts) {
+        self.snapshot = Some(Backoff::armed(now, t.rto));
+    }
+
+    /// The rejoin completed (through any channel): nothing outstanding.
+    pub(super) fn disarm_snapshot(&mut self) {
+        self.snapshot = None;
+    }
+
+    /// Whether a snapshot request is outstanding.
+    pub(super) fn awaiting_snapshot(&self) -> bool {
+        self.snapshot.is_some()
+    }
+
+    /// `Some(firings so far)` if the outstanding snapshot request has
+    /// gone unanswered past its deadline — the node re-sends it to a
+    /// rotated member (or disarms, if it caught up) and the timer backs
+    /// off.
+    pub(super) fn snapshot_due(&mut self, now: Nanos, t: Timeouts) -> Option<u32> {
+        let timer = self.snapshot.as_mut()?;
+        timer
+            .is_due(now)
+            .then(|| timer.fire(now, Nanos::ZERO, t.cap))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const PERIOD: Nanos = Nanos::from_millis(50);
+
+    fn ms(v: u64) -> Nanos {
+        Nanos::from_millis(v)
+    }
+
+    /// `rto` = 2 periods, `cap` = 16 periods: what a node sees before
+    /// its first heartbeat arrives.
+    fn floor_timeouts() -> Timeouts {
+        Timeouts::at(Nanos::ZERO, PERIOD, None)
+    }
+
+    #[test]
+    fn timeouts_are_one_period_past_the_horizon_clamped_to_2_and_8_periods() {
+        assert_eq!(
+            floor_timeouts(),
+            Timeouts {
+                rto: ms(100),
+                cap: ms(800)
+            }
+        );
+        let rto = |now, horizon| Timeouts::at(ms(now), PERIOD, Some(ms(horizon))).rto;
+        // Horizon already behind us: one period, clamped up to the floor.
+        assert_eq!(rto(1_000, 900), ms(100));
+        assert_eq!(rto(1_000, 1_040), ms(100));
+        // In range: (horizon - now) + period.
+        assert_eq!(rto(1_000, 1_200), ms(250));
+        // Far horizon: clamped down to eight periods.
+        assert_eq!(rto(1_000, 9_000), ms(400));
+        // The cap never depends on the horizon.
+        assert_eq!(
+            Timeouts::at(ms(1_000), PERIOD, Some(ms(9_000))).cap,
+            ms(800)
+        );
+    }
+
+    #[test]
+    fn timeouts_saturate_instead_of_overflowing() {
+        let max = Nanos::from_nanos(u64::MAX);
+        let huge = Nanos::from_nanos(u64::MAX / 3);
+        assert_eq!(
+            Timeouts::at(Nanos::ZERO, huge, Some(max)),
+            Timeouts { rto: max, cap: max }
+        );
+        let mut plane = RetryPlane::new(3);
+        let t = Timeouts::at(Nanos::ZERO, huge, None);
+        assert_eq!(plane.slot_due(max, t, Some(0)), None);
+        // Armed at `MAX + rto`, saturated: due, and firing cannot wrap.
+        assert_eq!(plane.slot_due(max, t, Some(0)), Some(0));
+        assert_eq!(plane.slot_due(max, t, Some(0)), Some(1));
+    }
+
+    #[test]
+    fn a_slot_timer_fires_at_rto_then_doubles_to_the_cap_counting_attempts() {
+        let t = floor_timeouts();
+        let mut plane = RetryPlane::new(3);
+        assert_eq!(plane.slot_due(ms(0), t, Some(7)), None, "newly open: arms");
+        assert_eq!(plane.slot_due(ms(99), t, Some(7)), None, "before rto");
+        assert_eq!(plane.slot_due(ms(100), t, Some(7)), Some(0), "at rto");
+        // Intervals from here: 200, 400, 800 (the cap), 800, 800.
+        let mut now = 100;
+        for (attempts, interval) in [(1, 200), (2, 400), (3, 800), (4, 800), (5, 800)] {
+            assert_eq!(plane.slot_due(ms(now + interval - 1), t, Some(7)), None);
+            now += interval;
+            assert_eq!(plane.slot_due(ms(now), t, Some(7)), Some(attempts));
+        }
+    }
+
+    #[test]
+    fn a_touched_slot_rearms_instead_of_firing() {
+        let t = floor_timeouts();
+        let mut plane = RetryPlane::new(3);
+        plane.slot_due(ms(0), t, Some(7));
+        assert_eq!(plane.slot_due(ms(100), t, Some(7)), Some(0));
+        // Due again at 300 — but the slot emitted: full reset.
+        plane.touch();
+        assert_eq!(plane.slot_due(ms(300), t, Some(7)), None);
+        assert_eq!(plane.slot_due(ms(399), t, Some(7)), None);
+        assert_eq!(
+            plane.slot_due(ms(400), t, Some(7)),
+            Some(0),
+            "attempts and interval restart with the re-arm"
+        );
+        assert_eq!(plane.slot_due(ms(599), t, Some(7)), None);
+        assert_eq!(plane.slot_due(ms(600), t, Some(7)), Some(1));
+    }
+
+    #[test]
+    fn a_new_open_slot_rearms_instead_of_inheriting_the_old_timer() {
+        let t = floor_timeouts();
+        let mut plane = RetryPlane::new(3);
+        plane.slot_due(ms(0), t, Some(7));
+        assert_eq!(plane.slot_due(ms(100), t, Some(7)), Some(0));
+        // Slot 7 decided, slot 8 opened; slot 7's timer would be due.
+        assert_eq!(plane.slot_due(ms(300), t, Some(8)), None);
+        assert_eq!(plane.slot_due(ms(399), t, Some(8)), None);
+        assert_eq!(plane.slot_due(ms(400), t, Some(8)), Some(0));
+    }
+
+    #[test]
+    fn no_open_slot_yields_nothing_and_leaves_no_touch_or_timer_behind() {
+        let t = floor_timeouts();
+        let mut plane = RetryPlane::new(3);
+        // The slot emitted and decided within one poll.
+        plane.touch();
+        assert_eq!(plane.slot_due(ms(0), t, None), None);
+        // That touch is spent: it resets nothing once slot 8 is armed.
+        assert_eq!(plane.slot_due(ms(10), t, Some(8)), None);
+        assert_eq!(plane.slot_due(ms(110), t, Some(8)), Some(0));
+        // Closing forgets the timer: the same slot number seen open
+        // again starts afresh rather than firing at once.
+        assert_eq!(plane.slot_due(ms(120), t, None), None);
+        assert_eq!(plane.slot_due(ms(900), t, Some(8)), None);
+        assert_eq!(plane.slot_due(ms(999), t, Some(8)), None);
+        assert_eq!(plane.slot_due(ms(1_000), t, Some(8)), Some(0));
+    }
+
+    #[test]
+    fn an_unarmed_push_fuse_fires_at_once_and_backs_off_from_rto() {
+        let t = floor_timeouts();
+        let mut plane = RetryPlane::new(3);
+        let peer = ProcessId::new(1);
+        // Behind (acked 0 of 5) and never seen moving: the very first
+        // check pushes.
+        assert!(plane.push_due(ms(0), t, peer, 0, 5));
+        // The unarmed interval is zero; doubling it must not leave the
+        // fuse permanently due — it floors at rto…
+        assert!(!plane.push_due(ms(99), t, peer, 0, 5));
+        assert!(plane.push_due(ms(100), t, peer, 0, 5));
+        // …then doubles: 200, 400, 800, 800.
+        let mut now = 100;
+        for interval in [200, 400, 800, 800] {
+            assert!(!plane.push_due(ms(now + interval - 1), t, peer, 0, 5));
+            now += interval;
+            assert!(plane.push_due(ms(now), t, peer, 0, 5));
+        }
+    }
+
+    #[test]
+    fn a_push_fuse_floors_at_the_current_rto_when_it_has_grown() {
+        let mut plane = RetryPlane::new(3);
+        let peer = ProcessId::new(1);
+        assert!(plane.push_due(ms(0), floor_timeouts(), peer, 0, 5));
+        assert!(plane.push_due(ms(100), floor_timeouts(), peer, 0, 5));
+        // Interval is 200 ms now; the horizon moved out and rto is 400.
+        let slow = Timeouts::at(ms(300), PERIOD, Some(ms(9_000)));
+        assert_eq!(slow.rto, ms(400));
+        assert!(plane.push_due(ms(300), slow, peer, 0, 5));
+        assert!(!plane.push_due(ms(699), slow, peer, 0, 5));
+        assert!(plane.push_due(ms(700), slow, peer, 0, 5));
+    }
+
+    #[test]
+    fn a_push_fuse_rearms_on_caught_up_and_on_growth_past_the_watermark() {
+        let t = floor_timeouts();
+        let mut plane = RetryPlane::new(3);
+        let peer = ProcessId::new(2);
+        // Caught up: re-arms (never fires), however long it stays so.
+        assert!(!plane.push_due(ms(0), t, peer, 5, 5));
+        assert!(!plane.push_due(ms(1_000), t, peer, 5, 5));
+        // Falls behind (log grew): a full rto of grace from the last
+        // re-arm, then a push.
+        assert!(!plane.push_due(ms(1_050), t, peer, 5, 9));
+        assert!(plane.push_due(ms(1_100), t, peer, 5, 9));
+        // Still behind but its ack grew past the watermark: moving on
+        // its own, so the due fuse re-arms instead of firing.
+        assert!(!plane.push_due(ms(1_300), t, peer, 6, 9));
+        assert!(!plane.push_due(ms(1_399), t, peer, 6, 9));
+        // Same ack again is not growth: fires, from a fresh backoff.
+        assert!(plane.push_due(ms(1_400), t, peer, 6, 9));
+        assert!(!plane.push_due(ms(1_599), t, peer, 6, 9));
+        assert!(plane.push_due(ms(1_600), t, peer, 6, 9));
+    }
+
+    #[test]
+    fn push_fuses_are_per_peer_and_ignore_processes_outside_the_group() {
+        let t = floor_timeouts();
+        let mut plane = RetryPlane::new(3);
+        assert!(plane.push_due(ms(0), t, ProcessId::new(1), 0, 5));
+        assert!(
+            plane.push_due(ms(0), t, ProcessId::new(2), 0, 5),
+            "own fuse"
+        );
+        for now in [0, 100, 10_000] {
+            assert!(!plane.push_due(ms(now), t, ProcessId::new(3), 0, 5));
+            assert!(!plane.push_due(ms(now), t, ProcessId::new(127), 0, 5));
+        }
+    }
+
+    #[test]
+    fn the_snapshot_timer_arms_fires_backs_off_and_disarms() {
+        let t = floor_timeouts();
+        let mut plane = RetryPlane::new(3);
+        assert!(!plane.awaiting_snapshot());
+        assert_eq!(plane.snapshot_due(ms(10_000), t), None, "nothing armed");
+        plane.arm_snapshot(ms(50), t);
+        assert!(plane.awaiting_snapshot());
+        assert_eq!(plane.snapshot_due(ms(149), t), None);
+        assert_eq!(plane.snapshot_due(ms(150), t), Some(0));
+        assert!(plane.awaiting_snapshot(), "firing keeps it outstanding");
+        assert_eq!(plane.snapshot_due(ms(349), t), None, "backed off to 200");
+        assert_eq!(plane.snapshot_due(ms(350), t), Some(1));
+        plane.disarm_snapshot();
+        assert!(!plane.awaiting_snapshot());
+        assert_eq!(plane.snapshot_due(ms(10_000), t), None);
+        // Re-arming starts over.
+        plane.arm_snapshot(ms(10_000), t);
+        assert_eq!(plane.snapshot_due(ms(10_100), t), Some(0));
+    }
+}
