@@ -22,10 +22,9 @@ use crate::properties::{
 };
 use crate::History;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a failure detector class.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ClassId {
     /// `P`: strong completeness + strong accuracy.
     Perfect,

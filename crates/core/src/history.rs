@@ -9,10 +9,9 @@
 use crate::process::ProcessId;
 use crate::time::Time;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Per-process piecewise-constant output timeline.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 struct Timeline<R> {
     /// Change points `(t, value)`, strictly increasing in `t`, with the
     /// first entry at `Time::ZERO`.
@@ -78,7 +77,7 @@ impl<R: Clone + Eq> Timeline<R> {
 /// assert!(h.value(p0, Time::new(4)).is_empty());
 /// assert!(h.value(p0, Time::new(5)).contains(ProcessId::new(2)));
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct History<R> {
     n: usize,
     timelines: Vec<Timeline<R>>,

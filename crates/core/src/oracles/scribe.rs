@@ -5,7 +5,6 @@ use crate::pattern::FailurePattern;
 use crate::process::{ProcessId, ProcessSet};
 use crate::time::Time;
 use crate::History;
-use serde::{Deserialize, Serialize};
 
 /// The range value of the Scribe: the failure pattern *up to now*, `F[t]`.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// notes of what it sees": at time `t` it outputs the list of values of
 /// `F` up to `t`. Because `F` is monotone, that list is fully described by
 /// the crash times that are already visible.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PatternPrefix {
     visible_crashes: Vec<Option<Time>>,
 }

@@ -14,7 +14,6 @@ use crate::process::{ProcessId, ProcessSet, MAX_PROCESSES};
 use crate::time::Time;
 use core::fmt;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A crash-stop failure pattern `F : Φ → 2^Ω` over `n` processes.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(f.is_crashed(ProcessId::new(1), Time::new(10)));
 /// assert_eq!(f.correct().len(), 3);
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct FailurePattern {
     n: usize,
     crash_times: Vec<Option<Time>>,

@@ -7,7 +7,6 @@
 //! form 2^Ω (suspect lists) use [`ProcessSet`].
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Maximum number of processes supported by [`ProcessSet`].
 pub const MAX_PROCESSES: usize = 128;
@@ -27,7 +26,7 @@ pub const MAX_PROCESSES: usize = 128;
 /// assert_eq!(p.index(), 3);
 /// assert_eq!(p.to_string(), "p3");
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcessId(u16);
 
 impl ProcessId {
@@ -112,7 +111,7 @@ impl From<ProcessId> for usize {
 /// assert_eq!(s.len(), 2);
 /// assert!(s.is_subset(&ProcessSet::full(4)));
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ProcessSet(u128);
 
 impl ProcessSet {

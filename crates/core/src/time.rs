@@ -6,7 +6,6 @@
 //! failure patterns, histories, and the simulator.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A tick of the global discrete clock Φ.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(Time::ZERO < t);
 /// assert_eq!(t.next(), Time::new(11));
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Time(u64);
 
 impl Time {

@@ -1,45 +1,10 @@
-//! Serialization round-trips and boundary conditions of the model types.
+//! Boundary conditions of the model types: the largest and smallest
+//! systems, and `CheckParams` window arithmetic.
 
 use rfd_core::oracles::{Oracle, PerfectOracle};
 use rfd_core::{
-    class_report, CheckParams, ClassId, FailurePattern, History, ProcessId, ProcessSet, Time,
-    MAX_PROCESSES,
+    class_report, CheckParams, ClassId, FailurePattern, ProcessId, Time, MAX_PROCESSES,
 };
-
-#[test]
-fn pattern_survives_serde_roundtrip() {
-    let f = FailurePattern::new(6)
-        .with_crash(ProcessId::new(1), Time::new(10))
-        .with_crash(ProcessId::new(4), Time::new(99));
-    let json = serde_json::to_string(&f).expect("serialize");
-    let back: FailurePattern = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(f, back);
-}
-
-#[test]
-fn history_survives_serde_roundtrip() {
-    let mut h: History<ProcessSet> = History::new(3, ProcessSet::empty());
-    h.set_from(
-        ProcessId::new(0),
-        Time::new(5),
-        ProcessSet::singleton(ProcessId::new(2)),
-    );
-    h.set_from(ProcessId::new(2), Time::new(9), ProcessSet::full(3));
-    let json = serde_json::to_string(&h).expect("serialize");
-    let back: History<ProcessSet> = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(h, back);
-}
-
-#[test]
-fn process_set_serde_roundtrip() {
-    let s: ProcessSet = [0usize, 7, 127]
-        .iter()
-        .map(|&i| ProcessId::new(i))
-        .collect();
-    let json = serde_json::to_string(&s).expect("serialize");
-    let back: ProcessSet = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(s, back);
-}
 
 #[test]
 fn model_works_at_the_maximum_system_size() {

@@ -7,8 +7,8 @@
 //! containers in simulated paths, and no panics reachable from an
 //! arbitrary datagram. This crate machine-enforces them with a
 //! hand-rolled lexer (comments and literals stripped, `#[cfg(test)]`
-//! modules blanked) feeding token/path pattern rules — the same
-//! self-contained spirit as the vendored `serde_derive`.
+//! modules blanked) feeding token/path pattern rules; it has no
+//! dependencies.
 //!
 //! Three rules (see ARCHITECTURE.md, "Determinism & wire-safety
 //! invariants", for the full rationale):

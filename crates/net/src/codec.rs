@@ -395,8 +395,9 @@ fn split_checked(data: &[u8], mid: usize) -> Option<(&[u8], &[u8])> {
 
 /// A decoded wire message that borrows variable-length payloads from
 /// the datagram. Fixed-size frames decode to the same owned structs as
-/// [`WireMsg`]; [`SyncReply`] and [`Batch`](WireMsg::Batch) stay
-/// borrowed. Convert with [`WireView::into_owned`].
+/// [`WireMsg`]; [`SyncReply`], [`SnapshotReply`] and
+/// [`Batch`](WireMsg::Batch) stay borrowed. Convert with
+/// [`WireView::into_owned`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireView<'a> {
     /// A heartbeat.
@@ -648,10 +649,11 @@ pub fn encode(msg: &WireMsg) -> Bytes {
 }
 
 /// Decodes a datagram into a borrowed [`WireView`] — variable-length
-/// payloads ([`SyncReply`], [`Batch`](WireMsg::Batch)) stay in `data`;
-/// nothing is copied or allocated. Batches are validated sub-frame by
-/// sub-frame here, so [`BatchView::iter`] cannot fail later; nested
-/// batches are rejected as [`DecodeError::Malformed`].
+/// payloads ([`SyncReply`], [`SnapshotReply`],
+/// [`Batch`](WireMsg::Batch)) stay in `data`; nothing is copied or
+/// allocated. Batches are validated sub-frame by sub-frame here, so
+/// [`BatchView::iter`] cannot fail later; nested batches are rejected
+/// as [`DecodeError::Malformed`].
 ///
 /// # Errors
 ///

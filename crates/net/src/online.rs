@@ -574,12 +574,6 @@ where
         }
     }
 
-    /// Which processes are currently up (ground truth).
-    #[must_use]
-    pub fn up_set(&self) -> ProcessSet {
-        self.fleet.up
-    }
-
     /// Executes one sample tick: applies due faults, polls every live
     /// node, samples all monitors, paces the clock to the next tick, and
     /// returns the tick's events. `None` once the scenario duration has

@@ -179,7 +179,7 @@ where
 
 proptest! {
     // Each case is a full multi-second virtual run; keep the count
-    // modest (the CI quick suite re-runs this file on every push).
+    // modest (CI runs this file on every push).
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Safety under random crash/partition/heal churn, with heal-merge

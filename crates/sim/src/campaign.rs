@@ -139,12 +139,6 @@ impl Campaign {
         self
     }
 
-    /// The seeds of this campaign.
-    #[must_use]
-    pub fn seed_list(&self) -> &[u64] {
-        &self.seeds
-    }
-
     /// The worker count a sweep of `jobs` jobs would use: the explicit
     /// [`Campaign::threads`] value if set, else the `RFD_CAMPAIGN_THREADS`
     /// environment variable, else the machine's available parallelism —

@@ -250,7 +250,7 @@ impl<'a, A: Automaton> Scheduler<'a, A> {
     /// Enables or disables per-delivery logging (disabled by default; the
     /// batch path pays nothing for the streaming feature). While enabled,
     /// every receive appends a [`DeliveryRecord`]; drain the log with
-    /// [`Scheduler::take_delivery_log`].
+    /// [`Scheduler::drain_delivery_log_into`].
     pub fn set_delivery_logging(&mut self, on: bool) {
         match (on, self.delivery_log.is_some()) {
             (true, false) => self.delivery_log = Some(Vec::new()),
@@ -259,19 +259,9 @@ impl<'a, A: Automaton> Scheduler<'a, A> {
         }
     }
 
-    /// Takes the delivery records accumulated since the last call
-    /// (empty when logging is disabled).
-    pub fn take_delivery_log(&mut self) -> Vec<DeliveryRecord> {
-        self.delivery_log
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
     /// Appends the delivery records accumulated since the last drain to
-    /// `into` and clears the log — the allocation-free sibling of
-    /// [`Scheduler::take_delivery_log`] for callers that poll every
-    /// round with a reused buffer.
+    /// `into` and clears the log (nothing when logging is disabled), so
+    /// callers that poll every round can reuse one buffer.
     pub fn drain_delivery_log_into(&mut self, into: &mut Vec<DeliveryRecord>) {
         if let Some(log) = &mut self.delivery_log {
             into.append(log);
