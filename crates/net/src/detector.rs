@@ -12,6 +12,13 @@ use std::ops::ControlFlow;
 /// Per-node heartbeat detector: monitors every peer with its own clone
 /// of an estimator prototype.
 ///
+/// Each peer's freshness point is fixed when its heartbeat lands
+/// ([`on_heartbeat`](Self::on_heartbeat) asks the estimator for its
+/// deadline once and keeps the answer), so the questions asked on every
+/// poll — [`suspects`](Self::suspects), [`deadline`](Self::deadline) —
+/// read stored values instead of re-deriving them from the arrival
+/// window.
+///
 /// # Examples
 ///
 /// ```
@@ -34,6 +41,9 @@ use std::ops::ControlFlow;
 pub struct HeartbeatDetector<E> {
     me: ProcessId,
     monitors: Vec<Option<E>>,
+    /// `monitors[ix].deadline()` as of the peer's latest arrival (or of
+    /// the prototype, for a peer not heard yet).
+    deadlines: Vec<Option<Nanos>>,
 }
 
 impl<E: ArrivalEstimator + Clone> HeartbeatDetector<E> {
@@ -41,10 +51,21 @@ impl<E: ArrivalEstimator + Clone> HeartbeatDetector<E> {
     /// `prototype` for each monitored peer.
     #[must_use]
     pub fn new(me: ProcessId, n: usize, prototype: E) -> Self {
-        let monitors = (0..n)
+        let monitors: Vec<Option<E>> = (0..n)
             .map(|ix| (ix != me.index()).then(|| prototype.clone()))
             .collect();
-        Self { me, monitors }
+        // A prototype that has already observed arrivals hands every
+        // clone the same freshness point.
+        let inherited = prototype.deadline();
+        let deadlines = monitors
+            .iter()
+            .map(|est| est.as_ref().and(inherited))
+            .collect();
+        Self {
+            me,
+            monitors,
+            deadlines,
+        }
     }
 
     /// This node's identity.
@@ -55,8 +76,12 @@ impl<E: ArrivalEstimator + Clone> HeartbeatDetector<E> {
 
     /// Records a heartbeat from `from` at `now`.
     pub fn on_heartbeat(&mut self, from: ProcessId, now: Nanos) {
-        if let Some(Some(est)) = self.monitors.get_mut(from.index()) {
+        if let (Some(Some(est)), Some(deadline)) = (
+            self.monitors.get_mut(from.index()),
+            self.deadlines.get_mut(from.index()),
+        ) {
             est.observe(now);
+            *deadline = est.deadline();
         }
     }
 
@@ -66,14 +91,22 @@ impl<E: ArrivalEstimator + Clone> HeartbeatDetector<E> {
     #[must_use]
     pub fn suspects(&self, now: Nanos) -> ProcessSet {
         let mut s = ProcessSet::empty();
-        for (ix, est) in self.monitors.iter().enumerate() {
+        for (ix, (est, deadline)) in self.monitors.iter().zip(&self.deadlines).enumerate() {
             if let (Some(est), Some(pid)) = (est, ProcessId::try_new(ix, self.monitors.len())) {
-                if est.is_suspect(now) {
+                if est.is_suspect_given(*deadline, now) {
                     s.insert(pid);
                 }
             }
         }
         s
+    }
+
+    /// The freshness point `peer`'s latest heartbeat fixed: its
+    /// estimator's [`deadline`](ArrivalEstimator::deadline), read from
+    /// the stored value (`None` for self/unknown/never heard).
+    #[must_use]
+    pub fn deadline(&self, peer: ProcessId) -> Option<Nanos> {
+        self.deadlines.get(peer.index()).copied().flatten()
     }
 
     /// The suspicion level of one peer at `now` (0 for self/unknown).

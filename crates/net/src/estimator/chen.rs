@@ -14,12 +14,18 @@ use crate::clock::Nanos;
 /// This implementation uses the standard practical simplification: the
 /// expected next arrival is `last_arrival + mean_interarrival` over the
 /// sliding window.
+///
+/// As in Chen et al., the freshness point is fixed when a heartbeat
+/// *arrives*: [`observe`](ArrivalEstimator::observe) derives it from the
+/// window once, and every question until the next arrival reads it.
 #[derive(Clone, Debug)]
 pub struct ChenEstimator {
     window: ArrivalWindow,
     alpha: Nanos,
     /// Fallback trust period before enough samples exist.
     bootstrap: Nanos,
+    /// The freshness point the latest arrival fixed.
+    deadline: Option<Nanos>,
 }
 
 impl ChenEstimator {
@@ -40,6 +46,7 @@ impl ChenEstimator {
             window: ArrivalWindow::new(window),
             alpha,
             bootstrap,
+            deadline: None,
         }
     }
 
@@ -53,15 +60,15 @@ impl ChenEstimator {
 impl ArrivalEstimator for ChenEstimator {
     fn observe(&mut self, now: Nanos) {
         self.window.record(now);
-    }
-
-    fn deadline(&self) -> Option<Nanos> {
-        let last = self.window.last_arrival()?;
         let expected_gap = match self.window.mean() {
             Some(mean) if self.window.len() >= 2 => Nanos::from_nanos(mean as u64),
             _ => self.bootstrap,
         };
-        Some(last.saturating_add(expected_gap).saturating_add(self.alpha))
+        self.deadline = Some(now.saturating_add(expected_gap).saturating_add(self.alpha));
+    }
+
+    fn deadline(&self) -> Option<Nanos> {
+        self.deadline
     }
 
     fn suspicion_level(&self, now: Nanos) -> f64 {

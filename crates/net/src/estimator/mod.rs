@@ -46,11 +46,30 @@ pub trait ArrivalEstimator: fmt::Debug {
     /// huge-variance window): a returned deadline is a guarantee that the
     /// peer becomes suspect once it passes, so estimators must never
     /// fabricate one.
+    ///
+    /// **Contract:** the deadline is a pure function of the arrivals
+    /// observed so far — only [`observe`](Self::observe) may change it,
+    /// never the passage of time or the number of times it was asked.
+    /// [`HeartbeatDetector`](crate::detector::HeartbeatDetector) relies
+    /// on this: it asks once when a heartbeat lands and answers every
+    /// poll until the next one from the value it kept.
     fn deadline(&self) -> Option<Nanos>;
 
     /// Whether the peer is suspected at `now`.
     fn is_suspect(&self, now: Nanos) -> bool {
-        matches!(self.deadline(), Some(d) if now > d)
+        self.is_suspect_given(self.deadline(), now)
+    }
+
+    /// [`is_suspect`](Self::is_suspect) for a caller that already holds
+    /// `deadline`, the value [`deadline`](Self::deadline) returned after
+    /// the latest [`observe`](Self::observe) — the per-poll question of
+    /// [`HeartbeatDetector`](crate::detector::HeartbeatDetector). The
+    /// default is the freshness-point rule, one integer comparison. An
+    /// estimator whose suspicion is not a deadline comparison
+    /// ([`PhiAccrual`] thresholds φ itself) overrides this and
+    /// `is_suspect` together; a wrapper forwards both.
+    fn is_suspect_given(&self, deadline: Option<Nanos>, now: Nanos) -> bool {
+        matches!(deadline, Some(d) if now > d)
     }
 
     /// A monotone suspicion level at `now`: `0.0` right after a
@@ -115,11 +134,11 @@ impl ArrivalWindow {
         }
     }
 
-    /// Population variance of inter-arrivals.
-    pub(crate) fn variance(&self) -> Option<f64> {
+    /// Mean and population variance of inter-arrivals.
+    pub(crate) fn mean_and_variance(&self) -> Option<(f64, f64)> {
         let mean = self.mean()?;
         if self.samples.len() < 2 {
-            return Some(0.0);
+            return Some((mean, 0.0));
         }
         let var = self
             .samples
@@ -130,7 +149,7 @@ impl ArrivalWindow {
             })
             .sum::<f64>()
             / self.samples.len() as f64;
-        Some(var)
+        Some((mean, var))
     }
 }
 
@@ -145,7 +164,7 @@ mod tests {
         assert_eq!(w.record(Nanos::from_millis(10)), Some(10_000_000));
         assert_eq!(w.record(Nanos::from_millis(20)), Some(10_000_000));
         assert_eq!(w.mean(), Some(10_000_000.0));
-        assert_eq!(w.variance(), Some(0.0));
+        assert_eq!(w.mean_and_variance(), Some((10_000_000.0, 0.0)));
         assert_eq!(w.len(), 2);
     }
 
@@ -166,7 +185,7 @@ mod tests {
         w.record(Nanos::from_millis(0));
         w.record(Nanos::from_millis(10));
         w.record(Nanos::from_millis(30));
-        let var = w.variance().unwrap();
+        let (_, var) = w.mean_and_variance().unwrap();
         assert!(var > 0.0);
     }
 }

@@ -18,6 +18,10 @@ pub struct PhiAccrual {
     /// regular traffic.
     min_std: f64,
     bootstrap: Nanos,
+    /// `(mean, std)` of the normal model φ is read against: the window's
+    /// statistics as of the latest arrival, so a φ evaluation costs the
+    /// same whatever the window holds.
+    model: (f64, f64),
 }
 
 impl PhiAccrual {
@@ -35,11 +39,15 @@ impl PhiAccrual {
             bootstrap > Nanos::ZERO,
             "bootstrap timeout must be positive"
         );
+        // Until the window has two samples, treat the bootstrap timeout
+        // as mean with a generous deviation.
+        let b = bootstrap.as_nanos() as f64;
         Self {
             window: ArrivalWindow::new(window),
             threshold,
             min_std: 1e5, // 0.1 ms floor
             bootstrap,
+            model: (b / 2.0, b / 4.0),
         }
     }
 
@@ -56,15 +64,7 @@ impl PhiAccrual {
             return 0.0;
         };
         let elapsed = now.saturating_sub(last).as_nanos() as f64;
-        let (mean, std) = match (self.window.mean(), self.window.variance()) {
-            (Some(m), Some(v)) if self.window.len() >= 2 => (m, v.sqrt().max(self.min_std)),
-            _ => {
-                // Bootstrap: treat the bootstrap timeout as mean with a
-                // generous deviation.
-                let b = self.bootstrap.as_nanos() as f64;
-                (b / 2.0, b / 4.0)
-            }
-        };
+        let (mean, std) = self.model;
         // P(X > elapsed) for X ~ N(mean, std²), via the logistic
         // approximation of the normal CDF used by the Akka
         // implementation.
@@ -82,6 +82,11 @@ impl PhiAccrual {
 impl ArrivalEstimator for PhiAccrual {
     fn observe(&mut self, now: Nanos) {
         self.window.record(now);
+        if self.window.len() >= 2 {
+            if let Some((mean, variance)) = self.window.mean_and_variance() {
+                self.model = (mean, variance.sqrt().max(self.min_std));
+            }
+        }
     }
 
     fn deadline(&self) -> Option<Nanos> {
@@ -118,6 +123,12 @@ impl ArrivalEstimator for PhiAccrual {
 
     fn is_suspect(&self, now: Nanos) -> bool {
         self.window.last_arrival().is_some() && self.phi(now) >= self.threshold
+    }
+
+    fn is_suspect_given(&self, _deadline: Option<Nanos>, now: Nanos) -> bool {
+        // φ itself decides, not the bisected crossing: the two differ at
+        // `now == deadline`.
+        self.is_suspect(now)
     }
 
     fn suspicion_level(&self, now: Nanos) -> f64 {

@@ -221,7 +221,9 @@ where
     /// monitored view member's arrival estimator currently holds — the
     /// instant by which every trusted peer will either have produced a
     /// fresh heartbeat or have become a suspect (and hence been
-    /// excluded). `None` until the first heartbeat arrives.
+    /// excluded). `None` until the first heartbeat arrives. Each deadline
+    /// was fixed when that peer's latest heartbeat landed, so asking costs
+    /// one stored read per member however often it is asked.
     ///
     /// The decision service derives its retransmission timeout from this
     /// horizon: waiting past it guarantees that a slot stalled on a
@@ -234,7 +236,7 @@ where
             if peer == self.transport.me() {
                 continue;
             }
-            if let Some(d) = self.detector.monitor(peer).and_then(E::deadline) {
+            if let Some(d) = self.detector.deadline(peer) {
                 horizon = Some(horizon.map_or(d, |h| h.max(d)));
             }
         }
@@ -452,11 +454,7 @@ where
                     .members
                     .complement_within(self.n)
                     .iter()
-                    .filter(|p| {
-                        self.detector
-                            .monitor(*p)
-                            .is_some_and(|est| est.deadline().is_some() && !est.is_suspect(now))
-                    })
+                    .filter(|p| self.detector.deadline(*p).is_some() && !suspects_now.contains(*p))
                     .collect()
             } else {
                 ProcessSet::empty()

@@ -5,8 +5,8 @@
 //! buffer has reached steady-state capacity, then asserts the next
 //! cycles allocate **nothing**. These tests pin the allocation-free
 //! contract of the zero-copy codec (`encode_into` + `decode_borrowed`),
-//! the `freeze`/`try_into_mut` buffer-recycling cycle, and the detector
-//! receive drain.
+//! the `freeze`/`try_into_mut` buffer-recycling cycle, the detector
+//! receive drain, and the membership tick over stored freshness points.
 //!
 //! The counter is thread-local (const-initialized, so the allocator
 //! never recurses into itself), which keeps the tests immune to the
@@ -25,7 +25,8 @@ use rfd_net::clock::{Clock, Nanos, VirtualClock};
 use rfd_net::codec::{
     decode_borrowed, encode, encode_into, Heartbeat, SyncReply, WireMsg, WireView,
 };
-use rfd_net::estimator::FixedTimeout;
+use rfd_net::estimator::{ChenEstimator, FixedTimeout};
+use rfd_net::membership::MembershipNode;
 use rfd_net::transport::{InMemoryNetwork, NetworkConfig, Transport};
 use rfd_net::DetectorNode;
 
@@ -207,4 +208,55 @@ fn detector_steady_state_drain_does_not_allocate() {
         allocs, 0,
         "steady-state detector drain must be allocation-free"
     );
+}
+
+/// A warmed membership fleet — heartbeats landing, freshness points
+/// re-fixed on each, suspicion and the trust horizon asked on every
+/// tick — requests no memory: the per-peer deadlines live in a vector
+/// sized once at construction.
+#[test]
+fn membership_steady_state_tick_does_not_allocate() {
+    let n = 5usize;
+    let clock = VirtualClock::new();
+    let config = NetworkConfig::reliable(Nanos::from_millis(1), Nanos::from_millis(1));
+    let net = InMemoryNetwork::new(n, config, clock.clone());
+    let mut fleet: Vec<_> = (0..n)
+        .map(|ix| {
+            MembershipNode::new(
+                n,
+                ChenEstimator::new(Nanos::from_millis(150), 16, Nanos::from_millis(600)),
+                net.endpoint(p(ix)),
+                clock.clone(),
+                Nanos::from_millis(50),
+            )
+            .with_heal_merge()
+        })
+        .collect();
+    // Ten 5 ms ticks per heartbeat period, as the benchmark polls.
+    let mut period = || {
+        for _ in 0..10 {
+            for node in &mut fleet {
+                node.poll();
+                assert!(node.trust_horizon().map_or(true, |h| h > clock.now()));
+            }
+            clock.advance(Nanos::from_millis(5));
+        }
+    };
+
+    // Warm: inboxes, receive scratch, recycled payloads and every
+    // estimator's 16-gap window reach their steady capacity.
+    for _ in 0..20 {
+        period();
+    }
+
+    let allocs = allocations_during(|| {
+        for _ in 0..10 {
+            period();
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state membership ticks must be allocation-free"
+    );
+    assert!(fleet.iter().all(|node| node.views_installed() == 0));
 }
