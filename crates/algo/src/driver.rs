@@ -54,9 +54,10 @@ pub type TickEffects<M, V> = (Vec<SlotSend<M>>, Vec<SlotDecision<V>>);
 /// let (sends, decided) = driver.open(0, 7, ProcessSet::empty());
 /// assert!(decided.is_none());
 /// // Deliver the self-addressed traffic, in send order, until the slot
-/// // decides. (FIFO matters: draining newest-first would starve the
-/// // round-0 ack behind the round-chasing estimates and spin through
-/// // the core's round cap before deciding.)
+/// // decides — the order the live service's loop-back uses. (FIFO
+/// // matters: draining newest-first would starve the round-0 ack
+/// // behind the round-chasing estimates and spin through the core's
+/// // round cap before deciding.)
 /// let mut queue: std::collections::VecDeque<_> = sends.into();
 /// while let Some((to, slot, msg)) = queue.pop_front() {
 ///     assert_eq!(to, me);

@@ -14,12 +14,15 @@ use bytes::Bytes;
 use rfd_algo::consensus::{RotatingConsensus, RotatingMsg};
 use rfd_algo::driver::{SlotDriver, SlotSend};
 use rfd_core::{ProcessId, ProcessSet};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::ControlFlow;
 
-/// How many pending commands one node re-gossips per heartbeat period —
-/// the anti-entropy that lets a command submitted on a once-partitioned
-/// side reach the rest of the group after the heal.
+/// How many pending commands (its smallest) one node re-gossips at a
+/// gossip tick that has evidence someone lacks them — the anti-entropy
+/// that lets a command submitted on a once-partitioned side, or one
+/// whose first broadcast was lost, reach the rest of the group. A tick
+/// without that evidence re-gossips nothing: see
+/// [`DecisionService::poll`].
 const GOSSIP_BATCH: usize = 8;
 
 /// How far ahead of the local log tail a buffered decision relay may
@@ -118,7 +121,10 @@ impl CompactionPolicy {
 ///    [`SlotDriver`]), fed that emulated `P` as its suspect source, and
 ///    quorum-sized over **all** `n` processes so a partitioned minority
 ///    can stall but never split the log;
-/// 3. a TRB-style decision relay plus post-heal **state transfer**:
+/// 3. a TRB-style decision relay — the **one** announcement of a
+///    decision: every appender broadcasts `Decided` (index, view stamp,
+///    value) once, and the consensus core's own `Decide` broadcast is
+///    never put on the wire — plus post-heal **state transfer**:
 ///    after a view change re-admits members, nodes exchange log
 ///    suffixes and reconcile them prefix-consistently
 ///    ([`ReplicatedLog::merge_suffix`]). Under a [`CompactionPolicy`]
@@ -139,7 +145,9 @@ impl CompactionPolicy {
 /// Commands enter through [`DecisionService::propose`] (a typed command
 /// queue: the pending pool), are gossiped to the group, and leave as
 /// totally ordered [`Decision`]s that record the membership view they
-/// were decided in. Drive the node by calling
+/// were decided in. A pending command is re-gossiped only on evidence
+/// that a peer lacks it (a stalled log, or a local proposal outvoted).
+/// Drive the node by calling
 /// [`DecisionService::poll`] once per tick —
 /// [`crate::service::ServiceRunner`] does exactly that under a fault
 /// schedule.
@@ -196,10 +204,27 @@ pub struct DecisionService<E, T, C> {
     duplicate_frames_dropped: u64,
     last_view: View,
     next_gossip: Nanos,
+    /// The log length at the previous gossip tick: a log still that
+    /// long one period later made no progress, which is the first of
+    /// the two kinds of evidence that re-gossip pending commands.
+    gossip_tail: u64,
+    /// The slot this node last opened and the command it proposed
+    /// there.
+    proposed: Option<(u64, u64)>,
+    /// Whether, since the previous gossip tick, a slot this node
+    /// proposed into was decided with another value — the second kind
+    /// of evidence: the group decided without a command this node
+    /// holds.
+    outvoted: bool,
     /// Reusable receive buffer for [`Transport::recv_batch`].
     rx_buf: Vec<Datagram>,
     /// Reusable consensus-frame inbox, refilled each poll.
     consensus_in: Vec<(u64, ProcessId, RotatingMsg<u64>)>,
+    /// Reusable queue of the poll's consensus sends, drained oldest
+    /// first by [`Self::flush_consensus`].
+    sends: VecDeque<SlotSend<RotatingMsg<u64>>>,
+    /// Reusable list of the `(slot, value)` pairs the poll decided.
+    decided: Vec<(u64, u64)>,
     /// Reusable entry list for copying a borrowed sync-reply view out of
     /// its datagram before the merge (which needs a contiguous slice).
     sync_scratch: Vec<(u64, u64, u128)>,
@@ -239,8 +264,13 @@ where
             retry: RetryPlane::new(n),
             duplicate_frames_dropped: 0,
             next_gossip: Nanos::ZERO,
+            gossip_tail: 0,
+            proposed: None,
+            outvoted: false,
             rx_buf: Vec::new(),
             consensus_in: Vec::new(),
+            sends: VecDeque::new(),
+            decided: Vec::new(),
             sync_scratch: Vec::new(),
             malformed_frames: 0,
         }
@@ -427,7 +457,9 @@ where
     /// One service tick: drain and route the transport (membership,
     /// commands, consensus, relays, state transfer), run the membership
     /// duties, react to view changes, advance the per-slot consensus,
-    /// and re-gossip pending commands. Returns the tick's events.
+    /// and — once per heartbeat period — re-gossip pending commands if
+    /// there is evidence a peer lacks one, push to laggards and
+    /// compact. Returns the tick's events.
     pub fn poll(&mut self) -> Vec<ServiceOutput> {
         let mut events = Vec::new();
         if self.is_halted() {
@@ -470,8 +502,8 @@ where
         }
         // Consensus over the membership-emulated P.
         let suspects = self.membership.emulated_suspects();
-        let mut sends: Vec<SlotSend<RotatingMsg<u64>>> = Vec::new();
-        let mut decided: Vec<(u64, u64)> = Vec::new();
+        let mut sends = std::mem::take(&mut self.sends);
+        let mut decided = std::mem::take(&mut self.decided);
         for (slot, from, msg) in consensus_in.drain(..) {
             let (s, d) = self.driver.on_message(slot, from, &msg, suspects);
             sends.extend(s);
@@ -481,6 +513,7 @@ where
         let next = self.log.len();
         if !self.driver.is_open(next) && self.driver.decision(next).is_none() {
             if let Some(&cmd) = self.pool.iter().next() {
+                self.proposed = Some((next, cmd));
                 let (s, d) = self.driver.open(next, cmd, suspects);
                 sends.extend(s);
                 decided.extend(d.map(|v| (next, v)));
@@ -489,24 +522,40 @@ where
         let (s, ds) = self.driver.tick(suspects);
         sends.extend(s);
         decided.extend(ds);
-        self.flush_consensus(sends, suspects, &mut decided);
-        for (slot, value) in decided {
+        self.flush_consensus(&mut sends, suspects, &mut decided);
+        for (slot, value) in decided.drain(..) {
             self.commit(slot, value, &mut events);
         }
+        self.sends = sends;
+        self.decided = decided;
         let timeouts = self.timeouts(now);
         self.run_retransmission(now, timeouts);
         if now >= self.next_gossip {
             self.next_gossip = now.saturating_add(self.period);
-            // GOSSIP_BATCH is small and fixed: snapshot the commands
-            // into a stack array (broadcasting mutates nothing, but the
-            // borrow checker cannot see that through `&mut self`).
-            let mut batch = [None; GOSSIP_BATCH];
-            for (slot, &value) in batch.iter_mut().zip(self.pool.iter()) {
-                *slot = Some(value);
+            // Anti-entropy only on evidence that a peer lacks a pending
+            // command. A log that did not grow for a whole period:
+            // nothing is being decided, so whoever should propose these
+            // may never have heard them (loss repair, and a cut-off
+            // submitter after the heal). An outvoted proposal: the log
+            // keeps moving, but a slot was decided without the command
+            // this node put forward (its one broadcast was lost). A
+            // command every peer holds reaches the log by the pool
+            // order alone and is never sent twice.
+            if self.outvoted || self.log.len() == self.gossip_tail {
+                // GOSSIP_BATCH is small and fixed: snapshot the
+                // commands into a stack array (broadcasting mutates
+                // nothing, but the borrow checker cannot see that
+                // through `&mut self`).
+                let mut batch = [None; GOSSIP_BATCH];
+                for (slot, &value) in batch.iter_mut().zip(self.pool.iter()) {
+                    *slot = Some(value);
+                }
+                for value in batch.into_iter().flatten() {
+                    self.broadcast(&WireMsg::Command(Command { value }));
+                }
             }
-            for value in batch.into_iter().flatten() {
-                self.broadcast(&WireMsg::Command(Command { value }));
-            }
+            self.gossip_tail = self.log.len();
+            self.outvoted = false;
             self.push_to_laggards(now, timeouts, &mut events);
             self.maybe_compact();
         }
@@ -666,25 +715,40 @@ where
         }
     }
 
-    /// Routes consensus sends: peers get encoded frames, self-addressed
-    /// messages loop straight back into the driver (cores rely on
-    /// self-delivery; looping locally keeps that deterministic on any
-    /// transport). A slot that emits to a peer *touches* the retry
-    /// plane: fresh emission is progress, so its retransmission timer
-    /// resets instead of firing.
+    /// Routes consensus sends, oldest first: peers get encoded frames,
+    /// self-addressed messages loop straight back into the driver (cores
+    /// rely on self-delivery; looping locally keeps that deterministic
+    /// on any transport) and what they emit joins the back of the
+    /// queue. First-in-first-out is what a channel would do, and it is
+    /// load-bearing at n = 1: a lone process coordinates every round,
+    /// and taking its newest send first would chase estimates through
+    /// every round up to the core's cap before the round-0 ack queued
+    /// ahead of them is delivered.
+    ///
+    /// A peer-addressed `Decide` is dropped here. The core ends an
+    /// instance with a reliable broadcast of the decision, but the
+    /// self-addressed copy is all this node needs from it (it is how a
+    /// coordinator's own core decides): `commit` then relays the entry
+    /// as a `Decided` frame, which carries the index, the view stamp and
+    /// the ack compaction reads — one announcement per slot, not two. A
+    /// `Decide` *received* from a peer is still accepted.
+    ///
+    /// Any other emission to a peer *touches* the retry plane: fresh
+    /// emission is progress, so the slot's retransmission timer resets
+    /// instead of firing.
     fn flush_consensus(
         &mut self,
-        mut sends: Vec<SlotSend<RotatingMsg<u64>>>,
+        sends: &mut VecDeque<SlotSend<RotatingMsg<u64>>>,
         suspects: ProcessSet,
         decided: &mut Vec<(u64, u64)>,
     ) {
         let me = self.me();
-        while let Some((to, slot, msg)) = sends.pop() {
+        while let Some((to, slot, msg)) = sends.pop_front() {
             if to == me {
                 let (more, d) = self.driver.on_message(slot, me, &msg, suspects);
                 sends.extend(more);
                 decided.extend(d.map(|v| (slot, v)));
-            } else {
+            } else if !matches!(msg, RotatingMsg::Decide(_)) {
                 self.retry.touch();
                 self.send_raw(
                     to,
@@ -1005,8 +1069,10 @@ where
         self.future = self.future.split_off(&self.log.len());
         // …and clear the pending pool: a pooled command may have been
         // decided inside the compacted prefix, and re-proposing it
-        // would decide it twice. Live peers re-gossip anything still
-        // genuinely pending.
+        // would decide it twice. Anything still genuinely pending is
+        // in a live peer's pool (this node's own submissions were
+        // repeated every period while its log stood still), and its
+        // decision arrives here by relay.
         self.pool.clear();
         events.push(ServiceOutput::SnapshotInstalled { covered });
         if !entries.is_empty() {
@@ -1058,6 +1124,9 @@ where
 
     /// Bookkeeping shared by every way an entry enters the log.
     fn note_committed(&mut self, index: u64, value: u64) {
+        self.outvoted |= self
+            .proposed
+            .is_some_and(|(slot, proposal)| slot == index && proposal != value);
         self.pool.remove(&value);
         self.decided_values.insert(value);
         self.driver.resolve(index, value);

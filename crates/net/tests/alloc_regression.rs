@@ -27,6 +27,7 @@ use rfd_net::codec::{
 };
 use rfd_net::estimator::{ChenEstimator, FixedTimeout};
 use rfd_net::membership::MembershipNode;
+use rfd_net::service::DecisionService;
 use rfd_net::transport::{InMemoryNetwork, NetworkConfig, Transport};
 use rfd_net::DetectorNode;
 
@@ -259,4 +260,44 @@ fn membership_steady_state_tick_does_not_allocate() {
         "steady-state membership ticks must be allocation-free"
     );
     assert!(fleet.iter().all(|node| node.views_installed() == 0));
+}
+
+/// A one-process fleet is its own quorum and coordinates every round,
+/// so all of an instance's traffic is self-addressed: delivered oldest
+/// first it decides in the poll that opens the slot, at a bounded cost.
+/// (Delivered newest first, the round-chasing estimates starved the
+/// round-0 ack and the core ran to its million-round cap: one decision
+/// took a second and some 300 MB.)
+#[test]
+fn one_node_fleet_decides_promptly() {
+    let commands = 100u64;
+    let clock = VirtualClock::new();
+    let config = NetworkConfig::reliable(Nanos::from_millis(1), Nanos::from_millis(1));
+    let net = InMemoryNetwork::new(1, config, clock.clone());
+    let mut node = DecisionService::new(
+        1,
+        ChenEstimator::new(Nanos::from_millis(150), 16, Nanos::from_millis(600)),
+        net.endpoint(p(0)),
+        clock.clone(),
+        Nanos::from_millis(50),
+    );
+    for value in 1..=commands {
+        assert!(node.propose(value));
+    }
+    let mut polls = 0u64;
+    let allocs = allocations_during(|| {
+        while node.log().len() < commands {
+            polls += 1;
+            assert!(polls <= 2 * commands, "stuck at {}", node.log().len());
+            node.poll();
+            clock.advance(Nanos::from_millis(5));
+        }
+    });
+    let decided: Vec<u64> = node.log().entries().iter().map(|d| d.value).collect();
+    assert_eq!(decided, (1..=commands).collect::<Vec<_>>());
+    assert_eq!(polls, commands, "the poll that opens a slot decides it");
+    assert!(
+        allocs <= 32 * commands,
+        "{allocs} allocations for {commands} one-node decisions"
+    );
 }
