@@ -10,26 +10,38 @@
 //! Structure (Chandra & Toueg, JACM 1996, Fig. 6), per round `r` with
 //! coordinator `c = r mod n`:
 //!
-//! 1. everyone sends its timestamped estimate to `c`;
-//! 2. `c` collects `⌈(n+1)/2⌉` estimates and proposes the one with the
-//!    highest timestamp;
+//! 1. `r ≥ 1`: everyone sends its timestamped estimate to `c`;
+//! 2. `r ≥ 1`: `c` collects `⌈(n+1)/2⌉` estimates and proposes the one
+//!    with the highest timestamp. `r = 0`: `c` proposes its own estimate
+//!    in its first step — phases 1 and 2 exist so that a value a
+//!    majority adopted in an *earlier* round is the one proposed, and
+//!    round 0 has no earlier round; `c`'s estimate is its proposal, so
+//!    validity holds too;
 //! 3. participants wait for `c`'s proposal **or** suspect `c`: adopt +
 //!    ack, or nack;
 //! 4. `c` collects `⌈(n+1)/2⌉` replies; if all are acks it reliably
 //!    broadcasts the decision.
+//!
+//! A failure-free instance therefore decides at `c` two message delays
+//! after `c`'s first step. Rounds are numbered from 0 and timestamps
+//! from 1: an estimate adopted in round `r` carries `ts = r + 1`, and
+//! `ts = 0` means "never adopted" (the paper numbers rounds from 1 for
+//! the same reason — a round-0 lock must outrank an initial estimate).
 
 use super::{ConsensusCore, Outbox};
 use rfd_core::{ProcessId, ProcessSet};
 use std::collections::BTreeMap;
 
 /// Messages of the `◇S` rotating-coordinator algorithm.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RotatingMsg<V> {
-    /// Phase-1 estimate sent to the round's coordinator.
+    /// Phase-1 estimate sent to the round's coordinator (`r ≥ 1`; round
+    /// 0 has no phase 1).
     Estimate {
         /// Round number.
         r: u64,
-        /// Timestamp: the round in which the estimate was last adopted.
+        /// Timestamp: one past the round in which the estimate was last
+        /// adopted, 0 if it is still the sender's own proposal.
         ts: u64,
         /// The estimate.
         v: V,
@@ -61,7 +73,7 @@ pub enum RotatingMsg<V> {
 /// plane of the decision service re-delivers phase messages at will, so
 /// a duplicated `Estimate`/`Ack`/`Nack` must never inflate a majority —
 /// receipt is idempotent by construction.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 struct CoordRound<V> {
     /// Processes whose estimate was already counted.
     heard: ProcessSet,
@@ -88,14 +100,23 @@ impl<V> CoordRound<V> {
 }
 
 /// Chandra–Toueg `◇S` rotating-coordinator consensus state machine.
-#[derive(Clone, Debug)]
+///
+/// `Hash` covers the whole state, so a model checker can memoise on it
+/// (`tests/explore_rotating.rs`).
+#[derive(Clone, Debug, Hash)]
 pub struct RotatingConsensus<V> {
     me: ProcessId,
     n: usize,
     majority: usize,
     round: u64,
     estimate: V,
+    /// One past the round in which `estimate` was last adopted; 0 while
+    /// it is still this process's proposal. (Not the bare round: a value
+    /// adopted in round 0 must outrank one never adopted.)
     ts: u64,
+    /// Whether this process has opened the current round: sent its
+    /// estimate (`round ≥ 1`), or — in round 0, which has no phase 1 —
+    /// proposed, if it coordinates it.
     sent_estimate: bool,
     /// Buffered coordinator proposals for rounds ahead of us.
     pending_proposals: BTreeMap<u64, V>,
@@ -158,16 +179,29 @@ impl<V: Clone + Eq + Ord> RotatingConsensus<V> {
         if self.round > self.max_round || self.decision.is_some() {
             return;
         }
-        if !self.sent_estimate {
-            self.sent_estimate = true;
+        if self.sent_estimate {
+            return;
+        }
+        self.sent_estimate = true;
+        let c = self.coordinator(self.round);
+        if self.round > 0 {
             out.send(
-                self.coordinator(self.round),
+                c,
                 RotatingMsg::Estimate {
                     r: self.round,
                     ts: self.ts,
                     v: self.estimate.clone(),
                 },
             );
+        } else if c == self.me {
+            // Round 0 needs no phase 1: nothing can be locked yet, so
+            // the coordinator's own estimate is as good as any.
+            let state = self.coord.entry(0).or_insert_with(CoordRound::empty);
+            state.proposed = Some(self.estimate.clone());
+            out.broadcast(RotatingMsg::Propose {
+                r: 0,
+                v: self.estimate.clone(),
+            });
         }
     }
 
@@ -176,7 +210,7 @@ impl<V: Clone + Eq + Ord> RotatingConsensus<V> {
         match r.cmp(&self.round) {
             Ordering::Equal => {
                 self.estimate = v;
-                self.ts = r;
+                self.ts = r + 1;
                 out.send(self.coordinator(r), RotatingMsg::Ack { r });
                 self.advance_round(out);
             }
@@ -228,14 +262,19 @@ impl<V: Clone + Eq + Ord> ConsensusCore for RotatingConsensus<V> {
                 }
                 return None;
             }
-            Some((from, RotatingMsg::Estimate { r, ts, v })) if self.coordinator(*r) == self.me => {
+            Some((from, RotatingMsg::Estimate { r, ts, v }))
+                if *r > 0 && self.coordinator(*r) == self.me =>
+            {
                 let state = self.coord.entry(*r).or_insert_with(CoordRound::empty);
                 if state.heard.insert(from) {
                     state.estimates.push((*ts, v.clone()));
                 }
                 self.coordinate(*r, out);
             }
-            Some((_, RotatingMsg::Propose { r, v })) => {
+            // Only from the round's coordinator: the proposal is adopted
+            // and acked on sight, so one from anybody else (misrouted,
+            // forged) must not pass for it.
+            Some((from, RotatingMsg::Propose { r, v })) if from == self.coordinator(*r) => {
                 let (r, v) = (*r, v.clone());
                 self.handle_proposal(r, v, out);
             }
@@ -280,38 +319,43 @@ impl<V: Clone + Eq + Ord> ConsensusCore for RotatingConsensus<V> {
 
     /// Re-emits every stalled conversation of this process:
     ///
-    /// * **participant** — an estimate for **every visited round**, so
-    ///   any coordinator that missed one can still reach its phase-1
-    ///   quorum. Rounds advance one at a time, so this process entered —
-    ///   and owes an estimate to — every `r ≤ round`, and under the
-    ///   quasi-reliable channels the paper assumes each of those sends
-    ///   would eventually arrive. Re-sending only the current round is
-    ///   not enough: under loss, processes scatter across rounds with
-    ///   each stuck as the coordinator of its *own* current round
-    ///   (`r mod n = me`), whose retransmitted estimate is a filtered
-    ///   self-send — a fixed point that emits nothing. The visited-round
-    ///   sweep breaks it: the minimal round among undecided processes has
-    ///   been visited by everyone, so its coordinator's phase-1 quorum
-    ///   eventually fills and the whole group cascades forward.
+    /// * **participant** — an estimate for **every visited round from 1
+    ///   on** (round 0 has no phase 1), so any coordinator that missed
+    ///   one can still reach its phase-1 quorum. Rounds advance one at a
+    ///   time, so this process entered — and owes an estimate to — every
+    ///   `1 ≤ r ≤ round`, and under the quasi-reliable channels the
+    ///   paper assumes each of those sends would eventually arrive.
+    ///   Re-sending only the current round is not enough: under loss,
+    ///   processes scatter across rounds with each stuck as the
+    ///   coordinator of its *own* current round (`r mod n = me`), whose
+    ///   retransmitted estimate is a filtered self-send — a fixed point
+    ///   that emits nothing. The visited-round sweep breaks it: the
+    ///   minimal round among undecided processes has been visited by
+    ///   everyone, so its coordinator's phase-1 quorum eventually fills
+    ///   and the whole group cascades forward.
     /// * **coordinator** — every proposed-but-unresolved round's
     ///   `Propose`, so participants that missed it can still ack and
     ///   advance (the coordinator has already moved on as a participant,
-    ///   so no later step re-emits these on its own).
+    ///   so no later step re-emits these on its own). When the minimal
+    ///   round is 0 this is the whole argument: its quorum is trivial,
+    ///   the coordinator proposed in its first step, and the unresolved
+    ///   `Propose` is what the processes still in round 0 are waiting
+    ///   for.
     ///
     /// Re-sent estimates carry the **current** `(ts, v)`, which may be
     /// fresher than what the original round-`r` send carried. Safety is
     /// preserved: the locking lemma only requires that an estimate
     /// tagged `r` was produced while its sender's round was `≥ r` — so
     /// that any sender that acked an all-ack round `d < r` had already
-    /// set `ts := d` — and a *later* state only raises `ts`, never
-    /// lowers it; any estimate with `ts ≥ d` carries the decided value.
+    /// set `ts := d + 1` — and a *later* state only raises `ts`, never
+    /// lowers it; any estimate with `ts > d` carries the decided value.
     /// Receipt stays idempotent: the coordinator counts the first
     /// estimate per sender and drops duplicates.
     fn retransmit(&self, out: &mut Outbox<RotatingMsg<V>>) {
         if self.decision.is_some() || self.round > self.max_round {
             return;
         }
-        for r in 0..=self.round {
+        for r in 1..=self.round {
             if r == self.round && !self.sent_estimate {
                 continue;
             }
@@ -405,18 +449,101 @@ mod tests {
         assert!(out2.drain().is_empty());
     }
 
+    /// Round 0 has no phase 1: its coordinator proposes its own value in
+    /// its first step, and a participant's first step sends nothing.
+    #[test]
+    fn round_zero_opens_with_the_coordinators_proposal_and_no_estimates() {
+        let mut c: RotatingConsensus<u64> = RotatingConsensus::new(p(0), 5, 11);
+        let mut out = Outbox::new(p(0), 5);
+        c.step(None, ProcessSet::empty(), &mut out);
+        let msgs = out.drain();
+        assert_eq!(msgs.len(), 5, "{msgs:?}");
+        assert!(msgs
+            .iter()
+            .all(|(_, m)| *m == RotatingMsg::Propose { r: 0, v: 11 }));
+        // A second λ-step does not propose again.
+        let mut out = Outbox::new(p(0), 5);
+        c.step(None, ProcessSet::empty(), &mut out);
+        assert!(out.drain().is_empty());
+
+        let mut q: RotatingConsensus<u64> = RotatingConsensus::new(p(3), 5, 14);
+        let mut out = Outbox::new(p(3), 5);
+        q.step(None, ProcessSet::empty(), &mut out);
+        assert!(out.drain().is_empty(), "nobody sends a round-0 estimate");
+        // The proposal is adopted with a timestamp that outranks "never
+        // adopted", acked, and the next round's estimate carries it.
+        let mut out = Outbox::new(p(3), 5);
+        q.step(
+            Some((p(0), &RotatingMsg::Propose { r: 0, v: 11 })),
+            ProcessSet::empty(),
+            &mut out,
+        );
+        assert_eq!(
+            out.drain(),
+            vec![
+                (p(0), RotatingMsg::Ack { r: 0 }),
+                (p(1), RotatingMsg::Estimate { r: 1, ts: 1, v: 11 }),
+            ]
+        );
+    }
+
+    /// A proposal is adopted and acked on sight, so it counts only when
+    /// the round's coordinator sent it; `Decide` is relayed and counts
+    /// from anyone.
+    #[test]
+    fn a_proposal_from_anyone_but_the_rounds_coordinator_is_dropped() {
+        let mut c: RotatingConsensus<u64> = RotatingConsensus::new(p(2), 5, 9);
+        for (from, r) in [(p(1), 0), (p(3), 0), (p(0), 1), (p(2), 0)] {
+            let mut out = Outbox::new(p(2), 5);
+            c.step(
+                Some((from, &RotatingMsg::Propose { r, v: 66 })),
+                ProcessSet::empty(),
+                &mut out,
+            );
+            assert!(out.drain().is_empty(), "{from} is not round {r}'s");
+            assert_eq!(c.round(), 0);
+        }
+        // Not buffered either: entering round 1 does not replay p0's
+        // round-1 "proposal".
+        let mut out = Outbox::new(p(2), 5);
+        c.step(None, ProcessSet::singleton(p(0)), &mut out);
+        assert_eq!(c.round(), 1);
+        assert!(out
+            .drain()
+            .iter()
+            .all(|(_, m)| !matches!(m, RotatingMsg::Ack { .. })));
+        // The coordinator's own is taken.
+        let mut out = Outbox::new(p(2), 5);
+        c.step(
+            Some((p(1), &RotatingMsg::Propose { r: 1, v: 7 })),
+            ProcessSet::empty(),
+            &mut out,
+        );
+        assert!(out.drain().contains(&(p(1), RotatingMsg::Ack { r: 1 })));
+        let mut out = Outbox::new(p(2), 5);
+        assert_eq!(
+            c.step(
+                Some((p(4), &RotatingMsg::Decide(7))),
+                ProcessSet::empty(),
+                &mut out
+            ),
+            Some(7)
+        );
+    }
+
     /// The retransmission plane re-delivers phase messages at will:
     /// duplicated `Estimate`s and `Ack`s from the same sender must not
     /// inflate the coordinator's quorum counts.
     #[test]
     fn duplicated_phase_messages_never_inflate_a_quorum() {
-        // p0 coordinates round 0 of a 5-process group (majority 3).
-        let mut c: RotatingConsensus<u64> = RotatingConsensus::new(p(0), 5, 1);
-        let est = |v: u64| RotatingMsg::Estimate { r: 0, ts: 0, v };
+        // p1 coordinates round 1 of a 5-process group (majority 3) —
+        // the first round with a phase 1.
+        let mut c: RotatingConsensus<u64> = RotatingConsensus::new(p(1), 5, 1);
+        let est = |v: u64| RotatingMsg::Estimate { r: 1, ts: 0, v };
         // Two distinct estimates plus three duplicates: still below the
         // majority of three distinct senders — no proposal may go out.
-        for from in [p(1), p(2), p(1), p(2), p(1)] {
-            let mut out = Outbox::new(p(0), 5);
+        for from in [p(2), p(3), p(2), p(3), p(2)] {
+            let mut out = Outbox::new(p(1), 5);
             c.step(Some((from, &est(7))), ProcessSet::empty(), &mut out);
             assert!(
                 out.drain()
@@ -426,18 +553,18 @@ mod tests {
             );
         }
         // A third distinct estimate completes the quorum.
-        let mut out = Outbox::new(p(0), 5);
-        c.step(Some((p(3), &est(7))), ProcessSet::empty(), &mut out);
+        let mut out = Outbox::new(p(1), 5);
+        c.step(Some((p(4), &est(7))), ProcessSet::empty(), &mut out);
         assert!(out
             .drain()
             .iter()
-            .any(|(_, m)| matches!(m, RotatingMsg::Propose { r: 0, .. })));
+            .any(|(_, m)| matches!(m, RotatingMsg::Propose { r: 1, .. })));
         // Two distinct acks plus duplicates: below the majority — the
         // coordinator must not decide.
-        for from in [p(1), p(2), p(1), p(1), p(2)] {
-            let mut out = Outbox::new(p(0), 5);
+        for from in [p(2), p(3), p(2), p(2), p(3)] {
+            let mut out = Outbox::new(p(1), 5);
             c.step(
-                Some((from, &RotatingMsg::Ack { r: 0 })),
+                Some((from, &RotatingMsg::Ack { r: 1 })),
                 ProcessSet::empty(),
                 &mut out,
             );
@@ -448,9 +575,9 @@ mod tests {
                 "duplicate acks must not complete a quorum"
             );
         }
-        let mut out = Outbox::new(p(0), 5);
+        let mut out = Outbox::new(p(1), 5);
         c.step(
-            Some((p(3), &RotatingMsg::Ack { r: 0 })),
+            Some((p(4), &RotatingMsg::Ack { r: 1 })),
             ProcessSet::empty(),
             &mut out,
         );
@@ -464,9 +591,10 @@ mod tests {
     fn suspecting_the_coordinator_triggers_nack_and_round_advance() {
         let mut c: RotatingConsensus<u64> = RotatingConsensus::new(p(1), 3, 5);
         let mut out = Outbox::new(p(1), 3);
-        // First step: sends estimate to coordinator p0.
+        // First step: round 0 has no phase 1, so p1 just waits for p0.
         c.step(None, ProcessSet::empty(), &mut out);
         assert_eq!(c.round(), 0);
+        assert!(out.drain().is_empty());
         // Suspect p0: nack + advance to round 1 (coordinator p1 = self).
         let mut out2 = Outbox::new(p(1), 3);
         c.step(None, ProcessSet::singleton(p(0)), &mut out2);

@@ -349,7 +349,7 @@ impl<C: ConsensusCore> SlotDriver<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consensus::RotatingConsensus;
+    use crate::consensus::{RotatingConsensus, RotatingMsg};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -405,24 +405,29 @@ mod tests {
         let n = 3;
         let mut a: Driver = SlotDriver::new(p(0), n);
         let mut b: Driver = SlotDriver::new(p(1), n);
-        // b opens slot 5 and sends its estimate to the coordinator of
-        // round 0 — p2 (5 % 3), not a; craft one addressed to a instead
-        // by opening at a different slot: slot 3's round-0 coordinator
-        // is p0.
-        let (sends, _) = b.open(3, 9, ProcessSet::empty());
-        let to_a: Vec<_> = sends.into_iter().filter(|(to, _, _)| *to == p(0)).collect();
-        assert!(!to_a.is_empty(), "round-0 estimate goes to coordinator p0");
-        for (_, slot, msg) in &to_a {
-            let (sends, decided) = a.on_message(*slot, p(1), msg, ProcessSet::empty());
+        // a coordinates round 0 of every slot: opening slot 3 broadcasts
+        // its proposal, which reaches b before b has opened the slot.
+        let (sends, _) = a.open(3, 8, ProcessSet::empty());
+        let to_b: Vec<_> = sends.into_iter().filter(|(to, _, _)| *to == p(1)).collect();
+        assert_eq!(
+            to_b,
+            vec![(p(1), 3, RotatingMsg::Propose { r: 0, v: 8 })],
+            "round 0 opens with the coordinator's proposal"
+        );
+        for (_, slot, msg) in &to_b {
+            let (sends, decided) = b.on_message(*slot, p(0), msg, ProcessSet::empty());
             assert!(
                 sends.is_empty() && decided.is_none(),
                 "buffered, not stepped"
             );
         }
-        // Opening the slot replays the backlog: the coordinator now has
-        // b's estimate plus its own.
-        let (sends, _) = a.open(3, 8, ProcessSet::empty());
-        assert!(!sends.is_empty(), "replay drives the coordinator forward");
+        // Opening the slot replays the backlog: b acks the proposal and
+        // moves on to round 1 — and never sends a round-0 estimate.
+        let (sends, _) = b.open(3, 9, ProcessSet::empty());
+        assert!(sends.contains(&(p(0), 3, RotatingMsg::Ack { r: 0 })));
+        assert!(sends
+            .iter()
+            .all(|(_, _, m)| !matches!(m, RotatingMsg::Estimate { r: 0, .. })));
     }
 
     #[test]
@@ -435,12 +440,8 @@ mod tests {
         assert_eq!(d.decision(0), Some(&6));
         assert!(!d.is_open(0));
         // A late message for the resolved slot is dropped quietly.
-        let (sends, decided) = d.on_message(
-            0,
-            p(0),
-            &crate::consensus::RotatingMsg::Ack { r: 0 },
-            ProcessSet::empty(),
-        );
+        let (sends, decided) =
+            d.on_message(0, p(0), &RotatingMsg::Ack { r: 0 }, ProcessSet::empty());
         assert!(sends.is_empty() && decided.is_none());
         // And resolve never overwrites an existing decision.
         d.resolve(0, 99);
@@ -463,12 +464,8 @@ mod tests {
         assert_eq!(d.decision(1), None, "retired decisions are gone");
 
         // Traffic for retired slots is dropped quietly...
-        let (sends, decided) = d.on_message(
-            3,
-            p(0),
-            &crate::consensus::RotatingMsg::Ack { r: 0 },
-            ProcessSet::empty(),
-        );
+        let (sends, decided) =
+            d.on_message(3, p(0), &RotatingMsg::Ack { r: 0 }, ProcessSet::empty());
         assert!(sends.is_empty() && decided.is_none());
         d.resolve(5, 9);
         assert_eq!(d.decision(5), None);
@@ -490,20 +487,28 @@ mod tests {
     /// deciding (or resolving) the slot silences it.
     #[test]
     fn open_slots_rederive_their_stalled_sends_until_retired() {
-        let mut d: Driver = SlotDriver::new(p(1), 3);
+        let mut d: Driver = SlotDriver::new(p(0), 3);
         assert!(d.open_slots().is_empty());
         assert!(d.retransmit(0).is_empty(), "unopened slots are silent");
         let (sends, _) = d.open(0, 5, ProcessSet::empty());
         assert_eq!(d.open_slots(), &[0]);
-        // The round-0 estimate went to coordinator p0 — a peer — so a
-        // stalled instance re-sends it, as often as asked.
-        let peer_sends: Vec<_> = sends.iter().filter(|(to, _, _)| *to != p(1)).collect();
-        assert!(!peer_sends.is_empty());
+        // p0 coordinates round 0 and proposed on open; until a majority
+        // answers, a stalled instance re-sends that proposal to both
+        // peers, as often as asked.
+        let peer_sends: Vec<_> = sends.iter().filter(|(to, _, _)| *to != p(0)).collect();
+        assert_eq!(peer_sends.len(), 2);
         for _ in 0..2 {
             let retx = d.retransmit(0);
             assert_eq!(retx.len(), peer_sends.len());
-            assert!(retx.iter().all(|(to, slot, _)| *to == p(0) && *slot == 0));
+            assert!(retx.iter().all(|(to, slot, m)| *to != p(0)
+                && *slot == 0
+                && *m == RotatingMsg::Propose { r: 0, v: 5 }));
         }
+        // A participant still in round 0 owes nobody anything: there is
+        // no round-0 estimate to re-send.
+        let mut q: Driver = SlotDriver::new(p(1), 3);
+        let (sends, _) = q.open(0, 6, ProcessSet::empty());
+        assert!(sends.is_empty() && q.retransmit(0).is_empty());
         // A quiet step changes nothing.
         let (_, _) = d.tick(ProcessSet::empty());
         assert!(!d.retransmit(0).is_empty());
@@ -521,16 +526,10 @@ mod tests {
     fn a_stalled_coordinator_rebroadcasts_its_unresolved_proposal() {
         let n = 4;
         let mut c: Driver = SlotDriver::new(p(0), n);
-        // p0 coordinates round 0: its own estimate plus two peers' reach
-        // the majority of three and trigger the proposal.
+        // p0 coordinates round 0 and proposes as it opens the slot.
         let (sends, none) = c.open(0, 7, ProcessSet::empty());
         assert!(none.is_none());
         let mut selfloop: std::collections::VecDeque<_> = sends.into();
-        for from in [p(1), p(2)] {
-            let est = crate::consensus::RotatingMsg::Estimate { r: 0, ts: 0, v: 7 };
-            let (more, _) = c.on_message(0, from, &est, ProcessSet::empty());
-            selfloop.extend(more);
-        }
         // Deliver the self-addressed traffic (the service loops it back
         // synchronously): p0 acks its own proposal and moves to round 1.
         while let Some((to, slot, msg)) = selfloop.pop_front() {
@@ -547,7 +546,7 @@ mod tests {
         let retx = c.retransmit(0);
         let proposes: Vec<_> = retx
             .iter()
-            .filter(|(_, _, m)| matches!(m, crate::consensus::RotatingMsg::Propose { r: 0, .. }))
+            .filter(|(_, _, m)| matches!(m, RotatingMsg::Propose { r: 0, .. }))
             .collect();
         assert_eq!(
             proposes.len(),

@@ -456,9 +456,12 @@ where
 
     /// One service tick: drain and route the transport (membership,
     /// commands, consensus, relays, state transfer), run the membership
-    /// duties, react to view changes, advance the per-slot consensus,
-    /// and — once per heartbeat period — re-gossip pending commands if
-    /// there is evidence a peer lacks one, push to laggards and
+    /// duties, react to view changes, advance the per-slot consensus —
+    /// open the tail slot if a command is pending, step it, send what it
+    /// emitted, commit what it decided, and repeat while that grew the
+    /// log, so a deciding node proposes the next command in the same
+    /// poll — and, once per heartbeat period, re-gossip pending commands
+    /// if there is evidence a peer lacks one, push to laggards and
     /// compact. Returns the tick's events.
     pub fn poll(&mut self) -> Vec<ServiceOutput> {
         let mut events = Vec::new();
@@ -510,21 +513,29 @@ where
             decided.extend(d.map(|v| (slot, v)));
         }
         self.consensus_in = consensus_in;
-        let next = self.log.len();
-        if !self.driver.is_open(next) && self.driver.decision(next).is_none() {
-            if let Some(&cmd) = self.pool.iter().next() {
-                self.proposed = Some((next, cmd));
-                let (s, d) = self.driver.open(next, cmd, suspects);
-                sends.extend(s);
-                decided.extend(d.map(|v| (next, v)));
+        // Open the tail slot, step, flush, commit — and go round again
+        // while the commit grew the log, so the node that decides slot k
+        // opens k + 1 in this poll rather than the next.
+        loop {
+            let next = self.log.len();
+            if !self.driver.is_open(next) && self.driver.decision(next).is_none() {
+                if let Some(&cmd) = self.pool.iter().next() {
+                    self.proposed = Some((next, cmd));
+                    let (s, d) = self.driver.open(next, cmd, suspects);
+                    sends.extend(s);
+                    decided.extend(d.map(|v| (next, v)));
+                }
             }
-        }
-        let (s, ds) = self.driver.tick(suspects);
-        sends.extend(s);
-        decided.extend(ds);
-        self.flush_consensus(&mut sends, suspects, &mut decided);
-        for (slot, value) in decided.drain(..) {
-            self.commit(slot, value, &mut events);
+            let (s, ds) = self.driver.tick(suspects);
+            sends.extend(s);
+            decided.extend(ds);
+            self.flush_consensus(&mut sends, suspects, &mut decided);
+            for (slot, value) in decided.drain(..) {
+                self.commit(slot, value, &mut events);
+            }
+            if self.log.len() == next {
+                break;
+            }
         }
         self.sends = sends;
         self.decided = decided;
@@ -588,8 +599,9 @@ where
     /// resets its timer (progress needs no retry); one silent past its
     /// deadline re-sends its stalled conversations, re-derived from
     /// core state ([`rfd_algo::driver::SlotDriver::retransmit`]: an
-    /// estimate for every visited round plus every unresolved
-    /// coordinated proposal) — idempotent on receipt — plus a
+    /// estimate for every visited round from 1 on plus every unresolved
+    /// coordinated proposal, round 0's included) — idempotent on
+    /// receipt — plus a
     /// [`SyncRequest`] probe to one rotated member, covering the case
     /// where every peer already decided and retired the slot (plain
     /// re-sends would be dropped).

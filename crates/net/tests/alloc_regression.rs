@@ -264,8 +264,9 @@ fn membership_steady_state_tick_does_not_allocate() {
 
 /// A one-process fleet is its own quorum and coordinates every round,
 /// so all of an instance's traffic is self-addressed: delivered oldest
-/// first it decides in the poll that opens the slot, at a bounded cost.
-/// (Delivered newest first, the round-chasing estimates starved the
+/// first it decides in the poll that opens the slot — and that poll
+/// opens the next one, so a pool drains in a single poll — at a bounded
+/// cost. (Delivered newest first, the round-chasing estimates starved the
 /// round-0 ack and the core ran to its million-round cap: one decision
 /// took a second and some 300 MB.)
 #[test]
@@ -284,18 +285,15 @@ fn one_node_fleet_decides_promptly() {
     for value in 1..=commands {
         assert!(node.propose(value));
     }
-    let mut polls = 0u64;
     let allocs = allocations_during(|| {
-        while node.log().len() < commands {
-            polls += 1;
-            assert!(polls <= 2 * commands, "stuck at {}", node.log().len());
-            node.poll();
-            clock.advance(Nanos::from_millis(5));
-        }
+        node.poll();
     });
     let decided: Vec<u64> = node.log().entries().iter().map(|d| d.value).collect();
-    assert_eq!(decided, (1..=commands).collect::<Vec<_>>());
-    assert_eq!(polls, commands, "the poll that opens a slot decides it");
+    assert_eq!(
+        decided,
+        (1..=commands).collect::<Vec<_>>(),
+        "the poll that decides a slot opens the next"
+    );
     assert!(
         allocs <= 32 * commands,
         "{allocs} allocations for {commands} one-node decisions"

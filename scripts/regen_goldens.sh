@@ -13,14 +13,16 @@
 #
 # Every line in them repeats bit for bit per seed, so a difference is a
 # behaviour change: regenerate in the commit that means to move a table,
-# and say in CHANGES.md which tables moved.
+# and say in CHANGES.md which tables moved. Both modes name them: one
+# "moved:" line per golden that differs, listing the `== E… ==` tables
+# (or benchmark workloads) whose section is not what the file held.
 set -euo pipefail
 
 check=0
 case ${1-} in
   '') ;;
   --check) check=1 ;;
-  *) sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2 ;;
+  *) sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2 ;;
 esac
 [[ $# -le 1 ]] || { echo "regen_goldens: one argument at most" >&2; exit 2; }
 
@@ -40,18 +42,35 @@ service_e2e() {
   done | grep -E '"metric":"(decisions_per_virtual_s|latency_virtual_ms_p(50|99|999)|datagrams_per_decision|bytes_per_decision)"'
 }
 
+# The sections of golden FILE that differ from the fresh run on stdin,
+# by short name: a section is an `== E… ==` heading and the lines under
+# it, or the lines of one benchmark workload.
+moved() { # file
+  awk '
+    FNR == 1 { side++; cur = "" }
+    match($0, /^== E[0-9]+[a-z]* /) { cur = substr($0, 4, RLENGTH - 4) }
+    match($0, /"workload":"[^"]*"/) { cur = substr($0, RSTART + 12, RLENGTH - 13) }
+    cur != "" { if (!(cur in seen)) { seen[cur]; order[++n] = cur } body[side, cur] = body[side, cur] $0 "\n" }
+    END { for (i = 1; i <= n; i++) if (body[1, order[i]] != body[2, order[i]]) printf " %s", order[i] }
+  ' "$1" -
+}
+
 status=0
 one() { # file command...
-  local file=$golden/$1 out
+  local file=$golden/$1 out names
   shift
+  # Captured first: a run that dies half way leaves the old file.
+  out=$("$@")
   if ((check)); then
-    "$@" | diff - "$file" || { echo "regen_goldens: $file differs" >&2; status=1; }
+    diff <(printf '%s\n' "$out") "$file" && return
+    echo "regen_goldens: $file differs" >&2
+    status=1
   else
-    # Captured first: a run that dies half way leaves the old file.
-    out=$("$@")
-    printf '%s\n' "$out" >"$file"
     echo "regen_goldens: wrote $file" >&2
   fi
+  names=$(printf '%s\n' "$out" | moved "$file")
+  echo "regen_goldens: $file moved:${names:- nothing}" >&2
+  ((check)) || printf '%s\n' "$out" >"$file"
 }
 
 one experiments_quick.txt experiments --quick
