@@ -5,7 +5,7 @@ use crate::clock::{Clock, Nanos};
 use crate::codec::{encode_into, for_each_frame, Heartbeat, WireMsg, WireView};
 use crate::estimator::ArrivalEstimator;
 use crate::transport::{Datagram, Transport};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use rfd_core::{ProcessId, ProcessSet};
 use std::ops::ControlFlow;
 
@@ -125,6 +125,15 @@ impl<E: ArrivalEstimator + Clone> HeartbeatDetector<E> {
     }
 }
 
+/// Reclaims a recycled send buffer: succeeds allocation-free when the
+/// transport has dropped every clone of the previous payload, falls back
+/// to a fresh buffer otherwise.
+pub(crate) fn reclaim(slot: &mut Option<Bytes>) -> BytesMut {
+    slot.take()
+        .and_then(|b| b.try_into_mut().ok())
+        .unwrap_or_default()
+}
+
 /// A complete failure-detector node: emits heartbeats on a period and
 /// folds received heartbeats into a [`HeartbeatDetector`].
 ///
@@ -226,13 +235,7 @@ where
                 sent_at: now,
             });
             self.seq += 1;
-            // Reclaim last period's buffer if the network has let go of
-            // every clone; fall back to a fresh one otherwise.
-            let mut buf = self
-                .scratch
-                .take()
-                .and_then(|b| b.try_into_mut().ok())
-                .unwrap_or_default();
+            let mut buf = reclaim(&mut self.scratch);
             encode_into(&hb, &mut buf);
             let payload = buf.freeze();
             for to in ProcessSet::full(self.n) {

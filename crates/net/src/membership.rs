@@ -27,24 +27,22 @@
 //!
 //! In the announcing steady state (any installed view past the initial
 //! one) the acting coordinator owes every member two frames per period:
-//! its heartbeat and the view re-announcement. By default those are
-//! **coalesced** into one [`Batch`](WireMsg::Batch) datagram per
-//! destination, halving the coordinator's send rate without changing
-//! what any receiver observes (frames inside a batch are processed in
-//! order at the same delivery instant). [`MembershipNode::with_batching`]
-//! turns the coalescing off, reverting to one datagram per frame — the
-//! differential tests pin that both modes install the same views.
+//! its heartbeat and the view re-announcement. Those are **coalesced**
+//! into one [`Batch`](WireMsg::Batch) datagram per destination, halving
+//! the coordinator's send rate without changing what any receiver
+//! observes (frames inside a batch are processed in order at the same
+//! delivery instant).
 
 use crate::clock::{Clock, Nanos};
 use crate::codec::{
     encode, encode_batch_into, encode_into, for_each_frame, members_to_set, set_to_members,
     Heartbeat, ViewChange, WireMsg, WireView,
 };
-use crate::detector::HeartbeatDetector;
+use crate::detector::{reclaim, HeartbeatDetector};
 use crate::estimator::ArrivalEstimator;
 use crate::online::{membership_fleet, OnlineScenario};
 use crate::transport::{Datagram, Transport};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use rfd_core::{FailurePattern, History, ProcessId, ProcessSet, Time};
 use std::ops::ControlFlow;
 
@@ -65,15 +63,6 @@ impl View {
     }
 }
 
-/// Reclaims a recycled send buffer: succeeds allocation-free when the
-/// transport has dropped every clone of the previous payload, falls back
-/// to a fresh buffer otherwise.
-fn reclaim(slot: &mut Option<Bytes>) -> BytesMut {
-    slot.take()
-        .and_then(|b| b.try_into_mut().ok())
-        .unwrap_or_default()
-}
-
 /// One membership node.
 #[derive(Debug)]
 pub struct MembershipNode<E, T, C> {
@@ -88,7 +77,6 @@ pub struct MembershipNode<E, T, C> {
     halted: bool,
     views_installed: u64,
     heal_merge: bool,
-    batching: bool,
     /// Reusable receive buffer for [`Transport::recv_batch`].
     rx_buf: Vec<Datagram>,
     /// Recycled send payloads (previous period's buffers, reclaimed via
@@ -128,7 +116,6 @@ where
             halted: false,
             views_installed: 0,
             heal_merge: false,
-            batching: true,
             rx_buf: Vec::new(),
             hb_scratch: None,
             vc_scratch: None,
@@ -172,16 +159,6 @@ where
     #[must_use]
     pub fn with_heal_merge(mut self) -> Self {
         self.heal_merge = true;
-        self
-    }
-
-    /// Sets heartbeat/view-change coalescing (builder style; the default
-    /// is **on**). Off, the node sends one datagram per frame exactly as
-    /// the pre-batching runtime did. Coalescing changes only the datagram
-    /// count, never what a receiver observes.
-    #[must_use]
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
         self
     }
 
@@ -392,48 +369,32 @@ where
                     view_id: self.view.id,
                     members: set_to_members(self.view.members),
                 });
-                if self.batching {
-                    // Coalesced: one [heartbeat, view change] batch per
-                    // member, the view change alone to non-members — one
-                    // datagram per destination either way.
-                    let mut vc_buf = reclaim(&mut self.vc_scratch);
-                    encode_into(&vc, &mut vc_buf);
-                    let vc_only = vc_buf.freeze();
-                    let mut frames = std::mem::take(&mut self.batch_scratch);
-                    frames.clear();
-                    frames.push(hb);
-                    frames.push(vc);
-                    let mut both_buf = reclaim(&mut self.batch_buf);
-                    encode_batch_into(&frames, &mut both_buf);
-                    let both = both_buf.freeze();
-                    self.batch_scratch = frames;
-                    for to in ProcessSet::full(self.n) {
-                        if to == self.transport.me() {
-                            continue;
-                        }
-                        if hb_targets.contains(to) {
-                            self.transport.send(to, both.clone());
-                        } else {
-                            self.transport.send(to, vc_only.clone());
-                        }
+                // Coalesced: one [heartbeat, view change] batch per
+                // member, the view change alone to non-members — one
+                // datagram per destination either way.
+                let mut vc_buf = reclaim(&mut self.vc_scratch);
+                encode_into(&vc, &mut vc_buf);
+                let vc_only = vc_buf.freeze();
+                let mut frames = std::mem::take(&mut self.batch_scratch);
+                frames.clear();
+                frames.push(hb);
+                frames.push(vc);
+                let mut both_buf = reclaim(&mut self.batch_buf);
+                encode_batch_into(&frames, &mut both_buf);
+                let both = both_buf.freeze();
+                self.batch_scratch = frames;
+                for to in ProcessSet::full(self.n) {
+                    if to == self.transport.me() {
+                        continue;
                     }
-                    self.batch_buf = Some(both);
-                    self.vc_scratch = Some(vc_only);
-                } else {
-                    // Singleton frames: heartbeats to the members first,
-                    // then the announcement to everyone — the exact
-                    // pre-coalescing send order.
-                    let mut hb_buf = reclaim(&mut self.hb_scratch);
-                    encode_into(&hb, &mut hb_buf);
-                    let hb_payload = hb_buf.freeze();
-                    self.fan_out(hb_targets, &hb_payload);
-                    self.hb_scratch = Some(hb_payload);
-                    let mut vc_buf = reclaim(&mut self.vc_scratch);
-                    encode_into(&vc, &mut vc_buf);
-                    let vc_payload = vc_buf.freeze();
-                    self.fan_out(ProcessSet::full(self.n), &vc_payload);
-                    self.vc_scratch = Some(vc_payload);
+                    if hb_targets.contains(to) {
+                        self.transport.send(to, both.clone());
+                    } else {
+                        self.transport.send(to, vc_only.clone());
+                    }
                 }
+                self.batch_buf = Some(both);
+                self.vc_scratch = Some(vc_only);
             } else {
                 let mut hb_buf = reclaim(&mut self.hb_scratch);
                 encode_into(&hb, &mut hb_buf);
@@ -723,58 +684,5 @@ mod tests {
             // remaining group's view is still coherent.
             assert!(outcome.false_exclusions <= scenario.n);
         }
-    }
-
-    /// Runs one exclusion scenario with coalescing on vs off and asserts
-    /// identical membership observables — the reliable fixed-delay
-    /// network never consults its RNG, so the two runs are bit-identical
-    /// except for the datagram count (the batch run sends fewer).
-    #[test]
-    fn batched_and_singleton_announcing_install_the_same_views() {
-        let run = |batching: bool| {
-            let n = 4;
-            let clock = crate::clock::VirtualClock::new();
-            let net = InMemoryNetwork::new(n, NetworkConfig::reliable(ms(1), ms(1)), clock.clone());
-            let mut nodes: Vec<_> = (0..n)
-                .map(|ix| {
-                    MembershipNode::new(
-                        n,
-                        chen(),
-                        net.endpoint(ProcessId::new(ix)),
-                        clock.clone(),
-                        ms(50),
-                    )
-                    .with_batching(batching)
-                })
-                .collect();
-            let victim = ProcessId::new(3);
-            let mut down = false;
-            while clock.now() < ms(15_000) {
-                if !down && clock.now() >= ms(5_000) {
-                    down = true;
-                    net.take_down(victim);
-                }
-                for (ix, node) in nodes.iter_mut().enumerate() {
-                    if !(down && ix == victim.index()) {
-                        node.poll();
-                    }
-                }
-                clock.advance(ms(1));
-            }
-            let views: Vec<_> = nodes.iter().map(super::MembershipNode::view).collect();
-            let installed: Vec<_> = nodes
-                .iter()
-                .map(super::MembershipNode::views_installed)
-                .collect();
-            (views, installed, net.stats().0)
-        };
-        let (views_on, installed_on, messages_on) = run(true);
-        let (views_off, installed_off, messages_off) = run(false);
-        assert_eq!(views_on, views_off);
-        assert_eq!(installed_on, installed_off);
-        assert!(
-            messages_on < messages_off,
-            "coalescing must shrink the datagram count: {messages_on} vs {messages_off}"
-        );
     }
 }

@@ -11,6 +11,14 @@
 //!   suspicion.
 //! * **Query accuracy probability `P_A`** — fraction of pre-crash time
 //!   the detector answered "trust" (correctly).
+//!
+//! Each metric is accumulated by one type: [`QosMonitor`], the O(1)
+//! incremental accumulator every driver in this crate samples
+//! ([`evaluate_qos`], [`crate::online::OnlineRunner`]). [`QosTracker`] is
+//! the **reference** — it keeps the whole episode list and computes the
+//! same report post hoc — that `tests/prop_qos.rs` compares the monitor
+//! against, bitwise (and checks against a per-tick brute force in
+//! turn); no non-test code calls it.
 
 use crate::clock::{Clock, Nanos, VirtualClock};
 use crate::detector::DetectorNode;
@@ -18,8 +26,10 @@ use crate::estimator::ArrivalEstimator;
 use crate::transport::{InMemoryNetwork, NetworkConfig};
 use rfd_core::ProcessId;
 
-/// Records the suspect/trust transitions of one observer about one
-/// target and computes QoS metrics against ground truth.
+/// The reference QoS computation: records every suspect/trust
+/// transition of one observer about one target and computes the metrics
+/// against ground truth post hoc. Tests compare [`QosMonitor`] against
+/// it; drivers accumulate in the monitor.
 #[derive(Clone, Debug, Default)]
 pub struct QosTracker {
     /// Suspicion intervals `(start, end)`; the last may be open.
@@ -117,8 +127,8 @@ impl QosTracker {
     }
 }
 
-/// An **online** QoS monitor: the incremental counterpart of
-/// [`QosTracker`].
+/// An **online** QoS monitor — the accumulator every driver samples,
+/// and the incremental counterpart of the reference [`QosTracker`].
 ///
 /// The tracker records every suspicion episode and computes the metrics
 /// post hoc in [`QosTracker::finalize`]; a long-running service cannot
@@ -127,8 +137,8 @@ impl QosTracker {
 /// answers [`QosMonitor::report`] at any time in O(1).
 ///
 /// The monitor is constructed with the ground-truth crash time (QoS
-/// metrics are *defined* against ground truth — the batch path passes
-/// the same value to `finalize`), which lets every closed episode be
+/// metrics are *defined* against ground truth — the reference takes
+/// the same value in `finalize`), which lets every closed episode be
 /// clipped to the crash immediately. By construction, for any sample
 /// prefix fed to both,
 /// `monitor.report(end) == tracker.finalize(crash, end)` field for field
@@ -366,7 +376,7 @@ pub fn evaluate_qos<E: ArrivalEstimator + Clone>(
         clock.clone(),
         scenario.period,
     );
-    let mut tracker = QosTracker::new();
+    let mut monitor = QosMonitor::new(scenario.crash_at);
     let mut crashed = false;
     while clock.now() < scenario.duration {
         let now = clock.now();
@@ -380,10 +390,10 @@ pub fn evaluate_qos<E: ArrivalEstimator + Clone>(
             target.poll();
         }
         let suspects = observer.poll();
-        tracker.sample(now, suspects.contains(target_id));
+        monitor.sample(now, suspects.contains(target_id));
         clock.advance(scenario.sample_every);
     }
-    tracker.finalize(scenario.crash_at, scenario.duration)
+    monitor.report(scenario.duration)
 }
 
 #[cfg(test)]

@@ -286,15 +286,6 @@ where
         self
     }
 
-    /// Sets heartbeat/view-change coalescing on the underlying
-    /// membership (builder style; default on) — see
-    /// [`MembershipNode::with_batching`].
-    #[must_use]
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.membership = self.membership.with_batching(batching);
-        self
-    }
-
     /// Enables snapshot-based log compaction under `policy` (builder
     /// style; default off). The node trims its log behind the
     /// all-replica stable index every gossip period and answers

@@ -19,17 +19,12 @@ use rfd_core::{ProcessId, ProcessSet};
 /// command queue of `(submit time, receiving node, command value)`
 /// entries. Command values must be unique: the value identifies the
 /// command across gossip, consensus and the log.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServiceScenario {
     /// The fleet/network/fault-schedule parameters.
     pub online: OnlineScenario,
     /// Client submissions, in any order (the runner sorts by time).
     pub commands: Vec<(Nanos, ProcessId, u64)>,
-    /// Whether the fleet coalesces per-tick frames into batch datagrams
-    /// (see [`DecisionService::with_batching`]). On by default; the
-    /// differential tests run both settings and assert identical
-    /// decisions.
-    pub batching: bool,
     /// Snapshot-based log compaction for the fleet (see
     /// [`DecisionService::with_compaction`]). Off by default — with it
     /// on, rejoiners that fell behind the retained tail catch up via
@@ -37,30 +32,11 @@ pub struct ServiceScenario {
     pub compaction: Option<CompactionPolicy>,
 }
 
-impl Default for ServiceScenario {
-    fn default() -> Self {
-        Self {
-            online: OnlineScenario::default(),
-            commands: Vec::new(),
-            batching: true,
-            compaction: None,
-        }
-    }
-}
-
 impl ServiceScenario {
     /// Adds one client submission (builder style).
     #[must_use]
     pub fn command(mut self, at: Nanos, node: ProcessId, value: u64) -> Self {
         self.commands.push((at, node, value));
-        self
-    }
-
-    /// Enables or disables heartbeat coalescing for the fleet (builder
-    /// style).
-    #[must_use]
-    pub fn with_batching(mut self, on: bool) -> Self {
-        self.batching = on;
         self
     }
 
@@ -347,14 +323,12 @@ where
         let ServiceScenario {
             online,
             mut commands,
-            batching,
             compaction,
         } = scenario;
         commands.sort_by_key(|(at, _, _)| *at);
         let (n, period, heal_merge) = (online.n, online.period, online.heal_merge);
         let fleet = Fleet::over(online, endpoints, net, clock, |endpoint, clock| {
-            let node = DecisionService::new(n, prototype.clone(), endpoint, clock, period)
-                .with_batching(batching);
+            let node = DecisionService::new(n, prototype.clone(), endpoint, clock, period);
             let node = if let Some(policy) = compaction {
                 node.with_compaction(policy)
             } else {

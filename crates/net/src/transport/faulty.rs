@@ -46,10 +46,9 @@
 //! Held datagrams live in a per-node queue inside the wrapper and are
 //! still "in flight": a partition or block landing while they wait
 //! catches them at release, and a crash of the receiver purges them
-//! like any other buffered traffic. When every weather plane is idle
-//! and the queue is empty, the receive paths take the exact pre-weather
-//! fast path — zero extra RNG draws, allocations or reshuffling — so a
-//! calm injector stays bit-identical to the historical behaviour.
+//! like any other buffered traffic. A plane that is switched off draws
+//! nothing from the RNG, so a calm injector consumes exactly the seed
+//! stream of its loss plane alone.
 //!
 //! Received datagrams are re-stamped with the cluster's shared clock, so
 //! every arrival time an estimator sees is coherent with the driver's
@@ -107,18 +106,6 @@ struct InjectorState {
     /// Cluster-wide extra latency (a spike), `ZERO` when calm.
     spike: Nanos,
     weather: WeatherStats,
-}
-
-impl InjectorState {
-    /// Whether every weather plane is idle — the receive paths take the
-    /// historical fast path iff this holds (and no datagram is held).
-    fn weather_quiet(&self) -> bool {
-        self.blocked.is_empty()
-            && self.dup_per_mille == 0
-            && self.reorder_per_mille == 0
-            && self.gray.is_empty()
-            && self.spike == Nanos::ZERO
-    }
 }
 
 /// What the receive-side fault plane decided about one arrival.
@@ -211,8 +198,7 @@ impl FaultInjector {
 
     /// How many copies of a send from `from` to `to` pass the fault
     /// plane right now (0 = dropped, 2 = duplicated), charging the
-    /// counters. RNG draws happen only for planes that are switched on,
-    /// so a calm injector consumes exactly the historical seed stream.
+    /// counters. RNG draws happen only for planes that are switched on.
     fn copies_for_send(&self, from: ProcessId, to: ProcessId) -> usize {
         let mut g = self.state.lock();
         if g.down.contains(from) || g.down.contains(to) {
@@ -412,10 +398,9 @@ pub struct FaultyTransport<T, C> {
 struct HeldQueue {
     /// Held arrivals in arrival order (oldest first).
     entries: Vec<HeldEntry>,
-    /// Datagrams delivered to this node so far (weather paths only —
-    /// the calm fast path doesn't count, it also can't hold anything).
+    /// Datagrams delivered to this node so far.
     delivered: u64,
-    /// Reused drain buffer for the weather batch path.
+    /// Reused drain buffer for the batch path.
     scratch: Vec<Datagram>,
 }
 
@@ -458,9 +443,8 @@ impl<T: Transport, C: Clock> FaultyTransport<T, C> {
     /// If this node is muted (or freshly recovered), discards everything
     /// the inner transport buffered *and* everything the weather planes
     /// were holding for it, charging the drop counter; returns whether
-    /// the caller should report an empty receive. Also reports, for the
-    /// healthy case, whether every weather plane is idle.
-    fn purge_if_muted(&self, me: ProcessId) -> (bool, bool) {
+    /// the caller should report an empty receive.
+    fn purge_if_muted(&self, me: ProcessId) -> bool {
         let mut g = self.injector.state.lock();
         if g.down.contains(me) || g.flush.contains(me) {
             // Muted, or freshly recovered: discard everything buffered
@@ -476,10 +460,9 @@ impl<T: Transport, C: Clock> FaultyTransport<T, C> {
             drop(h);
             g.dropped += purged;
             g.flush.remove(me);
-            return (true, false);
+            return true;
         }
-        let quiet = g.weather_quiet();
-        (false, quiet)
+        false
     }
 
     /// Releases the oldest held datagram whose time or overtake bound
@@ -510,36 +493,8 @@ impl<T: Transport, C: Clock> FaultyTransport<T, C> {
         });
     }
 
-    /// The historical calm-weather batch path: drain the inner
-    /// transport, then one lock for the whole batch — drop partition
-    /// crossings in place (compacting with swaps preserves arrival
-    /// order) and re-stamp what survives with the shared clock.
-    fn recv_batch_fast(&self, into: &mut Vec<Datagram>, me: ProcessId) -> usize {
-        let start = into.len();
-        self.inner.recv_batch(into);
-        let now = self.clock.now();
-        let mut g = self.injector.state.lock();
-        let mut kept = start;
-        for ix in start..into.len() {
-            let crosses = g
-                .partition
-                // rfd-lint: allow(wire-safety, ix is loop-bounded by into.len(); compaction needs positional reads)
-                .is_some_and(|side| side.contains(into[ix].from) != side.contains(me));
-            if crosses {
-                g.dropped += 1;
-            } else {
-                into.swap(kept, ix);
-                // rfd-lint: allow(wire-safety, kept <= ix < into.len() holds on every iteration of the compaction loop)
-                into[kept].delivered_at = now;
-                kept += 1;
-            }
-        }
-        into.truncate(kept);
-        kept - start
-    }
-
-    /// The weather batch path: release due holds, then run every fresh
-    /// arrival through the full receive-side fault plane.
+    /// The batch path: release due holds, then run every fresh arrival
+    /// through the receive-side fault plane.
     fn recv_batch_weather(&self, into: &mut Vec<Datagram>, me: ProcessId) -> usize {
         let start = into.len();
         let now = self.clock.now();
@@ -586,8 +541,7 @@ impl<T: Transport, C: Clock> Transport for FaultyTransport<T, C> {
     fn recv(&self) -> Option<Datagram> {
         let me = self.inner.me();
         loop {
-            let (muted, _) = self.purge_if_muted(me);
-            if muted {
+            if self.purge_if_muted(me) {
                 return None;
             }
             let now = self.clock.now();
@@ -614,15 +568,10 @@ impl<T: Transport, C: Clock> Transport for FaultyTransport<T, C> {
 
     fn recv_batch(&self, into: &mut Vec<Datagram>) -> usize {
         let me = self.inner.me();
-        let (muted, quiet) = self.purge_if_muted(me);
-        if muted {
+        if self.purge_if_muted(me) {
             return 0;
         }
-        if quiet && self.held.lock().entries.is_empty() {
-            self.recv_batch_fast(into, me)
-        } else {
-            self.recv_batch_weather(into, me)
-        }
+        self.recv_batch_weather(into, me)
     }
 }
 

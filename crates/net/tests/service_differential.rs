@@ -4,8 +4,8 @@
 //! rotating-coordinator core in the lock-step simulator under an oracle
 //! `P` history).
 //!
-//! Contract — the E13 acceptance gate, mirroring PR 2's
-//! `monitor_matches_batch` pattern one layer up: for the same command
+//! Contract — the E13 acceptance gate, `prop_qos.rs`'s
+//! incremental-equals-reference pattern one layer up: for the same command
 //! workload and the same fault pattern, the online service's decided
 //! sequence equals the batch algorithm's output, slot by slot, for
 //! every estimator × schedule cell; and the online sequence reproduces
@@ -206,33 +206,6 @@ fn online_decisions_match_batch_for_jacobson() {
     }
 }
 
-/// Heartbeat coalescing is behavior-invisible: over a deterministic
-/// network (fixed delay, zero loss — the seeded RNG is never consulted,
-/// so both runs execute the exact same delivery schedule), a fleet that
-/// packs its per-tick frames into batch datagrams produces the
-/// bit-identical decision timeline of a fleet sending one datagram per
-/// frame. Coalescing only changes how many datagrams carry the bytes.
-#[test]
-fn batched_and_singleton_fleets_decide_identically() {
-    for cell in cells() {
-        let mut scenario = workload(&cell, 7);
-        scenario.online.delay = (ms(1), ms(1));
-        scenario.online.loss = 0.0;
-        let batched = run_service(
-            FixedTimeout::new(ms(400)),
-            &scenario.clone().with_batching(true),
-        );
-        let singleton = run_service(FixedTimeout::new(ms(400)), &scenario.with_batching(false));
-        assert_eq!(
-            batched.decisions, singleton.decisions,
-            "[{}] batching must not change the decision timeline",
-            cell.name
-        );
-        assert!(batched.agreement_holds() && singleton.agreement_holds());
-        assert_eq!(batched.decided_values(), singleton.decided_values());
-    }
-}
-
 // ---- weather DSL vs bare FaultyTransport ------------------------------
 
 /// The pre-weather substrate, built by hand: a reliable seeded network
@@ -354,76 +327,62 @@ fn calm_weather_qos_timelines_match_the_bare_faulty_path_bitwise() {
     }
 }
 
-/// Under loss the RNG draw sequences diverge between the two modes (a
-/// coalesced tick consumes fewer loss draws), so the runs are distinct
-/// executions — but both must still decide the full workload with
-/// agreement: batching must not cost liveness under a lossy network.
+/// The service stays live under loss: every loss regime below the
+/// detector's false-suspicion threshold decides the full workload with
+/// agreement.
 ///
-/// The retransmission plane makes every loss regime below the
-/// detector's false-suspicion threshold survivable: stalled consensus
+/// The retransmission plane is what makes that so: stalled consensus
 /// instances re-send their in-flight rounds on an estimator-derived
 /// timeout, so no pattern of conspiring losses can wedge an instance
-/// for good. Seed 3 — which used to stall after slot 0 at 10% loss in
-/// both modes — now decides everything at 5%, 10% and 20%. The one
-/// knob that must respect the regime is the *detector's* timeout: at
+/// for good. Seed 3 — which used to stall after slot 0 at 10% loss —
+/// now decides everything at 5%, 10% and 20%. The one knob that must
+/// respect the regime is the *detector's* timeout: at
 /// 20% loss a 400 ms deadline over 100 ms heartbeats falsely suspects
 /// a live peer (four conspiring heartbeat losses, p = 0.2⁴ per
 /// window), and merge-less exclusion of two nodes leaves the group
 /// below the majority of the original four — so the 20% cell runs the
 /// loss-appropriate 800 ms deadline (p = 0.2⁸).
 #[test]
-fn batching_preserves_liveness_under_loss() {
+fn service_stays_live_under_loss() {
     let cell = &cells()[0];
     for (loss, timeout) in [(0.05, 400), (0.10, 400), (0.20, 800)] {
         for seed in [3u64, 17] {
             let mut scenario = workload(cell, seed);
             scenario.online.loss = loss;
-            let batched = run_service(
-                FixedTimeout::new(ms(timeout)),
-                &scenario.clone().with_batching(true),
+            let report = run_service(FixedTimeout::new(ms(timeout)), &scenario);
+            assert!(
+                report.agreement_holds(),
+                "[loss {loss}/seed {seed}] logs fork"
             );
-            let singleton = run_service(
-                FixedTimeout::new(ms(timeout)),
-                &scenario.with_batching(false),
+            assert_eq!(
+                report.decided_values().len(),
+                6,
+                "[loss {loss}/seed {seed}] not every command decided"
             );
-            for (name, report) in [("batched", &batched), ("singleton", &singleton)] {
-                assert!(
-                    report.agreement_holds(),
-                    "[{name}/loss {loss}/seed {seed}] logs fork"
-                );
-                assert_eq!(
-                    report.decided_values().len(),
-                    6,
-                    "[{name}/loss {loss}/seed {seed}] not every command decided"
-                );
-                assert!(
-                    report.membership.retransmits_sent > 0,
-                    "[{name}/loss {loss}/seed {seed}] loss without retransmission"
-                );
-            }
-            assert_eq!(batched.decided_values(), singleton.decided_values());
+            assert!(
+                report.membership.retransmits_sent > 0,
+                "[loss {loss}/seed {seed}] loss without retransmission"
+            );
         }
     }
 }
 
 /// The retransmission plane is *quiescent* on a calm network: a
-/// lossless run executes zero retransmissions and drops zero duplicate
-/// frames — retry timers arm, but fresh per-poll progress keeps
-/// resetting them, so the calm fast path sends not one extra datagram.
+/// lossless run executes zero retransmissions — retry timers arm, but
+/// fresh per-poll progress keeps resetting them, so the no-retry path
+/// sends not one extra datagram.
 #[test]
 fn calm_runs_execute_zero_retransmissions() {
     let cell = &cells()[0]; // steady: no loss, no faults
-    for batching in [true, false] {
-        let scenario = workload(cell, 7).with_batching(batching);
-        let report = run_service(FixedTimeout::new(ms(400)), &scenario);
-        assert!(report.agreement_holds(), "[{}] logs fork", cell.name);
-        assert_eq!(
-            report.membership.retransmits_sent, 0,
-            "[batching {batching}] calm run retransmitted"
-        );
-        // `duplicate_frames_dropped` is *not* zero here: reliable-
-        // broadcast `Decide` relays are intentionally redundant, and
-        // every post-commit copy lands on the idempotence layer. The
-        // calm claim is only that no *retry* traffic exists.
-    }
+    let report = run_service(FixedTimeout::new(ms(400)), &workload(cell, 7));
+    assert!(report.agreement_holds(), "[{}] logs fork", cell.name);
+    assert_eq!(
+        report.membership.retransmits_sent, 0,
+        "calm run retransmitted"
+    );
+    // `duplicate_frames_dropped` is *not* zero here (76 on this cell):
+    // every node relays each `Decided` index to every peer, and a
+    // participant's eager next-round estimate reaches a coordinator
+    // that has already decided — both land on the idempotence layer.
+    // The calm claim is only that no *retry* traffic exists.
 }
