@@ -9,9 +9,9 @@
 //! crashes immediately after deciding while slower processes still
 //! observe churn).
 //!
-//! This is the design-choice ablation `DESIGN.md` calls out: experiment
-//! E9b compares its decision latency against the fixed-round version as
-//! `f` varies.
+//! This is a design-choice ablation: experiment E9b
+//! (`docs/EXPERIMENTS.md`) compares its decision latency against the
+//! fixed-round version as `f` varies.
 
 use super::{ConsensusCore, Outbox};
 use rfd_core::{ProcessId, ProcessSet};

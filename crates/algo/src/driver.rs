@@ -4,20 +4,28 @@
 //! The cores in [`crate::consensus`] are engine-independent state
 //! machines — the simulator drives them through
 //! [`crate::ConsensusAutomaton`], and a long-running service drives them
-//! through this module. [`SlotDriver`] manages one core per **log slot**
-//! (a replicated log runs one consensus instance per index, exactly the
-//! paper's §1.1 consensus-sequence construction of atomic broadcast) and
-//! takes care of the plumbing a live runtime needs:
+//! through this module. A replicated log runs one consensus instance per
+//! index, exactly the paper's §1.1 consensus-sequence construction of
+//! atomic broadcast, and runs them strictly one after another: instance
+//! `k + 1` starts when `k` has settled. [`SlotDriver`] is that sequence's
+//! one live member — the instance of the **tail**, the first unsettled
+//! slot — plus the plumbing a live runtime needs around it:
 //!
-//! * slot-scoped message routing, with buffering for instances the local
-//!   process has not opened yet (a faster peer may already be deciding
-//!   index `k+1` while this process still fills index `k`);
+//! * slot-scoped message routing, with one buffer of **early traffic**
+//!   for instances the local process has not opened yet (a faster peer
+//!   may already be deciding index `k+1` while this process still fills
+//!   index `k`), replayed in arrival order when the slot opens;
 //! * λ-steps ([`SlotDriver::tick`]) so suspicion-driven progress — e.g.
 //!   the rotating coordinator's nack-and-advance escape — happens even
 //!   when no message arrives;
 //! * external resolution ([`SlotDriver::resolve`]) for decisions learned
 //!   out of band (a decision relay, post-heal state transfer), dropping
 //!   the instance's core.
+//!
+//! Settling a slot — a deciding step, a resolution, or wholesale
+//! [`SlotDriver::advance_base`] — moves the tail past it for good: the
+//! driver keeps nothing per settled slot, so two open instances, or a
+//! settled one reopened, are not representable.
 //!
 //! The driver never talks to a transport: every call returns the
 //! `(destination, slot, message)` sends it produced, and the caller owns
@@ -30,15 +38,9 @@ use rfd_core::{ProcessId, ProcessSet};
 /// One outgoing message of a [`SlotDriver`]: destination, slot, payload.
 pub type SlotSend<M> = (ProcessId, u64, M);
 
-/// A slot-tagged decision, as returned by [`SlotDriver::tick`].
-pub type SlotDecision<V> = (u64, V);
-
-/// The effects of one [`SlotDriver::tick`]: the produced sends and the
-/// slots that decided on it.
-pub type TickEffects<M, V> = (Vec<SlotSend<M>>, Vec<SlotDecision<V>>);
-
-/// A multi-instance, step-driven consensus driver: one
-/// [`ConsensusCore`] per replicated-log slot.
+/// A step-driven consensus sequence: the [`ConsensusCore`] of the one
+/// live replicated-log slot, and the early traffic of the slots after
+/// it.
 ///
 /// # Examples
 ///
@@ -69,32 +71,19 @@ pub type TickEffects<M, V> = (Vec<SlotSend<M>>, Vec<SlotDecision<V>>);
 pub struct SlotDriver<C: ConsensusCore> {
     me: ProcessId,
     n: usize,
-    /// Grow-only slot arena, indexed by log position. Slots of a
-    /// replicated log are dense by construction (every index is
-    /// eventually opened or resolved), so a flat `Vec` replaces the
-    /// former three `BTreeMap`s: O(1) slot access with no per-slot tree
-    /// nodes, and the one allocation amortizes over the log's lifetime.
-    slots: Vec<SlotState<C>>,
-    /// Indices of currently open slots, kept sorted ascending so
-    /// [`SlotDriver::tick`] visits them in the same order the old
-    /// `BTreeMap` iteration did.
-    open_slots: Vec<u64>,
-    /// First slot the arena covers: `slots[0]` is slot `base`. Raised
-    /// by [`SlotDriver::advance_base`] when a snapshot install retires
-    /// a whole prefix at once — keeping the arena sized by the *live*
-    /// window rather than by absolute log position, so installing a
-    /// snapshot at slot 10⁶ does not allocate 10⁶ arena entries.
-    base: u64,
-}
-
-/// One arena entry: the lifecycle of a log slot.
-enum SlotState<C: ConsensusCore> {
-    /// Not opened locally; holds early traffic from faster peers.
-    Pending(Vec<(ProcessId, C::Msg)>),
-    /// A live consensus core.
-    Open(C),
-    /// Decided (core dropped on decision).
-    Decided(C::Val),
+    /// The first unsettled slot. Everything below it is decided,
+    /// resolved or retired; it only ever grows.
+    tail: u64,
+    /// The tail's instance, once [`SlotDriver::open`]ed.
+    core: Option<C>,
+    /// What slot `tail − 1` settled with (`None` before the first
+    /// decision and after a wholesale [`SlotDriver::advance_base`]).
+    last: Option<C::Val>,
+    /// Early traffic, in arrival order: frames for the unopened tail
+    /// and for the slots above it. The driver does not bound it — the
+    /// caller gates how far ahead a slot may point and how many frames
+    /// ([`SlotDriver::buffered`]) it lets accumulate.
+    early: Vec<(u64, ProcessId, C::Msg)>,
 }
 
 impl<C: ConsensusCore> std::fmt::Debug for SlotDriver<C> {
@@ -102,8 +91,9 @@ impl<C: ConsensusCore> std::fmt::Debug for SlotDriver<C> {
         f.debug_struct("SlotDriver")
             .field("me", &self.me)
             .field("n", &self.n)
-            .field("slots", &self.slots.len())
-            .field("open", &self.open_slots)
+            .field("tail", &self.tail)
+            .field("open", &self.core.is_some())
+            .field("early", &self.early.len())
             .finish()
     }
 }
@@ -115,70 +105,53 @@ impl<C: ConsensusCore> SlotDriver<C> {
         Self {
             me,
             n,
-            slots: Vec::new(),
-            open_slots: Vec::new(),
-            base: 0,
+            tail: 0,
+            core: None,
+            last: None,
+            early: Vec::new(),
         }
     }
 
-    /// The arena index of `slot`, or `None` if it fell below the base
-    /// (retired wholesale by [`SlotDriver::advance_base`]).
-    fn index_of(&self, slot: u64) -> Option<usize> {
-        let off = slot.checked_sub(self.base)?;
-        usize::try_from(off).ok()
+    /// The one way a slot settles: the tail moves up to `tail`, the
+    /// live core and every buffered frame below the new tail go, and
+    /// `last` is what slot `tail − 1` settled with, if known.
+    fn settle(&mut self, tail: u64, last: Option<C::Val>) {
+        self.tail = tail;
+        self.core = None;
+        self.last = last;
+        self.early.retain(|(slot, ..)| *slot >= tail);
     }
 
-    /// Grows the arena to cover `slot` and returns its index; `None`
-    /// for slots below the base.
-    fn ensure(&mut self, slot: u64) -> Option<usize> {
-        let ix = self.index_of(slot)?;
-        if ix >= self.slots.len() {
-            self.slots
-                .resize_with(ix + 1, || SlotState::Pending(Vec::new()));
-        }
-        Some(ix)
-    }
-
-    /// Retires every slot below `floor` in O(dropped): their cores and
-    /// buffered traffic are gone, [`SlotDriver::decision`] for them
+    /// Retires every slot below `floor`: the live core and buffered
+    /// traffic below it are gone, [`SlotDriver::decision`] for them
     /// returns `None`, and incoming traffic for them is dropped. Called
     /// on snapshot install, where the decisions below the snapshot
     /// boundary are summarised externally. No-op if `floor` is at or
-    /// below the current base.
+    /// below the tail.
     pub fn advance_base(&mut self, floor: u64) {
-        let Some(drop) = floor.checked_sub(self.base) else {
-            return;
-        };
-        if drop == 0 {
-            return;
+        if floor > self.tail {
+            self.settle(floor, None);
         }
-        let drop = usize::try_from(drop)
-            .unwrap_or(usize::MAX)
-            .min(self.slots.len());
-        self.slots.drain(..drop);
-        self.open_slots.retain(|&s| s >= floor);
-        self.base = floor;
     }
 
-    /// The first slot the arena still covers; slots below it were
-    /// retired by [`SlotDriver::advance_base`].
+    /// The first unsettled slot: the only one that can be open, and the
+    /// lowest one whose traffic is still accepted.
     #[must_use]
-    pub fn base(&self) -> u64 {
-        self.base
+    pub fn tail(&self) -> u64 {
+        self.tail
     }
 
-    /// Whether `slot` currently has a live (open, undecided) core.
+    /// Whether `slot` currently has a live (open, undecided) core —
+    /// true for the tail at most.
     #[must_use]
     pub fn is_open(&self, slot: u64) -> bool {
-        self.index_of(slot)
-            .and_then(|ix| self.slots.get(ix))
-            .is_some_and(|s| matches!(s, SlotState::Open(_)))
+        slot == self.tail && self.core.is_some()
     }
 
-    /// The currently open (undecided) slots, ascending.
+    /// How many early frames are buffered.
     #[must_use]
-    pub fn open_slots(&self) -> &[u64] {
-        &self.open_slots
+    pub fn buffered(&self) -> usize {
+        self.early.len()
     }
 
     /// The peer-addressed retransmissions of `slot`'s stalled
@@ -190,8 +163,7 @@ impl<C: ConsensusCore> SlotDriver<C> {
     /// open.
     #[must_use]
     pub fn retransmit(&self, slot: u64) -> Vec<SlotSend<C::Msg>> {
-        let Some(SlotState::Open(core)) = self.index_of(slot).and_then(|ix| self.slots.get(ix))
-        else {
+        let Some(core) = self.core.as_ref().filter(|_| slot == self.tail) else {
             return Vec::new();
         };
         let mut out = Outbox::new(self.me, self.n);
@@ -204,20 +176,23 @@ impl<C: ConsensusCore> SlotDriver<C> {
             .collect()
     }
 
-    /// The decision of `slot`, if it has one (locally decided or
-    /// externally resolved) and the slot has not been retired below the
-    /// base.
+    /// The decision of `slot`, if it is the newest settled slot and
+    /// settled with a value (locally decided or externally resolved) —
+    /// what a caller needs between a deciding step and its own append.
+    /// `None` for every older slot: their decisions are the caller's
+    /// log.
     #[must_use]
     pub fn decision(&self, slot: u64) -> Option<&C::Val> {
-        match self.index_of(slot).and_then(|ix| self.slots.get(ix)) {
-            Some(SlotState::Decided(v)) => Some(v),
-            _ => None,
-        }
+        self.last
+            .as_ref()
+            .filter(|_| slot.checked_add(1) == Some(self.tail))
     }
 
     /// Opens the consensus instance of `slot` with this process's
-    /// `proposal`, replaying any traffic buffered for it. No-op (empty
-    /// sends) if the slot is already open or decided.
+    /// `proposal`, replaying any traffic buffered for it in arrival
+    /// order. No-op (empty sends) if the slot is already open or
+    /// settled; opening a slot above the tail retires everything below
+    /// it first.
     ///
     /// Returns the produced sends and, if the replayed backlog already
     /// forced a decision, the decided value.
@@ -227,32 +202,31 @@ impl<C: ConsensusCore> SlotDriver<C> {
         proposal: C::Val,
         suspects: ProcessSet,
     ) -> (Vec<SlotSend<C::Msg>>, Option<C::Val>) {
-        let Some(ix) = self.ensure(slot) else {
+        if slot < self.tail || self.is_open(slot) {
             return (Vec::new(), None);
-        };
-        let SlotState::Pending(backlog) = &mut self.slots[ix] else {
-            return (Vec::new(), None);
-        };
-        let backlog = std::mem::take(backlog);
-        self.slots[ix] = SlotState::Open(C::new(self.me, self.n, proposal));
-        match self.open_slots.binary_search(&slot) {
-            Ok(_) => unreachable!("slot was pending, not open"),
-            Err(pos) => self.open_slots.insert(pos, slot),
         }
+        self.advance_base(slot);
+        self.core = Some(C::new(self.me, self.n, proposal));
         let mut sends = Vec::new();
-        let mut decision = self.step_slot(slot, None, suspects, &mut sends);
-        for (from, msg) in backlog {
-            if decision.is_some() {
-                break;
+        let mut decision = self.step(None, suspects, &mut sends);
+        // Replay in place: the slot's frames leave the buffer (stepped
+        // until one decides, dropped after), higher slots' frames stay,
+        // and the buffer keeps its allocation.
+        let mut early = std::mem::take(&mut self.early);
+        early.retain(|(s, from, msg)| {
+            if *s == slot && decision.is_none() {
+                decision = self.step(Some((*from, msg)), suspects, &mut sends);
             }
-            decision = self.step_slot(slot, Some((from, msg)), suspects, &mut sends);
-        }
+            *s != slot
+        });
+        self.early = early;
         (sends, decision)
     }
 
-    /// Routes one incoming slot-scoped message. Traffic for a decided
-    /// or base-retired slot is dropped; traffic for a slot not opened
-    /// locally is buffered until [`SlotDriver::open`] replays it.
+    /// Routes one incoming slot-scoped message. Traffic for a settled
+    /// slot is dropped; traffic for the open tail steps its core;
+    /// everything else is buffered until [`SlotDriver::open`] replays
+    /// it.
     pub fn on_message(
         &mut self,
         slot: u64,
@@ -260,87 +234,51 @@ impl<C: ConsensusCore> SlotDriver<C> {
         msg: &C::Msg,
         suspects: ProcessSet,
     ) -> (Vec<SlotSend<C::Msg>>, Option<C::Val>) {
-        let Some(ix) = self.ensure(slot) else {
-            return (Vec::new(), None);
-        };
-        match &mut self.slots[ix] {
-            SlotState::Decided(_) => (Vec::new(), None),
-            SlotState::Pending(backlog) => {
-                backlog.push((from, msg.clone()));
-                (Vec::new(), None)
-            }
-            SlotState::Open(_) => {
-                let mut sends = Vec::new();
-                let decision =
-                    self.step_slot(slot, Some((from, msg.clone())), suspects, &mut sends);
-                (sends, decision)
-            }
+        let mut sends = Vec::new();
+        let mut decision = None;
+        if self.is_open(slot) {
+            decision = self.step(Some((from, msg)), suspects, &mut sends);
+        } else if slot >= self.tail {
+            self.early.push((slot, from, msg.clone()));
         }
+        (sends, decision)
     }
 
-    /// λ-steps every open slot with the current detector value, so
+    /// λ-steps the open slot with the current detector value, so
     /// suspicion-driven progress (round advancement past a suspected
     /// coordinator) happens between messages. Returns the produced sends
-    /// and the slots that decided on this tick.
-    pub fn tick(&mut self, suspects: ProcessSet) -> TickEffects<C::Msg, C::Val> {
+    /// and the decision, if the step decided.
+    pub fn tick(&mut self, suspects: ProcessSet) -> (Vec<SlotSend<C::Msg>>, Option<C::Val>) {
         let mut sends = Vec::new();
-        let mut decisions = Vec::new();
-        // A deciding step removes its own entry from `open_slots` (and
-        // shifts the tail left), so only advance past survivors.
-        let mut pos = 0;
-        while pos < self.open_slots.len() {
-            let slot = self.open_slots[pos];
-            if let Some(v) = self.step_slot(slot, None, suspects, &mut sends) {
-                decisions.push((slot, v));
-            } else {
-                pos += 1;
-            }
-        }
-        (sends, decisions)
+        let decision = self.step(None, suspects, &mut sends);
+        (sends, decision)
     }
 
     /// Records a decision learned out of band (decision relay, state
-    /// transfer), dropping the slot's core and any buffered traffic.
-    /// No-op if the slot already holds a decision or fell below the
-    /// base.
+    /// transfer), dropping the live core and any buffered traffic up to
+    /// and including `slot`. No-op if the slot is already settled: a
+    /// decision is never overwritten.
     pub fn resolve(&mut self, slot: u64, value: C::Val) {
-        let Some(ix) = self.ensure(slot) else {
-            return;
-        };
-        if matches!(self.slots[ix], SlotState::Decided(_)) {
-            return;
+        if slot >= self.tail {
+            self.settle(slot.saturating_add(1), Some(value));
         }
-        if let Ok(pos) = self.open_slots.binary_search(&slot) {
-            self.open_slots.remove(pos);
-        }
-        self.slots[ix] = SlotState::Decided(value);
     }
 
-    /// Steps one open slot, harvesting sends; on decision, retires the
-    /// core in place.
-    fn step_slot(
+    /// Steps the open core, harvesting sends; a deciding step settles
+    /// the slot.
+    fn step(
         &mut self,
-        slot: u64,
-        input: Option<(ProcessId, C::Msg)>,
+        input: Option<(ProcessId, &C::Msg)>,
         suspects: ProcessSet,
         sends: &mut Vec<SlotSend<C::Msg>>,
     ) -> Option<C::Val> {
-        let ix = self.index_of(slot)?;
-        let Some(SlotState::Open(core)) = self.slots.get_mut(ix) else {
-            return None;
-        };
+        let core = self.core.as_mut()?;
         let mut out = Outbox::new(self.me, self.n);
-        let decided = core.step(
-            input.as_ref().map(|(from, msg)| (*from, msg)),
-            suspects,
-            &mut out,
-        );
+        let decided = core.step(input, suspects, &mut out);
+        let slot = self.tail;
         sends.extend(out.drain().into_iter().map(|(to, msg)| (to, slot, msg)));
         if let Some(v) = &decided {
-            self.slots[ix] = SlotState::Decided(v.clone());
-            if let Ok(pos) = self.open_slots.binary_search(&slot) {
-                self.open_slots.remove(pos);
-            }
+            self.settle(slot.saturating_add(1), Some(v.clone()));
         }
         decided
     }
@@ -452,46 +390,113 @@ mod tests {
     fn advance_base_retires_a_prefix_without_allocating_for_it() {
         let mut d: Driver = SlotDriver::new(p(1), 4);
         let _ = d.open(0, 5, ProcessSet::empty());
-        d.resolve(1, 7);
         assert!(d.is_open(0));
+        // The log is a prefix: a decision for slot 1 settles slot 0 too.
+        d.resolve(1, 7);
+        assert!(!d.is_open(0));
+        assert_eq!(d.tail(), 2);
         assert_eq!(d.decision(1), Some(&7));
 
-        // A snapshot install at a huge absolute slot: the arena must
-        // not grow to cover the retired prefix.
+        // A snapshot install at a huge absolute slot: nothing is kept
+        // for the retired prefix.
         d.advance_base(1_000_000_000);
-        assert_eq!(d.base(), 1_000_000_000);
-        assert!(!d.is_open(0), "open core below the base is dropped");
+        assert_eq!(d.tail(), 1_000_000_000);
         assert_eq!(d.decision(1), None, "retired decisions are gone");
 
         // Traffic for retired slots is dropped quietly...
         let (sends, decided) =
             d.on_message(3, p(0), &RotatingMsg::Ack { r: 0 }, ProcessSet::empty());
         assert!(sends.is_empty() && decided.is_none());
+        assert_eq!(d.buffered(), 0);
         d.resolve(5, 9);
         assert_eq!(d.decision(5), None);
 
-        // ...while slots at the new base work in O(live window).
+        // ...while the slot at the new tail works as any other.
         let (_, none) = d.open(1_000_000_000, 42, ProcessSet::empty());
         assert!(none.is_none());
         assert!(d.is_open(1_000_000_000));
         d.resolve(1_000_000_000, 42);
         assert_eq!(d.decision(1_000_000_000), Some(&42));
 
-        // Lowering the base is a no-op.
+        // The tail never moves back.
         d.advance_base(0);
-        assert_eq!(d.base(), 1_000_000_000);
+        assert_eq!(d.tail(), 1_000_000_001);
     }
 
-    /// The retransmission contract: an open slot can re-derive its
+    #[test]
+    fn retiring_a_prefix_drops_its_early_traffic_and_keeps_the_rest() {
+        let mut d: Driver = SlotDriver::new(p(1), 3);
+        let early = [
+            (2, RotatingMsg::Propose { r: 0, v: 20 }),
+            (5, RotatingMsg::Propose { r: 0, v: 50 }),
+        ];
+        for (slot, msg) in &early {
+            let (sends, decided) = d.on_message(*slot, p(0), msg, ProcessSet::empty());
+            assert!(sends.is_empty() && decided.is_none());
+        }
+        assert_eq!(d.buffered(), 2);
+        d.advance_base(3);
+        assert_eq!(d.buffered(), 1, "slot 2's frame went with its slot");
+        // Opening slot 5 replays its proposal — acked — and nothing of
+        // slot 2's.
+        let (sends, _) = d.open(5, 9, ProcessSet::empty());
+        assert!(sends.contains(&(p(0), 5, RotatingMsg::Ack { r: 0 })));
+        assert!(sends.iter().all(|(_, slot, _)| *slot == 5));
+        assert_eq!(d.buffered(), 0);
+    }
+
+    #[test]
+    fn a_settled_slot_is_neither_reopened_nor_stepped() {
+        let mut d: Driver = SlotDriver::new(p(1), 3);
+        let _ = d.open(0, 5, ProcessSet::empty());
+        let (_, decided) = d.on_message(0, p(0), &RotatingMsg::Decide(6), ProcessSet::empty());
+        assert_eq!(decided, Some(6));
+        assert_eq!((d.tail(), d.decision(0)), (1, Some(&6)));
+        let (sends, decided) = d.open(0, 7, ProcessSet::empty());
+        assert!(sends.is_empty() && decided.is_none() && !d.is_open(0));
+        let (sends, decided) = d.on_message(0, p(2), &RotatingMsg::Decide(8), ProcessSet::empty());
+        assert!(sends.is_empty() && decided.is_none());
+        let (sends, decided) = d.tick(ProcessSet::singleton(p(0)));
+        assert!(sends.is_empty() && decided.is_none());
+        d.resolve(0, 9);
+        assert_eq!(d.decision(0), Some(&6), "the first value stands");
+        assert_eq!((d.tail(), d.buffered()), (1, 0));
+    }
+
+    #[test]
+    fn a_backlog_that_decides_drops_its_rest_and_keeps_higher_slots() {
+        let mut d: Driver = SlotDriver::new(p(1), 3);
+        let early = [
+            (0, RotatingMsg::Propose { r: 0, v: 4 }),
+            (1, RotatingMsg::Propose { r: 0, v: 14 }),
+            (0, RotatingMsg::Decide(4)),
+            (0, RotatingMsg::Decide(99)),
+            (1, RotatingMsg::Decide(14)),
+        ];
+        for (slot, msg) in &early {
+            let _ = d.on_message(*slot, p(0), msg, ProcessSet::empty());
+        }
+        assert_eq!(d.buffered(), 5);
+        let (sends, decided) = d.open(0, 5, ProcessSet::empty());
+        assert_eq!(decided, Some(4), "the replay stops at the first decision");
+        assert!(sends.contains(&(p(0), 0, RotatingMsg::Ack { r: 0 })));
+        assert_eq!(d.buffered(), 2, "slot 1's frames outlive slot 0");
+        let (sends, decided) = d.open(1, 6, ProcessSet::empty());
+        assert_eq!(decided, Some(14));
+        assert!(sends.contains(&(p(0), 1, RotatingMsg::Ack { r: 0 })));
+        assert_eq!((d.tail(), d.buffered()), (2, 0));
+    }
+
+    /// The retransmission contract: the open slot can re-derive its
     /// stalled peer-addressed frames from core state at any time, and
     /// deciding (or resolving) the slot silences it.
     #[test]
     fn open_slots_rederive_their_stalled_sends_until_retired() {
         let mut d: Driver = SlotDriver::new(p(0), 3);
-        assert!(d.open_slots().is_empty());
+        assert!(!d.is_open(0));
         assert!(d.retransmit(0).is_empty(), "unopened slots are silent");
         let (sends, _) = d.open(0, 5, ProcessSet::empty());
-        assert_eq!(d.open_slots(), &[0]);
+        assert!(d.is_open(0));
         // p0 coordinates round 0 and proposed on open; until a majority
         // answers, a stalled instance re-sends that proposal to both
         // peers, as often as asked.
@@ -515,7 +520,7 @@ mod tests {
         // Resolution silences the slot with the core.
         d.resolve(0, 9);
         assert!(d.retransmit(0).is_empty());
-        assert!(d.open_slots().is_empty());
+        assert!(!d.is_open(0));
     }
 
     /// The wedge the send-once service actually hit: a coordinator whose
@@ -560,8 +565,8 @@ mod tests {
         let mut d: Driver = SlotDriver::new(p(1), 3);
         let _ = d.open(0, 5, ProcessSet::empty());
         // Suspecting round 0's coordinator p0 nacks and re-estimates.
-        let (sends, decisions) = d.tick(ProcessSet::singleton(p(0)));
-        assert!(decisions.is_empty());
+        let (sends, decision) = d.tick(ProcessSet::singleton(p(0)));
+        assert!(decision.is_none());
         assert!(
             sends.iter().any(|(to, _, _)| *to == p(0)),
             "a nack goes back to the suspected coordinator: {sends:?}"

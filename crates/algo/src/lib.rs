@@ -16,8 +16,9 @@
 //! * **Verdicts** ([`check`]): uniform/correct-restricted consensus and
 //!   TRB property checkers with violation witnesses.
 //! * **Step drivers** ([`driver`]): the [`SlotDriver`] adapter that runs
-//!   a consensus core per replicated-log slot outside the simulator —
-//!   the engine room of `rfd_net::service`'s live decision service.
+//!   the consensus sequence of a replicated log, one slot at a time,
+//!   outside the simulator — the engine room of `rfd_net::service`'s
+//!   live decision service.
 //!
 //! ## Example: uniform consensus over a Perfect oracle
 //!
@@ -54,4 +55,4 @@ pub mod trb;
 
 pub use check::{check_consensus, check_trb, ConsensusVerdict, Disagreement, TrbVerdict};
 pub use consensus::{ConsensusAutomaton, ConsensusCore, Outbox};
-pub use driver::{SlotDecision, SlotDriver, SlotSend, TickEffects};
+pub use driver::{SlotDriver, SlotSend};

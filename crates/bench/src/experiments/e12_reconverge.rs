@@ -13,25 +13,21 @@
 //! * **view changes** and **false exclusions** — the churn cost and the
 //!   by-fiat exclusions incurred *during* the cut.
 //!
-//! Simulated cells run on the virtual network and are deterministic per
-//! seed (asserted by the tests). Setting `RFD_E12_UDP=1` appends
-//! wall-clock rows driving the identical schedules over **real loopback
-//! UDP sockets** through [`rfd_net::transport::FaultyTransport`] — those
-//! are timing-dependent, so the default table leaves them off and every
-//! numeric assertion stays on the deterministic cells (the UDP path is
-//! smoke-tested for shape only).
+//! Every cell runs on the virtual network and is deterministic per seed
+//! (asserted by the tests), so the table never depends on the wall
+//! clock. The same schedule over **real loopback UDP sockets** through
+//! [`rfd_net::transport::FaultyTransport`] is timing-dependent: it is a
+//! smoke test here (shape only), and `examples/udp_churn.rs` is the
+//! real-socket run.
 
 use crate::estimators::Estimators;
 use crate::table::Table;
 use crate::{ms, p};
 use rfd_core::ProcessSet;
-use rfd_net::clock::{Nanos, SystemClock};
+use rfd_net::clock::Nanos;
 use rfd_net::online::{
-    run_membership_churn, run_membership_churn_over, Fault, FaultSchedule, MembershipChurnReport,
-    OnlineScenario,
+    run_membership_churn, Fault, FaultSchedule, MembershipChurnReport, OnlineScenario,
 };
-use rfd_net::transport::faulty_cluster;
-use rfd_net::transport::udp::loopback_cluster;
 use rfd_sim::Campaign;
 
 /// The partition/heal schedules of the experiment, parameterized by
@@ -68,7 +64,7 @@ fn schedules(duration_ms: u64) -> Vec<(&'static str, FaultSchedule, usize)> {
     ]
 }
 
-/// The heal-merge scenario shared by the simulated and UDP cells.
+/// The heal-merge scenario of one cell.
 fn scenario(
     schedule: FaultSchedule,
     duration_ms: u64,
@@ -129,10 +125,10 @@ fn summarize(reports: &[MembershipChurnReport]) -> RowStats {
     }
 }
 
-fn push_row(table: &mut Table, schedule_name: &str, transport: &str, est: &str, s: &RowStats) {
+fn push_row(table: &mut Table, schedule_name: &str, est: &str, s: &RowStats) {
     table.push(vec![
         schedule_name.into(),
-        transport.into(),
+        "sim".into(),
         est.into(),
         format!("{}ms", s.split_brain_ms),
         match s.reconverge_ms {
@@ -143,23 +139,6 @@ fn push_row(table: &mut Table, schedule_name: &str, transport: &str, est: &str, 
         format!("{}", s.view_changes),
         format!("{}", s.false_exclusions),
     ]);
-}
-
-/// One wall-clock cell: the same schedule over real loopback UDP
-/// sockets, crash/partition faults injected by the
-/// [`rfd_net::transport::FaultInjector`] fault plane.
-fn run_udp_cell(prototype: Estimators, scenario: &OnlineScenario) -> MembershipChurnReport {
-    let clock = SystemClock::new();
-    let transports = loopback_cluster(scenario.n).expect("bind loopback cluster");
-    let (nodes, injector) = faulty_cluster(transports, 0.0, scenario.seed, clock.clone());
-    run_membership_churn_over(prototype, scenario, nodes, injector, clock)
-}
-
-/// Whether the wall-clock UDP cells are enabled (`RFD_E12_UDP=1`); off
-/// by default so the suite stays hermetic and timing-independent.
-#[must_use]
-pub fn udp_cells_enabled() -> bool {
-    std::env::var("RFD_E12_UDP").is_ok_and(|v| v == "1")
 }
 
 /// Runs E12 and returns the result table.
@@ -186,33 +165,7 @@ pub fn run_experiment(quick: bool) -> Table {
                     &scenario(schedule.clone(), duration_ms, ms(1), seed),
                 )
             });
-            push_row(
-                &mut table,
-                schedule_name,
-                "sim",
-                est_name,
-                &summarize(&reports),
-            );
-        }
-    }
-    if udp_cells_enabled() {
-        // Wall-clock rows: one seed, a compressed schedule (8 s per
-        // cell), coarser sampling — these genuinely sleep.
-        let udp_duration = 8_000;
-        for (schedule_name, schedule, _heals) in schedules(udp_duration) {
-            for (est_name, proto) in &Estimators::line_up(400) {
-                let report = run_udp_cell(
-                    proto.clone(),
-                    &scenario(schedule.clone(), udp_duration, ms(5), 0),
-                );
-                push_row(
-                    &mut table,
-                    schedule_name,
-                    "udp",
-                    est_name,
-                    &summarize(&[report]),
-                );
-            }
+            push_row(&mut table, schedule_name, est_name, &summarize(&reports));
         }
     }
     table
@@ -221,7 +174,21 @@ pub fn run_experiment(quick: bool) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfd_net::clock::SystemClock;
     use rfd_net::estimator::ChenEstimator;
+    use rfd_net::online::run_membership_churn_over;
+    use rfd_net::transport::faulty_cluster;
+    use rfd_net::transport::udp::loopback_cluster;
+
+    /// One wall-clock cell: the same schedule over real loopback UDP
+    /// sockets, crash/partition faults injected by the
+    /// [`rfd_net::transport::FaultInjector`] fault plane.
+    fn run_udp_cell(prototype: Estimators, scenario: &OnlineScenario) -> MembershipChurnReport {
+        let clock = SystemClock::new();
+        let transports = loopback_cluster(scenario.n).expect("bind loopback cluster");
+        let (nodes, injector) = faulty_cluster(transports, 0.0, scenario.seed, clock.clone());
+        run_membership_churn_over(prototype, scenario, nodes, injector, clock)
+    }
 
     #[test]
     fn e12_every_simulated_cell_reconverges() {

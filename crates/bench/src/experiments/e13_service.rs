@@ -17,22 +17,19 @@
 //! * **lost** — entries discarded while reconciling (asserted zero:
 //!   consensus safety means merges only ever *extend*).
 //!
-//! Every simulated cell asserts uniform agreement and post-heal log
-//! convergence before its row is tabulated, and is deterministic per
-//! seed (pinned by the tests). `RFD_E13_UDP=1` appends wall-clock rows
-//! over real loopback sockets through
-//! [`rfd_net::transport::FaultyTransport`] — timing-dependent, so they
-//! are smoke-shape only, like E12's.
+//! Every cell asserts uniform agreement and post-heal log convergence
+//! before its row is tabulated, and is deterministic per seed (pinned
+//! by the tests). The same scenario over real loopback sockets through
+//! [`rfd_net::transport::FaultyTransport`] is timing-dependent: a
+//! smoke test for shape only, like E12's.
 
 use crate::estimators::Estimators;
 use crate::table::Table;
 use crate::{ms, p};
 use rfd_core::ProcessSet;
-use rfd_net::clock::{Nanos, SystemClock};
+use rfd_net::clock::Nanos;
 use rfd_net::online::{Fault, FaultSchedule, OnlineScenario};
-use rfd_net::service::{run_service, ServiceReport, ServiceRunner, ServiceScenario};
-use rfd_net::transport::faulty_cluster;
-use rfd_net::transport::udp::loopback_cluster;
+use rfd_net::service::{run_service, ServiceReport, ServiceScenario};
 use rfd_sim::Campaign;
 
 /// One schedule: name, faults, the disruptive event decisions must
@@ -145,7 +142,6 @@ fn gate(sched: &Schedule, report: &ServiceReport) -> (u64, Option<u64>, u64, u64
 fn push_row(
     table: &mut Table,
     sched_name: &str,
-    transport: &str,
     est: &str,
     duration_ms: u64,
     decided: u64,
@@ -155,7 +151,7 @@ fn push_row(
 ) {
     table.push(vec![
         sched_name.into(),
-        transport.into(),
+        "sim".into(),
         est.into(),
         format!("{decided}"),
         format!("{:.1}/s", decided as f64 / (duration_ms as f64 / 1_000.0)),
@@ -163,23 +159,6 @@ fn push_row(
         format!("{transferred}"),
         format!("{lost}"),
     ]);
-}
-
-/// Whether the wall-clock UDP cells are enabled (`RFD_E13_UDP=1`).
-#[must_use]
-pub fn udp_cells_enabled() -> bool {
-    std::env::var("RFD_E13_UDP").is_ok_and(|v| v == "1")
-}
-
-/// One wall-clock cell: the same service scenario over real loopback
-/// UDP sockets under the shared fault plane.
-fn run_udp_cell(prototype: Estimators, scenario: &ServiceScenario) -> ServiceReport {
-    let clock = SystemClock::new();
-    let transports = loopback_cluster(scenario.online.n).expect("bind loopback cluster");
-    let (nodes, injector) = faulty_cluster(transports, 0.0, scenario.online.seed, clock.clone());
-    let mut runner = ServiceRunner::over(prototype, scenario.clone(), nodes, injector, clock);
-    runner.run_to_end();
-    runner.report()
 }
 
 /// Runs E13 and returns the result table.
@@ -217,7 +196,6 @@ pub fn run_experiment(quick: bool) -> Table {
             push_row(
                 &mut table,
                 sched.name,
-                "sim",
                 est_name,
                 duration_ms,
                 decided,
@@ -227,41 +205,29 @@ pub fn run_experiment(quick: bool) -> Table {
             );
         }
     }
-    if udp_cells_enabled() {
-        // Wall-clock rows: one seed, one compressed 8 s schedule per
-        // cell, coarser sampling — these genuinely sleep.
-        let udp_duration = 8_000;
-        for sched in schedules(udp_duration) {
-            for (est_name, proto) in &Estimators::line_up(400) {
-                let report = run_udp_cell(
-                    proto.clone(),
-                    &scenario(&sched, udp_duration, ms(10), 400, 0),
-                );
-                // Wall-clock cells assert shape only (no gate): timing
-                // on a loaded host may leave stragglers mid-transfer.
-                push_row(
-                    &mut table,
-                    sched.name,
-                    "udp",
-                    est_name,
-                    udp_duration,
-                    report.decided_len(),
-                    report
-                        .first_decision_at_or_after(ms(sched.recover_from_ms))
-                        .map(|at| at.saturating_sub(ms(sched.recover_from_ms)).as_millis()),
-                    report.membership.decisions_transferred,
-                    report.membership.decisions_lost,
-                );
-            }
-        }
-    }
     table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfd_net::clock::SystemClock;
     use rfd_net::estimator::ChenEstimator;
+    use rfd_net::service::ServiceRunner;
+    use rfd_net::transport::faulty_cluster;
+    use rfd_net::transport::udp::loopback_cluster;
+
+    /// One wall-clock cell: the same service scenario over real loopback
+    /// UDP sockets under the shared fault plane.
+    fn run_udp_cell(prototype: Estimators, scenario: &ServiceScenario) -> ServiceReport {
+        let clock = SystemClock::new();
+        let transports = loopback_cluster(scenario.online.n).expect("bind loopback cluster");
+        let (nodes, injector) =
+            faulty_cluster(transports, 0.0, scenario.online.seed, clock.clone());
+        let mut runner = ServiceRunner::over(prototype, scenario.clone(), nodes, injector, clock);
+        runner.run_to_end();
+        runner.report()
+    }
 
     #[test]
     fn e13_every_simulated_cell_recovers_and_agrees() {

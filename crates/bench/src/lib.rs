@@ -2,8 +2,9 @@
 //!
 //! Regenerates every result of *A Realistic Look At Failure Detectors*
 //! as a table (the paper is a theory paper with no numbered
-//! tables/figures; the experiment set E1–E11 grew out of `DESIGN.md`
-//! §3):
+//! tables/figures; `docs/EXPERIMENTS.md` is the handbook of the
+//! experiment set E1–E16 — claim, paper section, columns and pinning
+//! tests per experiment):
 //!
 //! | Exp | Paper source | Claim |
 //! |-----|--------------|-------|
@@ -20,12 +21,13 @@
 //! | E11 | §1.3         | online detection under churn (streaming driver) |
 //! | E12 | §1.3         | partition-heal view reconvergence (heal-merge membership) |
 //! | E13 | §1.1/§1.3    | the live decision service: consensus over emulated `P`, post-heal state transfer |
+//! | E14 | §1.3         | snapshot fast rejoin vs full-suffix replay |
+//! | E15 | §1.1/§1.3    | the adversarial weather catalogue |
+//! | E16 | §2           | the long-horizon lossy soak: the retransmission plane under datagram loss |
 //!
 //! Run `cargo run -p rfd-bench --bin experiments` for the full suite, or
 //! `--bin experiments -- E7` for one experiment. Criterion
-//! microbenchmarks live in `benches/microbench.rs`. `RFD_E12_UDP=1` /
-//! `RFD_E13_UDP=1` append E12's and E13's wall-clock rows over real
-//! loopback UDP sockets.
+//! microbenchmarks live in `benches/microbench.rs`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

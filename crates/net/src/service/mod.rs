@@ -7,10 +7,12 @@
 //!
 //! * the membership service ([`crate::membership::MembershipNode`]),
 //!   whose view is the emulated Perfect detector;
-//! * one rotating-coordinator consensus instance per log slot
+//! * one rotating-coordinator consensus instance per log slot, run
+//!   strictly one after another — the paper's §1.1 consensus sequence
 //!   ([`rfd_algo::consensus::RotatingConsensus`] driven by
-//!   [`rfd_algo::driver::SlotDriver`]), fed the emulated `P` as its
-//!   suspect source and quorum-sized over all `n` processes, so a
+//!   [`rfd_algo::driver::SlotDriver`], which holds the tail slot's
+//!   instance and nothing per decided slot), fed the emulated `P` as
+//!   its suspect source and quorum-sized over all `n` processes, so a
 //!   partitioned minority stalls instead of forking the log;
 //! * TRB-style decision relaying and — under heal-merge membership —
 //!   post-heal **state transfer**: re-merged members exchange log

@@ -1,11 +1,12 @@
 //! One node of the live replicated-decision service.
 
+mod transfer;
+
 use super::log::{Decision, ReplicatedLog, Snapshot, ViewStamp};
 use super::retry::{RetryPlane, Timeouts};
 use crate::clock::{Clock, Nanos};
 use crate::codec::{
-    encode, for_each_frame, set_to_members, Command, ConsensusFrame, DecidedMsg, SnapshotReply,
-    SnapshotRequest, SyncReply, SyncRequest, WireMsg, WireView, MAX_SYNC_ENTRIES,
+    encode, for_each_frame, set_to_members, Command, ConsensusFrame, DecidedMsg, WireMsg, WireView,
 };
 use crate::estimator::ArrivalEstimator;
 use crate::membership::{MembershipNode, View};
@@ -33,13 +34,19 @@ const GOSSIP_BATCH: usize = 8;
 const FUTURE_WINDOW: u64 = 1024;
 
 /// How far above the local log tail an incoming consensus frame's slot
-/// may point. The `SlotDriver` arena is a dense per-slot `Vec`, so
-/// without this gate a single forged `Consensus` frame with a huge slot
-/// forces an allocation of that size (a remotely triggered abort, found
-/// by the `wire_fuzz` battery). Correct peers run consensus at most a
-/// few slots ahead of any live log; partitioned stragglers catch up via
-/// state transfer, not by joining far-future rounds.
+/// may point: the slot span of the `SlotDriver`'s early-traffic buffer.
+/// Correct peers run consensus at most a few slots ahead of any live
+/// log; partitioned stragglers catch up via state transfer, not by
+/// joining far-future rounds — a frame beyond it is dropped and counted.
 const SLOT_HORIZON: u64 = 1024;
+
+/// How many early consensus frames the `SlotDriver` may hold at once:
+/// the size of the buffer whose span [`SLOT_HORIZON`] bounds. Honest
+/// traffic keeps a few dozen; a frame that would overflow is dropped
+/// and counted like a beyond-horizon one (the retransmission plane
+/// re-derives an honest one), so in-horizon forged frames for a slot
+/// that never opens cannot grow the heap.
+const EARLY_FRAMES: usize = 1024;
 
 /// A typed event produced by one [`DecisionService::poll`].
 #[derive(Clone, Debug)]
@@ -116,8 +123,8 @@ impl CompactionPolicy {
 /// 1. the group membership ([`MembershipNode`]), whose view emulates a
 ///    Perfect detector by exclusion — `output(P)` = everyone outside
 ///    the view;
-/// 2. a rotating-coordinator consensus instance per log slot
-///    ([`rfd_algo::consensus::RotatingConsensus`] under a
+/// 2. a rotating-coordinator consensus instance per log slot, one
+///    after another ([`rfd_algo::consensus::RotatingConsensus`] under a
 ///    [`SlotDriver`]), fed that emulated `P` as its suspect source, and
 ///    quorum-sized over **all** `n` processes so a partitioned minority
 ///    can stall but never split the log;
@@ -174,7 +181,7 @@ pub struct DecisionService<E, T, C> {
     /// Decision relays that arrived ahead of the log tail (bounded to
     /// [`FUTURE_WINDOW`] entries past the tail).
     future: BTreeMap<u64, (u64, ViewStamp)>,
-    /// The log length at which the last gap-triggered [`SyncRequest`]
+    /// The log length at which the last gap-triggered `SyncRequest`
     /// went out: while the tail hasn't moved, further ahead-of-tail
     /// relays don't re-request (each peer would otherwise stream the
     /// whole missing suffix once per relayed decision).
@@ -186,7 +193,7 @@ pub struct DecisionService<E, T, C> {
     /// and snapshot requests). The minimum over current view members is
     /// the stable index compaction trims behind.
     peer_acked: Vec<u64>,
-    /// The log length at which the last [`SnapshotRequest`] went out —
+    /// The log length at which the last `SnapshotRequest` went out —
     /// the same once-per-tail-position throttle as `gap_synced_at`,
     /// for snapshot negotiation.
     snapshot_requested_at: Option<u64>,
@@ -223,8 +230,6 @@ pub struct DecisionService<E, T, C> {
     /// Reusable queue of the poll's consensus sends, drained oldest
     /// first by [`Self::flush_consensus`].
     sends: VecDeque<SlotSend<RotatingMsg<u64>>>,
-    /// Reusable list of the `(slot, value)` pairs the poll decided.
-    decided: Vec<(u64, u64)>,
     /// Reusable entry list for copying a borrowed sync-reply view out of
     /// its datagram before the merge (which needs a contiguous slice).
     sync_scratch: Vec<(u64, u64, u128)>,
@@ -270,7 +275,6 @@ where
             rx_buf: Vec::new(),
             consensus_in: Vec::new(),
             sends: VecDeque::new(),
-            decided: Vec::new(),
             sync_scratch: Vec::new(),
             malformed_frames: 0,
         }
@@ -392,16 +396,13 @@ where
             }
             WireView::Command(c) => self.learn_command(c.value),
             WireView::Consensus(cf) => {
-                // Gate the slot before it reaches the driver's arena:
-                // `SlotDriver` stores slots in a dense `Vec`, so an
-                // attacker-chosen far-future slot would force an
-                // allocation of that size (found by `wire_fuzz`). A
-                // correct peer only runs consensus within a bounded
-                // window above its log; anything further is dropped and
-                // counted like an undecodable frame.
+                // Gate the slot before it reaches the driver's early
+                // buffer: a correct peer only runs consensus within a
+                // bounded window above its log; anything further is
+                // dropped and counted like an undecodable frame.
                 if from.index() < self.n && cf.slot < self.log.len().saturating_add(SLOT_HORIZON) {
-                    if cf.slot < self.log.len() || self.driver.decision(cf.slot).is_some() {
-                        // The slot is already decided here: a stale or
+                    if cf.slot < self.driver.tail() {
+                        // The slot is already settled here: a stale or
                         // retransmitted frame. The driver drops it; the
                         // counter records the (harmless) duplicate.
                         self.duplicate_frames_dropped += 1;
@@ -447,7 +448,7 @@ where
 
     /// One service tick: drain and route the transport (membership,
     /// commands, consensus, relays, state transfer), run the membership
-    /// duties, react to view changes, advance the per-slot consensus —
+    /// duties, react to view changes, advance consensus at the log tail —
     /// open the tail slot if a command is pending, step it, send what it
     /// emitted, commit what it decided, and repeat while that grew the
     /// log, so a deciding node proposes the next command in the same
@@ -497,39 +498,39 @@ where
         // Consensus over the membership-emulated P.
         let suspects = self.membership.emulated_suspects();
         let mut sends = std::mem::take(&mut self.sends);
-        let mut decided = std::mem::take(&mut self.decided);
         for (slot, from, msg) in consensus_in.drain(..) {
-            let (s, d) = self.driver.on_message(slot, from, &msg, suspects);
-            sends.extend(s);
-            decided.extend(d.map(|v| (slot, v)));
+            let full = self.driver.buffered() >= EARLY_FRAMES;
+            if full && slot >= self.driver.tail() && !self.driver.is_open(slot) {
+                self.malformed_frames += 1;
+                continue;
+            }
+            sends.extend(self.driver.on_message(slot, from, &msg, suspects).0);
         }
         self.consensus_in = consensus_in;
         // Open the tail slot, step, flush, commit — and go round again
         // while the commit grew the log, so the node that decides slot k
-        // opens k + 1 in this poll rather than the next.
+        // opens k + 1 in this poll rather than the next. A deciding
+        // step settles slot `len(log)` in the driver, which keeps that
+        // newest decision for the commit to read back and append.
         loop {
             let next = self.log.len();
-            if !self.driver.is_open(next) && self.driver.decision(next).is_none() {
+            if self.driver.tail() == next && !self.driver.is_open(next) {
                 if let Some(&cmd) = self.pool.iter().next() {
                     self.proposed = Some((next, cmd));
-                    let (s, d) = self.driver.open(next, cmd, suspects);
-                    sends.extend(s);
-                    decided.extend(d.map(|v| (next, v)));
+                    sends.extend(self.driver.open(next, cmd, suspects).0);
                 }
             }
-            let (s, ds) = self.driver.tick(suspects);
-            sends.extend(s);
-            decided.extend(ds);
-            self.flush_consensus(&mut sends, suspects, &mut decided);
-            for (slot, value) in decided.drain(..) {
-                self.commit(slot, value, &mut events);
+            sends.extend(self.driver.tick(suspects).0);
+            self.flush_consensus(&mut sends, suspects);
+            if let Some(&value) = self.driver.decision(next) {
+                self.apply_at_tail(value, self.stamp(), &mut events);
+                self.commit_ready(&mut events);
             }
             if self.log.len() == next {
                 break;
             }
         }
         self.sends = sends;
-        self.decided = decided;
         let timeouts = self.timeouts(now);
         self.run_retransmission(now, timeouts);
         if now >= self.next_gossip {
@@ -593,7 +594,7 @@ where
     /// estimate for every visited round from 1 on plus every unresolved
     /// coordinated proposal, round 0's included) — idempotent on
     /// receipt — plus a
-    /// [`SyncRequest`] probe to one rotated member, covering the case
+    /// `SyncRequest` probe to one rotated member, covering the case
     /// where every peer already decided and retired the slot (plain
     /// re-sends would be dropped).
     /// Intervals back off exponentially up to the cap; attempts never
@@ -602,17 +603,9 @@ where
     /// The no-retry fast path (no open slot, or one making progress)
     /// allocates nothing.
     fn run_retransmission(&mut self, now: Nanos, timeouts: Timeouts) {
-        // The plane keeps one slot timer because at most the tail slot
-        // is ever open: instances open only at `log.len()` and every
-        // appended entry resolves its slot. Pipelining slots would
-        // silently lose retries for all but the first — fail loudly.
-        let open = self.driver.open_slots().first().copied();
-        debug_assert!(
-            self.driver.open_slots().len() <= 1 && open.map_or(true, |s| s == self.log.len()),
-            "open slots {:?} are not just the log tail {}",
-            self.driver.open_slots(),
-            self.log.len(),
-        );
+        // One slot timer, because the driver holds one instance.
+        let tail = self.driver.tail();
+        let open = self.driver.is_open(tail).then_some(tail);
         if let Some((slot, attempts)) = open.zip(self.retry.slot_due(now, timeouts, open)) {
             let mut resent = 0u64;
             for (to, slot, msg) in self.driver.retransmit(slot) {
@@ -633,91 +626,6 @@ where
         self.retry_snapshot(now, timeouts);
     }
 
-    /// The sender-side half of acknowledged delivery: every gossip
-    /// period, serve the missing suffix to any view member whose acked
-    /// length has stayed behind ours — **and stopped growing** — for a
-    /// full RTO. A node that missed the final `Decided` relay of a
-    /// burst has no pull signal of its own — the push is what keeps its
-    /// lag (and hence the compaction stable index) from freezing. A
-    /// peer that is behind but visibly catching up (a rejoiner mid
-    /// state-transfer) is left to the pull paths: pushing in parallel
-    /// would only duplicate the suffix on the wire. Per-peer
-    /// exponential backoff while the peer stays stalled; the fuse
-    /// re-arms on any progress.
-    fn push_to_laggards(
-        &mut self,
-        now: Nanos,
-        timeouts: Timeouts,
-        events: &mut Vec<ServiceOutput>,
-    ) {
-        let me = self.me();
-        for member in self.membership.view().members {
-            if member == me {
-                continue;
-            }
-            let acked = self.acked_by(member);
-            if self
-                .retry
-                .push_due(now, timeouts, member, acked, self.log.len())
-            {
-                self.retry.sent += 1;
-                self.on_sync_request(member, acked, events);
-            }
-        }
-    }
-
-    /// Retry of an unanswered snapshot negotiation: while a snapshot
-    /// request is outstanding and peers' acked lengths show we are
-    /// genuinely behind, re-send the request to a rotated member — a
-    /// single lost `SnapshotRequest`/`SnapshotReply` can no longer
-    /// strand a rejoiner behind the once-per-tail-position throttle.
-    fn retry_snapshot(&mut self, now: Nanos, timeouts: Timeouts) {
-        let Some(attempts) = self.retry.snapshot_due(now, timeouts) else {
-            return;
-        };
-        let me = self.me();
-        let mut members = self.membership.view().members.iter();
-        if !members.any(|p| p != me && self.acked_by(p) > self.log.len()) {
-            // Caught up through other channels — stand down.
-            self.retry.disarm_snapshot();
-            return;
-        }
-        if let Some(target) = self.rotated_member(attempts) {
-            self.snapshot_requested_at = Some(self.log.len());
-            self.send_raw(
-                target,
-                encode(&WireMsg::SnapshotRequest(SnapshotRequest {
-                    from_index: self.log.len(),
-                })),
-            );
-            self.retry.sent += 1;
-        }
-    }
-
-    /// Trims the log behind the all-replica stable index, keeping the
-    /// policy's retained tail. The stable index is the lowest log
-    /// length acknowledged by any *current view member* (piggybacked
-    /// acks), capped by our own length — so an excluded straggler never
-    /// freezes compaction (it will fast-rejoin via snapshot), while a
-    /// re-admitted one holds the base until it catches up.
-    fn maybe_compact(&mut self) {
-        let Some(policy) = self.compaction else {
-            return;
-        };
-        let me = self.me();
-        let mut stable = self.log.len();
-        for member in self.last_view.members {
-            if member == me {
-                continue;
-            }
-            stable = stable.min(self.acked_by(member));
-        }
-        let target = stable.saturating_sub(policy.retain);
-        if self.log.truncate_prefix(target) > 0 {
-            self.driver.advance_base(self.log.first_index());
-        }
-    }
-
     /// Routes consensus sends, oldest first: peers get encoded frames,
     /// self-addressed messages loop straight back into the driver (cores
     /// rely on self-delivery; looping locally keeps that deterministic
@@ -731,10 +639,10 @@ where
     /// A peer-addressed `Decide` is dropped here. The core ends an
     /// instance with a reliable broadcast of the decision, but the
     /// self-addressed copy is all this node needs from it (it is how a
-    /// coordinator's own core decides): `commit` then relays the entry
-    /// as a `Decided` frame, which carries the index, the view stamp and
-    /// the ack compaction reads — one announcement per slot, not two. A
-    /// `Decide` *received* from a peer is still accepted.
+    /// coordinator's own core decides): `apply_at_tail` then relays the
+    /// entry as a `Decided` frame, which carries the index, the view
+    /// stamp and the ack compaction reads — one announcement per slot,
+    /// not two. A `Decide` *received* from a peer is still accepted.
     ///
     /// Any other emission to a peer *touches* the retry plane: fresh
     /// emission is progress, so the slot's retransmission timer resets
@@ -743,42 +651,17 @@ where
         &mut self,
         sends: &mut VecDeque<SlotSend<RotatingMsg<u64>>>,
         suspects: ProcessSet,
-        decided: &mut Vec<(u64, u64)>,
     ) {
         let me = self.me();
         while let Some((to, slot, msg)) = sends.pop_front() {
             if to == me {
-                let (more, d) = self.driver.on_message(slot, me, &msg, suspects);
-                sends.extend(more);
-                decided.extend(d.map(|v| (slot, v)));
+                sends.extend(self.driver.on_message(slot, me, &msg, suspects).0);
             } else if !matches!(msg, RotatingMsg::Decide(_)) {
                 self.retry.touch();
                 self.send_raw(
                     to,
                     encode(&WireMsg::Consensus(ConsensusFrame { slot, msg })),
                 );
-            }
-        }
-    }
-
-    /// Applies a consensus decision for `slot`.
-    fn commit(&mut self, slot: u64, value: u64, events: &mut Vec<ServiceOutput>) {
-        match slot.cmp(&self.log.len()) {
-            std::cmp::Ordering::Less => {
-                // Already in the log (a relay or transfer beat the local
-                // instance); uniform agreement makes them equal. A
-                // compacted slot reads as `None` — its value lives in
-                // the digest chain now.
-                debug_assert!(self.log.get(slot).map_or(true, |d| d.value == value));
-            }
-            std::cmp::Ordering::Equal => {
-                self.apply_at_tail(value, self.stamp(), events);
-                self.commit_ready(events);
-            }
-            std::cmp::Ordering::Greater => {
-                // Defensive: instances are opened at the tail, so a
-                // decision can't normally outrun the log.
-                self.buffer_future(slot, value, self.stamp());
             }
         }
     }
@@ -849,269 +732,10 @@ where
         }
     }
 
-    /// A state-transfer request: stream the suffix back in chunks — or,
-    /// if the requester's tail fell below our compacted base, signal
-    /// the gap with an **empty** reply starting at the base. The
-    /// requester reads that as "prefix is compacted away" and
-    /// negotiates a [`SnapshotRequest`] instead.
-    fn on_sync_request(
-        &mut self,
-        from: ProcessId,
-        from_index: u64,
-        events: &mut Vec<ServiceOutput>,
-    ) {
-        if !self.is_peer(from) {
-            return;
-        }
-        self.note_acked(from, from_index);
-        if from_index < self.log.first_index() {
-            self.send_raw(
-                from,
-                encode(&WireMsg::SyncReply(SyncReply {
-                    start: self.log.first_index(),
-                    entries: Vec::new(),
-                })),
-            );
-            return;
-        }
-        let mut bytes = 0u64;
-        let mut start = from_index;
-        while start < self.log.len() {
-            let entries: Vec<(u64, u64, u128)> = self
-                .log
-                .suffix(start)
-                .iter()
-                .take(MAX_SYNC_ENTRIES)
-                .map(|d| (d.value, d.view.id, d.view.members))
-                .collect();
-            let sent = entries.len() as u64;
-            let frame = encode(&WireMsg::SyncReply(SyncReply { start, entries }));
-            bytes += frame.len() as u64;
-            self.send_raw(from, frame);
-            start += sent;
-        }
-        if bytes > 0 {
-            events.push(ServiceOutput::SyncServed {
-                bytes,
-                snapshot: false,
-            });
-        }
-    }
-
-    /// A state-transfer chunk (already copied out of its datagram):
-    /// reconcile it into the log. An empty chunk starting above our
-    /// tail is a responder's compaction gap-signal — negotiate a
-    /// snapshot with that responder instead of merging.
-    fn on_sync_reply(
-        &mut self,
-        from: ProcessId,
-        start: u64,
-        entries: &[(u64, u64, u128)],
-        events: &mut Vec<ServiceOutput>,
-    ) {
-        if entries.is_empty() && start > self.log.len() {
-            self.maybe_request_snapshot(from);
-            return;
-        }
-        let before = self.log.len();
-        let outcome = self.log.merge_suffix(start, entries);
-        if outcome.adopted == 0 && outcome.lost == 0 {
-            // A reordered chunk that starts above our tail would merge
-            // nothing; buffer its entries individually (inside the
-            // bounded future window) so the stream survives arbitrary
-            // chunk interleavings — they apply once the gap fills.
-            if start > self.log.len() {
-                for (offset, &(value, view_id, view_members)) in entries.iter().enumerate() {
-                    self.buffer_future(
-                        start + offset as u64,
-                        value,
-                        ViewStamp {
-                            id: view_id,
-                            members: view_members,
-                        },
-                    );
-                }
-                self.commit_ready(events);
-            } else {
-                // A suffix we already hold — a pusher whose acked
-                // watermark for us is stale. Count the duplicate and
-                // correct the watermark: the reply-from-our-tail
-                // request serves nothing when the pusher is no longer
-                // ahead, so it acts as a pure ack that stands the
-                // pusher's fuse down.
-                self.duplicate_frames_dropped += 1;
-                self.request_sync(from);
-            }
-            return;
-        }
-        // Rewritten tail: retire its commands and resolve its slots. On
-        // the (safety-alarm) lost path the rewrite reaches back to the
-        // chunk start; otherwise only fresh entries were appended.
-        let rewritten_from = if outcome.lost > 0 { start } else { before };
-        for d in self.log.suffix(rewritten_from).to_vec() {
-            self.note_committed(d.index, d.value);
-        }
-        if outcome.adopted > 0 {
-            // Entries are flowing through the plain sync path after
-            // all: an outstanding snapshot negotiation is moot (a late
-            // reply that no longer extends the log would be rejected
-            // anyway). Stand the retry down.
-            self.retry.disarm_snapshot();
-        }
-        events.push(ServiceOutput::Transferred {
-            adopted: outcome.adopted,
-            lost: outcome.lost,
-        });
-        self.commit_ready(events);
-        // Acknowledged delivery, receiver half: a short chunk is the
-        // tail of the responder's stream, so confirm our new length
-        // with a reply-from-our-tail request. If we are caught up it
-        // serves nothing — a pure ack that keeps the responder's
-        // watermark fresh and its laggard-push fuse armed-but-quiet; if
-        // a middle chunk was lost it re-pulls the remainder. Full-width
-        // chunks skip the confirm (more of the stream is in flight).
-        if entries.len() < MAX_SYNC_ENTRIES {
-            self.request_sync(from);
-        }
-    }
-
-    /// Sends one [`SnapshotRequest`] to `from`, at most once per tail
-    /// position — every compacted responder gap-signals, and one
-    /// snapshot per stall is enough.
-    fn maybe_request_snapshot(&mut self, from: ProcessId) {
-        if !self.is_peer(from) {
-            return;
-        }
-        if self.snapshot_requested_at == Some(self.log.len()) {
-            return;
-        }
-        self.snapshot_requested_at = Some(self.log.len());
-        // Arm the retry timer: a lost request (or lost reply) re-fires
-        // toward a rotated member instead of stranding the rejoin.
-        let now = self.clock.now();
-        self.retry.arm_snapshot(now, self.timeouts(now));
-        self.send_raw(
-            from,
-            encode(&WireMsg::SnapshotRequest(SnapshotRequest {
-                from_index: self.log.len(),
-            })),
-        );
-    }
-
-    /// A fast-rejoin request: serve a summary of our compacted prefix
-    /// plus the first chunk of the retained tail. Falls back to the
-    /// ordinary suffix exchange when the requester is within the
-    /// retained tail (no snapshot needed).
-    fn on_snapshot_request(
-        &mut self,
-        from: ProcessId,
-        from_index: u64,
-        events: &mut Vec<ServiceOutput>,
-    ) {
-        if !self.is_peer(from) {
-            return;
-        }
-        self.note_acked(from, from_index);
-        let base = self.log.first_index();
-        if from_index >= base {
-            self.on_sync_request(from, from_index, events);
-            return;
-        }
-        let Some(snap) = self.log.snapshot(base) else {
-            return;
-        };
-        let entries: Vec<(u64, u64, u128)> = self
-            .log
-            .suffix(base)
-            .iter()
-            .take(MAX_SYNC_ENTRIES)
-            .map(|d| (d.value, d.view.id, d.view.members))
-            .collect();
-        let frame = encode(&WireMsg::SnapshotReply(SnapshotReply {
-            upto: snap.upto,
-            digest: snap.digest,
-            view_id: snap.view.id,
-            view_members: snap.view.members,
-            entries,
-        }));
-        events.push(ServiceOutput::SyncServed {
-            bytes: frame.len() as u64,
-            snapshot: true,
-        });
-        self.send_raw(from, frame);
-    }
-
-    /// A fast-rejoin reply: install the summary (only if we asked for
-    /// one and it extends our log — rejects change nothing), merge the
-    /// included tail chunk, and pull whatever tail remains with an
-    /// ordinary [`SyncRequest`]. Installing is O(1) in the covered
-    /// history: the prefix arrives as a digest, not as entries.
-    fn on_snapshot_reply(
-        &mut self,
-        from: ProcessId,
-        snapshot: &Snapshot,
-        entries: &[(u64, u64, u128)],
-        events: &mut Vec<ServiceOutput>,
-    ) {
-        if !self.is_peer(from) {
-            return;
-        }
-        if !self.retry.awaiting_snapshot() {
-            return;
-        }
-        let Some(covered) = self.log.install_snapshot(snapshot) else {
-            return;
-        };
-        self.retry.disarm_snapshot();
-        self.snapshot_requested_at = None;
-        self.gap_synced_at = None;
-        // The log jumped past every local in-flight slot: retire the
-        // consensus arena below the new base in O(live window)…
-        self.driver.advance_base(self.log.first_index());
-        // …drop buffered relays the summary already covers…
-        self.future = self.future.split_off(&self.log.len());
-        // …and clear the pending pool: a pooled command may have been
-        // decided inside the compacted prefix, and re-proposing it
-        // would decide it twice. Anything still genuinely pending is
-        // in a live peer's pool (this node's own submissions were
-        // repeated every period while its log stood still), and its
-        // decision arrives here by relay.
-        self.pool.clear();
-        events.push(ServiceOutput::SnapshotInstalled { covered });
-        if !entries.is_empty() {
-            self.on_sync_reply(from, snapshot.upto, entries, events);
-        }
-        // The responder may retain more tail than one chunk carries.
-        self.request_sync(from);
-    }
-
     /// Whether `from` is a process of this group other than this node —
     /// the only senders state transfer answers or asks.
     fn is_peer(&self, from: ProcessId) -> bool {
         from != self.me() && from.index() < self.n
-    }
-
-    /// Asks `to` for the log suffix from our tail on. Also what a
-    /// caught-up node acks with: a request from the tail serves nothing.
-    fn request_sync(&self, to: ProcessId) {
-        self.send_raw(
-            to,
-            encode(&WireMsg::SyncRequest(SyncRequest {
-                from_index: self.log.len(),
-            })),
-        );
-    }
-
-    /// The highest log length `peer` is known to hold.
-    fn acked_by(&self, peer: ProcessId) -> u64 {
-        self.peer_acked.get(peer.index()).copied().unwrap_or(0)
-    }
-
-    /// Records that `from`'s log is at least `upto` long.
-    fn note_acked(&mut self, from: ProcessId, upto: u64) {
-        if let Some(acked) = self.peer_acked.get_mut(from.index()) {
-            *acked = (*acked).max(upto);
-        }
     }
 
     fn learn_command(&mut self, value: u64) {

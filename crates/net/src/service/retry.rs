@@ -108,10 +108,8 @@ struct PushFuse {
 /// negotiation's.
 #[derive(Debug)]
 pub(super) struct RetryPlane {
-    /// The timer of the one open consensus slot. One suffices: a node
-    /// opens an instance only at its log tail and every appended entry
-    /// resolves its slot, so at most the tail slot is ever open (the
-    /// node `debug_assert!`s this where it calls [`Self::slot_due`]).
+    /// The timer of the one open consensus slot. One suffices: the
+    /// slot driver holds a single instance, its tail's.
     /// `None` also while the slot is making progress: the next
     /// [`Self::slot_due`] arms it afresh.
     slot: Option<(u64, Backoff)>,

@@ -533,3 +533,39 @@ fn duplicated_snapshot_replies_install_once() {
     assert_eq!(node.log().len(), 5);
     assert!(!node.is_halted());
 }
+
+/// In-horizon consensus frames for a slot not open yet are held for its
+/// replay — up to a fixed number. A valid peer flooding well-formed
+/// frames for slot `len + 1` fills that buffer and no more: the overflow
+/// is charged to `malformed_frames`, and the tail slot still decides.
+#[test]
+fn early_consensus_frames_are_held_up_to_a_cap_and_counted_beyond_it() {
+    let clock = VirtualClock::new();
+    let net = InMemoryNetwork::new(N, NetworkConfig::reliable(ms(1), ms(2)), clock.clone());
+    let mut node = DecisionService::new(N, chen(), net.endpoint(p(0)), clock.clone(), ms(50));
+    let peer = net.endpoint(p(1));
+    let view = node.view();
+    let frame = |slot: u64, msg: RotatingMsg<u64>| {
+        encode(&WireMsg::Consensus(ConsensusFrame { slot, msg }))
+    };
+    for v in 0..2_000 {
+        let msg = RotatingMsg::Estimate { r: 1, ts: 0, v };
+        peer.send(p(0), frame(node.log().len() + 1, msg));
+    }
+    clock.advance(ms(2));
+    node.poll();
+    assert!(node.malformed_frames() > 0, "the overflow is counted");
+    assert!(node.malformed_frames() < 2_000, "what fits is held");
+    assert_eq!((node.log().len(), node.view()), (0, view));
+    assert!(!node.is_halted());
+    // An honest slot 0: p0 coordinates round 0, proposes as it opens,
+    // acks itself, and p1's ack makes the majority.
+    assert!(node.propose(7));
+    node.poll();
+    peer.send(p(0), frame(0, RotatingMsg::Ack { r: 0 }));
+    clock.advance(ms(2));
+    node.poll();
+    let decided: Vec<u64> = node.log().suffix(0).iter().map(|d| d.value).collect();
+    assert_eq!(decided, vec![7]);
+    assert_eq!(node.view(), view);
+}
