@@ -57,11 +57,16 @@ impl<M> Outbox<M> {
     /// Creates an empty outbox for process `me` of `n`.
     #[must_use]
     pub fn new(me: ProcessId, n: usize) -> Self {
-        Self {
-            me,
-            n,
-            msgs: Vec::new(),
-        }
+        Self::reuse(me, n, Vec::new())
+    }
+
+    /// An empty outbox that queues into `buf`, cleared first: a caller
+    /// that steps often hands back what [`Outbox::drain`] returned and
+    /// keeps its capacity.
+    #[must_use]
+    pub fn reuse(me: ProcessId, n: usize, mut buf: Vec<(ProcessId, M)>) -> Self {
+        buf.clear();
+        Self { me, n, msgs: buf }
     }
 
     /// Queues a message to one destination.
@@ -108,6 +113,21 @@ pub trait ConsensusCore {
 
     /// Creates the process `me` of `n` with its proposal.
     fn new(me: ProcessId, n: usize, proposal: Self::Val) -> Self;
+
+    /// Turns this core into a new instance: afterwards it must be
+    /// indistinguishable from `Self::new(me, n, proposal)`. A caller
+    /// running instances one after another
+    /// ([`crate::driver::SlotDriver`]) renews its retired core instead of
+    /// dropping it and building the next, so a core that keeps its
+    /// collections' capacity across the call starts each instance
+    /// without allocating. The default is exactly
+    /// `*self = Self::new(me, n, proposal)`.
+    fn renew(&mut self, me: ProcessId, n: usize, proposal: Self::Val)
+    where
+        Self: Sized,
+    {
+        *self = Self::new(me, n, proposal);
+    }
 
     /// Executes one step. Returns the decision value on the deciding
     /// step, `None` otherwise (including after having decided).

@@ -30,7 +30,6 @@
 
 use super::{ConsensusCore, Outbox};
 use rfd_core::{ProcessId, ProcessSet};
-use std::collections::BTreeMap;
 
 /// Messages of the `◇S` rotating-coordinator algorithm.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -77,7 +76,9 @@ pub enum RotatingMsg<V> {
 struct CoordRound<V> {
     /// Processes whose estimate was already counted.
     heard: ProcessSet,
-    estimates: Vec<(u64, V)>,
+    /// The highest-timestamped estimate heard — all that phase 2 reads.
+    /// On a tie the one heard last holds it.
+    best: Option<(u64, V)>,
     proposed: Option<V>,
     /// Processes that acked this round's proposal.
     acks: ProcessSet,
@@ -90,13 +91,25 @@ impl<V> CoordRound<V> {
     fn empty() -> Self {
         Self {
             heard: ProcessSet::empty(),
-            estimates: Vec::new(),
+            best: None,
             proposed: None,
             acks: ProcessSet::empty(),
             nacks: ProcessSet::empty(),
             resolved: false,
         }
     }
+}
+
+/// The entry for round `r` in a list sorted by round, inserted in
+/// order (made by `empty`) if absent.
+fn round_entry<T>(rounds: &mut Vec<(u64, T)>, r: u64, empty: impl FnOnce() -> T) -> &mut T {
+    let ix = rounds
+        .binary_search_by_key(&r, |(round, _)| *round)
+        .unwrap_or_else(|ix| {
+            rounds.insert(ix, (r, empty()));
+            ix
+        });
+    &mut rounds[ix].1
 }
 
 /// Chandra–Toueg `◇S` rotating-coordinator consensus state machine.
@@ -118,10 +131,14 @@ pub struct RotatingConsensus<V> {
     /// estimate (`round ≥ 1`), or — in round 0, which has no phase 1 —
     /// proposed, if it coordinates it.
     sent_estimate: bool,
-    /// Buffered coordinator proposals for rounds ahead of us.
-    pending_proposals: BTreeMap<u64, V>,
-    /// Coordinator state for rounds this process coordinates.
-    coord: BTreeMap<u64, CoordRound<V>>,
+    /// Buffered coordinator proposals for rounds ahead of us, sorted by
+    /// round.
+    pending_proposals: Vec<(u64, V)>,
+    /// Coordinator state for rounds this process coordinates, sorted by
+    /// round. A calm instance touches a round or two, so both lists are
+    /// plain sorted vectors, whose capacity [`ConsensusCore::renew`]
+    /// keeps for the next instance.
+    coord: Vec<(u64, CoordRound<V>)>,
     decision: Option<V>,
     announced: bool,
     /// Hard cap on rounds to keep non-terminating runs (f ≥ n/2) bounded.
@@ -143,17 +160,12 @@ impl<V: Clone + Eq + Ord> RotatingConsensus<V> {
 
     fn coordinate(&mut self, r: u64, out: &mut Outbox<RotatingMsg<V>>) {
         let majority = self.majority;
-        let state = self.coord.entry(r).or_insert_with(CoordRound::empty);
+        let state = round_entry(&mut self.coord, r, CoordRound::empty);
         if state.resolved {
             return;
         }
-        if state.proposed.is_none() && state.estimates.len() >= majority {
-            let (_, v) = state
-                .estimates
-                .iter()
-                .max_by_key(|(ts, _)| *ts)
-                .expect("nonempty")
-                .clone();
+        if state.proposed.is_none() && state.heard.len() >= majority {
+            let (_, v) = state.best.clone().expect("a majority was heard");
             state.proposed = Some(v.clone());
             out.broadcast(RotatingMsg::Propose { r, v });
         }
@@ -196,7 +208,7 @@ impl<V: Clone + Eq + Ord> RotatingConsensus<V> {
         } else if c == self.me {
             // Round 0 needs no phase 1: nothing can be locked yet, so
             // the coordinator's own estimate is as good as any.
-            let state = self.coord.entry(0).or_insert_with(CoordRound::empty);
+            let state = round_entry(&mut self.coord, 0, CoordRound::empty);
             state.proposed = Some(self.estimate.clone());
             out.broadcast(RotatingMsg::Propose {
                 r: 0,
@@ -215,7 +227,11 @@ impl<V: Clone + Eq + Ord> RotatingConsensus<V> {
                 self.advance_round(out);
             }
             Ordering::Greater => {
-                self.pending_proposals.insert(r, v);
+                let pending = &mut self.pending_proposals;
+                match pending.binary_search_by_key(&r, |(round, _)| *round) {
+                    Ok(ix) => pending[ix].1 = v,
+                    Err(ix) => pending.insert(ix, (r, v)),
+                }
             }
             Ordering::Less => {}
         }
@@ -236,12 +252,26 @@ impl<V: Clone + Eq + Ord> ConsensusCore for RotatingConsensus<V> {
             estimate: proposal,
             ts: 0,
             sent_estimate: false,
-            pending_proposals: BTreeMap::new(),
-            coord: BTreeMap::new(),
+            pending_proposals: Vec::new(),
+            coord: Vec::new(),
             decision: None,
             announced: false,
             max_round: 1_000_000,
         }
+    }
+
+    /// Clears the round lists in place, keeping their capacity, and
+    /// takes everything else from [`ConsensusCore::new`].
+    fn renew(&mut self, me: ProcessId, n: usize, proposal: V) {
+        let mut pending_proposals = std::mem::take(&mut self.pending_proposals);
+        let mut coord = std::mem::take(&mut self.coord);
+        pending_proposals.clear();
+        coord.clear();
+        *self = Self {
+            pending_proposals,
+            coord,
+            ..Self::new(me, n, proposal)
+        };
     }
 
     fn step(
@@ -265,9 +295,10 @@ impl<V: Clone + Eq + Ord> ConsensusCore for RotatingConsensus<V> {
             Some((from, RotatingMsg::Estimate { r, ts, v }))
                 if *r > 0 && self.coordinator(*r) == self.me =>
             {
-                let state = self.coord.entry(*r).or_insert_with(CoordRound::empty);
-                if state.heard.insert(from) {
-                    state.estimates.push((*ts, v.clone()));
+                let state = round_entry(&mut self.coord, *r, CoordRound::empty);
+                // `>=`: on equal timestamps the estimate heard last wins.
+                if state.heard.insert(from) && state.best.as_ref().map_or(true, |(b, _)| ts >= b) {
+                    state.best = Some((*ts, v.clone()));
                 }
                 self.coordinate(*r, out);
             }
@@ -279,14 +310,14 @@ impl<V: Clone + Eq + Ord> ConsensusCore for RotatingConsensus<V> {
                 self.handle_proposal(r, v, out);
             }
             Some((from, RotatingMsg::Ack { r })) if self.coordinator(*r) == self.me => {
-                let state = self.coord.entry(*r).or_insert_with(CoordRound::empty);
+                let state = round_entry(&mut self.coord, *r, CoordRound::empty);
                 if !state.nacks.contains(from) {
                     state.acks.insert(from);
                 }
                 self.coordinate(*r, out);
             }
             Some((from, RotatingMsg::Nack { r })) if self.coordinator(*r) == self.me => {
-                let state = self.coord.entry(*r).or_insert_with(CoordRound::empty);
+                let state = round_entry(&mut self.coord, *r, CoordRound::empty);
                 if !state.acks.contains(from) {
                     state.nacks.insert(from);
                 }
@@ -299,8 +330,13 @@ impl<V: Clone + Eq + Ord> ConsensusCore for RotatingConsensus<V> {
         }
         self.participate(out);
         // Apply a buffered proposal for the (new) current round, if any.
-        if let Some(v) = self.pending_proposals.remove(&self.round) {
-            self.handle_proposal(self.round, v, out);
+        let round = self.round;
+        if let Ok(ix) = self
+            .pending_proposals
+            .binary_search_by_key(&round, |(r, _)| *r)
+        {
+            let (_, v) = self.pending_proposals.remove(ix);
+            self.handle_proposal(round, v, out);
         } else {
             // Phase 3 escape hatch: suspect the coordinator → nack and
             // move on.
@@ -585,6 +621,36 @@ mod tests {
             .drain()
             .iter()
             .any(|(_, m)| matches!(m, RotatingMsg::Decide(7))));
+    }
+
+    /// Phase 2 proposes the highest-timestamped estimate, and among
+    /// equal highest timestamps the one heard last.
+    #[test]
+    fn equal_highest_timestamps_propose_the_estimate_heard_last() {
+        // p1 coordinates round 1 of 5 (majority 3).
+        let mut c: RotatingConsensus<u64> = RotatingConsensus::new(p(1), 5, 1);
+        let heard = [(p(2), 1, 20), (p(4), 1, 40), (p(3), 0, 30)];
+        let mut proposals = Vec::new();
+        for (from, ts, v) in heard {
+            let mut out = Outbox::new(p(1), 5);
+            c.step(
+                Some((from, &RotatingMsg::Estimate { r: 1, ts, v })),
+                ProcessSet::empty(),
+                &mut out,
+            );
+            proposals.extend(
+                out.drain()
+                    .into_iter()
+                    .filter(|(_, m)| matches!(m, RotatingMsg::Propose { .. })),
+            );
+        }
+        assert_eq!(proposals.len(), 5, "one broadcast: {proposals:?}");
+        assert!(
+            proposals
+                .iter()
+                .all(|(_, m)| *m == RotatingMsg::Propose { r: 1, v: 40 }),
+            "p4's estimate ties p2's timestamp and was heard later; p3's is older: {proposals:?}"
+        );
     }
 
     #[test]

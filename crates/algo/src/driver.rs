@@ -25,12 +25,16 @@
 //! Settling a slot — a deciding step, a resolution, or wholesale
 //! [`SlotDriver::advance_base`] — moves the tail past it for good: the
 //! driver keeps nothing per settled slot, so two open instances, or a
-//! settled one reopened, are not representable.
+//! settled one reopened, are not representable. What it does keep is
+//! the retired core, which the next [`SlotDriver::open`] renews
+//! ([`ConsensusCore::renew`]) instead of building a new one.
 //!
-//! The driver never talks to a transport: every call returns the
-//! `(destination, slot, message)` sends it produced, and the caller owns
-//! encoding and delivery — the same inversion as [`super::Outbox`], one
-//! level up.
+//! The driver never talks to a transport: every call writes the
+//! `(destination, slot, message)` sends it produced into a sink the
+//! caller owns (the `_into` forms; the plain forms collect into a fresh
+//! `Vec`), and the caller owns encoding and delivery — the same
+//! inversion as [`super::Outbox`], one level up. With a reused sink a
+//! warmed driver steps without allocating.
 
 use crate::consensus::{ConsensusCore, Outbox};
 use rfd_core::{ProcessId, ProcessSet};
@@ -53,18 +57,18 @@ pub type SlotSend<M> = (ProcessId, u64, M);
 ///
 /// let me = ProcessId::new(0);
 /// let mut driver: SlotDriver<RotatingConsensus<u64>> = SlotDriver::new(me, 1);
-/// let (sends, decided) = driver.open(0, 7, ProcessSet::empty());
+/// // The sends go into a queue the caller owns and reuses.
+/// let mut queue = std::collections::VecDeque::new();
+/// let decided = driver.open_into(0, 7, ProcessSet::empty(), &mut queue);
 /// assert!(decided.is_none());
 /// // Deliver the self-addressed traffic, in send order, until the slot
 /// // decides — the order the live service's loop-back uses. (FIFO
 /// // matters: draining newest-first would starve the round-0 ack
 /// // behind the round-chasing estimates and spin through the core's
 /// // round cap before deciding.)
-/// let mut queue: std::collections::VecDeque<_> = sends.into();
 /// while let Some((to, slot, msg)) = queue.pop_front() {
 ///     assert_eq!(to, me);
-///     let (more, _) = driver.on_message(slot, me, &msg, ProcessSet::empty());
-///     queue.extend(more);
+///     driver.on_message_into(slot, me, &msg, ProcessSet::empty(), &mut queue);
 /// }
 /// assert_eq!(driver.decision(0), Some(&7));
 /// ```
@@ -74,8 +78,11 @@ pub struct SlotDriver<C: ConsensusCore> {
     /// The first unsettled slot. Everything below it is decided,
     /// resolved or retired; it only ever grows.
     tail: u64,
-    /// The tail's instance, once [`SlotDriver::open`]ed.
+    /// The tail's instance while `live`; once its slot settles, the
+    /// retired core that the next [`SlotDriver::open`] renews.
     core: Option<C>,
+    /// Whether `core` is the tail's open instance.
+    live: bool,
     /// What slot `tail − 1` settled with (`None` before the first
     /// decision and after a wholesale [`SlotDriver::advance_base`]).
     last: Option<C::Val>,
@@ -84,6 +91,9 @@ pub struct SlotDriver<C: ConsensusCore> {
     /// caller gates how far ahead a slot may point and how many frames
     /// ([`SlotDriver::buffered`]) it lets accumulate.
     early: Vec<(u64, ProcessId, C::Msg)>,
+    /// The buffer every core call queues its sends into, kept across
+    /// calls ([`Outbox::reuse`]).
+    outbox: Vec<(ProcessId, C::Msg)>,
 }
 
 impl<C: ConsensusCore> std::fmt::Debug for SlotDriver<C> {
@@ -92,10 +102,17 @@ impl<C: ConsensusCore> std::fmt::Debug for SlotDriver<C> {
             .field("me", &self.me)
             .field("n", &self.n)
             .field("tail", &self.tail)
-            .field("open", &self.core.is_some())
+            .field("open", &self.live)
             .field("early", &self.early.len())
             .finish()
     }
+}
+
+/// Runs a sink form into a fresh `Vec`: the body of every plain form.
+fn collected<S, R>(call: impl FnOnce(&mut Vec<S>) -> R) -> (Vec<S>, R) {
+    let mut sends = Vec::new();
+    let result = call(&mut sends);
+    (sends, result)
 }
 
 impl<C: ConsensusCore> SlotDriver<C> {
@@ -107,17 +124,19 @@ impl<C: ConsensusCore> SlotDriver<C> {
             n,
             tail: 0,
             core: None,
+            live: false,
             last: None,
             early: Vec::new(),
+            outbox: Vec::new(),
         }
     }
 
     /// The one way a slot settles: the tail moves up to `tail`, the
-    /// live core and every buffered frame below the new tail go, and
-    /// `last` is what slot `tail − 1` settled with, if known.
+    /// live core retires and every buffered frame below the new tail
+    /// goes, and `last` is what slot `tail − 1` settled with, if known.
     fn settle(&mut self, tail: u64, last: Option<C::Val>) {
         self.tail = tail;
-        self.core = None;
+        self.live = false;
         self.last = last;
         self.early.retain(|(slot, ..)| *slot >= tail);
     }
@@ -145,7 +164,7 @@ impl<C: ConsensusCore> SlotDriver<C> {
     /// true for the tail at most.
     #[must_use]
     pub fn is_open(&self, slot: u64) -> bool {
-        slot == self.tail && self.core.is_some()
+        slot == self.tail && self.live
     }
 
     /// How many early frames are buffered.
@@ -154,26 +173,23 @@ impl<C: ConsensusCore> SlotDriver<C> {
         self.early.len()
     }
 
-    /// The peer-addressed retransmissions of `slot`'s stalled
-    /// conversations, derived from the core's current state
-    /// ([`ConsensusCore::retransmit`]) — what a retransmission plane
-    /// sends when the slot's timer fires. Self-addressed re-emissions
-    /// are dropped: local delivery is synchronous and lossless, so the
-    /// local copy was already consumed. Empty for slots that are not
-    /// open.
+    /// [`SlotDriver::retransmit_into`], collected into a fresh `Vec`.
     #[must_use]
-    pub fn retransmit(&self, slot: u64) -> Vec<SlotSend<C::Msg>> {
-        let Some(core) = self.core.as_ref().filter(|_| slot == self.tail) else {
-            return Vec::new();
-        };
-        let mut out = Outbox::new(self.me, self.n);
-        core.retransmit(&mut out);
-        let me = self.me;
-        out.drain()
-            .into_iter()
-            .filter(|(to, _)| *to != me)
-            .map(|(to, msg)| (to, slot, msg))
-            .collect()
+    pub fn retransmit(&mut self, slot: u64) -> Vec<SlotSend<C::Msg>> {
+        collected(|sends| self.retransmit_into(slot, sends)).0
+    }
+
+    /// Writes into `sends` the peer-addressed retransmissions of
+    /// `slot`'s stalled conversations, derived from the core's current
+    /// state ([`ConsensusCore::retransmit`]) — what a retransmission
+    /// plane sends when the slot's timer fires. Self-addressed
+    /// re-emissions are dropped: local delivery is synchronous and
+    /// lossless, so the local copy was already consumed. Writes nothing
+    /// for a slot that is not open.
+    pub fn retransmit_into(&mut self, slot: u64, sends: &mut impl Extend<SlotSend<C::Msg>>) {
+        if self.is_open(slot) {
+            self.harvest(false, sends, |core, out| core.retransmit(out));
+        }
     }
 
     /// The decision of `slot`, if it is the newest settled slot and
@@ -188,45 +204,59 @@ impl<C: ConsensusCore> SlotDriver<C> {
             .filter(|_| slot.checked_add(1) == Some(self.tail))
     }
 
-    /// Opens the consensus instance of `slot` with this process's
-    /// `proposal`, replaying any traffic buffered for it in arrival
-    /// order. No-op (empty sends) if the slot is already open or
-    /// settled; opening a slot above the tail retires everything below
-    /// it first.
-    ///
-    /// Returns the produced sends and, if the replayed backlog already
-    /// forced a decision, the decided value.
+    /// [`SlotDriver::open_into`], collected into a fresh `Vec`: the
+    /// produced sends and, if the replayed backlog already forced a
+    /// decision, the decided value.
     pub fn open(
         &mut self,
         slot: u64,
         proposal: C::Val,
         suspects: ProcessSet,
     ) -> (Vec<SlotSend<C::Msg>>, Option<C::Val>) {
+        collected(|sends| self.open_into(slot, proposal, suspects, sends))
+    }
+
+    /// Opens the consensus instance of `slot` with this process's
+    /// `proposal` — renewing the retired core, or building the first —
+    /// and replays any traffic buffered for it in arrival order. No-op
+    /// if the slot is already open or settled; opening a slot above the
+    /// tail retires everything below it first.
+    ///
+    /// Writes the produced sends into `sends` and returns the decided
+    /// value if the replayed backlog already forced a decision.
+    pub fn open_into(
+        &mut self,
+        slot: u64,
+        proposal: C::Val,
+        suspects: ProcessSet,
+        sends: &mut impl Extend<SlotSend<C::Msg>>,
+    ) -> Option<C::Val> {
         if slot < self.tail || self.is_open(slot) {
-            return (Vec::new(), None);
+            return None;
         }
         self.advance_base(slot);
-        self.core = Some(C::new(self.me, self.n, proposal));
-        let mut sends = Vec::new();
-        let mut decision = self.step(None, suspects, &mut sends);
+        if let Some(core) = self.core.as_mut() {
+            core.renew(self.me, self.n, proposal);
+        } else {
+            self.core = Some(C::new(self.me, self.n, proposal));
+        }
+        self.live = true;
+        let mut decision = self.step(None, suspects, sends);
         // Replay in place: the slot's frames leave the buffer (stepped
         // until one decides, dropped after), higher slots' frames stay,
         // and the buffer keeps its allocation.
         let mut early = std::mem::take(&mut self.early);
         early.retain(|(s, from, msg)| {
             if *s == slot && decision.is_none() {
-                decision = self.step(Some((*from, msg)), suspects, &mut sends);
+                decision = self.step(Some((*from, msg)), suspects, sends);
             }
             *s != slot
         });
         self.early = early;
-        (sends, decision)
+        decision
     }
 
-    /// Routes one incoming slot-scoped message. Traffic for a settled
-    /// slot is dropped; traffic for the open tail steps its core;
-    /// everything else is buffered until [`SlotDriver::open`] replays
-    /// it.
+    /// [`SlotDriver::on_message_into`], collected into a fresh `Vec`.
     pub fn on_message(
         &mut self,
         slot: u64,
@@ -234,30 +264,52 @@ impl<C: ConsensusCore> SlotDriver<C> {
         msg: &C::Msg,
         suspects: ProcessSet,
     ) -> (Vec<SlotSend<C::Msg>>, Option<C::Val>) {
-        let mut sends = Vec::new();
-        let mut decision = None;
+        collected(|sends| self.on_message_into(slot, from, msg, suspects, sends))
+    }
+
+    /// Routes one incoming slot-scoped message. Traffic for a settled
+    /// slot is dropped; traffic for the open tail steps its core,
+    /// writing the sends into `sends` and returning the decision if the
+    /// step decided; everything else is buffered until
+    /// [`SlotDriver::open`] replays it.
+    pub fn on_message_into(
+        &mut self,
+        slot: u64,
+        from: ProcessId,
+        msg: &C::Msg,
+        suspects: ProcessSet,
+        sends: &mut impl Extend<SlotSend<C::Msg>>,
+    ) -> Option<C::Val> {
         if self.is_open(slot) {
-            decision = self.step(Some((from, msg)), suspects, &mut sends);
-        } else if slot >= self.tail {
+            return self.step(Some((from, msg)), suspects, sends);
+        }
+        if slot >= self.tail {
             self.early.push((slot, from, msg.clone()));
         }
-        (sends, decision)
+        None
+    }
+
+    /// [`SlotDriver::tick_into`], collected into a fresh `Vec`.
+    pub fn tick(&mut self, suspects: ProcessSet) -> (Vec<SlotSend<C::Msg>>, Option<C::Val>) {
+        collected(|sends| self.tick_into(suspects, sends))
     }
 
     /// λ-steps the open slot with the current detector value, so
     /// suspicion-driven progress (round advancement past a suspected
-    /// coordinator) happens between messages. Returns the produced sends
-    /// and the decision, if the step decided.
-    pub fn tick(&mut self, suspects: ProcessSet) -> (Vec<SlotSend<C::Msg>>, Option<C::Val>) {
-        let mut sends = Vec::new();
-        let decision = self.step(None, suspects, &mut sends);
-        (sends, decision)
+    /// coordinator) happens between messages. Writes the produced sends
+    /// into `sends` and returns the decision, if the step decided.
+    pub fn tick_into(
+        &mut self,
+        suspects: ProcessSet,
+        sends: &mut impl Extend<SlotSend<C::Msg>>,
+    ) -> Option<C::Val> {
+        self.step(None, suspects, sends)
     }
 
     /// Records a decision learned out of band (decision relay, state
-    /// transfer), dropping the live core and any buffered traffic up to
-    /// and including `slot`. No-op if the slot is already settled: a
-    /// decision is never overwritten.
+    /// transfer), retiring the live core and dropping any buffered
+    /// traffic up to and including `slot`. No-op if the slot is already
+    /// settled: a decision is never overwritten.
     pub fn resolve(&mut self, slot: u64, value: C::Val) {
         if slot >= self.tail {
             self.settle(slot.saturating_add(1), Some(value));
@@ -270,17 +322,37 @@ impl<C: ConsensusCore> SlotDriver<C> {
         &mut self,
         input: Option<(ProcessId, &C::Msg)>,
         suspects: ProcessSet,
-        sends: &mut Vec<SlotSend<C::Msg>>,
+        sends: &mut impl Extend<SlotSend<C::Msg>>,
     ) -> Option<C::Val> {
-        let core = self.core.as_mut()?;
-        let mut out = Outbox::new(self.me, self.n);
-        let decided = core.step(input, suspects, &mut out);
-        let slot = self.tail;
-        sends.extend(out.drain().into_iter().map(|(to, msg)| (to, slot, msg)));
-        if let Some(v) = &decided {
-            self.settle(slot.saturating_add(1), Some(v.clone()));
-        }
-        decided
+        let decided = self
+            .harvest(true, sends, |core, out| core.step(input, suspects, out))
+            .flatten()?;
+        self.settle(self.tail.saturating_add(1), Some(decided.clone()));
+        Some(decided)
+    }
+
+    /// Runs `call` on the live core with the reused outbox and moves what
+    /// it queued into `sends`, tagged with the tail slot — self-addressed
+    /// messages only if `to_self`. `None` if no slot is open.
+    fn harvest<R>(
+        &mut self,
+        to_self: bool,
+        sends: &mut impl Extend<SlotSend<C::Msg>>,
+        call: impl FnOnce(&mut C, &mut Outbox<C::Msg>) -> R,
+    ) -> Option<R> {
+        let core = self.core.as_mut().filter(|_| self.live)?;
+        let mut out = Outbox::reuse(self.me, self.n, std::mem::take(&mut self.outbox));
+        let result = call(core, &mut out);
+        let (me, slot) = (self.me, self.tail);
+        let mut queued = out.drain();
+        sends.extend(
+            queued
+                .drain(..)
+                .filter(|(to, _)| to_self || *to != me)
+                .map(|(to, msg)| (to, slot, msg)),
+        );
+        self.outbox = queued;
+        Some(result)
     }
 }
 
@@ -558,6 +630,81 @@ mod tests {
             n - 1,
             "the unresolved Propose(0) goes back out to every peer: {retx:?}"
         );
+    }
+
+    /// `open` renews the retired core instead of building one, so a
+    /// renewed core must be a new one in every respect: same sends, same
+    /// decision, same state (`Hash` covers all of it) at every step.
+    #[test]
+    fn a_renewed_core_is_indistinguishable_from_a_fresh_one() {
+        use std::hash::{Hash, Hasher};
+        type Core = RotatingConsensus<u64>;
+        fn fingerprint(core: &Core) -> u64 {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            core.hash(&mut hasher);
+            hasher.finish()
+        }
+        fn step(
+            core: &mut Core,
+            input: Option<(ProcessId, &RotatingMsg<u64>)>,
+            suspects: ProcessSet,
+        ) -> (Vec<(ProcessId, RotatingMsg<u64>)>, Option<u64>) {
+            let mut out = Outbox::new(p(1), 3);
+            let decided = core.step(input, suspects, &mut out);
+            (out.drain(), decided)
+        }
+        // p1 of 3 coordinates round 1. Drive it through an instance that
+        // fills both round lists — a proposal buffered for a later
+        // round, a coordinated round with estimates and acks — and then
+        // decides.
+        let mut used = Core::new(p(1), 3, 5);
+        let history = [
+            (p(2), RotatingMsg::Propose { r: 2, v: 8 }),
+            (p(0), RotatingMsg::Estimate { r: 1, ts: 0, v: 3 }),
+            (p(2), RotatingMsg::Estimate { r: 1, ts: 1, v: 4 }),
+            (p(0), RotatingMsg::Ack { r: 1 }),
+            (p(0), RotatingMsg::Decide(4)),
+        ];
+        for (from, msg) in &history {
+            step(&mut used, Some((*from, msg)), ProcessSet::empty());
+        }
+        assert_eq!(used.decision(), Some(&4));
+
+        used.renew(p(1), 3, 9);
+        let mut fresh = Core::new(p(1), 3, 9);
+        assert_eq!(fingerprint(&used), fingerprint(&fresh));
+        // The same inputs from here on: a suspicion-driven round change,
+        // then a full round 1 that p1 coordinates and decides.
+        let nobody = ProcessSet::empty();
+        let script = [
+            (None, ProcessSet::singleton(p(0))),
+            (
+                Some((p(1), RotatingMsg::Estimate { r: 1, ts: 0, v: 9 })),
+                nobody,
+            ),
+            (
+                Some((p(2), RotatingMsg::Estimate { r: 1, ts: 0, v: 6 })),
+                nobody,
+            ),
+            (Some((p(1), RotatingMsg::Propose { r: 1, v: 6 })), nobody),
+            (Some((p(1), RotatingMsg::Ack { r: 1 })), nobody),
+            (Some((p(2), RotatingMsg::Ack { r: 1 })), nobody),
+            (Some((p(1), RotatingMsg::Decide(6))), nobody),
+        ];
+        let mut decided = None;
+        for (input, suspects) in &script {
+            let input = input.as_ref().map(|(from, msg)| (*from, msg));
+            let a = step(&mut used, input, *suspects);
+            let b = step(&mut fresh, input, *suspects);
+            assert_eq!(a, b);
+            assert_eq!(fingerprint(&used), fingerprint(&fresh));
+            decided = decided.or(a.1);
+            let mut retx = (Outbox::new(p(1), 3), Outbox::new(p(1), 3));
+            used.retransmit(&mut retx.0);
+            fresh.retransmit(&mut retx.1);
+            assert_eq!(retx.0.drain(), retx.1.drain());
+        }
+        assert_eq!((decided, used.decision()), (Some(6), Some(&6)));
     }
 
     #[test]

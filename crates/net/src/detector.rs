@@ -2,11 +2,12 @@
 //! peer, a suspect-set view, and a transport-driven node loop.
 
 use crate::clock::{Clock, Nanos};
-use crate::codec::{encode_into, for_each_frame, Heartbeat, WireMsg, WireView};
+use crate::codec::{encode_batch_into, encode_into, for_each_frame, Heartbeat, WireMsg, WireView};
 use crate::estimator::ArrivalEstimator;
 use crate::transport::{Datagram, Transport};
 use bytes::{Bytes, BytesMut};
 use rfd_core::{ProcessId, ProcessSet};
+use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 /// Per-node heartbeat detector: monitors every peer with its own clone
@@ -125,13 +126,51 @@ impl<E: ArrivalEstimator + Clone> HeartbeatDetector<E> {
     }
 }
 
-/// Reclaims a recycled send buffer: succeeds allocation-free when the
-/// transport has dropped every clone of the previous payload, falls back
-/// to a fresh buffer otherwise.
-pub(crate) fn reclaim(slot: &mut Option<Bytes>) -> BytesMut {
-    slot.take()
-        .and_then(|b| b.try_into_mut().ok())
-        .unwrap_or_default()
+/// How many buffers a [`SendRing`] keeps at most.
+const SEND_RING_CAP: usize = 64;
+
+/// Recycled send buffers, one ring per sending node: a payload is
+/// encoded into the ring's oldest buffer once the transport has
+/// dropped every clone of what it last carried (the
+/// `freeze`/`try_into_mut` cycle), so a warmed sender encodes without
+/// allocating. The ring grows by one buffer only when its oldest is
+/// still in flight — its length is the sender's in-flight high-water
+/// mark — up to [`SEND_RING_CAP`]; past that the oldest is left to its
+/// receivers and replaced.
+#[derive(Debug, Default)]
+pub(crate) struct SendRing {
+    /// Oldest first; each holds the ring's own handle to a payload.
+    buffers: VecDeque<Bytes>,
+}
+
+impl SendRing {
+    /// `msg`, encoded into a recycled buffer.
+    pub(crate) fn encode(&mut self, msg: &WireMsg) -> Bytes {
+        self.fill(|buf| encode_into(msg, buf))
+    }
+
+    /// A [`Batch`](WireMsg::Batch) of `frames`, encoded into a recycled
+    /// buffer ([`encode_batch_into`]).
+    pub(crate) fn encode_batch(&mut self, frames: &[WireMsg]) -> Bytes {
+        self.fill(|buf| encode_batch_into(frames, buf))
+    }
+
+    fn fill(&mut self, write: impl FnOnce(&mut BytesMut)) -> Bytes {
+        let mut buf = match self.buffers.pop_front().map(Bytes::try_into_mut) {
+            Some(Ok(free)) => free,
+            Some(Err(in_flight)) => {
+                if self.buffers.len() + 1 < SEND_RING_CAP {
+                    self.buffers.push_front(in_flight);
+                }
+                BytesMut::new()
+            }
+            None => BytesMut::new(),
+        };
+        write(&mut buf);
+        let payload = buf.freeze();
+        self.buffers.push_back(payload.clone());
+        payload
+    }
 }
 
 /// A complete failure-detector node: emits heartbeats on a period and
@@ -139,12 +178,12 @@ pub(crate) fn reclaim(slot: &mut Option<Bytes>) -> BytesMut {
 ///
 /// The node loop is allocation-free in steady state: datagrams drain
 /// through a reusable receive buffer, frames decode through the
-/// borrowed-view codec, and the heartbeat payload recycles one buffer
-/// through the `freeze`/`try_into_mut` cycle. A detector-only node owes
-/// each peer exactly one frame per period, so there is nothing to
-/// coalesce on the send side; [`Batch`](WireMsg::Batch) datagrams from
-/// richer peers (e.g. the membership layer) are unpacked by the shared
-/// receive loop, so their heartbeats are observed like any other.
+/// borrowed-view codec, and the heartbeat payload is encoded into a
+/// recycled send buffer. A detector-only node owes each peer exactly one
+/// frame per period, so there is nothing to coalesce on the send side;
+/// [`Batch`](WireMsg::Batch) datagrams from richer peers (e.g. the
+/// membership layer) are unpacked by the shared receive loop, so their
+/// heartbeats are observed like any other.
 #[derive(Debug)]
 pub struct DetectorNode<E, T, C> {
     detector: HeartbeatDetector<E>,
@@ -156,9 +195,8 @@ pub struct DetectorNode<E, T, C> {
     n: usize,
     /// Reusable receive buffer for [`Transport::recv_batch`].
     rx_buf: Vec<Datagram>,
-    /// The heartbeat payload of the previous period, reclaimed and
-    /// refilled each period once the network has dropped its clones.
-    scratch: Option<Bytes>,
+    /// Recycled heartbeat payloads.
+    tx: SendRing,
     /// Datagrams dropped because they failed to decode or carried an
     /// out-of-range sender index.
     malformed_frames: u64,
@@ -188,7 +226,7 @@ where
             seq: 0,
             n,
             rx_buf: Vec::new(),
-            scratch: None,
+            tx: SendRing::default(),
             malformed_frames: 0,
         }
     }
@@ -235,15 +273,12 @@ where
                 sent_at: now,
             });
             self.seq += 1;
-            let mut buf = reclaim(&mut self.scratch);
-            encode_into(&hb, &mut buf);
-            let payload = buf.freeze();
+            let payload = self.tx.encode(&hb);
             for to in ProcessSet::full(self.n) {
                 if to != self.transport.me() {
                     self.transport.send(to, payload.clone());
                 }
             }
-            self.scratch = Some(payload);
             self.next_beat = now.saturating_add(self.period);
         }
         self.detector.suspects(now)
@@ -266,6 +301,40 @@ mod tests {
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    #[test]
+    fn send_ring_reuses_free_buffers_and_grows_only_while_the_oldest_is_in_flight() {
+        let hb = |seq| {
+            WireMsg::Heartbeat(Heartbeat {
+                sender: 1,
+                seq,
+                sent_at: Nanos::ZERO,
+            })
+        };
+        let mut ring = SendRing::default();
+        // Each payload delivered (dropped) before the next send: one
+        // buffer serves them all.
+        for seq in 0..10 {
+            drop(ring.encode(&hb(seq)));
+        }
+        assert_eq!(ring.buffers.len(), 1);
+        // Payloads still in flight are never overwritten: the ring grows
+        // instead, up to its cap, past which it hands them off.
+        let in_flight: Vec<_> = (0..100).map(|seq| ring.encode(&hb(seq))).collect();
+        assert_eq!(ring.buffers.len(), SEND_RING_CAP);
+        for (seq, payload) in (0..).zip(&in_flight) {
+            assert_eq!(crate::codec::decode(payload), Ok(hb(seq)));
+        }
+        drop(in_flight);
+        for seq in 0..200 {
+            drop(ring.encode(&hb(seq)));
+        }
+        assert_eq!(
+            ring.buffers.len(),
+            SEND_RING_CAP,
+            "a delivered ring recycles"
+        );
     }
 
     #[test]

@@ -35,10 +35,10 @@
 
 use crate::clock::{Clock, Nanos};
 use crate::codec::{
-    encode, encode_batch_into, encode_into, for_each_frame, members_to_set, set_to_members,
-    Heartbeat, ViewChange, WireMsg, WireView,
+    encode, for_each_frame, members_to_set, set_to_members, Heartbeat, ViewChange, WireMsg,
+    WireView,
 };
-use crate::detector::{reclaim, HeartbeatDetector};
+use crate::detector::{HeartbeatDetector, SendRing};
 use crate::estimator::ArrivalEstimator;
 use crate::online::{membership_fleet, OnlineScenario};
 use crate::transport::{Datagram, Transport};
@@ -79,12 +79,10 @@ pub struct MembershipNode<E, T, C> {
     heal_merge: bool,
     /// Reusable receive buffer for [`Transport::recv_batch`].
     rx_buf: Vec<Datagram>,
-    /// Recycled send payloads (previous period's buffers, reclaimed via
-    /// `try_into_mut` once the transport has let go of its clones).
-    hb_scratch: Option<Bytes>,
-    vc_scratch: Option<Bytes>,
-    batch_buf: Option<Bytes>,
-    /// Reusable frame list for [`encode_batch_into`].
+    /// Recycled send payloads: heartbeats, view announcements and the
+    /// batches coalescing them.
+    tx: SendRing,
+    /// Reusable frame list for [`SendRing::encode_batch`].
     batch_scratch: Vec<WireMsg>,
     /// Datagrams/frames dropped because they failed to decode or
     /// carried an out-of-range sender index.
@@ -117,9 +115,7 @@ where
             views_installed: 0,
             heal_merge: false,
             rx_buf: Vec::new(),
-            hb_scratch: None,
-            vc_scratch: None,
-            batch_buf: None,
+            tx: SendRing::default(),
             batch_scratch: Vec::new(),
             malformed_frames: 0,
         }
@@ -372,16 +368,12 @@ where
                 // Coalesced: one [heartbeat, view change] batch per
                 // member, the view change alone to non-members — one
                 // datagram per destination either way.
-                let mut vc_buf = reclaim(&mut self.vc_scratch);
-                encode_into(&vc, &mut vc_buf);
-                let vc_only = vc_buf.freeze();
+                let vc_only = self.tx.encode(&vc);
                 let mut frames = std::mem::take(&mut self.batch_scratch);
                 frames.clear();
                 frames.push(hb);
                 frames.push(vc);
-                let mut both_buf = reclaim(&mut self.batch_buf);
-                encode_batch_into(&frames, &mut both_buf);
-                let both = both_buf.freeze();
+                let both = self.tx.encode_batch(&frames);
                 self.batch_scratch = frames;
                 for to in ProcessSet::full(self.n) {
                     if to == self.transport.me() {
@@ -393,14 +385,9 @@ where
                         self.transport.send(to, vc_only.clone());
                     }
                 }
-                self.batch_buf = Some(both);
-                self.vc_scratch = Some(vc_only);
             } else {
-                let mut hb_buf = reclaim(&mut self.hb_scratch);
-                encode_into(&hb, &mut hb_buf);
-                let hb_payload = hb_buf.freeze();
+                let hb_payload = self.tx.encode(&hb);
                 self.fan_out(hb_targets, &hb_payload);
-                self.hb_scratch = Some(hb_payload);
             }
             self.next_beat = now.saturating_add(self.period);
         }

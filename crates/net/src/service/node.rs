@@ -6,8 +6,9 @@ use super::log::{Decision, ReplicatedLog, Snapshot, ViewStamp};
 use super::retry::{RetryPlane, Timeouts};
 use crate::clock::{Clock, Nanos};
 use crate::codec::{
-    encode, for_each_frame, set_to_members, Command, ConsensusFrame, DecidedMsg, WireMsg, WireView,
+    for_each_frame, set_to_members, Command, ConsensusFrame, DecidedMsg, WireMsg, WireView,
 };
+use crate::detector::SendRing;
 use crate::estimator::ArrivalEstimator;
 use crate::membership::{MembershipNode, View};
 use crate::transport::{Datagram, Transport};
@@ -155,16 +156,22 @@ impl CompactionPolicy {
 /// were decided in. A pending command is re-gossiped only on evidence
 /// that a peer lacks it (a stalled log, or a local proposal outvoted).
 /// Drive the node by calling
-/// [`DecisionService::poll`] once per tick —
-/// [`crate::service::ServiceRunner`] does exactly that under a fault
-/// schedule.
+/// [`DecisionService::poll_into`] (or [`DecisionService::poll`]) once
+/// per tick — [`crate::service::ServiceRunner`] does exactly that under
+/// a fault schedule.
 ///
 /// The receive path is zero-copy: datagrams drain in one batch into a
-/// reusable buffer and route through the borrowed-view codec, so the
-/// steady-state tick of an idle or heartbeat-only fleet allocates
-/// nothing. [`Batch`](WireMsg::Batch) datagrams (e.g. a coordinator's
-/// coalesced heartbeat + view announcement) are unpacked by the shared
-/// receive loop and each sub-frame routed as if it had arrived alone.
+/// reusable buffer and route through the borrowed-view codec.
+/// [`Batch`](WireMsg::Batch) datagrams (e.g. a coordinator's coalesced
+/// heartbeat + view announcement) are unpacked by the shared receive
+/// loop and each sub-frame routed as if it had arrived alone. The
+/// deciding path reuses what it touches: the slot driver steps into the
+/// node's send queue and renews its retired consensus core, consensus
+/// frames, decision announcements and command gossip are encoded into a
+/// ring of recycled transmit buffers, and events go into the caller's
+/// buffer. So a warmed fleet's tick allocates nothing that it could
+/// reuse — idle, heartbeating or deciding; what is left per decision is
+/// the log's and the command sets' own growth.
 #[derive(Debug)]
 pub struct DecisionService<E, T, C> {
     n: usize,
@@ -233,6 +240,10 @@ pub struct DecisionService<E, T, C> {
     /// Reusable entry list for copying a borrowed sync-reply view out of
     /// its datagram before the merge (which needs a contiguous slice).
     sync_scratch: Vec<(u64, u64, u128)>,
+    /// Recycled transmit buffers for consensus frames, decision
+    /// announcements and command gossip. (State-transfer frames are
+    /// cold and can be large; they take a plain encode.)
+    tx: SendRing,
     /// Datagrams dropped because they failed to decode. Undecodable
     /// bytes never touch any protocol layer — the service's graceful
     /// drop-and-count posture toward arbitrary wire input.
@@ -276,6 +287,7 @@ where
             consensus_in: Vec::new(),
             sends: VecDeque::new(),
             sync_scratch: Vec::new(),
+            tx: SendRing::default(),
             malformed_frames: 0,
         }
     }
@@ -454,11 +466,11 @@ where
     /// log, so a deciding node proposes the next command in the same
     /// poll — and, once per heartbeat period, re-gossip pending commands
     /// if there is evidence a peer lacks one, push to laggards and
-    /// compact. Returns the tick's events.
-    pub fn poll(&mut self) -> Vec<ServiceOutput> {
-        let mut events = Vec::new();
+    /// compact. Appends the tick's events to `events`, which a caller
+    /// polling every tick reuses.
+    pub fn poll_into(&mut self, events: &mut Vec<ServiceOutput>) {
         if self.is_halted() {
-            return events;
+            return;
         }
         let now = self.clock.now();
         let mut consensus_in = std::mem::take(&mut self.consensus_in);
@@ -466,7 +478,7 @@ where
         let mut rx = std::mem::take(&mut self.rx_buf);
         self.membership.transport().recv_batch(&mut rx);
         self.malformed_frames += for_each_frame(&mut rx, |from, delivered_at, frame| {
-            self.route_frame(from, delivered_at, frame, &mut consensus_in, &mut events)
+            self.route_frame(from, delivered_at, frame, &mut consensus_in, events)
         });
         self.rx_buf = rx;
         // A node the drain halted does nothing here, and never polls
@@ -474,7 +486,7 @@ where
         self.membership.tick();
         if self.membership.is_halted() {
             self.consensus_in = consensus_in;
-            return events;
+            return;
         }
         let view = self.membership.view();
         if view != self.last_view {
@@ -504,7 +516,8 @@ where
                 self.malformed_frames += 1;
                 continue;
             }
-            sends.extend(self.driver.on_message(slot, from, &msg, suspects).0);
+            self.driver
+                .on_message_into(slot, from, &msg, suspects, &mut sends);
         }
         self.consensus_in = consensus_in;
         // Open the tail slot, step, flush, commit — and go round again
@@ -517,22 +530,22 @@ where
             if self.driver.tail() == next && !self.driver.is_open(next) {
                 if let Some(&cmd) = self.pool.iter().next() {
                     self.proposed = Some((next, cmd));
-                    sends.extend(self.driver.open(next, cmd, suspects).0);
+                    self.driver.open_into(next, cmd, suspects, &mut sends);
                 }
             }
-            sends.extend(self.driver.tick(suspects).0);
+            self.driver.tick_into(suspects, &mut sends);
             self.flush_consensus(&mut sends, suspects);
             if let Some(&value) = self.driver.decision(next) {
-                self.apply_at_tail(value, self.stamp(), &mut events);
-                self.commit_ready(&mut events);
+                self.apply_at_tail(value, self.stamp(), events);
+                self.commit_ready(events);
             }
             if self.log.len() == next {
                 break;
             }
         }
-        self.sends = sends;
         let timeouts = self.timeouts(now);
-        self.run_retransmission(now, timeouts);
+        self.run_retransmission(now, timeouts, &mut sends);
+        self.sends = sends;
         if now >= self.next_gossip {
             self.next_gossip = now.saturating_add(self.period);
             // Anti-entropy only on evidence that a peer lacks a pending
@@ -559,9 +572,15 @@ where
             }
             self.gossip_tail = self.log.len();
             self.outvoted = false;
-            self.push_to_laggards(now, timeouts, &mut events);
+            self.push_to_laggards(now, timeouts, events);
             self.maybe_compact();
         }
+    }
+
+    /// [`DecisionService::poll_into`], collected into a fresh `Vec`.
+    pub fn poll(&mut self) -> Vec<ServiceOutput> {
+        let mut events = Vec::new();
+        self.poll_into(&mut events);
         events
     }
 
@@ -600,20 +619,29 @@ where
     /// Intervals back off exponentially up to the cap; attempts never
     /// stop — liveness under arbitrary loss needs unbounded retries.
     ///
-    /// The no-retry fast path (no open slot, or one making progress)
-    /// allocates nothing.
-    fn run_retransmission(&mut self, now: Nanos, timeouts: Timeouts) {
+    /// The re-sends go out through `sends`, the poll's (drained) send
+    /// queue, and the transmit ring like every other consensus frame;
+    /// the no-retry fast path (no open slot, or one making progress)
+    /// touches neither.
+    fn run_retransmission(
+        &mut self,
+        now: Nanos,
+        timeouts: Timeouts,
+        sends: &mut VecDeque<SlotSend<RotatingMsg<u64>>>,
+    ) {
         // One slot timer, because the driver holds one instance.
         let tail = self.driver.tail();
         let open = self.driver.is_open(tail).then_some(tail);
         if let Some((slot, attempts)) = open.zip(self.retry.slot_due(now, timeouts, open)) {
-            let mut resent = 0u64;
-            for (to, slot, msg) in self.driver.retransmit(slot) {
-                self.send_raw(
+            self.driver.retransmit_into(slot, sends);
+            let mut resent = sends.len() as u64;
+            let mut last = None;
+            for (to, slot, msg) in sends.drain(..) {
+                self.send_consensus(
                     to,
-                    encode(&WireMsg::Consensus(ConsensusFrame { slot, msg })),
+                    WireMsg::Consensus(ConsensusFrame { slot, msg }),
+                    &mut last,
                 );
-                resent += 1;
             }
             // Tail probe: if the group decided this slot without us
             // hearing, one peer's suffix reply revives us.
@@ -653,17 +681,37 @@ where
         suspects: ProcessSet,
     ) {
         let me = self.me();
+        let mut last = None;
         while let Some((to, slot, msg)) = sends.pop_front() {
             if to == me {
-                sends.extend(self.driver.on_message(slot, me, &msg, suspects).0);
+                self.driver.on_message_into(slot, me, &msg, suspects, sends);
             } else if !matches!(msg, RotatingMsg::Decide(_)) {
                 self.retry.touch();
-                self.send_raw(
+                self.send_consensus(
                     to,
-                    encode(&WireMsg::Consensus(ConsensusFrame { slot, msg })),
+                    WireMsg::Consensus(ConsensusFrame { slot, msg }),
+                    &mut last,
                 );
             }
         }
+    }
+
+    /// Sends one consensus frame to peer `to`. A core's broadcast queues
+    /// the same frame once per process, so a run of equal frames is
+    /// encoded once, into the transmit ring, and its payload cloned per
+    /// peer: `last` is the run's frame and payload.
+    fn send_consensus(
+        &mut self,
+        to: ProcessId,
+        frame: WireMsg,
+        last: &mut Option<(WireMsg, Bytes)>,
+    ) {
+        let payload = match last.take() {
+            Some((sent, payload)) if sent == frame => payload,
+            _ => self.tx.encode(&frame),
+        };
+        self.send_raw(to, payload.clone());
+        *last = Some((frame, payload));
     }
 
     /// Buffers an ahead-of-tail decision, inside the bounded window.
@@ -772,8 +820,8 @@ where
         self.membership.transport().send(to, payload);
     }
 
-    fn broadcast(&self, msg: &WireMsg) {
-        let payload = encode(msg);
+    fn broadcast(&mut self, msg: &WireMsg) {
+        let payload = self.tx.encode(msg);
         for to in ProcessSet::full(self.n) {
             if to != self.me() {
                 self.send_raw(to, payload.clone());

@@ -283,6 +283,9 @@ where
     /// Resolved into a rejoin latency once every live node has caught
     /// up to that length.
     heal_pending: Option<(Nanos, u64)>,
+    /// The buffer every node's poll writes its events into, drained
+    /// after each poll ([`DecisionService::poll_into`]).
+    outputs: Vec<ServiceOutput>,
 }
 
 impl<E: ArrivalEstimator + Clone> ServiceRunner<E> {
@@ -347,6 +350,7 @@ where
             watcher: MembershipWatcher::new(n),
             decisions: Vec::new(),
             heal_pending: None,
+            outputs: Vec::new(),
         }
     }
 
@@ -405,7 +409,8 @@ where
                 }
             }
             for (me, node) in tick.up_nodes() {
-                for output in node.poll() {
+                node.poll_into(&mut self.outputs);
+                for output in self.outputs.drain(..) {
                     match output {
                         ServiceOutput::Decided(decision) => {
                             self.decisions.push((now, me, decision));

@@ -6,7 +6,9 @@
 //! cycles allocate **nothing**. These tests pin the allocation-free
 //! contract of the zero-copy codec (`encode_into` + `decode_borrowed`),
 //! the `freeze`/`try_into_mut` buffer-recycling cycle, the detector
-//! receive drain, and the membership tick over stored freshness points.
+//! receive drain, and the membership tick over stored freshness points;
+//! and they bound the deciding tick, whose only allocations left are the
+//! log's and the command sets' own growth.
 //!
 //! The counter is thread-local (const-initialized, so the allocator
 //! never recurses into itself), which keeps the tests immune to the
@@ -295,7 +297,64 @@ fn one_node_fleet_decides_promptly() {
         "the poll that decides a slot opens the next"
     );
     assert!(
-        allocs <= 32 * commands,
+        allocs <= 4 * commands,
         "{allocs} allocations for {commands} one-node decisions"
+    );
+}
+
+/// A warmed five-node fleet decides a backlog with a few allocations per
+/// decision, fleet-wide: the slot driver steps into each node's send
+/// queue and renews its retired core, consensus frames, announcements
+/// and gossip are encoded into recycled transmit buffers, and the events
+/// go into one reused buffer. What is left is the log's and the command
+/// sets' own growth.
+#[test]
+fn warmed_five_node_fleet_decides_with_few_allocations() {
+    let (n, batch) = (5usize, 200u64);
+    let clock = VirtualClock::new();
+    let config = NetworkConfig::reliable(Nanos::from_millis(1), Nanos::from_millis(1));
+    let net = InMemoryNetwork::new(n, config, clock.clone());
+    let mut fleet: Vec<_> = (0..n)
+        .map(|ix| {
+            DecisionService::new(
+                n,
+                ChenEstimator::new(Nanos::from_millis(150), 16, Nanos::from_millis(600)),
+                net.endpoint(p(ix)),
+                clock.clone(),
+                Nanos::from_millis(50),
+            )
+        })
+        .collect();
+    let mut events = Vec::new();
+    // Submits `values` round-robin, then polls the fleet on a 1 ms tick
+    // until every node's log holds them.
+    let mut decide = |values: std::ops::RangeInclusive<u64>| {
+        for value in values.clone() {
+            let client = usize::try_from(value).expect("small") % n;
+            assert!(fleet[client].propose(value));
+        }
+        while fleet.iter().any(|node| node.log().len() < *values.end()) {
+            for node in &mut fleet {
+                node.poll_into(&mut events);
+                events.clear();
+            }
+            clock.advance(Nanos::from_millis(1));
+        }
+    };
+    // Warm: send queues, outboxes, cores, transmit rings, inboxes and
+    // the event buffer reach their steady capacity.
+    decide(1..=batch);
+    let allocs = allocations_during(|| decide(batch + 1..=2 * batch));
+    let logs: Vec<Vec<u64>> = fleet
+        .iter()
+        .map(|node| node.log().entries().iter().map(|d| d.value).collect())
+        .collect();
+    assert!(logs.iter().all(|log| *log == logs[0]), "agreement");
+    let mut decided = logs[0].clone();
+    decided.sort_unstable();
+    assert_eq!(decided, (1..=2 * batch).collect::<Vec<_>>());
+    assert!(
+        allocs <= 4 * batch,
+        "{allocs} allocations for {batch} decisions of a {n}-node fleet"
     );
 }

@@ -4,7 +4,9 @@
 # benchmark workloads. Every run's output is appended to OUT/a.jsonl or
 # OUT/b.jsonl, and the two capture files are handed to
 # `service_e2e --compare`, whose exit status (1 on a regression) is this
-# script's.
+# script's. After the comparison it prints, per workload, the figures a
+# throughput claim is judged by: decisions_per_wall_s of every pair in
+# run order, each side's median and quartiles, and how many pairs B won.
 #
 #   scripts/bench_pairs.sh A B [--pairs 10] [--seconds 15 | --rounds R]
 #                              [--seed 1] [--out DIR]
@@ -21,7 +23,7 @@
 set -euo pipefail
 
 usage() {
-  sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
 }
 
@@ -60,4 +62,59 @@ for workload in steady_n5 steady_n16 backlog_n5 lossy_n5 churn_n5; do
 done
 
 echo "captures: $out/a.jsonl $out/b.jsonl" >&2
-"$b" --compare "$out/a.jsonl" "$out/b.jsonl"
+status=0
+"$b" --compare "$out/a.jsonl" "$out/b.jsonl" || status=$?
+
+# The claim rule's figures. Pair k of a workload is the k-th run of it
+# in each capture file; quartiles interpolate linearly between order
+# statistics; a tie is a win for neither side.
+awk '
+  function sort(v, n,   i, j, t) {
+    for (i = 2; i <= n; i++) {
+      t = v[i]
+      for (j = i - 1; j > 0 && v[j] > t; j--) v[j + 1] = v[j]
+      v[j + 1] = t
+    }
+  }
+  function quantile(v, n, p,   h, l) {
+    h = (n - 1) * p + 1
+    l = int(h)
+    return l >= n ? v[n] : v[l] + (h - l) * (v[l + 1] - v[l])
+  }
+  function summary(v, n) {
+    sort(v, n)
+    return sprintf("median %.0f [q1 %.0f, q3 %.0f]", quantile(v, n, 0.5),
+      quantile(v, n, 0.25), quantile(v, n, 0.75))
+  }
+  FNR == 1 { side++ }
+  /"metric":"decisions_per_wall_s"/ {
+    match($0, /"workload":"[^"]*"/)
+    w = substr($0, RSTART + 12, RLENGTH - 13)
+    match($0, /"value":[^,}]*/)
+    if (!((1, w) in runs || (2, w) in runs)) order[++workloads] = w
+    runs[side, w]++
+    value[side, w, runs[side, w]] = substr($0, RSTART + 8, RLENGTH - 8) + 0
+  }
+  END {
+    print "decisions_per_wall_s by pair, A -> B in run order"
+    for (i = 1; i <= workloads; i++) {
+      w = order[i]
+      pairs = runs[1, w] < runs[2, w] ? runs[1, w] : runs[2, w]
+      split("", a)
+      split("", b)
+      line = ""
+      wins = 0
+      for (k = 1; k <= pairs; k++) {
+        a[k] = value[1, w, k]
+        b[k] = value[2, w, k]
+        wins += (b[k] > a[k])
+        line = line sprintf("%s%.0f -> %.0f", k > 1 ? ", " : "", a[k], b[k])
+      }
+      if (pairs == 0) continue
+      printf "%-10s  %s\n", w, line
+      printf "%-10s  A %s  B %s  B wins %d/%d\n", w, summary(a, pairs),
+        summary(b, pairs), wins, pairs
+    }
+  }
+' "$out/a.jsonl" "$out/b.jsonl"
+exit "$status"
