@@ -26,8 +26,8 @@
 //! | E16 | §2           | the long-horizon lossy soak: the retransmission plane under datagram loss |
 //!
 //! Run `cargo run -p rfd-bench --bin experiments` for the full suite, or
-//! `--bin experiments -- E7` for one experiment. Criterion
-//! microbenchmarks live in `benches/microbench.rs`.
+//! `--bin experiments -- E7` for one experiment. The runtime's cost is
+//! measured by the `service_e2e` benchmark (`src/bin/service_e2e/`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

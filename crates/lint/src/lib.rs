@@ -15,8 +15,7 @@
 //!
 //! * [`RULE_DETERMINISM`] — forbids `HashMap`/`HashSet`, wall-clock
 //!   reads, real sleeps and entropy-seeded RNGs outside the allowlist
-//!   (`clock.rs`, `transport/udp.rs`, `crates/bench`,
-//!   `vendor/criterion`).
+//!   (`clock.rs`, `transport/udp.rs`, `crates/bench`).
 //! * [`RULE_WIRE_SAFETY`] — forbids `.unwrap()`, `.expect(`, `panic!`,
 //!   unchecked slice indexing and unchecked `ProcessId::new` in
 //!   datagram-facing modules of `crates/net`.
@@ -94,7 +93,7 @@ pub struct Context {
 /// the wall clock and the sockets, plus benchmark code.
 const DETERMINISM_ALLOWLIST_FILES: &[&str] =
     &["crates/net/src/clock.rs", "crates/net/src/transport/udp.rs"];
-const DETERMINISM_ALLOWLIST_PREFIXES: &[&str] = &["crates/bench/", "vendor/criterion/"];
+const DETERMINISM_ALLOWLIST_PREFIXES: &[&str] = &["crates/bench/"];
 
 /// Datagram-facing modules: everything that parses or routes bytes an
 /// arbitrary peer controls.

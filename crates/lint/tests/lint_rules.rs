@@ -20,23 +20,28 @@ fn fixture(name: &str) -> String {
 
 #[test]
 fn determinism_fixture_is_flagged_per_pattern() {
-    let violations = lint_source("crates/sim/src/fixture.rs", &fixture("determinism_bad.rs"));
-    assert!(violations.iter().all(|v| v.rule == RULE_DETERMINISM));
-    for pattern in [
-        "HashMap",
-        "HashSet",
-        "Instant::now",
-        "SystemTime::now",
-        "thread::sleep",
-        "thread_rng",
-        "from_entropy",
-    ] {
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.message.contains(&format!("`{pattern}`"))),
-            "pattern {pattern} not flagged: {violations:?}"
-        );
+    let bad = fixture("determinism_bad.rs");
+    // Vendored shims are linted like first-party code: a leak in one
+    // voids the experiment tables just the same.
+    for path in ["crates/sim/src/fixture.rs", "vendor/rand/src/fixture.rs"] {
+        let violations = lint_source(path, &bad);
+        assert!(violations.iter().all(|v| v.rule == RULE_DETERMINISM));
+        for pattern in [
+            "HashMap",
+            "HashSet",
+            "Instant::now",
+            "SystemTime::now",
+            "thread::sleep",
+            "thread_rng",
+            "from_entropy",
+        ] {
+            assert!(
+                violations
+                    .iter()
+                    .any(|v| v.message.contains(&format!("`{pattern}`"))),
+                "pattern {pattern} not flagged at {path}: {violations:?}"
+            );
+        }
     }
 }
 
@@ -47,7 +52,6 @@ fn determinism_fixture_passes_on_allowlisted_paths() {
         "crates/net/src/clock.rs",
         "crates/net/src/transport/udp.rs",
         "crates/bench/src/fixture.rs",
-        "vendor/criterion/src/fixture.rs",
     ] {
         let violations: Vec<_> = lint_source(allowlisted, &bad)
             .into_iter()

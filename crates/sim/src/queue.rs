@@ -125,8 +125,8 @@ impl<M> std::fmt::Debug for EventQueue<M> {
 /// `due <= now`.
 ///
 /// Kept as the single canonical baseline that the property tests
-/// (`tests/prop_queue.rs`) and the `event_queue_drain` microbenchmark
-/// pin [`EventQueue`] against; not part of the supported API.
+/// (`tests/prop_queue.rs`) pin [`EventQueue`] against; not part of the
+/// supported API.
 #[doc(hidden)]
 pub fn take_due_linear_reference<M>(
     inbox: &mut Vec<(Envelope<M>, Time)>,
