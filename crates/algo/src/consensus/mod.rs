@@ -211,10 +211,6 @@ impl<C: ConsensusCore> Automaton for ConsensusAutomaton<C> {
             ctx.output(v);
         }
     }
-
-    fn decision(&self) -> Option<Self::Output> {
-        self.core.decision().cloned()
-    }
 }
 
 #[cfg(test)]

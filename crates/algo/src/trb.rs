@@ -197,10 +197,6 @@ impl<V: Clone + Eq + Ord> Automaton for TrbProcess<V> {
             ctx.output(v);
         }
     }
-
-    fn decision(&self) -> Option<Self::Output> {
-        self.delivered.clone()
-    }
 }
 
 #[cfg(test)]

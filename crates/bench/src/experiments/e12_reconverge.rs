@@ -128,7 +128,6 @@ fn summarize(reports: &[MembershipChurnReport]) -> RowStats {
 fn push_row(table: &mut Table, schedule_name: &str, est: &str, s: &RowStats) {
     table.push(vec![
         schedule_name.into(),
-        "sim".into(),
         est.into(),
         format!("{}ms", s.split_brain_ms),
         match s.reconverge_ms {
@@ -149,7 +148,6 @@ pub fn run_experiment(quick: bool) -> Table {
         "E12 — partition-heal reconvergence (n=4, heal-merge membership, period 50ms)",
         &[
             "schedule",
-            "transport",
             "estimator",
             "split-brain",
             "t_reconverge",

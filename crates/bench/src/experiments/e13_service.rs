@@ -151,7 +151,6 @@ fn push_row(
 ) {
     table.push(vec![
         sched_name.into(),
-        "sim".into(),
         est.into(),
         format!("{decided}"),
         format!("{:.1}/s", decided as f64 / (duration_ms as f64 / 1_000.0)),
@@ -169,7 +168,6 @@ pub fn run_experiment(quick: bool) -> Table {
         "E13 — live decision service under churn (n=4, heal-merge membership, consensus over emulated P)",
         &[
             "schedule",
-            "transport",
             "estimator",
             "decided",
             "thrpt",

@@ -145,9 +145,8 @@ impl QosTracker {
 /// — property-tested in `tests/prop_qos.rs`.
 ///
 /// [`crate::online::OnlineRunner`] embeds one monitor per ordered
-/// observer–target pair and samples them every tick; it is the
-/// runtime-layer sibling of the simulation layer's streaming run driver
-/// (`rfd_sim::stream::StreamRun`).
+/// observer–target pair and samples them every tick, so a fleet is
+/// scored while it runs rather than after.
 #[derive(Clone, Debug)]
 pub struct QosMonitor {
     crash: Option<Nanos>,

@@ -13,6 +13,12 @@
 //! * besides state changes, a step may emit an *output event* (e.g. a
 //!   consensus decision), which the engine records in the
 //!   [`crate::trace::Trace`] along with its causal metadata.
+//!
+//! Output events and the emulated detector output
+//! ([`Automaton::emulated_suspects`]) are everything an automaton
+//! reports. A batch run returns them at the end in its
+//! [`crate::RunResult`]; a caller watching the run reads the same trace
+//! and automata after every round through [`crate::Scheduler::run_until`].
 
 use crate::message::Envelope;
 use rfd_core::{ProcessId, ProcessSet};
@@ -150,16 +156,6 @@ pub trait Automaton {
     /// expose their `output(P)` variable). The engine samples this after
     /// every step to build the emulated history.
     fn emulated_suspects(&self) -> Option<ProcessSet> {
-        None
-    }
-
-    /// The automaton's decided (or delivered) value, if the algorithm it
-    /// runs has irrevocably reached one — a consensus decision, a TRB
-    /// delivery. Unlike [`StepContext::output`] (a per-step event log),
-    /// this is sampled *state*: streaming drivers poll it after every
-    /// round and surface the `None → Some` transition as a typed
-    /// decision event ([`crate::stream::StreamEvent::Decided`]).
-    fn decision(&self) -> Option<Self::Output> {
         None
     }
 }

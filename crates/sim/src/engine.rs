@@ -10,11 +10,11 @@
 //!
 //! The round-driving loop lives in the reusable [`Scheduler`]: the
 //! one-shot [`run`] drives it to completion under the configured
-//! [`StopCondition`], while callers with bespoke early-exit predicates
-//! use [`Scheduler::run_until`] or drive [`Scheduler::step_round`]
-//! directly. Message delivery is heap-ordered per process (see
-//! [`crate::queue::EventQueue`]) rather than the former O(inbox) linear
-//! rescan per receive.
+//! [`StopCondition`], while callers that watch a run round by round, or
+//! stop it on a bespoke predicate, use [`Scheduler::run_until`] or drive
+//! [`Scheduler::step_round`] directly. Message delivery is heap-ordered
+//! per process (see [`crate::queue::EventQueue`]) rather than the former
+//! O(inbox) linear rescan per receive.
 
 use crate::automaton::{Automaton, StepContext};
 use crate::delivery::{Adversary, DeliveryModel};
@@ -121,24 +121,6 @@ pub fn ticks_for_rounds(n: usize, rounds: u64) -> Time {
     Time::new((n as u64).saturating_mul(rounds).saturating_add(1))
 }
 
-/// Metadata of one message delivery, recorded by the [`Scheduler`] when
-/// delivery logging is enabled (see [`Scheduler::set_delivery_logging`]).
-/// The payload itself stays with the receiving automaton; the log keeps
-/// only the envelope metadata a streaming observer needs.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct DeliveryRecord {
-    /// Engine-assigned message id (unique per run).
-    pub id: u64,
-    /// Sender.
-    pub from: ProcessId,
-    /// Receiver.
-    pub to: ProcessId,
-    /// Global time the message was sent.
-    pub sent_at: Time,
-    /// Global time of the receiving step.
-    pub delivered_at: Time,
-}
-
 /// The result of a completed run.
 #[derive(Debug)]
 pub struct RunResult<A: Automaton> {
@@ -155,8 +137,9 @@ pub struct RunResult<A: Automaton> {
 /// The reusable round-driving loop: owns all run state and advances it
 /// one round at a time.
 ///
-/// [`run`] is the one-shot wrapper. Driving the scheduler manually
-/// supports early-exit predicates beyond [`StopCondition`]:
+/// [`run`] is the one-shot wrapper. [`Scheduler::run_until`] adds a
+/// predicate, called after every round, that can stop the run early or
+/// just watch it (the trace so far, the automata, the time):
 ///
 /// ```
 /// use rfd_sim::{Automaton, Envelope, Scheduler, SimConfig, StepContext};
@@ -189,7 +172,6 @@ pub struct Scheduler<'a, A: Automaton> {
     trace: Trace<A::Output>,
     emulated: Option<History<ProcessSet>>,
     automata: Vec<A>,
-    delivery_log: Option<Vec<DeliveryRecord>>,
     /// Reused step-effect buffers: every [`StepContext`] borrows these
     /// instead of allocating fresh `Vec`s, so a steady-state step
     /// allocates nothing.
@@ -241,30 +223,8 @@ impl<'a, A: Automaton> Scheduler<'a, A> {
             },
             emulated: None,
             automata,
-            delivery_log: None,
             outbox_scratch: Vec::new(),
             outputs_scratch: Vec::new(),
-        }
-    }
-
-    /// Enables or disables per-delivery logging (disabled by default; the
-    /// batch path pays nothing for the streaming feature). While enabled,
-    /// every receive appends a [`DeliveryRecord`]; drain the log with
-    /// [`Scheduler::drain_delivery_log_into`].
-    pub fn set_delivery_logging(&mut self, on: bool) {
-        match (on, self.delivery_log.is_some()) {
-            (true, false) => self.delivery_log = Some(Vec::new()),
-            (false, true) => self.delivery_log = None,
-            _ => {}
-        }
-    }
-
-    /// Appends the delivery records accumulated since the last drain to
-    /// `into` and clears the log (nothing when logging is disabled), so
-    /// callers that poll every round can reuse one buffer.
-    pub fn drain_delivery_log_into(&mut self, into: &mut Vec<DeliveryRecord>) {
-        if let Some(log) = &mut self.delivery_log {
-            into.append(log);
         }
     }
 
@@ -284,24 +244,6 @@ impl<'a, A: Automaton> Scheduler<'a, A> {
     #[must_use]
     pub fn time(&self) -> Time {
         self.time
-    }
-
-    /// Rounds executed so far.
-    #[must_use]
-    pub fn rounds(&self) -> u64 {
-        self.trace.rounds
-    }
-
-    /// The failure pattern driving this run.
-    #[must_use]
-    pub fn pattern(&self) -> &FailurePattern {
-        self.pattern
-    }
-
-    /// Whether the configured [`StopCondition`] is met.
-    #[must_use]
-    pub fn stop_condition_met(&self) -> bool {
-        self.config.stop.is_met(self.pattern, &self.trace)
     }
 
     /// Executes one round (one step per alive process, in a freshly
@@ -337,15 +279,6 @@ impl<'a, A: Automaton> Scheduler<'a, A> {
         }
         if let Some(env) = &input {
             self.heard[ix] |= env.causal_past;
-            if let Some(log) = &mut self.delivery_log {
-                log.push(DeliveryRecord {
-                    id: env.id,
-                    from: env.from,
-                    to: env.to,
-                    sent_at: env.sent_at,
-                    delivered_at: self.time,
-                });
-            }
         }
         let suspects = *self.oracle.value(pid, self.time);
         let mut ctx: StepContext<A::Msg, A::Output> = StepContext::from_buffers(
@@ -408,12 +341,13 @@ impl<'a, A: Automaton> Scheduler<'a, A> {
         self.time = self.time.next();
     }
 
-    /// Drives rounds until the budget runs out, the configured
-    /// [`StopCondition`] fires, or `stop` returns `true` (checked after
-    /// each round).
+    /// Drives rounds until the budget runs out, `stop` returns `true`, or
+    /// the configured [`StopCondition`] fires. `stop` is called after
+    /// every round, the last one included, so it can also watch the run:
+    /// the trace so far, the automata and the time.
     pub fn run_until<F: FnMut(&Self) -> bool>(mut self, mut stop: F) -> RunResult<A> {
         while self.step_round() {
-            if self.stop_condition_met() || stop(&self) {
+            if stop(&self) || self.config.stop.is_met(self.pattern, &self.trace) {
                 break;
             }
         }
@@ -615,20 +549,97 @@ mod tests {
         }
     }
 
+    /// [`Gossip`] that also emulates a detector: it suspects every process
+    /// it has not heard from yet.
+    struct Unheard {
+        gossip: Gossip,
+        heard: ProcessSet,
+        n: usize,
+    }
+
+    impl Automaton for Unheard {
+        type Msg = usize;
+        type Output = usize;
+
+        fn on_step(
+            &mut self,
+            input: Option<&Envelope<usize>>,
+            ctx: &mut StepContext<usize, usize>,
+        ) {
+            self.heard.insert(ctx.me());
+            if let Some(env) = input {
+                self.heard.insert(env.from);
+            }
+            self.gossip.on_step(input, ctx);
+        }
+
+        fn emulated_suspects(&self) -> Option<ProcessSet> {
+            Some(self.heard.complement_within(self.n))
+        }
+    }
+
+    /// Watching a run through `run_until` — reading the trace and the
+    /// automata after every round — executes the same run as [`run`].
     #[test]
     fn manual_scheduler_driving_matches_run() {
         let n = 4;
-        let pattern = FailurePattern::new(n);
-        let config = SimConfig::new(21, 150);
-        let via_run = run(&pattern, &silent_history(n), gossip_automata(n), &config);
+        let pattern = FailurePattern::new(n).with_crash(ProcessId::new(3), Time::new(5));
         let silent = silent_history(n);
-        let mut s = Scheduler::new(&pattern, &silent, gossip_automata(n), &config);
-        while s.step_round() {}
-        let manual = s.finish();
-        assert_eq!(via_run.trace.steps, manual.trace.steps);
-        assert_eq!(via_run.trace.messages_sent, manual.trace.messages_sent);
-        assert_eq!(via_run.trace.events.len(), manual.trace.events.len());
-        assert_eq!(via_run.trace.end_time, manual.trace.end_time);
+        let config = SimConfig::new(21, 150).with_stop(StopCondition::EachCorrectOutput(3));
+        let automata = || -> Vec<Unheard> {
+            (0..n)
+                .map(|_| Unheard {
+                    gossip: Gossip { started: false },
+                    heard: ProcessSet::empty(),
+                    n,
+                })
+                .collect()
+        };
+        let via_run = run(&pattern, &silent, automata(), &config);
+
+        let mut seen = Vec::new();
+        let mut suspects = vec![ProcessSet::full(n); n];
+        let mut changes = 0;
+        let mut rounds_seen = 0;
+        let watched = Scheduler::new(&pattern, &silent, automata(), &config).run_until(|s| {
+            rounds_seen += 1;
+            assert_eq!(s.trace().rounds, rounds_seen, "called after every round");
+            seen.extend(s.trace().events[seen.len()..].iter().cloned());
+            for (ix, automaton) in s.automata().iter().enumerate() {
+                let now = automaton.emulated_suspects().expect("emulates");
+                changes += usize::from(now != suspects[ix]);
+                suspects[ix] = now;
+            }
+            false
+        });
+
+        let fields = |events: &[OutputEvent<usize>]| -> Vec<_> {
+            events
+                .iter()
+                .map(|e| (e.process, e.time, e.value, e.causal_past))
+                .collect()
+        };
+        let events = fields(&via_run.trace.events);
+        assert!(!events.is_empty());
+        assert_eq!(events, fields(&watched.trace.events));
+        assert_eq!(events, fields(&seen), "each output seen once, in order");
+        let emulated = via_run.emulated.expect("the automata emulate a detector");
+        assert_eq!(Some(&emulated), watched.emulated.as_ref());
+        assert!(changes >= n, "every process hears from someone");
+        let end = via_run.trace.end_time;
+        for (ix, last) in suspects.iter().enumerate() {
+            assert_eq!(emulated.value(ProcessId::new(ix), end), last);
+        }
+        assert!(via_run.trace.rounds < 150, "the stop condition ends both");
+        assert_eq!(via_run.trace.rounds, watched.trace.rounds);
+        assert_eq!(via_run.trace.rounds, rounds_seen);
+        assert_eq!(via_run.trace.end_time, watched.trace.end_time);
+        assert_eq!(via_run.trace.steps, watched.trace.steps);
+        assert_eq!(via_run.trace.messages_sent, watched.trace.messages_sent);
+        assert_eq!(
+            via_run.trace.messages_delivered,
+            watched.trace.messages_delivered
+        );
     }
 
     #[test]

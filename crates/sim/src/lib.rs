@@ -53,18 +53,14 @@ mod delivery;
 mod engine;
 mod message;
 mod queue;
-pub mod stream;
 mod trace;
 
 pub use automaton::{Automaton, StepContext};
 pub use campaign::{Campaign, RunPlan};
 pub use delivery::{Adversary, DeliveryModel};
-pub use engine::{
-    run, ticks_for_rounds, DeliveryRecord, RunResult, Scheduler, SimConfig, StopCondition,
-};
+pub use engine::{run, ticks_for_rounds, RunResult, Scheduler, SimConfig, StopCondition};
 pub use message::Envelope;
 #[doc(hidden)]
 pub use queue::take_due_linear_reference;
 pub use queue::EventQueue;
-pub use stream::{StreamEvent, StreamRun};
 pub use trace::{OutputEvent, TotalityViolation, Trace};

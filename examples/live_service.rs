@@ -1,6 +1,6 @@
 //! A live replicated-decision service, watched as it runs.
 //!
-//! Three acts tie all three execution styles to one question — "what
+//! Three acts tie both execution styles to one question — "what
 //! does the group decide, and when?":
 //!
 //! 1. **Online dashboard**: a 4-node `DecisionService` fleet (consensus
@@ -10,9 +10,9 @@
 //!    it happens.
 //! 2. **Campaign**: the same scenario fanned across seeds through
 //!    `rfd_sim::Campaign` — the summary a capacity planner would read.
-//! 3. **Stream**: the batch counterpart — the same rotating-coordinator
-//!    core in the simulator under an oracle `P`, its decisions surfaced
-//!    live by `StreamRun`'s `Decided` events.
+//! 3. **Batch, watched**: the same rotating-coordinator core in the
+//!    simulator under an oracle `P`, its decisions printed round by
+//!    round from the trace by a `Scheduler::run_until` predicate.
 //!
 //! Run with: `cargo run --release --example live_service`
 
@@ -26,7 +26,7 @@ use realistic_failure_detectors::net::service::{
     run_service, ServiceEvent, ServiceRunner, ServiceScenario,
 };
 use realistic_failure_detectors::sim::{
-    ticks_for_rounds, Campaign, SimConfig, StopCondition, StreamEvent, StreamRun,
+    ticks_for_rounds, Campaign, Scheduler, SimConfig, StopCondition,
 };
 
 fn ms(v: u64) -> Nanos {
@@ -150,8 +150,8 @@ fn main() {
     let avg = reports.iter().map(|r| r.0).sum::<u64>() as f64 / reports.len() as f64;
     println!("mean decided throughput: {:.2}/s\n", avg / 24.0);
 
-    // ---- act 3: the batch counterpart, streamed ------------------------
-    println!("== act 3: batch rotating-coordinator consensus via StreamRun ==");
+    // ---- act 3: the batch counterpart, watched round by round -----------
+    println!("== act 3: batch rotating-coordinator consensus, watched by run_until ==");
     let n = 4;
     let pattern = FailurePattern::new(n).with_crash(p(0), Time::new(30));
     let rounds = 400;
@@ -159,19 +159,26 @@ fn main() {
     let proposals: Vec<u64> = vec![104, 104, 104, 104];
     let automata = ConsensusAutomaton::<RotatingConsensus<u64>>::fleet(&proposals);
     let config = SimConfig::new(7, rounds).with_stop(StopCondition::EachCorrectOutput(1));
-    let mut decided = 0;
-    for event in StreamRun::new(&pattern, &history, automata, &config) {
-        if let StreamEvent::Decided {
-            process,
-            round,
-            value,
-        } = event
-        {
-            println!("round {round}: {process} decided {value}");
-            assert_eq!(value, 104, "validity");
-            decided += 1;
+    let mut printed = 0;
+    let result = Scheduler::new(&pattern, &history, automata, &config).run_until(|s| {
+        for event in &s.trace().events[printed..] {
+            println!(
+                "round {}: {} decided {}",
+                s.trace().rounds,
+                event.process,
+                event.value
+            );
+            assert_eq!(event.value, 104, "validity");
         }
+        printed = s.trace().events.len();
+        false
+    });
+    assert_eq!(printed, result.trace.events.len(), "every decision printed");
+    for survivor in pattern.correct() {
+        assert!(
+            result.trace.outputs_of(survivor).next().is_some(),
+            "every survivor decides"
+        );
     }
-    assert!(decided >= 3, "every survivor decides");
     println!("online service and batch algorithm agree on the decision pipeline");
 }

@@ -16,9 +16,8 @@
 //! * [`core`] ([`rfd_core`]) — failure patterns, histories, detector
 //!   classes, realism, oracle generators.
 //! * [`sim`] ([`rfd_sim`]) — the FLP + failure detector execution model:
-//!   automata, schedulers, crash injection, causal ("alive tag")
-//!   tracking, and the streaming run driver ([`rfd_sim::stream`]) for
-//!   long-running, incrementally observed executions.
+//!   automata, the scheduler, crash injection, causal ("alive tag")
+//!   tracking, and multi-seed campaigns.
 //! * [`algo`] ([`rfd_algo`]) — consensus, terminating reliable broadcast,
 //!   reliable/atomic broadcast, and the paper's reductions
 //!   `T_{D⇒P}` (§4.3) and TRB ⇒ `P` (§5).
@@ -29,13 +28,14 @@
 //!   scenario runner ([`rfd_net::online`]) for detection as a
 //!   long-running service.
 //!
-//! The three execution paths and their entry points (see
+//! The two execution styles and their entry points (see
 //! `ARCHITECTURE.md` for the full map):
 //!
-//! * **batch** — [`rfd_sim::run`] / [`rfd_sim::Campaign`] spin a
-//!   scenario to completion and return the trace;
-//! * **stream** — [`rfd_sim::stream::StreamRun`] yields the same run as
-//!   typed events, resumable at any boundary;
+//! * **batch** — [`rfd_sim::run`] / [`rfd_sim::Scheduler`] /
+//!   [`rfd_sim::Campaign`] spin a scenario to completion and return the
+//!   trace; to watch a simulated run, pass [`rfd_sim::Scheduler::run_until`]
+//!   a predicate such as `|s| { print_new(s.trace()); false }`, called
+//!   after every round;
 //! * **online** — [`rfd_net::online::OnlineRunner`] drives a live fleet
 //!   under churn, scored tick by tick by [`rfd_net::qos::QosMonitor`]s
 //!   that provably equal the batch accounting, over simulated or real
