@@ -61,9 +61,10 @@ const LOSSES: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
 
 /// Offered load per loss regime: one command every this many
 /// milliseconds. Loss shrinks the channel's decision capacity — a slot
-/// that loses a critical frame waits out an estimator-derived RTO
-/// (floor 2 heartbeat periods, cap 8), so mean slot latency grows with
-/// the loss rate and the workload must stay below capacity for the
+/// that loses a critical frame waits out the slot timer's measured RTO
+/// (Jacobson/Karels over slot times, never past the horizon timeout of
+/// 2–8 heartbeat periods), so mean slot latency grows with the loss
+/// rate and the workload must stay below capacity for the
 /// every-command-decided gate to be about *liveness* (nothing wedges)
 /// rather than queueing. The sweep keeps utilization comparable across
 /// regimes; each cell's realized backlog shows up in the `lag` column

@@ -3,6 +3,67 @@
 use super::ArrivalEstimator;
 use crate::clock::Nanos;
 
+/// The Jacobson/Karels filter: a smoothed sample `srtt` and a smoothed
+/// deviation `rttvar` (TCP gains: 1/8 for the mean, 1/4 for the
+/// deviation), whose timeout is `srtt + β · rttvar`. One filter, two
+/// users: [`JacobsonEstimator`] runs it on heartbeat inter-arrivals, the
+/// decision service's retransmission plane on slot times.
+#[derive(Clone, Debug)]
+pub(crate) struct RtoFilter {
+    srtt: Option<f64>,
+    rttvar: f64,
+    beta: f64,
+}
+
+impl RtoFilter {
+    /// An empty filter with deviation multiplier `beta`.
+    pub(crate) fn new(beta: f64) -> Self {
+        Self {
+            srtt: None,
+            rttvar: 0.0,
+            beta,
+        }
+    }
+
+    /// Folds in one sample.
+    pub(crate) fn sample(&mut self, sample: Nanos) {
+        let mut sample = sample.as_nanos() as f64;
+        match self.srtt {
+            None => {
+                self.srtt = Some(sample);
+                self.rttvar = sample / 2.0;
+            }
+            Some(srtt) => {
+                // Karn-style clamp: a sample longer than the current
+                // timeout measures an outage (a lost-heartbeat run, a
+                // partition), not the quantity being estimated. Feeding
+                // it raw is the classic pre-Karn TCP RTO failure: one
+                // partition-sized gap inflates the timeout for many
+                // periods. The clamp ceiling is *twice* the timeout (TCP's
+                // backoff step): clamping to the timeout itself would
+                // freeze adaptation once rttvar decays to zero on regular
+                // samples (rto == srtt ⇒ clamped err == 0 forever); the 2×
+                // headroom keeps each late sample growing the estimate
+                // geometrically until it covers a real slow-down, while a
+                // partition-sized gap still cannot blow it up.
+                let ceiling = 2.0 * (srtt + self.beta * self.rttvar);
+                if sample > ceiling {
+                    sample = ceiling;
+                }
+                let err = (sample - srtt).abs();
+                self.rttvar = 0.75 * self.rttvar + 0.25 * err;
+                self.srtt = Some(0.875 * srtt + 0.125 * sample);
+            }
+        }
+    }
+
+    /// `srtt + β · rttvar`; `None` before the first sample.
+    pub(crate) fn rto(&self) -> Option<Nanos> {
+        self.srtt
+            .map(|srtt| Nanos::from_nanos((srtt + self.beta * self.rttvar) as u64))
+    }
+}
+
 /// Exponentially weighted mean/deviation timeout: trust until
 /// `last + srtt + β · rttvar`, with the TCP constants
 /// (gain 1/8 for the mean, 1/4 for the deviation, β = 4).
@@ -12,9 +73,7 @@ use crate::clock::Nanos;
 /// the observed jitter rather than using a fixed α.
 #[derive(Clone, Debug)]
 pub struct JacobsonEstimator {
-    srtt: Option<f64>,
-    rttvar: f64,
-    beta: f64,
+    filter: RtoFilter,
     last: Option<Nanos>,
     bootstrap: Nanos,
 }
@@ -34,9 +93,7 @@ impl JacobsonEstimator {
             "bootstrap timeout must be positive"
         );
         Self {
-            srtt: None,
-            rttvar: 0.0,
-            beta,
+            filter: RtoFilter::new(beta),
             last: None,
             bootstrap,
         }
@@ -45,56 +102,21 @@ impl JacobsonEstimator {
     /// The smoothed inter-arrival estimate, if any.
     #[must_use]
     pub fn smoothed_gap(&self) -> Option<Nanos> {
-        self.srtt.map(|v| Nanos::from_nanos(v as u64))
+        self.filter.srtt.map(|v| Nanos::from_nanos(v as u64))
     }
 }
 
 impl ArrivalEstimator for JacobsonEstimator {
     fn observe(&mut self, now: Nanos) {
         if let Some(prev) = self.last {
-            let mut sample = now.saturating_sub(prev).as_nanos() as f64;
-            match self.srtt {
-                None => {
-                    self.srtt = Some(sample);
-                    self.rttvar = sample / 2.0;
-                }
-                Some(srtt) => {
-                    // Karn-style clamp: a gap longer than the current RTO
-                    // means the peer was already past its deadline when
-                    // this heartbeat arrived — the gap measures the outage
-                    // (a lost-heartbeat run, a partition), not the peer's
-                    // sending period. Feeding it raw is the classic
-                    // pre-Karn TCP RTO failure: one partition-sized gap
-                    // inflates the timeout for many periods. The clamp
-                    // ceiling is *twice* the RTO (TCP's timeout backoff
-                    // step): clamping to the RTO itself would freeze
-                    // adaptation once rttvar decays to zero on regular
-                    // traffic (rto == srtt ⇒ clamped err == 0 forever),
-                    // falsely suspecting a peer that legitimately slowed
-                    // down; the 2× headroom keeps each late heartbeat
-                    // growing the estimate geometrically until it covers
-                    // the real period, while a partition-sized gap still
-                    // cannot blow it up.
-                    let ceiling = 2.0 * (srtt + self.beta * self.rttvar);
-                    if sample > ceiling {
-                        sample = ceiling;
-                    }
-                    let err = (sample - srtt).abs();
-                    self.rttvar = 0.75 * self.rttvar + 0.25 * err;
-                    self.srtt = Some(0.875 * srtt + 0.125 * sample);
-                }
-            }
+            self.filter.sample(now.saturating_sub(prev));
         }
         self.last = Some(now);
     }
 
     fn deadline(&self) -> Option<Nanos> {
         let last = self.last?;
-        let rto = match self.srtt {
-            Some(srtt) => Nanos::from_nanos((srtt + self.beta * self.rttvar) as u64),
-            None => self.bootstrap,
-        };
-        Some(last.saturating_add(rto))
+        Some(last.saturating_add(self.filter.rto().unwrap_or(self.bootstrap)))
     }
 
     fn suspicion_level(&self, now: Nanos) -> f64 {
@@ -213,9 +235,9 @@ mod tests {
         // the smallest subnormal rounds back to itself), so "fully
         // decayed" means rto == srtt to the last bit, not literal 0.0.
         assert!(
-            e.rttvar < 1e-300,
+            e.filter.rttvar < 1e-300,
             "precondition: deviation fully decayed (rttvar = {})",
-            e.rttvar
+            e.filter.rttvar
         );
         // The peer legitimately slows to a 250 ms period.
         for _ in 0..10 {

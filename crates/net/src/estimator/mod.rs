@@ -29,6 +29,7 @@ mod phi;
 pub use chen::ChenEstimator;
 pub use fixed::FixedTimeout;
 pub use jacobson::JacobsonEstimator;
+pub(crate) use jacobson::RtoFilter;
 pub use phi::PhiAccrual;
 
 use crate::clock::Nanos;

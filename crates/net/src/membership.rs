@@ -198,10 +198,12 @@ where
     /// was fixed when that peer's latest heartbeat landed, so asking costs
     /// one stored read per member however often it is asked.
     ///
-    /// The decision service derives its retransmission timeout from this
-    /// horizon: waiting past it guarantees that a slot stalled on a
-    /// *crashed* peer is resolved by exclusion-driven round advancement
-    /// first, so retransmission only ever fires against message loss.
+    /// The decision service derives its horizon timeout from this: the
+    /// laggard-push and snapshot retries, which chase a peer that may
+    /// be gone, wait past it, so a crashed peer is excluded first. The
+    /// open slot's retry timer only repairs loss; it runs on a measured
+    /// round-trip estimate and uses this horizon only as an upper bound
+    /// (and before its first sample).
     #[must_use]
     pub fn trust_horizon(&self) -> Option<Nanos> {
         let mut horizon: Option<Nanos> = None;

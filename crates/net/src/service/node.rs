@@ -144,11 +144,15 @@ impl CompactionPolicy {
 /// Under all three sits the **retransmission plane**, which rebuilds the
 /// paper's quasi-reliable channels on a lossy wire: the open slot's
 /// stalled conversations, the suffix a stalled laggard is missing and
-/// an unanswered snapshot request are re-sent on an estimator-derived,
-/// exponentially backed-off timeout. The node holds the plane's timers
-/// as one `RetryPlane` (`service/retry.rs`, no I/O) and only decides
-/// what a firing sends; [`DecisionService::retransmits_sent`] counts
-/// the frames. See "The retransmission plane" in ARCHITECTURE.md.
+/// an unanswered snapshot request are re-sent on exponentially
+/// backed-off timeouts. The slot's timer repairs loss, so it waits a
+/// measured RTO (Jacobson/Karels over this node's slot times, Karn's
+/// rule, never past the horizon timeout); the other two chase peers
+/// that may be gone, so they wait one heartbeat period past the
+/// membership's trust horizon. The node holds the plane's timers as
+/// one `RetryPlane` (`service/retry.rs`, no I/O) and only decides what
+/// a firing sends; [`DecisionService::retransmits_sent`] counts the
+/// frames. See "The retransmission plane" in ARCHITECTURE.md.
 ///
 /// Commands enter through [`DecisionService::propose`] (a typed command
 /// queue: the pending pool), are gossiped to the group, and leave as
@@ -314,9 +318,10 @@ where
 
     /// Frames re-sent by the retransmission plane: stalled-slot
     /// consensus re-sends, tail probes, laggard pushes and snapshot
-    /// re-requests. Stays **zero on a calm network** — every timer's
-    /// floor exceeds calm decision latency, so the plane is pure
-    /// insurance against loss.
+    /// re-requests. Stays **zero on a calm network** — the slot timer
+    /// waits out a silence within a slot against an RTO learned from
+    /// whole slots, and the other timers wait past the trust horizon,
+    /// so the plane is pure insurance against loss.
     #[must_use]
     pub fn retransmits_sent(&self) -> u64 {
         self.retry.sent
@@ -584,7 +589,8 @@ where
         events
     }
 
-    /// The retry timeouts at `now`, from the membership's trust horizon.
+    /// The horizon timeouts at `now`, from the membership's trust
+    /// horizon.
     fn timeouts(&self, now: Nanos) -> Timeouts {
         Timeouts::at(now, self.period, self.membership.trust_horizon())
     }

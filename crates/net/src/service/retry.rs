@@ -2,17 +2,21 @@
 //! wall clock, no log, no consensus driver. Every method is a function
 //! of `(now, inputs)`; the node (`node.rs`) decides which frames a firing
 //! sends and to whom. See "The retransmission plane" in ARCHITECTURE.md.
+//!
+//! Two timeouts arm the timers. The open slot's timer repairs a lost
+//! frame, so it runs on a **measured** RTO: Jacobson/Karels over this
+//! node's own slot times, bounded by the horizon timeout. The laggard-push
+//! fuses and the snapshot timer chase peers that may really be gone, so
+//! they stay on the **horizon** timeout ([`Timeouts`]).
 
 use crate::clock::Nanos;
+use crate::estimator::RtoFilter;
 use rfd_core::ProcessId;
 
-/// Retransmission-timeout floor, in heartbeat periods. Calm-network
-/// decisions complete within a couple of one-way delays — far under two
-/// periods — so no retransmission timer ever fires on a calm run.
+/// Horizon-timeout floor, in heartbeat periods.
 const RETX_FLOOR_PERIODS: u64 = 2;
 
-/// Retransmission-timeout ceiling, in heartbeat periods, clamping the
-/// estimator-derived timeout.
+/// Horizon-timeout ceiling, in heartbeat periods.
 const RETX_CAP_PERIODS: u64 = 8;
 
 /// Backoff ceiling, in heartbeat periods: the retransmission interval
@@ -22,18 +26,22 @@ const RETX_CAP_PERIODS: u64 = 8;
 /// rate needs retries to never give up).
 const RETX_BACKOFF_CAP_PERIODS: u64 = 16;
 
-/// The two durations every retry timer is armed and backed off with,
-/// derived once per poll.
+/// The two durations derived once per poll from the heartbeat period and
+/// the trust horizon: the horizon timeout — what the push fuses and the
+/// snapshot timer are armed with, and what the slot timer arms with
+/// before its first sample and never exceeds after — and the backoff cap
+/// of all three.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) struct Timeouts {
-    /// The estimator-derived retransmission timeout: one heartbeat
-    /// period past the membership's trust horizon, clamped to
-    /// `[RETX_FLOOR_PERIODS, RETX_CAP_PERIODS]` periods.
+    /// The horizon timeout: one heartbeat period past the membership's
+    /// trust horizon, clamped to `[RETX_FLOOR_PERIODS, RETX_CAP_PERIODS]`
+    /// periods.
     ///
-    /// Waiting past the trust horizon guarantees a slot stalled on a
-    /// *crashed* peer is (typically) resolved first by exclusion-driven
-    /// round advancement — retransmission targets message *loss*, the
-    /// one failure the emulated-`P` membership cannot see.
+    /// Waiting past the trust horizon means a peer that crashed is
+    /// (typically) excluded before a timer armed with this fires — the
+    /// right wait for timers that chase a peer, which may be gone. The
+    /// slot timer only repairs loss, and waits its measured RTO instead
+    /// when that is shorter.
     pub(super) rto: Nanos,
     /// The backoff ceiling of every retry timer.
     pub(super) cap: Nanos,
@@ -103,16 +111,34 @@ struct PushFuse {
     acked: u64,
 }
 
+/// The one open consensus slot, as the plane tracks it.
+#[derive(Clone, Copy, Debug)]
+struct OpenSlot {
+    slot: u64,
+    /// The poll in which the slot was first seen open: where its slot
+    /// time starts.
+    opened: Nanos,
+    /// Whether its timer has fired. Karn's rule: such a slot's time
+    /// measures the repair, not the round trip, and is no sample.
+    fired: bool,
+    /// `None` while the slot is making progress: the next
+    /// [`RetryPlane::slot_due`] arms it afresh.
+    timer: Option<Backoff>,
+}
+
 /// Every retry timer of one node: the open consensus slot's, one
 /// laggard-push fuse per peer, and the outstanding snapshot
 /// negotiation's.
 #[derive(Debug)]
 pub(super) struct RetryPlane {
-    /// The timer of the one open consensus slot. One suffices: the
+    /// The one open consensus slot and its timer. One suffices: the
     /// slot driver holds a single instance, its tail's.
-    /// `None` also while the slot is making progress: the next
-    /// [`Self::slot_due`] arms it afresh.
-    slot: Option<(u64, Backoff)>,
+    slot: Option<OpenSlot>,
+    /// Jacobson/Karels over slot times — first seen open to settled —
+    /// from which the slot timer's measured RTO is read. A whole slot is
+    /// never shorter than the silent gap its timer measures, so the
+    /// estimate errs toward not firing on a calm network.
+    slot_times: RtoFilter,
     /// Per-peer laggard-push fuses, indexed by process. A fuse starts
     /// unarmed (a peer that is behind and stalled from the outset is
     /// pushed to at once) and is pushed back while the peer's acked
@@ -136,6 +162,7 @@ impl RetryPlane {
     pub(super) fn new(n: usize) -> Self {
         Self {
             slot: None,
+            slot_times: RtoFilter::new(4.0),
             pushes: vec![PushFuse::default(); n],
             snapshot: None,
             sent: 0,
@@ -145,28 +172,48 @@ impl RetryPlane {
     /// Notes that the open slot emitted fresh peer traffic — progress,
     /// so its timer starts over at the next [`Self::slot_due`].
     pub(super) fn touch(&mut self) {
-        self.slot = None;
+        if let Some(open) = &mut self.slot {
+            open.timer = None;
+        }
+    }
+
+    /// The slot timer's RTO: the measured `srtt + 4 · rttvar` of slot
+    /// times, bounded by the horizon `t.rto` — which also stands in
+    /// before the first sample.
+    fn slot_rto(&self, t: Timeouts) -> Nanos {
+        self.slot_times
+            .rto()
+            .map_or(t.rto, |measured| measured.min(t.rto))
     }
 
     /// Once per poll, with the open slot if there is one: `Some(firings
     /// so far)` if that slot has been silent past its deadline — the
     /// node re-sends its stalled conversations and the timer backs off.
     /// A slot touched since the last call, or not the open slot then,
-    /// re-arms instead.
+    /// re-arms instead. The previously tracked slot, once no longer
+    /// open, has settled: its time is a sample unless its timer fired.
     pub(super) fn slot_due(&mut self, now: Nanos, t: Timeouts, open: Option<u64>) -> Option<u32> {
-        let Some(open) = open else {
+        if let Some(settled) = self.slot.filter(|s| open != Some(s.slot)) {
             self.slot = None;
-            return None;
-        };
-        match &mut self.slot {
-            Some((slot, timer)) if *slot == open => timer
-                .is_due(now)
-                .then(|| timer.fire(now, Nanos::ZERO, t.cap)),
-            _ => {
-                self.slot = Some((open, Backoff::armed(now, t.rto)));
-                None
+            if !settled.fired {
+                self.slot_times.sample(now.saturating_sub(settled.opened));
             }
         }
+        let open = open?;
+        let rto = self.slot_rto(t);
+        let tracked = self.slot.get_or_insert(OpenSlot {
+            slot: open,
+            opened: now,
+            fired: false,
+            timer: None,
+        });
+        let Some(timer) = &mut tracked.timer else {
+            tracked.timer = Some(Backoff::armed(now, rto));
+            return None;
+        };
+        let due = timer.is_due(now);
+        tracked.fired |= due;
+        due.then(|| timer.fire(now, Nanos::ZERO, t.cap))
     }
 
     /// Once per gossip period and view member: whether to push the
@@ -439,5 +486,132 @@ mod tests {
         // Re-arming starts over.
         plane.arm_snapshot(ms(10_000), t);
         assert_eq!(plane.snapshot_due(ms(10_100), t), Some(0));
+    }
+
+    /// Back-to-back slots from `start_ms`, the k-th lasting `lengths[k]`
+    /// ms: each settles in the poll that opens the next, so each is one
+    /// sample. Returns the open slot and when it opened, in ms.
+    fn run_slots(
+        plane: &mut RetryPlane,
+        t: Timeouts,
+        start_ms: u64,
+        lengths: &[u64],
+    ) -> (u64, u64) {
+        let mut now = start_ms;
+        assert_eq!(plane.slot_due(ms(now), t, Some(0)), None);
+        for (slot, len) in (1..).zip(lengths) {
+            now += len;
+            assert_eq!(plane.slot_due(ms(now), t, Some(slot)), None);
+        }
+        (lengths.len() as u64, now)
+    }
+
+    #[test]
+    fn before_any_sample_the_slot_timer_arms_at_the_horizon_rto() {
+        let far = Timeouts::at(Nanos::ZERO, PERIOD, Some(ms(9_000)));
+        assert_eq!(far.rto, ms(400));
+        let mut plane = RetryPlane::new(3);
+        assert_eq!(plane.slot_due(ms(0), far, Some(0)), None);
+        assert_eq!(plane.slot_due(ms(399), far, Some(0)), None);
+        assert_eq!(plane.slot_due(ms(400), far, Some(0)), Some(0));
+    }
+
+    #[test]
+    fn on_a_steady_sample_stream_the_slot_rto_converges_to_srtt_plus_4_rttvar() {
+        let t = floor_timeouts();
+        let lengths: Vec<u64> = (0..64).map(|k| if k % 2 == 0 { 10 } else { 30 }).collect();
+        // The filter by hand: the first sample seeds srtt and rttvar =
+        // srtt / 2; no later sample reaches the 2 × RTO ceiling.
+        let (mut srtt, mut rttvar) = (10e6, 5e6);
+        for &len in &lengths[1..] {
+            let sample = ms(len).as_nanos() as f64;
+            rttvar = 0.75 * rttvar + 0.25 * (sample - srtt).abs();
+            srtt = 0.875 * srtt + 0.125 * sample;
+        }
+        let rto = (srtt + 4.0 * rttvar) as u64;
+        assert!(
+            (50_000_000..70_000_000).contains(&rto),
+            "≈ 20 + 4 · 10 ms: {rto}"
+        );
+        let mut plane = RetryPlane::new(3);
+        let (slot, opened) = run_slots(&mut plane, t, 1_000, &lengths);
+        let at = |ns: u64| Nanos::from_nanos(ms(opened).as_nanos() + ns);
+        assert_eq!(plane.slot_due(at(rto - 1), t, Some(slot)), None);
+        assert_eq!(plane.slot_due(at(rto), t, Some(slot)), Some(0));
+    }
+
+    #[test]
+    fn the_measured_rto_never_exceeds_the_horizon_rto() {
+        // One 90 ms slot measures 90 + 4 · 45 = 270 ms.
+        let mut plane = RetryPlane::new(3);
+        let near = floor_timeouts();
+        let (slot, opened) = run_slots(&mut plane, near, 0, &[90]);
+        assert_eq!(plane.slot_times.rto(), Some(ms(270)));
+        assert_eq!(plane.slot_due(ms(opened + 99), near, Some(slot)), None);
+        assert_eq!(plane.slot_due(ms(opened + 100), near, Some(slot)), Some(0));
+        // Under a 400 ms horizon the measured 270 ms applies.
+        let mut plane = RetryPlane::new(3);
+        let far = Timeouts::at(Nanos::ZERO, PERIOD, Some(ms(9_000)));
+        let (slot, opened) = run_slots(&mut plane, far, 0, &[90]);
+        assert_eq!(plane.slot_due(ms(opened + 269), far, Some(slot)), None);
+        assert_eq!(plane.slot_due(ms(opened + 270), far, Some(slot)), Some(0));
+    }
+
+    #[test]
+    fn a_slot_whose_timer_fired_gives_no_sample() {
+        let t = floor_timeouts();
+        let mut plane = RetryPlane::new(3);
+        // One 20 ms slot: srtt 20, rttvar 10, RTO 60 ms.
+        let (slot, opened) = run_slots(&mut plane, t, 0, &[20]);
+        assert_eq!(plane.slot_rto(t), ms(60));
+        assert_eq!(plane.slot_due(ms(opened + 60), t, Some(slot)), Some(0));
+        // Progress after the firing re-arms, but the slot stays fired.
+        plane.touch();
+        assert_eq!(plane.slot_due(ms(opened + 70), t, Some(slot)), None);
+        assert_eq!(plane.slot_due(ms(opened + 90), t, Some(slot + 1)), None);
+        assert_eq!(
+            plane.slot_rto(t),
+            ms(60),
+            "Karn: the fired slot is no sample"
+        );
+        // The next slot never fires: touched midway, it still measures
+        // from its opening poll — 20 ms, so srtt 20, rttvar 7.5, RTO 50.
+        plane.touch();
+        assert_eq!(plane.slot_due(ms(opened + 100), t, Some(slot + 1)), None);
+        assert_eq!(plane.slot_due(ms(opened + 110), t, Some(slot + 2)), None);
+        assert_eq!(plane.slot_rto(t), ms(50));
+    }
+
+    #[test]
+    fn a_firing_doubles_from_the_measured_rto_up_to_the_cap() {
+        let t = floor_timeouts();
+        let mut plane = RetryPlane::new(3);
+        let (slot, opened) = run_slots(&mut plane, t, 0, &[20]);
+        assert_eq!(plane.slot_due(ms(opened + 59), t, Some(slot)), None);
+        assert_eq!(plane.slot_due(ms(opened + 60), t, Some(slot)), Some(0));
+        // Intervals from here: 120, 240, 480, 800 (the cap), 800.
+        let mut now = opened + 60;
+        for (attempts, interval) in [(1, 120), (2, 240), (3, 480), (4, 800), (5, 800)] {
+            assert_eq!(plane.slot_due(ms(now + interval - 1), t, Some(slot)), None);
+            now += interval;
+            assert_eq!(plane.slot_due(ms(now), t, Some(slot)), Some(attempts));
+        }
+    }
+
+    #[test]
+    fn slot_samples_leave_push_fuses_and_the_snapshot_timer_on_the_horizon() {
+        let t = floor_timeouts();
+        let mut plane = RetryPlane::new(3);
+        let (_, now) = run_slots(&mut plane, t, 0, &[10; 16]);
+        assert!(plane.slot_rto(t) < ms(20), "{}", plane.slot_rto(t));
+        let peer = ProcessId::new(1);
+        assert!(plane.push_due(ms(now), t, peer, 0, 5));
+        assert!(!plane.push_due(ms(now + 99), t, peer, 0, 5));
+        assert!(plane.push_due(ms(now + 100), t, peer, 0, 5));
+        plane.arm_snapshot(ms(now), t);
+        assert_eq!(plane.snapshot_due(ms(now + 99), t), None);
+        assert_eq!(plane.snapshot_due(ms(now + 100), t), Some(0));
+        assert_eq!(plane.snapshot_due(ms(now + 299), t), None);
+        assert_eq!(plane.snapshot_due(ms(now + 300), t), Some(1));
     }
 }

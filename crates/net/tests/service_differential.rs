@@ -332,7 +332,7 @@ fn calm_weather_qos_timelines_match_the_bare_faulty_path_bitwise() {
 /// agreement.
 ///
 /// The retransmission plane is what makes that so: stalled consensus
-/// instances re-send their in-flight rounds on an estimator-derived
+/// instances re-send their in-flight rounds on a measured round-trip
 /// timeout, so no pattern of conspiring losses can wedge an instance
 /// for good. Seed 3 — which used to stall after slot 0 at 10% loss —
 /// now decides everything at 5%, 10% and 20%. The one knob that must

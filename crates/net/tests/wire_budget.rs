@@ -7,7 +7,9 @@
 //! anti-entropy re-gossip needs evidence that a peer lacks the command
 //! (a stalled log, or an outvoted proposal), and a calm fleet with
 //! identical pools never produces any. The retransmission plane stays
-//! silent throughout.
+//! silent throughout, at n = 5 and at n = 16: the open slot's timer
+//! waits out a silence within a slot against an RTO learned from whole
+//! slots.
 
 use rfd_algo::consensus::RotatingMsg;
 use rfd_core::ProcessId;
@@ -21,9 +23,10 @@ use rfd_net::transport::{Datagram, InMemoryNetwork, NetworkConfig, Transport};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-const N: usize = 5;
-/// Frames one broadcast puts on the wire.
-const PEERS: u64 = N as u64 - 1;
+/// Frames one broadcast puts on the wire in a fleet of `n`.
+fn peers(n: usize) -> u64 {
+    n as u64 - 1
+}
 
 fn ms(v: u64) -> Nanos {
     Nanos::from_millis(v)
@@ -82,13 +85,17 @@ impl<T: Transport> Transport for Counting<T> {
     }
 }
 
-/// Runs `commands` on a calm, compacting, heal-merge fleet of [`N`] —
+/// Runs `commands` on a calm, compacting, heal-merge fleet of `n` —
 /// the benchmark's cadence: 50 ms heartbeats, 5 ms ticks, 2–10 ms
 /// one-way delay — and returns what was sent and the report.
-fn run_calm(commands: Vec<(Nanos, ProcessId, u64)>, duration: Nanos) -> (Sent, ServiceReport) {
+fn run_calm(
+    n: usize,
+    commands: Vec<(Nanos, ProcessId, u64)>,
+    duration: Nanos,
+) -> (Sent, ServiceReport) {
     let scenario = ServiceScenario {
         online: OnlineScenario {
-            n: N,
+            n,
             period: ms(50),
             delay: (ms(2), ms(10)),
             sample_every: ms(5),
@@ -103,9 +110,9 @@ fn run_calm(commands: Vec<(Nanos, ProcessId, u64)>, duration: Nanos) -> (Sent, S
     .with_compaction(CompactionPolicy::retain_last(16));
     let clock = VirtualClock::new();
     let config = NetworkConfig::reliable(ms(2), ms(10)).with_seed(scenario.online.seed);
-    let net = InMemoryNetwork::new(N, config, clock.clone());
+    let net = InMemoryNetwork::new(n, config, clock.clone());
     let sent = Rc::new(RefCell::new(Sent::default()));
-    let endpoints = (0..N)
+    let endpoints = (0..n)
         .map(|ix| Counting {
             inner: net.endpoint(ProcessId::new(ix)),
             sent: Rc::clone(&sent),
@@ -123,7 +130,7 @@ fn run_calm(commands: Vec<(Nanos, ProcessId, u64)>, duration: Nanos) -> (Sent, S
 }
 
 /// What every calm run owes, whatever its command schedule.
-fn assert_one_announcement(sent: &Sent, report: &ServiceReport, decisions: u64) {
+fn assert_one_announcement(n: usize, sent: &Sent, report: &ServiceReport, decisions: u64) {
     assert_eq!(report.decided_len(), decisions, "every command decided");
     assert!(report.agreement_holds() && report.live_logs_converged());
     assert_eq!(report.membership.retransmits_sent, 0, "calm: no retries");
@@ -133,45 +140,62 @@ fn assert_one_announcement(sent: &Sent, report: &ServiceReport, decisions: u64) 
     );
     assert_eq!(
         sent.decided,
-        decisions * N as u64 * PEERS,
+        decisions * n as u64 * peers(n),
         "every node relays every decision to every peer, once"
     );
 }
 
-/// 20 commands a second, round-robin over the fleet: each command is
-/// broadcast by its submitter and never again — but for the first,
+/// 20 commands a second, round-robin over a fleet of `n`: each command
+/// is broadcast by its submitter and never again — but for the first,
 /// which meets a log that has not moved yet (to its submitter, a
 /// stalled one) and is repeated at that gossip tick.
-#[test]
-fn a_paced_stream_sends_each_command_once_and_each_decision_once() {
-    let decisions = 400;
+fn paced_stream(n: usize, decisions: u64) {
     let commands = (0..decisions)
-        .map(|k| (ms(1_000 + k * 50), ProcessId::new(k as usize % N), k + 1))
+        .map(|k| (ms(1_000 + k * 50), ProcessId::new(k as usize % n), k + 1))
         .collect();
-    let (sent, report) = run_calm(commands, ms(1_000 + decisions * 50 + 2_000));
-    assert_one_announcement(&sent, &report, decisions);
+    let (sent, report) = run_calm(n, commands, ms(1_000 + decisions * 50 + 2_000));
+    assert_one_announcement(n, &sent, &report, decisions);
     assert!(
-        (decisions * PEERS..=(decisions + 1) * PEERS).contains(&sent.command),
+        (decisions * peers(n)..=(decisions + 1) * peers(n)).contains(&sent.command),
         "{sent:?}"
     );
 }
 
-/// 2 000 commands due at once: the pools converge in one delay and the
-/// fleet then decides pool minimum after pool minimum. Re-gossip during
-/// the opening race (pools differ, proposals are outvoted) is all the
-/// budget allows — the unconditional every-period re-gossip spent some
-/// 100 `Command` frames per decision here.
-#[test]
-fn a_backlog_is_not_re_gossiped_while_it_drains() {
-    let decisions = 2_000;
+/// `decisions` commands due at once over a fleet of `n`: the pools
+/// converge in one delay and the fleet then decides pool minimum after
+/// pool minimum. Re-gossip during the opening race (pools differ,
+/// proposals are outvoted) is all the budget allows — the unconditional
+/// every-period re-gossip spent some 100 `Command` frames per decision
+/// at n = 5.
+fn backlog(n: usize, decisions: u64) {
     let commands = (0..decisions)
-        .map(|k| (ms(1_000), ProcessId::new(k as usize % N), k + 1))
+        .map(|k| (ms(1_000), ProcessId::new(k as usize % n), k + 1))
         .collect();
-    let (sent, report) = run_calm(commands, ms(1_000 + decisions * 50));
-    assert_one_announcement(&sent, &report, decisions);
+    let (sent, report) = run_calm(n, commands, ms(1_000 + decisions * 50));
+    assert_one_announcement(n, &sent, &report, decisions);
     assert!(
-        sent.command <= 2 * decisions * PEERS,
+        sent.command <= 2 * decisions * peers(n),
         "{} Command frames for {decisions} decisions",
         sent.command
     );
+}
+
+#[test]
+fn a_paced_stream_sends_each_command_once_and_each_decision_once() {
+    paced_stream(5, 400);
+}
+
+#[test]
+fn a_backlog_is_not_re_gossiped_while_it_drains() {
+    backlog(5, 2_000);
+}
+
+#[test]
+fn a_paced_stream_at_n16_sends_each_command_once_and_never_retries() {
+    paced_stream(16, 400);
+}
+
+#[test]
+fn a_backlog_at_n16_is_not_re_gossiped_and_never_retries() {
+    backlog(16, 500);
 }

@@ -4,9 +4,11 @@
 # benchmark workloads. Every run's output is appended to OUT/a.jsonl or
 # OUT/b.jsonl, and the two capture files are handed to
 # `service_e2e --compare`, whose exit status (1 on a regression) is this
-# script's. After the comparison it prints, per workload, the figures a
-# throughput claim is judged by: decisions_per_wall_s of every pair in
-# run order, each side's median and quartiles, and how many pairs B won.
+# script's. After the comparison it prints, per workload and end-to-end
+# metric of BENCHMARK.json, the figures a claim is judged by: the value
+# of every pair in run order, each side's median and quartiles, and how
+# many pairs B won — by the metric's `better` direction there, so for a
+# latency row a win is a lower value.
 #
 #   scripts/bench_pairs.sh A B [--pairs 10] [--seconds 15 | --rounds R]
 #                              [--seed 1] [--out DIR]
@@ -23,7 +25,7 @@
 set -euo pipefail
 
 usage() {
-  sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
 }
 
@@ -83,38 +85,57 @@ awk '
   }
   function summary(v, n) {
     sort(v, n)
-    return sprintf("median %.0f [q1 %.0f, q3 %.0f]", quantile(v, n, 0.5),
+    return sprintf("median %g [q1 %g, q3 %g]", quantile(v, n, 0.5),
       quantile(v, n, 0.25), quantile(v, n, 0.75))
   }
+  function field(key,   s) {
+    if (!match($0, "\"" key "\": *\"?[^\",}]*")) return ""
+    s = substr($0, RSTART, RLENGTH)
+    sub(/^[^:]*: *"?/, "", s)
+    return s
+  }
+  # BENCHMARK.json: the end-to-end metric names, in order, and which
+  # way each is better.
+  FILENAME == ARGV[1] {
+    if (/"end_to_end"/) e2e = 1
+    else if (/"per_layer"/) e2e = 0
+    else if (e2e && field("name") != "") metric[++metrics] = field("name")
+    else if (e2e && field("better") != "") better[metric[metrics]] = field("better")
+    next
+  }
   FNR == 1 { side++ }
-  /"metric":"decisions_per_wall_s"/ {
-    match($0, /"workload":"[^"]*"/)
-    w = substr($0, RSTART + 12, RLENGTH - 13)
-    match($0, /"value":[^,}]*/)
-    if (!((1, w) in runs || (2, w) in runs)) order[++workloads] = w
-    runs[side, w]++
-    value[side, w, runs[side, w]] = substr($0, RSTART + 8, RLENGTH - 8) + 0
+  /"metric":"/ {
+    m = field("metric")
+    if (!(m in better)) next
+    w = field("workload")
+    if (!((1, w) in seen || (2, w) in seen)) order[++workloads] = w
+    seen[side, w] = 1
+    runs[side, w, m]++
+    value[side, w, m, runs[side, w, m]] = field("value") + 0
   }
   END {
-    print "decisions_per_wall_s by pair, A -> B in run order"
+    print "claim figures by pair, A -> B in run order"
     for (i = 1; i <= workloads; i++) {
       w = order[i]
-      pairs = runs[1, w] < runs[2, w] ? runs[1, w] : runs[2, w]
-      split("", a)
-      split("", b)
-      line = ""
-      wins = 0
-      for (k = 1; k <= pairs; k++) {
-        a[k] = value[1, w, k]
-        b[k] = value[2, w, k]
-        wins += (b[k] > a[k])
-        line = line sprintf("%s%.0f -> %.0f", k > 1 ? ", " : "", a[k], b[k])
+      for (j = 1; j <= metrics; j++) {
+        m = metric[j]
+        pairs = runs[1, w, m] < runs[2, w, m] ? runs[1, w, m] : runs[2, w, m]
+        if (pairs == 0) continue
+        split("", a)
+        split("", b)
+        line = ""
+        wins = 0
+        for (k = 1; k <= pairs; k++) {
+          a[k] = value[1, w, m, k]
+          b[k] = value[2, w, m, k]
+          wins += (better[m] == "lower") ? (b[k] < a[k]) : (b[k] > a[k])
+          line = line sprintf("%s%g -> %g", k > 1 ? ", " : "", a[k], b[k])
+        }
+        printf "%-10s  %-24s  %s\n", w, m, line
+        printf "%-10s  %-24s  A %s  B %s  B wins %d/%d (%s)\n", w, m,
+          summary(a, pairs), summary(b, pairs), wins, pairs, better[m]
       }
-      if (pairs == 0) continue
-      printf "%-10s  %s\n", w, line
-      printf "%-10s  A %s  B %s  B wins %d/%d\n", w, summary(a, pairs),
-        summary(b, pairs), wins, pairs
     }
   }
-' "$out/a.jsonl" "$out/b.jsonl"
+' "$(dirname "$0")/../BENCHMARK.json" "$out/a.jsonl" "$out/b.jsonl"
 exit "$status"
