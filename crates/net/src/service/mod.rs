@@ -42,6 +42,7 @@
 mod log;
 mod node;
 mod retry;
+mod run_set;
 mod runner;
 
 pub use log::{Decision, MergeOutcome, ReplicatedLog, Snapshot, ViewStamp};

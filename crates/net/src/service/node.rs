@@ -4,6 +4,7 @@ mod transfer;
 
 use super::log::{Decision, ReplicatedLog, Snapshot, ViewStamp};
 use super::retry::{RetryPlane, Timeouts};
+use super::run_set::RunSet;
 use crate::clock::{Clock, Nanos};
 use crate::codec::{
     for_each_frame, set_to_members, Command, ConsensusFrame, DecidedMsg, WireMsg, WireView,
@@ -174,8 +175,10 @@ impl CompactionPolicy {
 /// frames, decision announcements and command gossip are encoded into a
 /// ring of recycled transmit buffers, and events go into the caller's
 /// buffer. So a warmed fleet's tick allocates nothing that it could
-/// reuse — idle, heartbeating or deciding; what is left per decision is
-/// the log's and the command sets' own growth.
+/// reuse — idle, heartbeating or deciding. Nothing grows per decision
+/// either: under a [`CompactionPolicy`] the log keeps its retained tail,
+/// the pending pool drains, and the decided-command set keeps runs of
+/// consecutive command values, so dense command ids hold the heap flat.
 #[derive(Debug)]
 pub struct DecisionService<E, T, C> {
     n: usize,
@@ -187,8 +190,10 @@ pub struct DecisionService<E, T, C> {
     /// Known, not yet decided commands (ordered: proposals pick the
     /// minimum, so identical pools propose identically).
     pool: BTreeSet<u64>,
-    /// Commands seen decided (dedup for late gossip).
-    decided_values: BTreeSet<u64>,
+    /// Commands seen decided (dedup for late gossip), as runs of
+    /// consecutive values: dense command ids cost a few runs, not one
+    /// entry per decision.
+    decided_values: RunSet,
     /// Decision relays that arrived ahead of the log tail (bounded to
     /// [`FUTURE_WINDOW`] entries past the tail).
     future: BTreeMap<u64, (u64, ViewStamp)>,
@@ -275,7 +280,7 @@ where
             driver: SlotDriver::new(me, n),
             log: ReplicatedLog::new(),
             pool: BTreeSet::new(),
-            decided_values: BTreeSet::new(),
+            decided_values: RunSet::default(),
             future: BTreeMap::new(),
             gap_synced_at: None,
             compaction: None,
@@ -385,7 +390,7 @@ where
     /// the node has halted or the command was already decided — command
     /// values identify commands, so they must be unique per run.
     pub fn propose(&mut self, value: u64) -> bool {
-        if self.is_halted() || self.decided_values.contains(&value) {
+        if self.is_halted() || self.decided_values.contains(value) {
             return false;
         }
         if self.pool.insert(value) {
@@ -793,7 +798,7 @@ where
     }
 
     fn learn_command(&mut self, value: u64) {
-        if self.decided_values.contains(&value) {
+        if self.decided_values.contains(value) {
             // Request-id dedup: a re-gossiped command that already
             // decided must never re-enter the pool — a retry can never
             // double-decide a command.

@@ -58,7 +58,7 @@ impl ServiceScenario {
 }
 
 /// A typed event yielded by [`ServiceRunner::step`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServiceEvent {
     /// A scheduled fault took effect.
     Fault {
@@ -710,10 +710,14 @@ mod tests {
             ms(1_500),
             ms(2_500),
         );
-        let a = run_service(chen(), &scenario);
-        let b = run_service(chen(), &scenario);
+        let run = || {
+            let mut runner = ServiceRunner::new(chen(), scenario.clone());
+            let events = runner.run_to_end();
+            (events, runner.report())
+        };
+        let ((events_a, a), (events_b, b)) = (run(), run());
+        assert_eq!(events_a, events_b);
         assert_eq!(a.logs, b.logs);
-        assert_eq!(a.decisions, b.decisions);
         assert_eq!(
             a.membership.decisions_transferred,
             b.membership.decisions_transferred

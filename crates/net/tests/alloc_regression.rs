@@ -7,10 +7,11 @@
 //! contract of the zero-copy codec (`encode_into` + `decode_borrowed`),
 //! the `freeze`/`try_into_mut` buffer-recycling cycle, the detector
 //! receive drain, and the membership tick over stored freshness points;
-//! and they bound the deciding tick, whose only allocations left are the
-//! log's and the command sets' own growth.
+//! they bound the deciding tick, whose only allocations left are the
+//! uncompacted log's growth and the tree nodes of short-lived sets; and
+//! they check that a compacted fleet's live heap stays flat per decision.
 //!
-//! The counter is thread-local (const-initialized, so the allocator
+//! The counters are thread-local (const-initialized, so the allocator
 //! never recurses into itself), which keeps the tests immune to the
 //! libtest harness running other tests concurrently.
 
@@ -29,31 +30,41 @@ use rfd_net::codec::{
 };
 use rfd_net::estimator::{ChenEstimator, FixedTimeout};
 use rfd_net::membership::MembershipNode;
-use rfd_net::service::DecisionService;
-use rfd_net::transport::{InMemoryNetwork, NetworkConfig, Transport};
+use rfd_net::service::{CompactionPolicy, DecisionService, ServiceOutput};
+use rfd_net::transport::{Endpoint, InMemoryNetwork, NetworkConfig, Transport};
 use rfd_net::DetectorNode;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Counts every `alloc`/`realloc` on the current thread; frees are not
-/// counted (the tests assert "no new memory requested", which is the
-/// contract that matters for steady-state churn).
+/// Adds `delta` to this thread's live-byte count.
+fn add_live(delta: i64) {
+    LIVE_BYTES.with(|c| c.set(c.get() + delta));
+}
+
+/// Counts every `alloc`/`realloc` on the current thread (frees are not
+/// counted: "no new memory requested" is the contract that matters for
+/// steady-state churn), and keeps the thread's live bytes: `alloc` adds
+/// the block's size, `dealloc` subtracts it, `realloc` adds the change.
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        add_live(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_live(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        add_live(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -66,6 +77,14 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// How much this thread's live heap grew while `f` ran (negative if it
+/// shrank).
+fn live_bytes_grown_during(f: impl FnOnce()) -> i64 {
+    let before = LIVE_BYTES.with(Cell::get);
+    f();
+    LIVE_BYTES.with(Cell::get) - before
 }
 
 fn p(i: usize) -> ProcessId {
@@ -302,50 +321,81 @@ fn one_node_fleet_decides_promptly() {
     );
 }
 
-/// A warmed five-node fleet decides a backlog with a few allocations per
-/// decision, fleet-wide: the slot driver steps into each node's send
+/// A five-node fleet on a reliable 1 ms network, polled on a 1 ms tick.
+struct FiveNodeFleet {
+    clock: VirtualClock,
+    nodes: Vec<DecisionService<ChenEstimator, Endpoint, VirtualClock>>,
+    /// The one event buffer every poll writes into.
+    events: Vec<ServiceOutput>,
+}
+
+impl FiveNodeFleet {
+    const N: usize = 5;
+
+    fn new(compaction: Option<CompactionPolicy>) -> Self {
+        let clock = VirtualClock::new();
+        let config = NetworkConfig::reliable(Nanos::from_millis(1), Nanos::from_millis(1));
+        let net = InMemoryNetwork::new(Self::N, config, clock.clone());
+        let nodes = (0..Self::N)
+            .map(|ix| {
+                let node = DecisionService::new(
+                    Self::N,
+                    ChenEstimator::new(Nanos::from_millis(150), 16, Nanos::from_millis(600)),
+                    net.endpoint(p(ix)),
+                    clock.clone(),
+                    Nanos::from_millis(50),
+                );
+                match compaction {
+                    Some(policy) => node.with_compaction(policy),
+                    None => node,
+                }
+            })
+            .collect();
+        Self {
+            clock,
+            nodes,
+            events: Vec::new(),
+        }
+    }
+
+    /// Submits `values` round-robin, then polls the fleet until every
+    /// node's log holds them.
+    fn decide(&mut self, values: std::ops::RangeInclusive<u64>) {
+        for value in values.clone() {
+            let client = usize::try_from(value).expect("small") % Self::N;
+            assert!(self.nodes[client].propose(value));
+        }
+        while self
+            .nodes
+            .iter()
+            .any(|node| node.log().len() < *values.end())
+        {
+            for node in &mut self.nodes {
+                node.poll_into(&mut self.events);
+                self.events.clear();
+            }
+            self.clock.advance(Nanos::from_millis(1));
+        }
+    }
+}
+
+/// A warmed five-node fleet decides a backlog with about one allocation
+/// per decision, fleet-wide: the slot driver steps into each node's send
 /// queue and renews its retired core, consensus frames, announcements
-/// and gossip are encoded into recycled transmit buffers, and the events
-/// go into one reused buffer. What is left is the log's and the command
-/// sets' own growth.
+/// and gossip are encoded into recycled transmit buffers, the events go
+/// into one reused buffer, and dense command ids extend a run of the
+/// decided-command set in place. What is left is the uncompacted log's
+/// own growth and the tree nodes of short-lived sets.
 #[test]
 fn warmed_five_node_fleet_decides_with_few_allocations() {
-    let (n, batch) = (5usize, 200u64);
-    let clock = VirtualClock::new();
-    let config = NetworkConfig::reliable(Nanos::from_millis(1), Nanos::from_millis(1));
-    let net = InMemoryNetwork::new(n, config, clock.clone());
-    let mut fleet: Vec<_> = (0..n)
-        .map(|ix| {
-            DecisionService::new(
-                n,
-                ChenEstimator::new(Nanos::from_millis(150), 16, Nanos::from_millis(600)),
-                net.endpoint(p(ix)),
-                clock.clone(),
-                Nanos::from_millis(50),
-            )
-        })
-        .collect();
-    let mut events = Vec::new();
-    // Submits `values` round-robin, then polls the fleet on a 1 ms tick
-    // until every node's log holds them.
-    let mut decide = |values: std::ops::RangeInclusive<u64>| {
-        for value in values.clone() {
-            let client = usize::try_from(value).expect("small") % n;
-            assert!(fleet[client].propose(value));
-        }
-        while fleet.iter().any(|node| node.log().len() < *values.end()) {
-            for node in &mut fleet {
-                node.poll_into(&mut events);
-                events.clear();
-            }
-            clock.advance(Nanos::from_millis(1));
-        }
-    };
+    let batch = 200u64;
+    let mut fleet = FiveNodeFleet::new(None);
     // Warm: send queues, outboxes, cores, transmit rings, inboxes and
     // the event buffer reach their steady capacity.
-    decide(1..=batch);
-    let allocs = allocations_during(|| decide(batch + 1..=2 * batch));
+    fleet.decide(1..=batch);
+    let allocs = allocations_during(|| fleet.decide(batch + 1..=2 * batch));
     let logs: Vec<Vec<u64>> = fleet
+        .nodes
         .iter()
         .map(|node| node.log().entries().iter().map(|d| d.value).collect())
         .collect();
@@ -354,7 +404,39 @@ fn warmed_five_node_fleet_decides_with_few_allocations() {
     decided.sort_unstable();
     assert_eq!(decided, (1..=2 * batch).collect::<Vec<_>>());
     assert!(
-        allocs <= 4 * batch,
-        "{allocs} allocations for {batch} decisions of a {n}-node fleet"
+        allocs * 4 <= batch * 5,
+        "{allocs} allocations for {batch} decisions of a five-node fleet"
+    );
+}
+
+/// A warmed five-node fleet under a 16-entry compaction tail holds its
+/// live heap flat: 800 more decisions leave it within a small fixed
+/// bound, not a per-decision slope. The log keeps its retained tail, the
+/// pending pools drain, and the decided-command sets hold dense command
+/// ids as a single run each. The commands come in bursts of 200, the
+/// size the warm-up grew every queue and buffer to.
+#[test]
+fn compacted_fleet_holds_its_live_heap_flat_per_decision() {
+    let (burst, measured) = (200u64, 800u64);
+    let mut fleet = FiveNodeFleet::new(Some(CompactionPolicy::retain_last(16)));
+    let mut decided = 0;
+    let mut decide_bursts = |count: u64| {
+        for _ in 0..count / burst {
+            fleet.decide(decided + 1..=decided + burst);
+            decided += burst;
+        }
+    };
+    decide_bursts(2 * burst);
+    let grown = live_bytes_grown_during(|| decide_bursts(measured));
+    assert!(
+        fleet
+            .nodes
+            .iter()
+            .all(|node| node.log().first_index() > 2 * burst),
+        "the fleet compacted"
+    );
+    assert!(
+        grown <= 16 * 1024,
+        "the live heap grew {grown} B over {measured} decisions"
     );
 }

@@ -23,7 +23,7 @@ use rfd_core::{ProcessId, ProcessSet};
 use rfd_net::clock::Nanos;
 use rfd_net::estimator::ChenEstimator;
 use rfd_net::online::{Fault, FaultSchedule, OnlineScenario};
-use rfd_net::service::{run_service, ServiceScenario};
+use rfd_net::service::{ServiceEvent, ServiceRunner, ServiceScenario};
 
 const STREAM_FIRST_ID: u64 = 1_000;
 const SMALL_ID: u64 = 1;
@@ -64,17 +64,21 @@ fn decided_after_heal(cut_ms: u64, heal_ms: u64, submit_ms: u64, id: u64) -> Nan
         commands: stream.chain([(ms(submit_ms), p(4), id)]).collect(),
         ..ServiceScenario::default()
     };
-    let report = run_service(ChenEstimator::new(ms(150), 16, ms(600)), &scenario);
+    let mut runner = ServiceRunner::new(ChenEstimator::new(ms(150), 16, ms(600)), scenario);
+    let events = runner.run_to_end();
+    let report = runner.report();
     assert!(report.agreement_holds() && report.live_logs_converged());
     assert_eq!(
         report.decided_len(),
         501,
         "the stream and the extra command"
     );
-    let at = report
-        .decisions
+    let at = events
         .iter()
-        .find_map(|(at, _, d)| (d.value == id).then_some(*at))
+        .find_map(|event| match event {
+            ServiceEvent::Decided { at, decision, .. } if decision.value == id => Some(*at),
+            _ => None,
+        })
         .expect("the extra command was decided");
     at.saturating_sub(ms(heal_ms))
 }

@@ -13,7 +13,7 @@ use rfd_core::ProcessId;
 use rfd_net::clock::Nanos;
 use rfd_net::estimator::ChenEstimator;
 use rfd_net::online::OnlineScenario;
-use rfd_net::service::{run_service, ServiceReport, ServiceScenario};
+use rfd_net::service::{ServiceEvent, ServiceReport, ServiceRunner, ServiceScenario};
 
 const N: usize = 5;
 /// The one-way delay of every datagram.
@@ -25,7 +25,7 @@ fn ms(v: u64) -> Nanos {
     Nanos::from_millis(v)
 }
 
-fn run(commands: Vec<(Nanos, ProcessId, u64)>) -> ServiceReport {
+fn run(commands: Vec<(Nanos, ProcessId, u64)>) -> (ServiceReport, Vec<ServiceEvent>) {
     let scenario = ServiceScenario {
         online: OnlineScenario {
             n: N,
@@ -39,18 +39,22 @@ fn run(commands: Vec<(Nanos, ProcessId, u64)>) -> ServiceReport {
         commands,
         ..ServiceScenario::default()
     };
-    let report = run_service(ChenEstimator::new(ms(150), 16, ms(600)), &scenario);
+    let mut runner = ServiceRunner::new(ChenEstimator::new(ms(150), 16, ms(600)), scenario);
+    let events = runner.run_to_end();
+    let report = runner.report();
     assert!(report.agreement_holds() && report.live_logs_converged());
     assert_eq!(report.membership.retransmits_sent, 0, "a calm fleet");
-    report
+    (report, events)
 }
 
 /// When `value` was first decided, at any node.
-fn first_decided(report: &ServiceReport, value: u64) -> Nanos {
-    report
-        .decisions
+fn first_decided(events: &[ServiceEvent], value: u64) -> Nanos {
+    events
         .iter()
-        .find_map(|(at, _, d)| (d.value == value).then_some(*at))
+        .find_map(|event| match event {
+            ServiceEvent::Decided { at, decision, .. } if decision.value == value => Some(*at),
+            _ => None,
+        })
         .unwrap_or_else(|| panic!("command {value} was never decided"))
 }
 
@@ -61,15 +65,15 @@ fn budget(delays: u64) -> Nanos {
 
 #[test]
 fn a_command_submitted_at_the_coordinator_is_decided_in_two_delays() {
-    let report = run(vec![(ms(1_000), ProcessId::new(0), 7)]);
-    let took = first_decided(&report, 7).saturating_sub(ms(1_000));
+    let (_, events) = run(vec![(ms(1_000), ProcessId::new(0), 7)]);
+    let took = first_decided(&events, 7).saturating_sub(ms(1_000));
     assert!(took <= budget(2), "submit → decide took {took:?}");
 }
 
 #[test]
 fn a_command_submitted_elsewhere_is_decided_in_three_delays() {
-    let report = run(vec![(ms(1_000), ProcessId::new(3), 7)]);
-    let took = first_decided(&report, 7).saturating_sub(ms(1_000));
+    let (_, events) = run(vec![(ms(1_000), ProcessId::new(3), 7)]);
+    let took = first_decided(&events, 7).saturating_sub(ms(1_000));
     assert!(took <= budget(3), "submit → decide took {took:?}");
 }
 
@@ -79,10 +83,10 @@ fn a_backlog_pays_two_delays_a_slot() {
     let backlog = (0..commands)
         .map(|k| (ms(1_000), ProcessId::new(k as usize % N), 100 + k))
         .collect();
-    let report = run(backlog);
+    let (report, events) = run(backlog);
     assert_eq!(report.decided_len(), commands);
     let last = (0..commands)
-        .map(|k| first_decided(&report, 100 + k))
+        .map(|k| first_decided(&events, 100 + k))
         .max()
         .expect("a nonempty backlog");
     let per_slot = Nanos::from_nanos(last.saturating_sub(ms(1_000)).as_nanos() / commands);

@@ -12,7 +12,7 @@ use rfd_core::ProcessId;
 use rfd_net::clock::Nanos;
 use rfd_net::estimator::ChenEstimator;
 use rfd_net::online::OnlineScenario;
-use rfd_net::service::{CompactionPolicy, ServiceRunner, ServiceScenario};
+use rfd_net::service::{CompactionPolicy, ServiceEvent, ServiceRunner, ServiceScenario};
 
 const N: usize = 5;
 const COMMANDS: u64 = 1_500;
@@ -45,7 +45,7 @@ fn no_command_waits_out_a_horizon_timer_under_ten_percent_loss() {
     }
     .with_compaction(CompactionPolicy::retain_last(16));
     let mut runner = ServiceRunner::new(ChenEstimator::new(ms(150), 16, ms(600)), scenario);
-    runner.run_to_end();
+    let events = runner.run_to_end();
     let report = runner.report();
     assert!(report.agreement_holds() && report.live_logs_converged());
     assert!(
@@ -54,8 +54,10 @@ fn no_command_waits_out_a_horizon_timer_under_ten_percent_loss() {
     );
     // Due → first decision anywhere, per command.
     let mut first = vec![None; COMMANDS as usize];
-    for (at, _, decision) in &report.decisions {
-        first[(decision.value - 1) as usize].get_or_insert(*at);
+    for event in &events {
+        if let ServiceEvent::Decided { at, decision, .. } = event {
+            first[(decision.value - 1) as usize].get_or_insert(*at);
+        }
     }
     let (worst, value) = first
         .iter()

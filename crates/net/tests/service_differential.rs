@@ -149,7 +149,9 @@ fn assert_cell_matches<E: ArrivalEstimator + Clone>(estimator: E, est_name: &str
         .map(|(at, _, _)| at.as_millis())
         .collect();
 
-    let online = run_service(estimator.clone(), &scenario);
+    let mut runner = ServiceRunner::new(estimator.clone(), scenario.clone());
+    let events = runner.run_to_end();
+    let online = runner.report();
     assert!(
         online.agreement_holds(),
         "[{est_name}/{}] logs fork",
@@ -176,13 +178,10 @@ fn assert_cell_matches<E: ArrivalEstimator + Clone>(estimator: E, est_name: &str
         cell.name
     );
 
-    // Same seed ⇒ bit-identical decision sequence (and timeline).
-    let again = run_service(estimator, &scenario);
-    assert_eq!(
-        online.decisions, again.decisions,
-        "[{est_name}/{}]",
-        cell.name
-    );
+    // Same seed ⇒ bit-identical event stream: every decision, view,
+    // transfer and sync at the same tick.
+    let again = ServiceRunner::new(estimator, scenario).run_to_end();
+    assert_eq!(events, again, "[{est_name}/{}]", cell.name);
 }
 
 #[test]
@@ -248,7 +247,7 @@ fn calm_weather_is_bit_identical_to_the_bare_faulty_path() {
                 ChenEstimator::new(ms(150), 16, ms(600)),
                 calm.apply_to_service(scenario.clone()),
             );
-            dsl.run_to_end();
+            let dsl_events = dsl.run_to_end();
             let dsl = dsl.report();
             // The bare path: the same substrate assembled without the
             // weather module.
@@ -260,10 +259,10 @@ fn calm_weather_is_bit_identical_to_the_bare_faulty_path() {
                 injector,
                 clock,
             );
-            bare.run_to_end();
+            let bare_events = bare.run_to_end();
             let bare = bare.report();
             let tag = format!("{}/loss {loss}", cell.name);
-            assert_eq!(dsl.decisions, bare.decisions, "[{tag}] decision timeline");
+            assert_eq!(dsl_events, bare_events, "[{tag}] event stream");
             assert_eq!(dsl.logs, bare.logs, "[{tag}] final logs");
             assert_eq!(dsl.bases, bare.bases, "[{tag}] compaction bases");
             assert_eq!(dsl.up, bare.up, "[{tag}] liveness map");

@@ -33,7 +33,7 @@ use rfd_net::service::{
     run_service, CompactionPolicy, ServiceEvent, ServiceRunner, ServiceScenario,
 };
 use rfd_net::transport::{ChurnableTransport, InMemoryNetwork, NetworkConfig, Transport};
-use rfd_net::weather::{run_weather_service, weather_service_runner, Weather};
+use rfd_net::weather::{weather_service_runner, Weather};
 use rfd_net::DetectorNode;
 use std::collections::BTreeMap;
 
@@ -246,10 +246,11 @@ proptest! {
         cuts in prop::collection::vec((2_000u64..7_000, 2_000u64..6_000, 1u8..15), 1..2),
     ) {
         let scenario = churn_scenario(seed, true, &cuts, None);
-        let a = run_service(chen(), &scenario);
-        let b = run_service(chen(), &scenario);
+        let mut runner_a = ServiceRunner::new(chen(), scenario.clone());
+        let mut runner_b = ServiceRunner::new(chen(), scenario);
+        prop_assert_eq!(runner_a.run_to_end(), runner_b.run_to_end());
+        let (a, b) = (runner_a.report(), runner_b.report());
         prop_assert_eq!(a.logs, b.logs);
-        prop_assert_eq!(a.decisions, b.decisions);
         prop_assert_eq!(a.membership.view_changes, b.membership.view_changes);
         prop_assert_eq!(a.membership.decisions_transferred, b.membership.decisions_transferred);
     }
@@ -383,11 +384,12 @@ proptest! {
         spec in weather_spec(),
     ) {
         let scenario = weather_scenario(&spec, seed);
-        let a = run_weather_service(chen(), &scenario);
-        let b = run_weather_service(chen(), &scenario);
+        let mut runner_a = weather_service_runner(chen(), scenario.clone());
+        let mut runner_b = weather_service_runner(chen(), scenario);
+        prop_assert_eq!(runner_a.run_to_end(), runner_b.run_to_end());
+        let (a, b) = (runner_a.report(), runner_b.report());
         prop_assert_eq!(a.logs, b.logs);
         prop_assert_eq!(a.bases, b.bases);
-        prop_assert_eq!(a.decisions, b.decisions);
         prop_assert_eq!(a.membership.view_changes, b.membership.view_changes);
         prop_assert_eq!(a.membership.weather_directives, b.membership.weather_directives);
     }
@@ -420,11 +422,12 @@ proptest! {
     ) {
         let mut scenario = weather_scenario(&spec, seed);
         scenario.online.loss = loss_pct as f64 / 100.0;
-        let a = run_weather_service(chen(), &scenario);
-        let b = run_weather_service(chen(), &scenario);
+        let mut runner_a = weather_service_runner(chen(), scenario.clone());
+        let mut runner_b = weather_service_runner(chen(), scenario);
+        prop_assert_eq!(runner_a.run_to_end(), runner_b.run_to_end());
+        let (a, b) = (runner_a.report(), runner_b.report());
         prop_assert_eq!(a.logs, b.logs);
         prop_assert_eq!(a.bases, b.bases);
-        prop_assert_eq!(a.decisions, b.decisions);
         prop_assert_eq!(
             a.membership.retransmits_sent,
             b.membership.retransmits_sent
