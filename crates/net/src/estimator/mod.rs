@@ -135,7 +135,7 @@ impl ArrivalWindow {
         }
     }
 
-    /// Mean and population variance of inter-arrivals.
+    /// Mean and sample variance (`n − 1` denominator) of inter-arrivals.
     pub(crate) fn mean_and_variance(&self) -> Option<(f64, f64)> {
         let mean = self.mean()?;
         if self.samples.len() < 2 {
@@ -149,7 +149,7 @@ impl ArrivalWindow {
                 d * d
             })
             .sum::<f64>()
-            / self.samples.len() as f64;
+            / (self.samples.len() - 1) as f64;
         Some((mean, var))
     }
 }
