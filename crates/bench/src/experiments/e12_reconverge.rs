@@ -184,7 +184,7 @@ mod tests {
     fn run_udp_cell(prototype: Estimators, scenario: &OnlineScenario) -> MembershipChurnReport {
         let clock = SystemClock::new();
         let transports = loopback_cluster(scenario.n).expect("bind loopback cluster");
-        let (nodes, injector) = faulty_cluster(transports, 0.0, scenario.seed, clock.clone());
+        let (nodes, injector) = faulty_cluster(transports, clock.clone());
         run_membership_churn_over(prototype, scenario, nodes, injector, clock)
     }
 

@@ -220,8 +220,7 @@ mod tests {
     fn run_udp_cell(prototype: Estimators, scenario: &ServiceScenario) -> ServiceReport {
         let clock = SystemClock::new();
         let transports = loopback_cluster(scenario.online.n).expect("bind loopback cluster");
-        let (nodes, injector) =
-            faulty_cluster(transports, 0.0, scenario.online.seed, clock.clone());
+        let (nodes, injector) = faulty_cluster(transports, clock.clone());
         let mut runner = ServiceRunner::over(prototype, scenario.clone(), nodes, injector, clock);
         runner.run_to_end();
         runner.report()

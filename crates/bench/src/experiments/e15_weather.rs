@@ -29,10 +29,10 @@ use crate::table::Table;
 use crate::{mean, ms, p};
 use rfd_core::ProcessSet;
 use rfd_net::clock::{ClockSkew, Nanos};
-use rfd_net::online::OnlineScenario;
+use rfd_net::online::{OnlineRunner, OnlineScenario};
 use rfd_net::qos::QosReport;
-use rfd_net::service::{ServiceReport, ServiceScenario};
-use rfd_net::weather::{run_weather_service, weather_online_runner, Weather};
+use rfd_net::service::{run_service, ServiceReport, ServiceScenario};
+use rfd_net::weather::Weather;
 use rfd_sim::Campaign;
 
 /// The QoS pair every cell reduces: `OBSERVER` watches `TARGET`. Both
@@ -76,11 +76,11 @@ fn catalogue() -> Vec<(&'static str, Weather)> {
             "duplication",
             Weather::new().duplicate(300, ms(2_000), None),
         ),
-        // 20% of arrivals held until 3 younger datagrams overtake (or
-        // 40 ms passes) — bounded out-of-order delivery.
+        // 20% of datagrams held 40 ms, so later sends overtake them —
+        // out-of-order delivery bounded in time.
         (
             "reordering",
-            Weather::new().reorder(200, 3, ms(40), ms(2_000), None),
+            Weather::new().reorder(200, ms(40), ms(2_000), None),
         ),
         // p1 goes gray: alive and sending, but 900 ms late — past every
         // estimator's 600 ms cap, the slow-but-alive worst case.
@@ -169,7 +169,7 @@ fn gate(label: &str, report: &ServiceReport) {
 /// Runs the detector-only fleet under `weather` and reduces the
 /// observer→target pair.
 fn qos_pair(proto: Estimators, weather: &Weather, seed: u64) -> QosReport {
-    let mut runner = weather_online_runner(proto, weather.apply_to(base_online(seed)));
+    let mut runner = OnlineRunner::new(proto, weather.apply_to(base_online(seed)));
     runner.run_to_end();
     runner
         .report(p(OBSERVER), p(TARGET))
@@ -203,7 +203,7 @@ pub fn run_experiment(quick: bool) -> Table {
         for (weather_name, weather) in catalogue() {
             let label = format!("{est_name}/{weather_name}");
             let runs: Vec<Cell> = Campaign::sweep(0..seeds).map(|seed| {
-                let report = run_weather_service(proto.clone(), &scenario(&weather, seed));
+                let report = run_service(proto.clone(), &scenario(&weather, seed));
                 gate(&label, &report);
                 let qos = qos_pair(proto.clone(), &weather, seed);
                 Cell {
@@ -289,7 +289,7 @@ mod tests {
     use super::*;
     use rfd_net::estimator::ChenEstimator;
     use rfd_net::online::reports_equal;
-    use rfd_net::weather::weather_service_runner;
+    use rfd_net::service::ServiceRunner;
 
     #[test]
     fn e15_catalogue_covers_every_weather_for_every_estimator() {
@@ -304,9 +304,8 @@ mod tests {
     fn e15_cells_are_deterministic_per_seed() {
         let (_, gray) = catalogue().remove(5);
         let sc = scenario(&gray, 3);
-        let mut runner_a =
-            weather_service_runner(ChenEstimator::new(ms(150), 16, ms(600)), sc.clone());
-        let mut runner_b = weather_service_runner(ChenEstimator::new(ms(150), 16, ms(600)), sc);
+        let mut runner_a = ServiceRunner::new(ChenEstimator::new(ms(150), 16, ms(600)), sc.clone());
+        let mut runner_b = ServiceRunner::new(ChenEstimator::new(ms(150), 16, ms(600)), sc);
         assert_eq!(runner_a.run_to_end(), runner_b.run_to_end());
         let (a, b) = (runner_a.report(), runner_b.report());
         assert_eq!(a.logs, b.logs);

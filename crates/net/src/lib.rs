@@ -7,10 +7,11 @@
 //! * [`clock`] — virtual (deterministic) and system time sources, and
 //!   the [`clock::Pacer`] abstraction that lets one scenario driver run
 //!   in simulated or wall time.
-//! * [`transport`] — a seeded lossy virtual-time network and a real UDP
-//!   transport carrying the same wire format ([`codec`]), plus the
-//!   [`transport::ChurnableTransport`] fault-injection surface and the
-//!   [`transport::FaultyTransport`] wrapper that provides it over real
+//! * [`transport`] — a seeded lossy virtual-time network, the one
+//!   simulated medium, and a real UDP transport carrying the same wire
+//!   format ([`codec`]), plus the [`transport::ChurnableTransport`]
+//!   fault-injection surface and the [`transport::FaultyTransport`]
+//!   wrapper that provides its crash and partition half over real
 //!   sockets.
 //! * [`estimator`] — heartbeat timeout strategies: fixed, Chen,
 //!   Jacobson, φ-accrual.
@@ -32,9 +33,9 @@
 //!   post-heal state transfer between re-merged views (experiment E13).
 //! * [`weather`] — the adversarial weather catalogue: a composable
 //!   scenario DSL (one-way partitions, flapping links, duplication,
-//!   bounded reordering, gray failure, clock skew, correlated zone
-//!   crashes) over the [`transport::FaultInjector`] fault planes
-//!   (experiment E15).
+//!   time-bounded reordering, gray failure, clock skew, correlated zone
+//!   crashes) whose planes live in the simulated medium,
+//!   [`transport::InMemoryNetwork`] (experiment E15).
 //!
 //! ## Example: measure an estimator's QoS
 //!
@@ -91,7 +92,4 @@ pub use transport::{
     faulty_cluster, ChurnableTransport, FaultInjector, FaultyTransport, InMemoryNetwork, LossModel,
     NetworkConfig, Transport, UdpTransport,
 };
-pub use weather::{
-    run_weather_service, weather_fleet, weather_online_runner, weather_service_runner, Weather,
-    WeatherDirective, WeatherTransport,
-};
+pub use weather::{Weather, WeatherDirective};

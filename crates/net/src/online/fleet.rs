@@ -134,8 +134,9 @@ where
                     assert!(
                         self.net.apply_weather(d),
                         "the schedule carries weather ({d:?}) but this substrate's fault \
-                         plane declined it — drive weather schedules over a \
-                         FaultInjector-wrapped fleet (see rfd_net::weather::weather_fleet)"
+                         plane declined it — drive weather schedules over the simulated \
+                         medium (InMemoryNetwork, as ServiceRunner::new and \
+                         OnlineRunner::new build it)"
                     );
                 }
             }

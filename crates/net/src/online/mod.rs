@@ -475,7 +475,7 @@ mod tests {
         let endpoints = (0..scenario.n)
             .map(|ix| net.endpoint(ProcessId::new(ix)))
             .collect();
-        let (nodes, injector) = faulty_cluster(endpoints, 0.0, scenario.seed, clock.clone());
+        let (nodes, injector) = faulty_cluster(endpoints, clock.clone());
         let mut runner = OnlineRunner::over(
             ChenEstimator::new(ms(50), 32, ms(500)),
             scenario.clone(),
@@ -517,7 +517,7 @@ mod tests {
         };
         let clock = SystemClock::new();
         let transports = loopback_cluster(2).expect("bind loopback");
-        let (nodes, injector) = faulty_cluster(transports, 0.0, 0, clock.clone());
+        let (nodes, injector) = faulty_cluster(transports, clock.clone());
         let mut runner =
             OnlineRunner::over(FixedTimeout::new(ms(150)), scenario, nodes, injector, clock);
         runner.run_to_end();

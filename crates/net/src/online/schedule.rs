@@ -20,9 +20,10 @@ pub enum Fault {
     /// An adversarial-weather mutation of the fault plane (one-way
     /// blocks, duplication, reordering, gray failure, spikes — see
     /// [`crate::weather`]). Requires a weather-capable
-    /// [`ChurnableTransport`]; applying it to one that declines
-    /// ([`ChurnableTransport::apply_weather`] returns `false`) panics
-    /// the driver rather than running a silently calm scenario.
+    /// [`ChurnableTransport`], the simulated medium; applying it to one
+    /// that declines ([`ChurnableTransport::apply_weather`] returns
+    /// `false`) panics the driver rather than running a silently calm
+    /// scenario.
     ///
     /// [`ChurnableTransport`]: crate::transport::ChurnableTransport
     /// [`ChurnableTransport::apply_weather`]: crate::transport::ChurnableTransport::apply_weather
@@ -148,9 +149,10 @@ impl Default for OnlineScenario {
 
 impl OnlineScenario {
     /// Builds the simulated substrate the scenario's `n`, `delay`,
-    /// `loss` and `seed` fields describe: a fresh seeded in-memory
-    /// network on a fresh virtual clock, and one endpoint per process in
-    /// id order. Deterministic per seed.
+    /// `loss`, `seed` and `skews` fields describe: a fresh seeded
+    /// in-memory network on a fresh virtual clock, and one endpoint per
+    /// process in id order, stamping arrivals in that process's local
+    /// time. Deterministic per seed.
     pub(crate) fn simulated_substrate(&self) -> (Vec<Endpoint>, InMemoryNetwork, VirtualClock) {
         let clock = VirtualClock::new();
         let config = NetworkConfig::reliable(self.delay.0, self.delay.1)
@@ -158,7 +160,10 @@ impl OnlineScenario {
             .with_seed(self.seed);
         let net = InMemoryNetwork::new(self.n, config, clock.clone());
         let endpoints = (0..self.n)
-            .map(|ix| net.endpoint(ProcessId::new(ix)))
+            .map(|ix| {
+                let skew = self.skews.get(ix).copied().unwrap_or_default();
+                net.skewed_endpoint(ProcessId::new(ix), skew)
+            })
             .collect();
         (endpoints, net, clock)
     }

@@ -1,12 +1,14 @@
 //! Transports: datagram delivery for the heartbeat stack.
 //!
-//! [`InMemoryNetwork`] is a deterministic virtual-time network with
-//! configurable loss, delay and partitions — the workhorse of the QoS
-//! experiments. [`UdpTransport`] carries the same traffic over real
-//! `UdpSocket`s for the end-to-end examples, and [`FaultyTransport`]
-//! wraps any per-node transport with the fault-injection surface
-//! ([`ChurnableTransport`]) the online churn drivers need, so the same
-//! crash / recover / partition schedules run over genuine OS sockets.
+//! [`InMemoryNetwork`] is the one simulated medium: a deterministic
+//! virtual-time network with configurable loss and delay, crashes,
+//! partitions and the adversarial weather planes of [`crate::weather`]
+//! — the workhorse of the QoS experiments. [`UdpTransport`] carries the
+//! same traffic over real `UdpSocket`s for the end-to-end examples, and
+//! [`FaultyTransport`] gives a fleet of them what real sockets lack:
+//! the crash and partition half of the fault-injection surface
+//! ([`ChurnableTransport`]), so the same crash / recover / partition
+//! schedules run over genuine OS sockets.
 
 pub mod faulty;
 pub mod memory;
@@ -69,8 +71,8 @@ pub trait Transport {
 ///
 /// Two implementations ship:
 ///
-/// * [`InMemoryNetwork`] — faults act on the simulated medium itself
-///   (virtual time, deterministic per seed);
+/// * [`InMemoryNetwork`] — faults and weather act on the simulated
+///   medium itself (virtual time, deterministic per seed);
 /// * [`FaultInjector`] — the shared control plane of a
 ///   [`FaultyTransport`] cluster, muting and partitioning traffic that
 ///   really flows through OS sockets (wall time).
@@ -96,11 +98,11 @@ pub trait ChurnableTransport {
     /// Applies an adversarial-weather directive (one-way blocks,
     /// duplication, reordering, gray failure, spikes — see
     /// [`WeatherDirective`]), returning whether this control plane
-    /// supports it. The default declines: only the weather-capable
-    /// [`FaultInjector`] fault plane implements the full catalogue, and
-    /// a schedule carrying weather over an unsupporting substrate is a
-    /// driver bug the churn runners turn into a panic rather than a
-    /// silently calm run.
+    /// supports it. The default declines: only the simulated medium,
+    /// [`InMemoryNetwork`], implements the catalogue, and a schedule
+    /// carrying weather over an unsupporting substrate is a driver bug
+    /// the churn runners turn into a panic rather than a silently calm
+    /// run.
     fn apply_weather(&self, directive: &WeatherDirective) -> bool {
         let _ = directive;
         false

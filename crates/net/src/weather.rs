@@ -1,6 +1,6 @@
 //! The adversarial weather catalogue: a composable, seed-deterministic
-//! fault-scenario DSL layered over
-//! [`FaultInjector`]/[`FaultyTransport`].
+//! fault-scenario DSL whose planes live in the simulated medium,
+//! [`InMemoryNetwork`](crate::transport::InMemoryNetwork).
 //!
 //! The base [`FaultSchedule`](crate::online::FaultSchedule) speaks four
 //! faults — crash, recover, partition, heal — which covers fail-stop
@@ -16,30 +16,35 @@
 //!   cannot express;
 //! * **flapping links** — [`Weather::flap`]: a link that blocks and
 //!   heals on a square wave, stressing mistake-rate (λ_M) accounting;
-//! * **message duplication** — [`Weather::duplicate`]: each forwarded
+//! * **message duplication** — [`Weather::duplicate`]: each sent
 //!   datagram is cloned with seeded probability, probing wire-path
 //!   idempotency;
-//! * **bounded reordering** — [`Weather::reorder`]: arrivals are held
-//!   back until a bounded number of younger datagrams overtake them (or
-//!   a hold timer fires), the unreliable-channel model of Chandra–Toueg;
+//! * **time-bounded reordering** — [`Weather::reorder`]: a sent datagram
+//!   is held back by a fixed extra latency with seeded probability, so
+//!   later sends overtake it — the unreliable-channel model of
+//!   Chandra–Toueg, bounded in time;
 //! * **latency spikes / gray failure** — [`Weather::spike`] (everyone)
 //!   and [`Weather::gray`] (one slow-but-alive node — the realistic
 //!   detector's hardest case: heartbeats arrive, but late);
 //! * **clock skew** — [`Weather::skew`]: a node's
 //!   [`Pacer`](crate::clock::Pacer) runs at a different rate via
-//!   [`SkewedClock`], so its heartbeat period is locally honest but
-//!   globally wrong;
+//!   [`SkewedClock`](crate::clock::SkewedClock), and its arrivals are
+//!   stamped in the same local time, so its heartbeat period is locally
+//!   honest but globally wrong;
 //! * **correlated failures** — [`Weather::correlated_crash`]: a whole
 //!   rack/zone [`ProcessSet`] crashing (and optionally recovering) as
 //!   one event.
 //!
-//! Everything stays deterministic per seed: directives land at scheduled
-//! virtual times, probabilistic planes (duplication, reordering, loss)
-//! draw from the injector's single seeded RNG in poll order, and a
-//! [`Weather`] with no events is bit-identical to the bare
-//! [`FaultyTransport`] path (the DSL
-//! is a strict superset, not a fork — `service_differential.rs` pins
-//! this).
+//! Every plane acts where the medium already decides a datagram's fate,
+//! at send. Everything stays deterministic per seed: directives land at
+//! scheduled virtual times, and the probabilistic planes (duplication,
+//! reordering) draw from the medium's one seeded RNG in send order. A
+//! plane that is off draws nothing, so a [`Weather`] whose planes are
+//! all off runs bit-identically to the same scenario without it
+//! (`service_differential.rs` pins this). Weather runs use the plain
+//! drivers: [`ServiceRunner::new`](crate::service::ServiceRunner::new),
+//! [`OnlineRunner::new`](crate::online::OnlineRunner::new) and
+//! [`run_service`](crate::service::run_service).
 //!
 //! # Examples
 //!
@@ -48,8 +53,8 @@
 //! use rfd_net::clock::{ClockSkew, Nanos};
 //! use rfd_net::estimator::ChenEstimator;
 //! use rfd_net::online::OnlineScenario;
-//! use rfd_net::service::ServiceScenario;
-//! use rfd_net::weather::{run_weather_service, Weather};
+//! use rfd_net::service::{run_service, ServiceScenario};
+//! use rfd_net::weather::Weather;
 //!
 //! let ms = Nanos::from_millis;
 //! let p = ProcessId::new;
@@ -69,26 +74,24 @@
 //!     ..ServiceScenario::default()
 //! }
 //! .command(ms(500), p(0), 7);
-//! let report = run_weather_service(ChenEstimator::new(ms(150), 16, ms(600)), &scenario);
+//! let report = run_service(ChenEstimator::new(ms(150), 16, ms(600)), &scenario);
 //! assert!(report.agreement_holds(), "safety survives the weather");
 //! assert!(report.decided_len() >= 1);
 //! ```
 
-use crate::clock::{ClockSkew, Nanos, SkewedClock, VirtualClock};
-use crate::estimator::ArrivalEstimator;
-use crate::online::{Fault, OnlineRunner, OnlineScenario};
-use crate::service::{ServiceReport, ServiceRunner, ServiceScenario};
-use crate::transport::{Endpoint, FaultInjector, FaultyTransport, InMemoryNetwork, NetworkConfig};
+use crate::clock::{ClockSkew, Nanos};
+use crate::online::{Fault, OnlineScenario};
+use crate::service::ServiceScenario;
 use rfd_core::{ProcessId, ProcessSet};
 
 /// One weather mutation of the fault plane, applied mid-run through
 /// [`Fault::Weather`] by the schedule machinery.
 ///
-/// Directives mutate the cluster's shared [`FaultInjector`]; a substrate
-/// without one (the bare
-/// [`InMemoryNetwork`]) reports the
-/// directive unsupported and the driver panics — weather schedules need
-/// a weather-capable fleet (see [`weather_fleet`]).
+/// Directives mutate the planes of the simulated medium,
+/// [`InMemoryNetwork`](crate::transport::InMemoryNetwork); a substrate
+/// without them (a [`FaultyTransport`](crate::transport::FaultyTransport)
+/// fleet over real sockets) reports the directive unsupported and the
+/// driver panics.
 ///
 /// Probabilities are integer per-mille (0..=1000) so directives stay
 /// `Copy + Eq` and schedules stay comparable.
@@ -109,22 +112,20 @@ pub enum WeatherDirective {
         /// Receiving side of the unblocked link.
         to: ProcessId,
     },
-    /// Each forwarded datagram is duplicated with probability
+    /// Each sent datagram is duplicated with probability
     /// `per_mille / 1000` (0 disables the plane and its RNG draws).
     Duplicate {
         /// Duplication probability in per-mille (0..=1000).
         per_mille: u16,
     },
-    /// Each arriving datagram is held back with probability
-    /// `per_mille / 1000`, released once `depth` younger datagrams have
-    /// overtaken it or after `hold` of extra latency, whichever first —
-    /// bounded reordering (0 per-mille disables the plane).
+    /// Each sent datagram is held back by `hold` of extra latency with
+    /// probability `per_mille / 1000`, so datagrams sent after it
+    /// overtake it — reordering bounded by time (0 per-mille disables
+    /// the plane and its RNG draws).
     Reorder {
         /// Hold-back probability in per-mille (0..=1000).
         per_mille: u16,
-        /// How many younger datagrams may overtake a held one.
-        depth: u8,
-        /// Maximum extra holding latency.
+        /// Extra latency of a held datagram.
         hold: Nanos,
     },
     /// `node` goes gray: alive and sending, but everything it sends
@@ -280,31 +281,16 @@ impl Weather {
         self
     }
 
-    /// Bounded reordering (see [`WeatherDirective::Reorder`]) from `at`
-    /// (until `until`, if given).
+    /// Time-bounded reordering (see [`WeatherDirective::Reorder`]) from
+    /// `at` (until `until`, if given).
     #[must_use]
-    pub fn reorder(
-        mut self,
-        per_mille: u16,
-        depth: u8,
-        hold: Nanos,
-        at: Nanos,
-        until: Option<Nanos>,
-    ) -> Self {
-        self = self.directive(
-            at,
-            WeatherDirective::Reorder {
-                per_mille,
-                depth,
-                hold,
-            },
-        );
+    pub fn reorder(mut self, per_mille: u16, hold: Nanos, at: Nanos, until: Option<Nanos>) -> Self {
+        self = self.directive(at, WeatherDirective::Reorder { per_mille, hold });
         if let Some(u) = until {
             self = self.directive(
                 u,
                 WeatherDirective::Reorder {
                     per_mille: 0,
-                    depth: 0,
                     hold: Nanos::ZERO,
                 },
             );
@@ -335,9 +321,10 @@ impl Weather {
     }
 
     /// Runs `node`'s clock at `skew` for the whole scenario: its
-    /// [`Pacer`](crate::clock::Pacer) ticks and timeout arithmetic are
-    /// locally honest but globally fast/slow (see [`SkewedClock`]). The
-    /// last skew given for a node wins.
+    /// [`Pacer`](crate::clock::Pacer) ticks, timeout arithmetic and
+    /// arrival stamps are locally honest but globally fast/slow (see
+    /// [`SkewedClock`](crate::clock::SkewedClock)). The last skew given
+    /// for a node wins.
     #[must_use]
     pub fn skew(mut self, node: ProcessId, skew: ClockSkew) -> Self {
         self.skews.push((node, skew));
@@ -391,87 +378,13 @@ impl Weather {
     }
 }
 
-/// The transport a weather fleet runs over: a reliable in-memory medium
-/// wrapped by the weather-capable [`FaultInjector`], re-stamping each
-/// node's arrivals in that node's (possibly skewed) local time.
-pub type WeatherTransport = FaultyTransport<Endpoint, SkewedClock<VirtualClock>>;
-
-/// Builds the deterministic weather substrate for `scenario`: a
-/// *reliable* [`InMemoryNetwork`]
-/// (the scenario's `delay` and `seed`) wrapped per node by one shared
-/// [`FaultInjector`] carrying the scenario's `loss` — so every drop,
-/// duplicate, hold and block is the injector's doing and every
-/// [`WeatherDirective`] in the schedule has a fault plane to act on.
-/// Each node's wrapper re-stamps arrivals through that node's
-/// [`SkewedClock`] (`scenario.skews`, identity when absent).
-///
-/// Returns `(per-node transports, shared injector, driver clock)`; feed
-/// them to [`OnlineRunner::over`] / [`ServiceRunner::over`] or use the
-/// [`weather_online_runner`] / [`run_weather_service`] shorthands.
-#[must_use]
-pub fn weather_fleet(
-    scenario: &OnlineScenario,
-) -> (Vec<WeatherTransport>, FaultInjector, VirtualClock) {
-    let n = scenario.n;
-    let clock = VirtualClock::new();
-    let config =
-        NetworkConfig::reliable(scenario.delay.0, scenario.delay.1).with_seed(scenario.seed);
-    let net = InMemoryNetwork::new(n, config, clock.clone());
-    let injector = FaultInjector::new(scenario.loss, scenario.seed);
-    let transports = (0..n)
-        .map(|ix| {
-            let skew = scenario.skews.get(ix).copied().unwrap_or_default();
-            FaultyTransport::new(
-                net.endpoint(ProcessId::new(ix)),
-                injector.clone(),
-                SkewedClock::new(clock.clone(), skew),
-            )
-        })
-        .collect();
-    (transports, injector, clock)
-}
-
-/// An [`OnlineRunner`] (detector fleet + per-pair QoS monitors) over the
-/// [`weather_fleet`] substrate — deterministic per `scenario.seed`.
-#[must_use]
-pub fn weather_online_runner<E: ArrivalEstimator + Clone>(
-    prototype: E,
-    scenario: OnlineScenario,
-) -> OnlineRunner<E, WeatherTransport, VirtualClock, FaultInjector> {
-    let (transports, injector, clock) = weather_fleet(&scenario);
-    OnlineRunner::over(prototype, scenario, transports, injector, clock)
-}
-
-/// A [`ServiceRunner`] (replicated decision service) over the
-/// [`weather_fleet`] substrate — deterministic per
-/// `scenario.online.seed`.
-#[must_use]
-pub fn weather_service_runner<E: ArrivalEstimator + Clone>(
-    prototype: E,
-    scenario: ServiceScenario,
-) -> ServiceRunner<E, WeatherTransport, VirtualClock, FaultInjector> {
-    let (transports, injector, clock) = weather_fleet(&scenario.online);
-    ServiceRunner::over(prototype, scenario, transports, injector, clock)
-}
-
-/// Runs a [`ServiceScenario`] to completion over the weather substrate
-/// and returns the report — the weather-capable analogue of
-/// [`run_service`](crate::service::run_service).
-#[must_use]
-pub fn run_weather_service<E: ArrivalEstimator + Clone>(
-    prototype: E,
-    scenario: &ServiceScenario,
-) -> ServiceReport {
-    let mut runner = weather_service_runner(prototype, scenario.clone());
-    runner.run_to_end();
-    runner.report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::Clock;
-    use crate::transport::{ChurnableTransport, Transport};
+    use crate::clock::{Clock, VirtualClock};
+    use crate::transport::{
+        ChurnableTransport, Endpoint, InMemoryNetwork, NetworkConfig, Transport,
+    };
     use bytes::Bytes;
 
     fn ms(v: u64) -> Nanos {
@@ -482,13 +395,13 @@ mod tests {
         ProcessId::new(i)
     }
 
-    fn fleet(n: usize, seed: u64) -> (Vec<WeatherTransport>, FaultInjector, VirtualClock) {
-        weather_fleet(&OnlineScenario {
-            n,
-            delay: (ms(1), ms(2)),
-            seed,
-            ..OnlineScenario::default()
-        })
+    /// An `n`-node medium with a fixed 1 ms delay, so every arrival
+    /// stamp is exact.
+    fn medium(n: usize) -> (InMemoryNetwork, Vec<Endpoint>, VirtualClock) {
+        let clock = VirtualClock::new();
+        let net = InMemoryNetwork::new(n, NetworkConfig::reliable(ms(1), ms(1)), clock.clone());
+        let nodes = (0..n).map(|ix| net.endpoint(p(ix))).collect();
+        (net, nodes, clock)
     }
 
     fn pump(clock: &VirtualClock) {
@@ -497,8 +410,8 @@ mod tests {
 
     #[test]
     fn one_way_blocks_exactly_one_direction() {
-        let (nodes, injector, clock) = fleet(2, 1);
-        assert!(injector.apply_weather(&WeatherDirective::BlockLink {
+        let (net, nodes, clock) = medium(2);
+        assert!(net.apply_weather(&WeatherDirective::BlockLink {
             from: p(0),
             to: p(1),
         }));
@@ -510,20 +423,24 @@ mod tests {
             &nodes[0].recv().expect("reverse flows").payload[..],
             b"audible"
         );
-        assert!(injector.apply_weather(&WeatherDirective::UnblockLink {
+        assert!(net.apply_weather(&WeatherDirective::UnblockLink {
             from: p(0),
             to: p(1),
         }));
         nodes[0].send(p(1), Bytes::from_static(b"healed"));
         pump(&clock);
         assert!(nodes[1].recv().is_some());
-        assert_eq!(injector.weather_stats().link_dropped, 1);
+        assert_eq!(
+            net.stats(),
+            (3, 1, 2),
+            "the blocked datagram counts as lost"
+        );
     }
 
     #[test]
     fn certain_duplication_doubles_every_forwarded_datagram() {
-        let (nodes, injector, clock) = fleet(2, 2);
-        assert!(injector.apply_weather(&WeatherDirective::Duplicate { per_mille: 1000 }));
+        let (net, nodes, clock) = medium(2);
+        assert!(net.apply_weather(&WeatherDirective::Duplicate { per_mille: 1000 }));
         for _ in 0..10 {
             nodes[0].send(p(1), Bytes::from_static(b"x"));
         }
@@ -533,44 +450,38 @@ mod tests {
             got += 1;
         }
         assert_eq!(got, 20, "every datagram arrives twice at 1000‰");
-        assert_eq!(injector.weather_stats().duplicated, 10);
+        assert_eq!(net.stats(), (10, 0, 20), "a copy is delivered, not sent");
     }
 
     #[test]
     fn reordering_lets_younger_datagrams_overtake_held_ones() {
-        let (nodes, injector, clock) = fleet(2, 3);
+        let (net, nodes, clock) = medium(2);
         // Hold `slow` with certainty, then disable the plane so `fast`
         // passes straight through — a deterministic inversion.
-        assert!(injector.apply_weather(&WeatherDirective::Reorder {
+        assert!(net.apply_weather(&WeatherDirective::Reorder {
             per_mille: 1000,
-            depth: 1,
-            hold: ms(10_000),
+            hold: ms(40),
         }));
         nodes[0].send(p(1), Bytes::from_static(b"slow"));
-        pump(&clock);
-        assert!(nodes[1].recv().is_none(), "held back");
-        assert!(injector.apply_weather(&WeatherDirective::Reorder {
+        assert!(net.apply_weather(&WeatherDirective::Reorder {
             per_mille: 0,
-            depth: 0,
             hold: Nanos::ZERO,
         }));
         nodes[0].send(p(1), Bytes::from_static(b"fast"));
         pump(&clock);
-        assert_eq!(
-            &nodes[1].recv().expect("overtaker").payload[..],
-            b"fast",
-            "the younger datagram overtakes"
-        );
-        // `fast`'s delivery satisfied the depth-1 release bound long
-        // before the 10 s hold expires.
-        assert_eq!(&nodes[1].recv().expect("released").payload[..], b"slow");
-        assert_eq!(injector.weather_stats().reordered, 1);
+        let fast = nodes[1].recv().expect("overtaker");
+        assert_eq!(&fast.payload[..], b"fast", "the younger datagram overtakes");
+        assert!(nodes[1].recv().is_none(), "held back");
+        clock.advance(ms(40));
+        let slow = nodes[1].recv().expect("released once its hold has passed");
+        assert_eq!(&slow.payload[..], b"slow");
+        assert_eq!(slow.delivered_at, ms(41), "due = send + delay + hold");
     }
 
     #[test]
     fn gray_failure_is_slow_but_alive() {
-        let (nodes, injector, clock) = fleet(2, 4);
-        assert!(injector.apply_weather(&WeatherDirective::Gray {
+        let (net, nodes, clock) = medium(2);
+        assert!(net.apply_weather(&WeatherDirective::Gray {
             node: p(0),
             extra: ms(50),
         }));
@@ -582,20 +493,21 @@ mod tests {
         assert_eq!(&dg.payload[..], b"late");
         assert_eq!(
             dg.delivered_at,
-            clock.now(),
-            "release is re-stamped at delivery"
+            ms(51),
+            "stamped at its due time, gray latency included"
         );
-        assert!(injector.apply_weather(&WeatherDirective::Ungray { node: p(0) }));
+        assert!(net.apply_weather(&WeatherDirective::Ungray { node: p(0) }));
+        let sent_at = clock.now();
         nodes[0].send(p(1), Bytes::from_static(b"prompt"));
         pump(&clock);
-        assert!(nodes[1].recv().is_some(), "ungray restores promptness");
-        assert_eq!(injector.weather_stats().delayed, 1);
+        let dg = nodes[1].recv().expect("ungray restores promptness");
+        assert_eq!(dg.delivered_at, sent_at.saturating_add(ms(1)));
     }
 
     #[test]
     fn spike_delays_everyone_until_calm() {
-        let (nodes, injector, clock) = fleet(3, 5);
-        assert!(injector.apply_weather(&WeatherDirective::Spike { extra: ms(40) }));
+        let (net, nodes, clock) = medium(3);
+        assert!(net.apply_weather(&WeatherDirective::Spike { extra: ms(40) }));
         nodes[0].send(p(2), Bytes::from_static(b"a"));
         nodes[1].send(p(2), Bytes::from_static(b"b"));
         pump(&clock);
@@ -603,7 +515,7 @@ mod tests {
         clock.advance(ms(40));
         assert!(nodes[2].recv().is_some());
         assert!(nodes[2].recv().is_some());
-        assert!(injector.apply_weather(&WeatherDirective::Calm));
+        assert!(net.apply_weather(&WeatherDirective::Calm));
         nodes[0].send(p(2), Bytes::from_static(b"c"));
         pump(&clock);
         assert!(nodes[2].recv().is_some(), "calm ends the spike");

@@ -12,23 +12,20 @@
 //! bit-for-bit per seed.
 
 //!
-//! A second differential axis pins the weather DSL's zero-cost claim:
-//! a [`Weather`]-wrapped fleet with every fault plane disabled must
-//! produce the **bit-identical** decision and QoS timelines of the
-//! plain `FaultyTransport` path for the same seed — the DSL is a
-//! strict superset of the bare substrate, not a fork of it.
+//! A second differential axis pins the weather planes' zero-cost claim:
+//! a run whose [`Weather`] switches every plane on at zero strength
+//! must produce the **bit-identical** decision and QoS timelines of
+//! the plain run for the same seed — a plane that is off draws nothing
+//! from the medium's RNG and moves no due time.
 
 use rfd_algo::consensus::{ConsensusAutomaton, RotatingConsensus};
 use rfd_core::oracles::{Oracle, PerfectOracle};
 use rfd_core::{FailurePattern, ProcessId, ProcessSet, Time};
-use rfd_net::clock::{Nanos, VirtualClock};
+use rfd_net::clock::Nanos;
 use rfd_net::estimator::{ChenEstimator, FixedTimeout, JacobsonEstimator};
 use rfd_net::online::{reports_equal, Fault, FaultSchedule, OnlineRunner, OnlineScenario};
-use rfd_net::service::{run_service, ServiceRunner, ServiceScenario};
-use rfd_net::transport::{
-    Endpoint, FaultInjector, FaultyTransport, InMemoryNetwork, NetworkConfig,
-};
-use rfd_net::weather::{weather_online_runner, weather_service_runner, Weather};
+use rfd_net::service::{run_service, ServiceEvent, ServiceRunner, ServiceScenario};
+use rfd_net::weather::Weather;
 use rfd_net::ArrivalEstimator;
 use rfd_sim::{run, ticks_for_rounds, SimConfig, StopCondition};
 
@@ -205,122 +202,115 @@ fn online_decisions_match_batch_for_jacobson() {
     }
 }
 
-// ---- weather DSL vs bare FaultyTransport ------------------------------
+// ---- weather planes that are off ------------------------------------
 
-/// The pre-weather substrate, built by hand: a reliable seeded network
-/// wrapped per node by a shared [`FaultInjector`] carrying the
-/// scenario's loss, with **unskewed** clocks — exactly what the fleet
-/// looked like before the weather planes existed.
-fn bare_faulty_fleet(
-    scenario: &OnlineScenario,
-) -> (
-    Vec<FaultyTransport<Endpoint, VirtualClock>>,
-    FaultInjector,
-    VirtualClock,
-) {
-    let clock = VirtualClock::new();
-    let config =
-        NetworkConfig::reliable(scenario.delay.0, scenario.delay.1).with_seed(scenario.seed);
-    let net = InMemoryNetwork::new(scenario.n, config, clock.clone());
-    let injector = FaultInjector::new(scenario.loss, scenario.seed);
-    let transports = (0..scenario.n)
-        .map(|ix| FaultyTransport::new(net.endpoint(p(ix)), injector.clone(), clock.clone()))
-        .collect();
-    (transports, injector, clock)
+/// Every weather plane the medium draws for, switched on at zero
+/// strength from the first tick: no duplication, no reordering, a zero
+/// spike, and a gray `p1` that is zero late. The gray entry keeps the
+/// medium on its weather path all run, so the run exercises that path
+/// with nothing to do.
+fn off_planes() -> Weather {
+    Weather::new()
+        .duplicate(0, Nanos::ZERO, None)
+        .reorder(0, ms(40), Nanos::ZERO, None)
+        .spike(Nanos::ZERO, Nanos::ZERO, None)
+        .gray(p(1), Nanos::ZERO, Nanos::ZERO, None)
 }
 
-/// A calm [`Weather`] run is bit-identical to the bare `FaultyTransport`
-/// path: same decided timeline, same logs, same membership accounting —
-/// with and without injector loss, so the quiet fault planes provably
-/// consume zero extra RNG draws and add zero timing perturbation.
+/// The event stream without the weather directives themselves.
+fn without_weather(events: Vec<ServiceEvent>) -> Vec<ServiceEvent> {
+    events
+        .into_iter()
+        .filter(|e| {
+            !matches!(
+                e,
+                ServiceEvent::Fault {
+                    fault: Fault::Weather(_),
+                    ..
+                }
+            )
+        })
+        .collect()
+}
+
+/// A plane that is off draws nothing from the medium's RNG and moves
+/// no due time: with all of them off, the service run is bit-identical
+/// to the run without them — same event stream, logs and membership
+/// accounting — with and without loss, whose draws share that RNG.
 #[test]
-fn calm_weather_is_bit_identical_to_the_bare_faulty_path() {
+fn off_weather_planes_draw_nothing_and_leave_the_service_run_unchanged() {
     for cell in cells() {
         for loss in [0.0, 0.03] {
             let mut scenario = workload(&cell, 7);
             scenario.online.loss = loss;
-            // The DSL path: an explicitly calm weather over the same
-            // scenario.
-            let calm = Weather::new();
-            assert!(calm.is_calm());
-            let mut dsl = weather_service_runner(
+            let mut off = ServiceRunner::new(
                 ChenEstimator::new(ms(150), 16, ms(600)),
-                calm.apply_to_service(scenario.clone()),
+                off_planes().apply_to_service(scenario.clone()),
             );
-            let dsl_events = dsl.run_to_end();
-            let dsl = dsl.report();
-            // The bare path: the same substrate assembled without the
-            // weather module.
-            let (transports, injector, clock) = bare_faulty_fleet(&scenario.online);
-            let mut bare = ServiceRunner::over(
-                ChenEstimator::new(ms(150), 16, ms(600)),
-                scenario.clone(),
-                transports,
-                injector,
-                clock,
-            );
-            let bare_events = bare.run_to_end();
-            let bare = bare.report();
+            let off_events = without_weather(off.run_to_end());
+            let off = off.report();
+            let mut plain = ServiceRunner::new(ChenEstimator::new(ms(150), 16, ms(600)), scenario);
+            let plain_events = plain.run_to_end();
+            let plain = plain.report();
             let tag = format!("{}/loss {loss}", cell.name);
-            assert_eq!(dsl_events, bare_events, "[{tag}] event stream");
-            assert_eq!(dsl.logs, bare.logs, "[{tag}] final logs");
-            assert_eq!(dsl.bases, bare.bases, "[{tag}] compaction bases");
-            assert_eq!(dsl.up, bare.up, "[{tag}] liveness map");
+            assert_eq!(off_events, plain_events, "[{tag}] event stream");
+            assert_eq!(off.logs, plain.logs, "[{tag}] final logs");
+            assert_eq!(off.bases, plain.bases, "[{tag}] compaction bases");
+            assert_eq!(off.up, plain.up, "[{tag}] liveness map");
             assert_eq!(
-                dsl.membership.view_changes, bare.membership.view_changes,
+                off.membership.view_changes, plain.membership.view_changes,
                 "[{tag}] view changes"
             );
             assert_eq!(
-                dsl.membership.decisions_transferred, bare.membership.decisions_transferred,
+                off.membership.decisions_transferred, plain.membership.decisions_transferred,
                 "[{tag}] transfer accounting"
             );
             assert_eq!(
-                dsl.membership.sync_bytes_sent, bare.membership.sync_bytes_sent,
+                off.membership.sync_bytes_sent, plain.membership.sync_bytes_sent,
                 "[{tag}] transfer bytes"
             );
             assert_eq!(
-                dsl.membership.weather_directives, 0,
-                "[{tag}] calm weather schedules no directives"
+                off.membership.weather_directives, 4,
+                "[{tag}] the four off planes were applied"
             );
         }
     }
 }
 
-/// The same zero-cost claim one layer down: the detector-only fleet's
-/// per-pair QoS timelines under a calm weather equal the bare
-/// `FaultyTransport` fleet's bitwise (every float, every counter, the
-/// new longest-mistake tail included).
+/// The same claim one layer down: the detector-only fleet's per-pair
+/// QoS timelines with every plane off equal the plain fleet's bitwise
+/// (every float, every counter, the longest-mistake tail included).
 #[test]
-fn calm_weather_qos_timelines_match_the_bare_faulty_path_bitwise() {
-    let cell = &cells()[1]; // coordinator crash: detection paths exercised
-    let mut scenario = workload(cell, 11).online;
-    scenario.loss = 0.02;
-    let mut dsl = weather_online_runner(
-        ChenEstimator::new(ms(150), 16, ms(600)),
-        Weather::new().apply_to(scenario.clone()),
-    );
-    dsl.run_to_end();
-    let (transports, injector, clock) = bare_faulty_fleet(&scenario);
-    let mut bare = OnlineRunner::over(
-        ChenEstimator::new(ms(150), 16, ms(600)),
-        scenario,
-        transports,
-        injector,
-        clock,
-    );
-    bare.run_to_end();
-    for a in 0..N {
-        for b in 0..N {
-            if a == b {
-                continue;
-            }
-            let (x, y) = (dsl.report(p(a), p(b)), bare.report(p(a), p(b)));
-            match (x, y) {
-                (Some(x), Some(y)) => assert!(
-                    reports_equal(&x, &y),
-                    "pair {a}->{b} diverged: {x:?} vs {y:?}"
-                ),
-                (x, y) => assert_eq!(x.is_some(), y.is_some(), "pair {a}->{b} monitor presence"),
+fn off_weather_planes_leave_qos_timelines_bitwise_equal() {
+    for cell in cells() {
+        let mut scenario = workload(&cell, 11).online;
+        scenario.loss = 0.02;
+        let mut off = OnlineRunner::new(
+            ChenEstimator::new(ms(150), 16, ms(600)),
+            off_planes().apply_to(scenario.clone()),
+        );
+        off.run_to_end();
+        let mut plain = OnlineRunner::new(ChenEstimator::new(ms(150), 16, ms(600)), scenario);
+        plain.run_to_end();
+        for a in 0..N {
+            for b in 0..N {
+                if a == b {
+                    continue;
+                }
+                let (x, y) = (off.report(p(a), p(b)), plain.report(p(a), p(b)));
+                match (x, y) {
+                    (Some(x), Some(y)) => assert!(
+                        reports_equal(&x, &y),
+                        "[{}] pair {a}->{b} diverged: {x:?} vs {y:?}",
+                        cell.name
+                    ),
+                    (x, y) => assert_eq!(
+                        x.is_some(),
+                        y.is_some(),
+                        "[{}] pair {a}->{b} monitor presence",
+                        cell.name
+                    ),
+                }
             }
         }
     }

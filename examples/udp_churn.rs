@@ -54,7 +54,7 @@ fn main() -> std::io::Result<()> {
     };
     let clock = SystemClock::new();
     let transports = loopback_cluster(scenario.n)?;
-    let (nodes, injector) = faulty_cluster(transports, 0.0, 0, clock.clone());
+    let (nodes, injector) = faulty_cluster(transports, clock.clone());
     let mut runner = OnlineRunner::over(chen(), scenario, nodes, injector.clone(), clock);
 
     println!("== act 1: 3-node chen fleet on UDP loopback, crash→recover→crash p2 ==");
@@ -120,7 +120,7 @@ fn main() -> std::io::Result<()> {
     println!("\n== act 2: 4-node heal-merge membership, partition {{p2,p3}} then heal ==");
     let clock = SystemClock::new();
     let transports = loopback_cluster(scenario.n)?;
-    let (nodes, injector) = faulty_cluster(transports, 0.0, 0, clock.clone());
+    let (nodes, injector) = faulty_cluster(transports, clock.clone());
     let report = run_membership_churn_over(chen(), &scenario, nodes, injector, clock);
     let reconverge = report.time_to_reconverge[0];
     println!(
