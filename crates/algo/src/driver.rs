@@ -15,7 +15,7 @@
 //!   for instances the local process has not opened yet (a faster peer
 //!   may already be deciding index `k+1` while this process still fills
 //!   index `k`), replayed in arrival order when the slot opens;
-//! * λ-steps ([`SlotDriver::tick`]) so suspicion-driven progress — e.g.
+//! * λ-steps ([`SlotDriver::tick_into`]) so suspicion-driven progress — e.g.
 //!   the rotating coordinator's nack-and-advance escape — happens even
 //!   when no message arrives;
 //! * external resolution ([`SlotDriver::resolve`]) for decisions learned
@@ -173,12 +173,6 @@ impl<C: ConsensusCore> SlotDriver<C> {
         self.early.len()
     }
 
-    /// [`SlotDriver::retransmit_into`], collected into a fresh `Vec`.
-    #[must_use]
-    pub fn retransmit(&mut self, slot: u64) -> Vec<SlotSend<C::Msg>> {
-        collected(|sends| self.retransmit_into(slot, sends)).0
-    }
-
     /// Writes into `sends` the peer-addressed retransmissions of
     /// `slot`'s stalled conversations, derived from the core's current
     /// state ([`ConsensusCore::retransmit`]) — what a retransmission
@@ -287,11 +281,6 @@ impl<C: ConsensusCore> SlotDriver<C> {
             self.early.push((slot, from, msg.clone()));
         }
         None
-    }
-
-    /// [`SlotDriver::tick_into`], collected into a fresh `Vec`.
-    pub fn tick(&mut self, suspects: ProcessSet) -> (Vec<SlotSend<C::Msg>>, Option<C::Val>) {
-        collected(|sends| self.tick_into(suspects, sends))
     }
 
     /// λ-steps the open slot with the current detector value, so
@@ -528,7 +517,7 @@ mod tests {
         assert!(sends.is_empty() && decided.is_none() && !d.is_open(0));
         let (sends, decided) = d.on_message(0, p(2), &RotatingMsg::Decide(8), ProcessSet::empty());
         assert!(sends.is_empty() && decided.is_none());
-        let (sends, decided) = d.tick(ProcessSet::singleton(p(0)));
+        let (sends, decided) = collected(|s| d.tick_into(ProcessSet::singleton(p(0)), s));
         assert!(sends.is_empty() && decided.is_none());
         d.resolve(0, 9);
         assert_eq!(d.decision(0), Some(&6), "the first value stands");
@@ -566,7 +555,10 @@ mod tests {
     fn open_slots_rederive_their_stalled_sends_until_retired() {
         let mut d: Driver = SlotDriver::new(p(0), 3);
         assert!(!d.is_open(0));
-        assert!(d.retransmit(0).is_empty(), "unopened slots are silent");
+        assert!(
+            collected(|s| d.retransmit_into(0, s)).0.is_empty(),
+            "unopened slots are silent"
+        );
         let (sends, _) = d.open(0, 5, ProcessSet::empty());
         assert!(d.is_open(0));
         // p0 coordinates round 0 and proposed on open; until a majority
@@ -575,7 +567,7 @@ mod tests {
         let peer_sends: Vec<_> = sends.iter().filter(|(to, _, _)| *to != p(0)).collect();
         assert_eq!(peer_sends.len(), 2);
         for _ in 0..2 {
-            let retx = d.retransmit(0);
+            let retx = collected(|s| d.retransmit_into(0, s)).0;
             assert_eq!(retx.len(), peer_sends.len());
             assert!(retx.iter().all(|(to, slot, m)| *to != p(0)
                 && *slot == 0
@@ -585,13 +577,13 @@ mod tests {
         // no round-0 estimate to re-send.
         let mut q: Driver = SlotDriver::new(p(1), 3);
         let (sends, _) = q.open(0, 6, ProcessSet::empty());
-        assert!(sends.is_empty() && q.retransmit(0).is_empty());
+        assert!(sends.is_empty() && collected(|s| q.retransmit_into(0, s)).0.is_empty());
         // A quiet step changes nothing.
-        let (_, _) = d.tick(ProcessSet::empty());
-        assert!(!d.retransmit(0).is_empty());
+        let (_, _) = collected(|s| d.tick_into(ProcessSet::empty(), s));
+        assert!(!collected(|s| d.retransmit_into(0, s)).0.is_empty());
         // Resolution silences the slot with the core.
         d.resolve(0, 9);
-        assert!(d.retransmit(0).is_empty());
+        assert!(collected(|s| d.retransmit_into(0, s)).0.is_empty());
         assert!(!d.is_open(0));
     }
 
@@ -620,7 +612,7 @@ mod tests {
         // participant. Pretend every peer copy of `Propose(0)` was lost:
         // the retransmission must still carry it (alongside the round-1
         // estimate), or the group wedges forever.
-        let retx = c.retransmit(0);
+        let retx = collected(|s| c.retransmit_into(0, s)).0;
         let proposes: Vec<_> = retx
             .iter()
             .filter(|(_, _, m)| matches!(m, RotatingMsg::Propose { r: 0, .. }))
@@ -712,7 +704,7 @@ mod tests {
         let mut d: Driver = SlotDriver::new(p(1), 3);
         let _ = d.open(0, 5, ProcessSet::empty());
         // Suspecting round 0's coordinator p0 nacks and re-estimates.
-        let (sends, decision) = d.tick(ProcessSet::singleton(p(0)));
+        let (sends, decision) = collected(|s| d.tick_into(ProcessSet::singleton(p(0)), s));
         assert!(decision.is_none());
         assert!(
             sends.iter().any(|(to, _, _)| *to == p(0)),

@@ -25,7 +25,7 @@ use std::ops::ControlFlow;
 /// that lets a command submitted on a once-partitioned side, or one
 /// whose first broadcast was lost, reach the rest of the group. A tick
 /// without that evidence re-gossips nothing: see
-/// [`DecisionService::poll`].
+/// [`DecisionService::poll_into`].
 const GOSSIP_BATCH: usize = 8;
 
 /// How far ahead of the local log tail a buffered decision relay may
@@ -50,7 +50,7 @@ const SLOT_HORIZON: u64 = 1024;
 /// that never opens cannot grow the heap.
 const EARLY_FRAMES: usize = 1024;
 
-/// A typed event produced by one [`DecisionService::poll`].
+/// A typed event produced by one [`DecisionService::poll_into`].
 #[derive(Clone, Debug)]
 pub enum ServiceOutput {
     /// A decision was appended to this node's log — the moment a real
@@ -160,10 +160,9 @@ impl CompactionPolicy {
 /// totally ordered [`Decision`]s that record the membership view they
 /// were decided in. A pending command is re-gossiped only on evidence
 /// that a peer lacks it (a stalled log, or a local proposal outvoted).
-/// Drive the node by calling
-/// [`DecisionService::poll_into`] (or [`DecisionService::poll`]) once
-/// per tick — [`crate::service::ServiceRunner`] does exactly that under
-/// a fault schedule.
+/// Drive the node by calling [`DecisionService::poll_into`] once per
+/// tick — [`crate::service::ServiceRunner`] does exactly that under a
+/// fault schedule.
 ///
 /// The receive path is zero-copy: datagrams drain in one batch into a
 /// reusable buffer and route through the borrowed-view codec.
@@ -587,13 +586,6 @@ where
         }
     }
 
-    /// [`DecisionService::poll_into`], collected into a fresh `Vec`.
-    pub fn poll(&mut self) -> Vec<ServiceOutput> {
-        let mut events = Vec::new();
-        self.poll_into(&mut events);
-        events
-    }
-
     /// The horizon timeouts at `now`, from the membership's trust
     /// horizon.
     fn timeouts(&self, now: Nanos) -> Timeouts {
@@ -620,7 +612,7 @@ where
     /// poll. An open slot that emitted fresh peer traffic this poll
     /// resets its timer (progress needs no retry); one silent past its
     /// deadline re-sends its stalled conversations, re-derived from
-    /// core state ([`rfd_algo::driver::SlotDriver::retransmit`]: an
+    /// core state ([`rfd_algo::driver::SlotDriver::retransmit_into`]: an
     /// estimate for every visited round from 1 on plus every unresolved
     /// coordinated proposal, round 0's included) — idempotent on
     /// receipt — plus a

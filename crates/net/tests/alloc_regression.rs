@@ -306,8 +306,9 @@ fn one_node_fleet_decides_promptly() {
     for value in 1..=commands {
         assert!(node.propose(value));
     }
+    let mut events = Vec::new();
     let allocs = allocations_during(|| {
-        node.poll();
+        node.poll_into(&mut events);
     });
     let decided: Vec<u64> = node.log().entries().iter().map(|d| d.value).collect();
     assert_eq!(

@@ -84,9 +84,10 @@ fn a_polling_service_fleet_derives_once_per_arrival() {
         })
         .collect();
     fleet[1].propose(7);
+    let mut events = Vec::new();
     for _ in 0..polls {
         for node in &mut fleet {
-            node.poll();
+            node.poll_into(&mut events);
         }
         clock.advance(ms(TICK_MS));
     }

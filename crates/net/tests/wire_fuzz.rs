@@ -89,7 +89,7 @@ impl Rig {
         match &mut self.node {
             AnyNode::Detector(node) => drop(node.poll()),
             AnyNode::Membership(node) => node.poll(),
-            AnyNode::Service(node) => drop(node.poll()),
+            AnyNode::Service(node) => node.poll_into(&mut Vec::new()),
         }
     }
 
@@ -273,7 +273,7 @@ proptest! {
         let log_before = node.log().len();
         attacker.send(p(0), Bytes::from(bytes));
         clock.advance(ms(2));
-        node.poll();
+        node.poll_into(&mut Vec::new());
         if !still_decodes {
             prop_assert_eq!(node.malformed_frames(), 1);
             prop_assert_eq!(node.log().len(), log_before);
@@ -312,7 +312,7 @@ proptest! {
             })),
         );
         clock.advance(ms(2));
-        node.poll();
+        node.poll_into(&mut Vec::new());
         prop_assert_eq!(node.log().first_index(), base_before);
         prop_assert_eq!(node.log().len(), len_before);
         prop_assert_eq!(node.log().snapshots_installed(), 0);
@@ -335,7 +335,7 @@ proptest! {
             encode(&WireMsg::SnapshotRequest(SnapshotRequest { from_index })),
         );
         clock.advance(ms(2));
-        node.poll();
+        node.poll_into(&mut Vec::new());
         prop_assert!(!node.is_halted());
         prop_assert_eq!(node.malformed_frames(), 0);
     }
@@ -385,7 +385,7 @@ proptest! {
         for (start, entries) in frames {
             peer.send(p(0), encode(&WireMsg::SyncReply(SyncReply { start, entries })));
             clock.advance(ms(2));
-            node.poll();
+            node.poll_into(&mut Vec::new());
         }
         prop_assert_eq!(node.log().len(), total);
         let decided: Vec<u64> = node.log().suffix(0).iter().map(|d| d.value).collect();
@@ -478,7 +478,7 @@ fn duplicated_decided_relays_append_once() {
     ] {
         peer.send(p(0), frame);
         clock.advance(ms(2));
-        node.poll();
+        node.poll_into(&mut Vec::new());
     }
     assert_eq!(node.log().len(), 2, "each index appended exactly once");
     let decided: Vec<u64> = node.log().suffix(0).iter().map(|d| d.value).collect();
@@ -507,7 +507,7 @@ fn duplicated_snapshot_replies_install_once() {
         })),
     );
     clock.advance(ms(2));
-    node.poll();
+    node.poll_into(&mut Vec::new());
     // …then the reply arrives twice (duplication plane), followed by a
     // bigger forgery (stale reordered reply from another epoch).
     let reply = |upto: u64| {
@@ -522,7 +522,7 @@ fn duplicated_snapshot_replies_install_once() {
     for frame in [reply(5), reply(5), reply(100)] {
         peer.send(p(0), frame);
         clock.advance(ms(2));
-        node.poll();
+        node.poll_into(&mut Vec::new());
     }
     assert_eq!(
         node.log().snapshots_installed(),
@@ -553,7 +553,7 @@ fn early_consensus_frames_are_held_up_to_a_cap_and_counted_beyond_it() {
         peer.send(p(0), frame(node.log().len() + 1, msg));
     }
     clock.advance(ms(2));
-    node.poll();
+    node.poll_into(&mut Vec::new());
     assert!(node.malformed_frames() > 0, "the overflow is counted");
     assert!(node.malformed_frames() < 2_000, "what fits is held");
     assert_eq!((node.log().len(), node.view()), (0, view));
@@ -561,10 +561,10 @@ fn early_consensus_frames_are_held_up_to_a_cap_and_counted_beyond_it() {
     // An honest slot 0: p0 coordinates round 0, proposes as it opens,
     // acks itself, and p1's ack makes the majority.
     assert!(node.propose(7));
-    node.poll();
+    node.poll_into(&mut Vec::new());
     peer.send(p(0), frame(0, RotatingMsg::Ack { r: 0 }));
     clock.advance(ms(2));
-    node.poll();
+    node.poll_into(&mut Vec::new());
     let decided: Vec<u64> = node.log().suffix(0).iter().map(|d| d.value).collect();
     assert_eq!(decided, vec![7]);
     assert_eq!(node.view(), view);
