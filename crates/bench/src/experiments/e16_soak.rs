@@ -129,6 +129,9 @@ struct Cell {
     retransmits: u64,
     duplicates: u64,
     max_retained: usize,
+    /// View installations across the fleet: the exclusions and rejoins
+    /// of the outage cycles, plus any false exclusion loss caused.
+    views: u64,
     rejoins: usize,
     max_rejoin_ms: u64,
     /// How far behind schedule the final command decided: first
@@ -220,6 +223,7 @@ fn soak(label: &str, proto: Estimators, loss: f64, commands: u64, cycles: u64, s
         retransmits: report.membership.retransmits_sent,
         duplicates: report.membership.duplicate_frames_dropped,
         max_retained,
+        views: report.membership.view_changes,
         rejoins: rejoins.len(),
         max_rejoin_ms: max_rejoin.as_millis(),
         lag_ms: last_decided.saturating_sub(last_submit),
@@ -252,6 +256,7 @@ pub fn run_experiment(quick: bool) -> Table {
             "retransmits",
             "dup dropped",
             "max retained",
+            "views",
             "rejoins",
             "max rejoin",
             "lag",
@@ -284,6 +289,7 @@ fn row(est_name: &str, loss: f64, cell: &Cell) -> Vec<String> {
         format!("{}", cell.retransmits),
         format!("{}", cell.duplicates),
         format!("{}", cell.max_retained),
+        format!("{}", cell.views),
         format!("{}", cell.rejoins),
         format!("{}ms", cell.max_rejoin_ms),
         format!("{}ms", cell.lag_ms),

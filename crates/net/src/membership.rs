@@ -190,13 +190,15 @@ where
         &self.transport
     }
 
-    /// The estimator-derived **trust horizon**: the latest deadline any
-    /// monitored view member's arrival estimator currently holds — the
-    /// instant by which every trusted peer will either have produced a
-    /// fresh heartbeat or have become a suspect (and hence been
-    /// excluded). `None` until the first heartbeat arrives. Each deadline
-    /// was fixed when that peer's latest heartbeat landed, so asking costs
-    /// one stored read per member however often it is asked.
+    /// The estimator-derived **trust horizon**: the latest deadline the
+    /// detector holds for any monitored view member — the instant by
+    /// which every trusted peer will either have produced fresh traffic
+    /// or have become a suspect (and hence been excluded). Each deadline
+    /// is [`HeartbeatDetector::deadline`]: the freshness point the peer's
+    /// latest heartbeat fixed, raised by any later frame of its
+    /// ([`on_evidence`](Self::on_evidence)). `None` until the first
+    /// heartbeat arrives. Both were fixed on arrival, so asking costs one
+    /// stored read per member however often it is asked.
     ///
     /// The decision service derives its horizon timeout from this: the
     /// laggard-push and snapshot retries, which chase a peer that may
@@ -279,11 +281,28 @@ where
             self.malformed_frames += 1;
             return;
         };
-        // Heal-merge mode listens to everyone: a heartbeat
-        // from outside the view is exactly the liveness
-        // evidence a rejoin needs.
-        if self.heal_merge || self.view.members.contains(from) {
+        if self.listens_to(from) {
             self.detector.on_heartbeat(from, delivered_at);
+        }
+    }
+
+    /// Whether liveness evidence from `from` reaches the detector: a
+    /// member's always, and anyone's in heal-merge mode — a frame from
+    /// outside the view is exactly the evidence a rejoin needs.
+    fn listens_to(&self, from: ProcessId) -> bool {
+        self.heal_merge || self.view.members.contains(from)
+    }
+
+    /// Records that a frame other than a heartbeat arrived from `from`
+    /// at `at` — evidence it was alive then
+    /// ([`HeartbeatDetector::on_evidence`]). Filtered like a heartbeat:
+    /// a non-member counts only in heal-merge mode, and this node and
+    /// senders outside the fleet have no monitor to raise. A layer
+    /// multiplexed over the same transport calls this for each of its
+    /// frames; the membership's own [`poll`](Self::poll) does not.
+    pub fn on_evidence(&mut self, from: ProcessId, at: Nanos) {
+        if !self.halted && self.listens_to(from) {
+            self.detector.on_evidence(from, at);
         }
     }
 

@@ -168,16 +168,21 @@ impl CompactionPolicy {
 /// reusable buffer and route through the borrowed-view codec.
 /// [`Batch`](WireMsg::Batch) datagrams (e.g. a coordinator's coalesced
 /// heartbeat + view announcement) are unpacked by the shared receive
-/// loop and each sub-frame routed as if it had arrived alone. The
-/// deciding path reuses what it touches: the slot driver steps into the
-/// node's send queue and renews its retired consensus core, consensus
-/// frames, decision announcements and command gossip are encoded into a
-/// ring of recycled transmit buffers, and events go into the caller's
-/// buffer. So a warmed fleet's tick allocates nothing that it could
-/// reuse — idle, heartbeating or deciding. Nothing grows per decision
-/// either: under a [`CompactionPolicy`] the log keeps its retained tail,
-/// the pending pool drains, and the decided-command set keeps runs of
-/// consecutive command values, so dense command ids hold the heap flat.
+/// loop and each sub-frame routed as if it had arrived alone. Every
+/// frame but a heartbeat is also evidence that its sender was alive
+/// when it arrived: the receive loop hands it to
+/// [`MembershipNode::on_evidence`], so a peer whose heartbeats are lost
+/// while its acks and relays land stays trusted, and the trust horizon
+/// the retry plane waits on moves with it. The deciding path reuses
+/// what it touches: the slot driver steps into the node's send queue
+/// and renews its retired consensus core, consensus frames, decision
+/// announcements and command gossip are encoded into a ring of recycled
+/// transmit buffers, and events go into the caller's buffer. So a warmed
+/// fleet's tick allocates nothing that it could reuse — idle,
+/// heartbeating or deciding. Nothing grows per decision either: under a
+/// [`CompactionPolicy`] the log keeps its retained tail, the pending
+/// pool drains, and the decided-command set keeps runs of consecutive
+/// command values, so dense command ids hold the heap flat.
 #[derive(Debug)]
 pub struct DecisionService<E, T, C> {
     n: usize,
@@ -398,8 +403,12 @@ where
         true
     }
 
-    /// Routes one decoded frame. Breaks if the node halted while
-    /// processing it (the receive loop stops draining).
+    /// Routes one decoded frame. Every frame but a heartbeat is first
+    /// handed to the membership as evidence that `from` was alive at
+    /// `delivered_at` ([`MembershipNode::on_evidence`]): an ack or a
+    /// relay that lands while the sender's heartbeats are being lost
+    /// keeps it trusted. Breaks if the node halted while processing the
+    /// frame (the receive loop stops draining).
     fn route_frame(
         &mut self,
         from: ProcessId,
@@ -408,6 +417,9 @@ where
         consensus_in: &mut Vec<(u64, ProcessId, RotatingMsg<u64>)>,
         events: &mut Vec<ServiceOutput>,
     ) -> ControlFlow<()> {
+        if !matches!(frame, WireView::Heartbeat(_)) {
+            self.membership.on_evidence(from, delivered_at);
+        }
         match frame {
             WireView::Heartbeat(_) | WireView::ViewChange(_) => {
                 self.membership.on_wire_view(frame, delivered_at);
@@ -468,7 +480,8 @@ where
     }
 
     /// One service tick: drain and route the transport (membership,
-    /// commands, consensus, relays, state transfer), run the membership
+    /// commands, consensus, relays, state transfer — each frame also
+    /// evidence of its sender's liveness), run the membership
     /// duties, react to view changes, advance consensus at the log tail —
     /// open the tail slot if a command is pending, step it, send what it
     /// emitted, commit what it decided, and repeat while that grew the

@@ -11,6 +11,13 @@
 //! gap that saturates φ's probe among them), arbitrary query instants
 //! in any order, `now == deadline`, one-sample windows, and a prototype
 //! that had observed arrivals before the detector cloned it.
+//!
+//! The reference also holds the evidence rule: any other frame from a
+//! peer, landing at `t`, trusts it until `t` plus the margin its latest
+//! heartbeat fixed (`deadline − arrival`). Random evidence instants —
+//! before a peer's first heartbeat, out of order, far past its deadline
+//! — are interleaved with the heartbeats; the estimators themselves
+//! never see them.
 
 use proptest::prelude::*;
 use rfd_core::{ProcessId, ProcessSet};
@@ -214,29 +221,83 @@ impl Kind {
     }
 }
 
-/// Query instants worth asking about after `arrivals`: the sampled ones
-/// (in the order sampled, so mostly non-monotone), the last arrival, the
-/// deadline itself and its two neighbours.
-fn queries(kind: Kind, arrivals: &[Nanos], sampled: &[u64]) -> Vec<Nanos> {
+/// What the detector should know about one peer: the arrivals its
+/// estimator has seen (the prototype's, then its own), the margin its
+/// latest own heartbeat fixed and the alive-until instant its other
+/// frames bought.
+#[derive(Clone, Default)]
+struct Peer {
+    arrivals: Vec<Nanos>,
+    margin: Option<Nanos>,
+    alive_until: Option<Nanos>,
+}
+
+impl Peer {
+    fn heartbeat(&mut self, kind: Kind, at: Nanos) {
+        self.arrivals.push(at);
+        self.margin = kind.deadline(&self.arrivals).map(|d| d.saturating_sub(at));
+    }
+
+    fn evidence(&mut self, at: Nanos) {
+        if let Some(margin) = self.margin {
+            let until = at.saturating_add(margin);
+            if self.alive_until.map_or(true, |alive| alive < until) {
+                self.alive_until = Some(until);
+            }
+        }
+    }
+
+    /// The detector's deadline: the later of the freshness point and
+    /// the alive-until instant, `None` while the former is.
+    fn deadline(&self, kind: Kind) -> Option<Nanos> {
+        let d = kind.deadline(&self.arrivals)?;
+        Some(match self.alive_until {
+            Some(alive) if alive > d => alive,
+            _ => d,
+        })
+    }
+
+    /// The detector's verdict: the estimator's, unless alive-until has
+    /// not passed yet.
+    fn is_suspect(&self, kind: Kind, now: Nanos) -> bool {
+        let alive = matches!(self.alive_until, Some(alive) if now <= alive);
+        kind.is_suspect(&self.arrivals, now) && !alive
+    }
+}
+
+/// Query instants worth asking about for `peer`: the sampled ones (in
+/// the order sampled, so mostly non-monotone), the last arrival, the
+/// freshness point, the alive-until instant and the neighbours of both.
+fn queries(kind: Kind, peer: &Peer, sampled: &[u64]) -> Vec<Nanos> {
     let mut qs: Vec<Nanos> = sampled.iter().copied().map(ns).collect();
-    let last = arrivals.last().copied().unwrap_or(Nanos::ZERO);
+    let last = peer.arrivals.last().copied().unwrap_or(Nanos::ZERO);
     qs.extend(sampled.iter().map(|&q| last.saturating_add(ns(q))));
     qs.push(last);
-    if let Some(d) = kind.deadline(arrivals) {
+    for d in [kind.deadline(&peer.arrivals), peer.alive_until]
+        .into_iter()
+        .flatten()
+    {
         qs.extend([d, d.saturating_add(ns(1)), d.saturating_sub(ns(1))]);
     }
     qs
 }
 
+/// One frame other than a heartbeat: after the `after`-th arrival (mod
+/// their count), peer `peer` is heard at that arrival plus `offset`
+/// minus 200 ms — so sometimes before the heartbeat it follows.
+type Evidence = (usize, u64, usize);
+
 /// Drives one estimator type through the detector and the membership
 /// node and compares every answer with the reference. Peer 1 hears
-/// `arrivals`; peer 2 hears every other one of them; the prototype has
-/// already observed `pre`.
+/// `arrivals`; peer 2 hears every other one of them; peer 3 never
+/// beats, so its evidence is ignored; the prototype has already
+/// observed `pre`.
 fn check<E: ArrivalEstimator + Clone>(
     kind: Kind,
     fresh: E,
     pre: &[Nanos],
     arrivals: &[Nanos],
+    evidence: &[Evidence],
     sampled: &[u64],
 ) {
     let n = 4;
@@ -248,36 +309,44 @@ fn check<E: ArrivalEstimator + Clone>(
     let clock = VirtualClock::new();
     let net = InMemoryNetwork::new(n, NetworkConfig::default(), clock.clone());
     let mut node = MembershipNode::new(n, prototype, net.endpoint(p(0)), clock, ns(50_000_000));
-    // What each peer's estimator has seen: the prototype's arrivals,
-    // then its own. Peer 3 never beats.
-    let mut seen: Vec<Vec<Nanos>> = vec![pre.to_vec(); n];
+    let mut peers = vec![
+        Peer {
+            arrivals: pre.to_vec(),
+            ..Peer::default()
+        };
+        n
+    ];
     let compare =
-        |detector: &HeartbeatDetector<E>, node: &MembershipNode<E, _, _>, seen: &[Vec<Nanos>]| {
+        |detector: &HeartbeatDetector<E>, node: &MembershipNode<E, _, _>, peers: &[Peer]| {
             let mut horizon: Option<Nanos> = None;
-            for (peer, arrivals) in seen.iter().enumerate().skip(1) {
-                let want = kind.deadline(arrivals);
-                assert_eq!(detector.deadline(p(peer)), want, "{kind:?} stored, p{peer}");
-                let est = detector.monitor(p(peer)).expect("a monitored peer");
-                assert_eq!(est.deadline(), want, "{kind:?} deadline(), p{peer}");
+            for (ix, peer) in peers.iter().enumerate().skip(1) {
+                let want = peer.deadline(kind);
+                assert_eq!(detector.deadline(p(ix)), want, "{kind:?} stored, p{ix}");
+                let est = detector.monitor(p(ix)).expect("a monitored peer");
+                assert_eq!(
+                    est.deadline(),
+                    kind.deadline(&peer.arrivals),
+                    "{kind:?} deadline(), p{ix}"
+                );
                 horizon = horizon.max(want);
             }
             assert_eq!(detector.deadline(p(0)), None, "self is not monitored");
             assert_eq!(node.trust_horizon(), horizon, "{kind:?} horizon");
-            for now in queries(kind, &seen[1], sampled) {
+            for now in peers.iter().flat_map(|peer| queries(kind, peer, sampled)) {
                 let want: ProcessSet = (1..n)
-                    .filter(|&peer| kind.is_suspect(&seen[peer], now))
+                    .filter(|&ix| peers[ix].is_suspect(kind, now))
                     .map(p)
                     .collect();
                 assert_eq!(detector.suspects(now), want, "{kind:?} suspects({now})");
-                for peer in 1..n {
-                    let est = detector.monitor(p(peer)).expect("a monitored peer");
-                    assert_eq!(est.is_suspect(now), want.contains(p(peer)));
+                for (ix, peer) in peers.iter().enumerate().skip(1) {
+                    let est = detector.monitor(p(ix)).expect("a monitored peer");
+                    assert_eq!(est.is_suspect(now), kind.is_suspect(&peer.arrivals, now));
                 }
             }
         };
-    compare(&detector, &node, &seen);
+    compare(&detector, &node, &peers);
     for (ix, &at) in arrivals.iter().enumerate() {
-        for (peer, arrivals) in seen.iter_mut().enumerate().skip(1).take(2) {
+        for (peer, state) in peers.iter_mut().enumerate().skip(1).take(2) {
             if peer == 2 && ix % 2 == 1 {
                 continue;
             }
@@ -289,18 +358,31 @@ fn check<E: ArrivalEstimator + Clone>(
                 sent_at: at,
             };
             node.on_wire_view(&WireView::Heartbeat(hb), at);
-            arrivals.push(at);
+            state.heartbeat(kind, at);
         }
-        compare(&detector, &node, &seen);
+        compare(&detector, &node, &peers);
+        for &(after, offset, peer) in evidence {
+            if after % arrivals.len() != ix {
+                continue;
+            }
+            let heard = at
+                .saturating_add(ns(offset))
+                .saturating_sub(ns(200_000_000));
+            detector.on_evidence(p(peer), heard);
+            node.on_evidence(p(peer), heard);
+            peers[peer].evidence(heard);
+            compare(&detector, &node, &peers);
+        }
     }
 }
 
-fn check_all(pre: &[Nanos], arrivals: &[Nanos], sampled: &[u64]) {
+fn check_all(pre: &[Nanos], arrivals: &[Nanos], evidence: &[Evidence], sampled: &[u64]) {
     check(
         Kind::Fixed,
         FixedTimeout::new(ns(TIMEOUT)),
         pre,
         arrivals,
+        evidence,
         sampled,
     );
     check(
@@ -308,6 +390,7 @@ fn check_all(pre: &[Nanos], arrivals: &[Nanos], sampled: &[u64]) {
         ChenEstimator::new(ns(ALPHA), WINDOW, ns(BOOTSTRAP)),
         pre,
         arrivals,
+        evidence,
         sampled,
     );
     check(
@@ -315,6 +398,7 @@ fn check_all(pre: &[Nanos], arrivals: &[Nanos], sampled: &[u64]) {
         JacobsonEstimator::new(BETA, ns(BOOTSTRAP)),
         pre,
         arrivals,
+        evidence,
         sampled,
     );
     check(
@@ -322,6 +406,7 @@ fn check_all(pre: &[Nanos], arrivals: &[Nanos], sampled: &[u64]) {
         PhiAccrual::new(THRESHOLD, WINDOW, ns(BOOTSTRAP)),
         pre,
         arrivals,
+        evidence,
         sampled,
     );
 }
@@ -355,23 +440,27 @@ proptest! {
     fn stored_freshness_points_equal_the_reference(
         pre_gaps in prop::collection::vec(gap(), 0..4),
         gaps in prop::collection::vec(gap(), 1..12),
+        evidence in prop::collection::vec((0usize..12, 0u64..1_000_000_000, 1usize..4), 0..8),
         sampled in prop::collection::vec(0u64..2_000_000_000, 1..6),
     ) {
         let pre = arrivals_after(0, &pre_gaps);
         let start = pre.last().map_or(0, |t| t.as_nanos());
         let arrivals = arrivals_after(start, &gaps);
-        check_all(&pre, &arrivals, &sampled);
+        check_all(&pre, &arrivals, &evidence, &sampled);
     }
 }
 
 /// The probe-saturation case by name: three arrivals whose window holds
 /// a ~46-day gap leave φ below its threshold out to the probe cap, so
 /// the freshness point is `None` — stored as `None`, not as a stale
-/// `Some` from the arrival before.
+/// `Some` from the arrival before. Evidence bought before that arrival
+/// does not turn it back into a deadline, and evidence after it finds
+/// no margin.
 #[test]
 fn a_saturated_phi_probe_is_stored_as_none() {
     let arrivals = [ns(0), ns(1), ns(4_000_000_000_000_000)];
     assert_eq!(Kind::Phi.deadline(&arrivals[..2]).map(|_| ()), Some(()));
     assert_eq!(Kind::Phi.deadline(&arrivals), None);
-    check_all(&[], &arrivals, &[0, 1 << 50, 1 << 52]);
+    let evidence = [(1, 300_000_000, 1), (2, 300_000_000, 1)];
+    check_all(&[], &arrivals, &evidence, &[0, 1 << 50, 1 << 52]);
 }

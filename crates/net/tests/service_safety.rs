@@ -625,6 +625,119 @@ fn snapshot_handoff_chunks_a_retained_tail_wider_than_one_datagram() {
     }
 }
 
+// ---- every frame is evidence of life ---------------------------------
+
+/// `lossy_n5`'s fleet (the benchmark workload `loss_repair.rs` also
+/// runs): five nodes, 10 % datagram loss, 2–10 ms one-way delay, 50 ms
+/// heartbeats, 5 ms ticks, Chen's estimator with α = 150 ms, a 16-entry
+/// compaction tail, one command every 200 ms for `secs` seconds.
+fn lossy_fleet(seed: u64, secs: u64, schedule: FaultSchedule) -> ServiceScenario {
+    let n = 5;
+    let commands = secs * 5;
+    let due = |k: u64| ms(1_000 + k * 200);
+    ServiceScenario {
+        online: OnlineScenario {
+            n,
+            period: ms(50),
+            loss: 0.10,
+            delay: (ms(2), ms(10)),
+            sample_every: ms(5),
+            duration: due(commands).saturating_add(ms(5_000)),
+            seed,
+            heal_merge: true,
+            schedule,
+            ..OnlineScenario::default()
+        },
+        commands: (0..commands)
+            .map(|k| (due(k), p(k as usize % n), k + 1))
+            .collect(),
+        ..ServiceScenario::default()
+    }
+    .with_compaction(CompactionPolicy::retain_last(16))
+}
+
+/// Every view installed in `scenario`'s run: when, by whom, which
+/// members. Agreement and convergence are checked on the way.
+fn view_installs(scenario: ServiceScenario) -> Vec<(Nanos, ProcessId, ProcessSet)> {
+    let mut runner = ServiceRunner::new(chen(), scenario);
+    let installs = runner
+        .run_to_end()
+        .into_iter()
+        .filter_map(|event| match event {
+            ServiceEvent::ViewInstalled { at, node, view } => Some((at, node, view.members)),
+            _ => None,
+        })
+        .collect();
+    let report = runner.report();
+    assert!(report.agreement_holds() && report.live_logs_converged());
+    installs
+}
+
+/// When each node first held a view without `peer` at or after `from`.
+fn excluded_at(
+    installs: &[(Nanos, ProcessId, ProcessSet)],
+    peer: ProcessId,
+    from: Nanos,
+) -> Vec<Option<Nanos>> {
+    let mut first = vec![None; 5];
+    for &(at, node, members) in installs {
+        if at >= from && !members.contains(peer) {
+            first[node.index()].get_or_insert(at);
+        }
+    }
+    first
+}
+
+/// A live peer whose heartbeats are lost but whose other frames arrive
+/// stays in the view (ROADMAP finding (ii)). Heartbeat-only detection
+/// installed 143 views over these four 300 s runs, one false exclusion
+/// and rejoin every few seconds of virtual time; reading every frame as
+/// evidence of life must cut that at least tenfold. Evidence cannot
+/// cross a cut, so a partitioned member is still excluded before the
+/// heal. A frame still in flight when its sender crashes delays the
+/// exclusion by at most one margin: heartbeat-only detection excluded
+/// crashed p2 at 20.160 s (p0) and 20.165 s (p1, p3, p4), and no
+/// survivor may do so more than [`CHEN_MARGIN`] later.
+#[test]
+fn every_frame_is_evidence_of_life_under_ten_percent_loss() {
+    const HEARTBEAT_ONLY_INSTALLS: usize = 143;
+    /// Chen's margin here: the window's mean gap (one 50 ms period,
+    /// stretched by lost beats) plus α = 150 ms.
+    const CHEN_MARGIN: Nanos = Nanos::from_millis(250);
+    let calm: usize = (1..=4)
+        .map(|seed| view_installs(lossy_fleet(seed, 300, FaultSchedule::new())).len())
+        .sum();
+    assert!(
+        calm * 10 < HEARTBEAT_ONLY_INSTALLS,
+        "{calm} views installed on a calm lossy fleet"
+    );
+
+    let cut = FaultSchedule::new()
+        .at(ms(20_000), Fault::Partition(ProcessSet::singleton(p(4))))
+        .at(ms(25_000), Fault::Heal);
+    let out = excluded_at(&view_installs(lossy_fleet(1, 60, cut)), p(4), ms(20_000));
+    for (node, at) in out.iter().enumerate().take(4) {
+        assert!(
+            at.is_some_and(|at| at < ms(25_000)),
+            "p{node} kept the cut-off p4 in its view: {at:?}"
+        );
+    }
+
+    let crash = FaultSchedule::new().at(ms(20_000), Fault::Crash(p(2)));
+    let out = excluded_at(&view_installs(lossy_fleet(1, 60, crash)), p(2), ms(20_000));
+    let heartbeat_only = [20_160, 20_165, 0, 20_165, 20_165];
+    for (node, (at, before)) in out.iter().zip(heartbeat_only).enumerate() {
+        if node == 2 {
+            continue;
+        }
+        let bound = ms(before).saturating_add(CHEN_MARGIN);
+        assert!(
+            at.is_some_and(|at| at <= bound),
+            "p{node} excluded crashed p2 at {at:?}, past {bound}"
+        );
+    }
+}
+
 // ---- out-of-range ProcessId regressions (the PR 2 panic family) ------
 
 /// `MembershipWatcher::observe` with a member index beyond the fleet
