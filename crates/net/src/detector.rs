@@ -233,6 +233,13 @@ impl SendRing {
 /// A complete failure-detector node: emits heartbeats on a period and
 /// folds received heartbeats into a [`HeartbeatDetector`].
 ///
+/// It is also the heartbeat half of every richer node: a
+/// [`MembershipNode`](crate::membership::MembershipNode) owns one and
+/// adds views, and a [`DecisionService`](crate::service::DecisionService)
+/// reads its transport, clock, period, receive buffer and malformed
+/// counter through its membership. The beat schedule and the
+/// checked-sender rule live here alone.
+///
 /// The node loop is allocation-free in steady state: datagrams drain
 /// through a reusable receive buffer, frames decode through the
 /// borrowed-view codec, and the heartbeat payload is encoded into a
@@ -243,20 +250,21 @@ impl SendRing {
 /// heartbeats are observed like any other.
 #[derive(Debug)]
 pub struct DetectorNode<E, T, C> {
-    detector: HeartbeatDetector<E>,
-    transport: T,
-    clock: C,
-    period: Nanos,
+    pub(crate) detector: HeartbeatDetector<E>,
+    pub(crate) transport: T,
+    pub(crate) clock: C,
+    pub(crate) period: Nanos,
     next_beat: Nanos,
     seq: u64,
-    n: usize,
+    pub(crate) n: usize,
     /// Reusable receive buffer for [`Transport::recv_batch`].
-    rx_buf: Vec<Datagram>,
-    /// Recycled heartbeat payloads.
-    tx: SendRing,
-    /// Datagrams dropped because they failed to decode or carried an
-    /// out-of-range sender index.
-    malformed_frames: u64,
+    pub(crate) rx_buf: Vec<Datagram>,
+    /// Recycled heartbeat payloads (and, under a membership, view
+    /// announcements and the batches coalescing them).
+    pub(crate) tx: SendRing,
+    /// The node's one count of frames dropped as malformed, whichever
+    /// layer dropped them: see [`malformed_frames`](Self::malformed_frames).
+    pub(crate) malformed_frames: u64,
 }
 
 impl<E, T, C> DetectorNode<E, T, C>
@@ -291,20 +299,50 @@ where
     /// Datagrams dropped as malformed: undecodable bytes, or a frame
     /// whose claimed sender index falls outside the fleet. Well-formed
     /// frames of other protocol layers are *not* counted — ignoring
-    /// them is routine multiplexing, not damage.
+    /// them is routine multiplexing, not damage. A node has one such
+    /// counter: the membership and the decision service layered on this
+    /// node add their own rejections to it.
     #[must_use]
     pub fn malformed_frames(&self) -> u64 {
         self.malformed_frames
     }
 
-    /// Folds one decoded heartbeat into the detector. A corrupt or
-    /// foreign datagram can claim any sender index, so the id is built
-    /// with the checked constructor; out-of-range frames are dropped
-    /// and counted.
-    fn note_heartbeat(&mut self, hb: &Heartbeat, delivered_at: Nanos) {
-        match ProcessId::try_new(usize::from(hb.sender), self.n) {
-            Some(from) => self.detector.on_heartbeat(from, delivered_at),
-            None => self.malformed_frames += 1,
+    /// The sender of a decoded heartbeat. A corrupt or foreign datagram
+    /// can claim any sender index, so the id is built with the checked
+    /// constructor; an out-of-range sender is counted as malformed and
+    /// yields `None`.
+    pub(crate) fn heartbeat_sender(&mut self, hb: &Heartbeat) -> Option<ProcessId> {
+        let from = ProcessId::try_new(usize::from(hb.sender), self.n);
+        if from.is_none() {
+            self.malformed_frames += 1;
+        }
+        from
+    }
+
+    /// The heartbeat owed at `now`, if a period has elapsed since the
+    /// last one: numbered in sequence, with the next one scheduled a
+    /// period from `now`.
+    pub(crate) fn due_heartbeat(&mut self, now: Nanos) -> Option<WireMsg> {
+        if now < self.next_beat {
+            return None;
+        }
+        let hb = WireMsg::Heartbeat(Heartbeat {
+            #[allow(clippy::cast_possible_truncation)]
+            sender: self.transport.me().index() as u16,
+            seq: self.seq,
+            sent_at: now,
+        });
+        self.seq += 1;
+        self.next_beat = now.saturating_add(self.period);
+        Some(hb)
+    }
+
+    /// Sends `payload` to every process of `targets` except this one.
+    pub(crate) fn fan_out(&self, targets: ProcessSet, payload: &Bytes) {
+        for to in targets {
+            if to != self.transport.me() {
+                self.transport.send(to, payload.clone());
+            }
         }
     }
 
@@ -317,26 +355,16 @@ where
         self.transport.recv_batch(&mut rx);
         self.malformed_frames += for_each_frame(&mut rx, |_, delivered_at, frame| {
             if let WireView::Heartbeat(hb) = frame {
-                self.note_heartbeat(hb, delivered_at);
+                if let Some(from) = self.heartbeat_sender(hb) {
+                    self.detector.on_heartbeat(from, delivered_at);
+                }
             }
             ControlFlow::Continue(())
         });
         self.rx_buf = rx;
-        if now >= self.next_beat {
-            let hb = WireMsg::Heartbeat(Heartbeat {
-                #[allow(clippy::cast_possible_truncation)]
-                sender: self.transport.me().index() as u16,
-                seq: self.seq,
-                sent_at: now,
-            });
-            self.seq += 1;
+        if let Some(hb) = self.due_heartbeat(now) {
             let payload = self.tx.encode(&hb);
-            for to in ProcessSet::full(self.n) {
-                if to != self.transport.me() {
-                    self.transport.send(to, payload.clone());
-                }
-            }
-            self.next_beat = now.saturating_add(self.period);
+            self.fan_out(ProcessSet::full(self.n), &payload);
         }
         self.detector.suspects(now)
     }

@@ -38,11 +38,10 @@ use crate::codec::{
     encode, for_each_frame, members_to_set, set_to_members, Heartbeat, ViewChange, WireMsg,
     WireView,
 };
-use crate::detector::{HeartbeatDetector, SendRing};
+use crate::detector::DetectorNode;
 use crate::estimator::ArrivalEstimator;
 use crate::online::{membership_fleet, OnlineScenario};
-use crate::transport::{Datagram, Transport};
-use bytes::Bytes;
+use crate::transport::Transport;
 use rfd_core::{FailurePattern, History, ProcessId, ProcessSet, Time};
 use std::ops::ControlFlow;
 
@@ -63,30 +62,22 @@ impl View {
     }
 }
 
-/// One membership node.
+/// One membership node: a [`DetectorNode`] plus views. The detector node
+/// is the heartbeat half — detector, transport, clock, period, beat
+/// schedule, receive buffer, send ring and malformed counter — and this
+/// layer adds only the view, exclusion and heal-merge state.
 #[derive(Debug)]
 pub struct MembershipNode<E, T, C> {
-    n: usize,
+    /// The heartbeat half; its send ring also carries the view
+    /// announcements and the batches coalescing them.
+    pub(crate) node: DetectorNode<E, T, C>,
     view: View,
-    detector: HeartbeatDetector<E>,
-    transport: T,
-    clock: C,
-    period: Nanos,
-    next_beat: Nanos,
-    seq: u64,
     halted: bool,
     views_installed: u64,
     heal_merge: bool,
-    /// Reusable receive buffer for [`Transport::recv_batch`].
-    rx_buf: Vec<Datagram>,
-    /// Recycled send payloads: heartbeats, view announcements and the
-    /// batches coalescing them.
-    tx: SendRing,
-    /// Reusable frame list for [`SendRing::encode_batch`].
+    /// Reusable frame list for the coalesced `[heartbeat, view change]`
+    /// batch.
     batch_scratch: Vec<WireMsg>,
-    /// Datagrams/frames dropped because they failed to decode or
-    /// carried an out-of-range sender index.
-    malformed_frames: u64,
 }
 
 impl<E, T, C> MembershipNode<E, T, C>
@@ -95,39 +86,36 @@ where
     T: Transport,
     C: Clock,
 {
-    /// Creates a member with the initial full view.
+    /// Creates a member with the initial full view, heartbeating every
+    /// `period`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero ([`DetectorNode::new`]).
     #[must_use]
     pub fn new(n: usize, prototype: E, transport: T, clock: C, period: Nanos) -> Self {
-        let me = transport.me();
         Self {
-            n,
+            node: DetectorNode::new(n, prototype, transport, clock, period),
             view: View {
                 id: 0,
                 members: ProcessSet::full(n),
             },
-            detector: HeartbeatDetector::new(me, n, prototype),
-            transport,
-            clock,
-            period,
-            next_beat: Nanos::ZERO,
-            seq: 0,
             halted: false,
             views_installed: 0,
             heal_merge: false,
-            rx_buf: Vec::new(),
-            tx: SendRing::default(),
             batch_scratch: Vec::new(),
-            malformed_frames: 0,
         }
     }
 
     /// Datagrams/frames dropped as malformed: undecodable bytes, or a
     /// heartbeat whose claimed sender index falls outside the fleet.
     /// Frames of other protocol layers multiplexed over the same socket
-    /// are *not* counted.
+    /// are *not* counted. This is the node's one counter
+    /// ([`DetectorNode::malformed_frames`]), which a decision service
+    /// layered on the membership adds its own rejections to.
     #[must_use]
     pub fn malformed_frames(&self) -> u64 {
-        self.malformed_frames
+        self.node.malformed_frames
     }
 
     /// Enables **partition-heal view reconciliation** (builder style).
@@ -167,7 +155,7 @@ where
     /// The emulated Perfect detector output: everyone outside the view.
     #[must_use]
     pub fn emulated_suspects(&self) -> ProcessSet {
-        self.view.members.complement_within(self.n)
+        self.view.members.complement_within(self.node.n)
     }
 
     /// Whether this node halted after being excluded.
@@ -187,18 +175,20 @@ where
     /// the same socket.
     #[must_use]
     pub fn transport(&self) -> &T {
-        &self.transport
+        &self.node.transport
     }
 
     /// The estimator-derived **trust horizon**: the latest deadline the
     /// detector holds for any monitored view member — the instant by
     /// which every trusted peer will either have produced fresh traffic
     /// or have become a suspect (and hence been excluded). Each deadline
-    /// is [`HeartbeatDetector::deadline`]: the freshness point the peer's
-    /// latest heartbeat fixed, raised by any later frame of its
-    /// ([`on_evidence`](Self::on_evidence)). `None` until the first
-    /// heartbeat arrives. Both were fixed on arrival, so asking costs one
-    /// stored read per member however often it is asked.
+    /// is the detector's
+    /// [`deadline`](crate::detector::HeartbeatDetector::deadline): the
+    /// freshness point the peer's latest heartbeat fixed, raised by any
+    /// later frame of its ([`on_evidence`](Self::on_evidence)). `None`
+    /// until the first heartbeat arrives. Both were fixed on arrival, so
+    /// asking costs one stored read per member however often it is
+    /// asked.
     ///
     /// The decision service derives its horizon timeout from this: the
     /// laggard-push and snapshot retries, which chase a peer that may
@@ -210,10 +200,10 @@ where
     pub fn trust_horizon(&self) -> Option<Nanos> {
         let mut horizon: Option<Nanos> = None;
         for peer in self.view.members {
-            if peer == self.transport.me() {
+            if peer == self.transport().me() {
                 continue;
             }
-            if let Some(d) = self.detector.deadline(peer) {
+            if let Some(d) = self.node.detector.deadline(peer) {
                 horizon = Some(horizon.map_or(d, |h| h.max(d)));
             }
         }
@@ -234,7 +224,7 @@ where
             // Reconciliation mode: never halt. A view that omits this
             // (live) node is ignored — the node keeps its own view and
             // keeps heartbeating until a coordinator merges it back in.
-            if view.members.contains(self.transport.me())
+            if view.members.contains(self.transport().me())
                 && Self::rank(view) > Self::rank(self.view)
             {
                 self.view = view;
@@ -243,7 +233,7 @@ where
         } else if view.id > self.view.id {
             self.view = view;
             self.views_installed += 1;
-            if !view.members.contains(self.transport.me()) {
+            if !view.members.contains(self.transport().me()) {
                 // Excluded: enforce the suspicion — halt.
                 self.halted = true;
             }
@@ -258,9 +248,9 @@ where
         if self.halted {
             return;
         }
-        let mut rx = std::mem::take(&mut self.rx_buf);
-        self.transport.recv_batch(&mut rx);
-        self.malformed_frames += for_each_frame(&mut rx, |_, delivered_at, frame| {
+        let mut rx = std::mem::take(&mut self.node.rx_buf);
+        self.transport().recv_batch(&mut rx);
+        self.node.malformed_frames += for_each_frame(&mut rx, |_, delivered_at, frame| {
             self.on_wire_view(frame, delivered_at);
             if self.halted {
                 ControlFlow::Break(())
@@ -268,21 +258,15 @@ where
                 ControlFlow::Continue(())
             }
         });
-        self.rx_buf = rx;
+        self.node.rx_buf = rx;
         self.tick();
     }
 
     fn on_heartbeat_frame(&mut self, hb: &Heartbeat, delivered_at: Nanos) {
-        // A corrupt or foreign datagram can carry any sender index;
-        // the detector has no monitor beyond `n` (and `ProcessId::new`
-        // would panic at 128), so out-of-range senders are dropped and
-        // counted instead.
-        let Some(from) = ProcessId::try_new(usize::from(hb.sender), self.n) else {
-            self.malformed_frames += 1;
-            return;
-        };
-        if self.listens_to(from) {
-            self.detector.on_heartbeat(from, delivered_at);
+        if let Some(from) = self.node.heartbeat_sender(hb) {
+            if self.listens_to(from) {
+                self.node.detector.on_heartbeat(from, delivered_at);
+            }
         }
     }
 
@@ -294,15 +278,16 @@ where
     }
 
     /// Records that a frame other than a heartbeat arrived from `from`
-    /// at `at` — evidence it was alive then
-    /// ([`HeartbeatDetector::on_evidence`]). Filtered like a heartbeat:
-    /// a non-member counts only in heal-merge mode, and this node and
-    /// senders outside the fleet have no monitor to raise. A layer
-    /// multiplexed over the same transport calls this for each of its
-    /// frames; the membership's own [`poll`](Self::poll) does not.
+    /// at `at` — evidence it was alive then (the detector's
+    /// [`on_evidence`](crate::detector::HeartbeatDetector::on_evidence)).
+    /// Filtered like a heartbeat: a non-member counts only in heal-merge
+    /// mode, and this node and senders outside the fleet have no monitor
+    /// to raise. A layer multiplexed over the same transport calls this
+    /// for each of its frames; the membership's own
+    /// [`poll`](Self::poll) does not.
     pub fn on_evidence(&mut self, from: ProcessId, at: Nanos) {
         if !self.halted && self.listens_to(from) {
-            self.detector.on_evidence(from, at);
+            self.node.detector.on_evidence(from, at);
         }
     }
 
@@ -323,19 +308,9 @@ where
             WireView::Heartbeat(hb) => self.on_heartbeat_frame(hb, delivered_at),
             WireView::ViewChange(vc) => self.adopt(View {
                 id: vc.view_id,
-                members: members_to_set(vc.members, self.n),
+                members: members_to_set(vc.members, self.node.n),
             }),
             _ => {}
-        }
-    }
-
-    /// Sends `payload` to every process except this one, restricted to
-    /// `targets`.
-    fn fan_out(&self, targets: ProcessSet, payload: &Bytes) {
-        for to in targets {
-            if to != self.transport.me() {
-                self.transport.send(to, payload.clone());
-            }
         }
     }
 
@@ -347,31 +322,26 @@ where
         if self.halted {
             return;
         }
-        let now = self.clock.now();
+        let now = self.node.clock.now();
+        let me = self.transport().me();
+        let n = self.node.n;
         // Coordinator duty: exclude suspected members. The acting
         // coordinator is the lowest-index member *this node does not
         // suspect*; when the nominal coordinator crashes, duty fails
         // over to the next survivor.
-        let suspects_now = self.detector.suspects(now);
+        let suspects_now = self.node.detector.suspects(now);
         let acting_coordinator = self
             .view
             .members
             .difference(suspects_now)
             .min()
-            .unwrap_or(self.transport.me());
+            .unwrap_or(me);
         // Heartbeat the current members — or, in heal-merge mode, every
         // process: cross-cut liveness evidence is what lets the healed
         // sides find each other again.
-        if now >= self.next_beat {
-            #[allow(clippy::cast_possible_truncation)]
-            let hb = WireMsg::Heartbeat(Heartbeat {
-                sender: self.transport.me().index() as u16,
-                seq: self.seq,
-                sent_at: now,
-            });
-            self.seq += 1;
+        if let Some(hb) = self.node.due_heartbeat(now) {
             let hb_targets = if self.heal_merge {
-                ProcessSet::full(self.n)
+                ProcessSet::full(n)
             } else {
                 self.view.members
             };
@@ -380,7 +350,7 @@ where
             // member that misses a one-shot announcement would otherwise
             // stay on the stale view forever (breaking the emulated
             // detector's strong completeness).
-            let announcing = acting_coordinator == self.transport.me() && self.view.id > 0;
+            let announcing = acting_coordinator == me && self.view.id > 0;
             if announcing {
                 let vc = WireMsg::ViewChange(ViewChange {
                     view_id: self.view.id,
@@ -389,30 +359,29 @@ where
                 // Coalesced: one [heartbeat, view change] batch per
                 // member, the view change alone to non-members — one
                 // datagram per destination either way.
-                let vc_only = self.tx.encode(&vc);
+                let vc_only = self.node.tx.encode(&vc);
                 let mut frames = std::mem::take(&mut self.batch_scratch);
                 frames.clear();
                 frames.push(hb);
                 frames.push(vc);
-                let both = self.tx.encode_batch(&frames);
+                let both = self.node.tx.encode_batch(&frames);
                 self.batch_scratch = frames;
-                for to in ProcessSet::full(self.n) {
-                    if to == self.transport.me() {
+                for to in ProcessSet::full(n) {
+                    if to == me {
                         continue;
                     }
                     if hb_targets.contains(to) {
-                        self.transport.send(to, both.clone());
+                        self.node.transport.send(to, both.clone());
                     } else {
-                        self.transport.send(to, vc_only.clone());
+                        self.node.transport.send(to, vc_only.clone());
                     }
                 }
             } else {
-                let hb_payload = self.tx.encode(&hb);
-                self.fan_out(hb_targets, &hb_payload);
+                let hb_payload = self.node.tx.encode(&hb);
+                self.node.fan_out(hb_targets, &hb_payload);
             }
-            self.next_beat = now.saturating_add(self.period);
         }
-        if acting_coordinator == self.transport.me() {
+        if acting_coordinator == me {
             let suspected = suspects_now.intersection(self.view.members);
             // Heal-merge duty: re-admit any non-member with fresh
             // heartbeat evidence — heard at least once (the estimator has
@@ -421,9 +390,11 @@ where
             let rejoiners = if self.heal_merge {
                 self.view
                     .members
-                    .complement_within(self.n)
+                    .complement_within(n)
                     .iter()
-                    .filter(|p| self.detector.deadline(*p).is_some() && !suspects_now.contains(*p))
+                    .filter(|p| {
+                        self.node.detector.deadline(*p).is_some() && !suspects_now.contains(*p)
+                    })
                     .collect()
             } else {
                 ProcessSet::empty()
@@ -442,7 +413,7 @@ where
                 }));
                 // Announce to everyone (including the excluded, so they
                 // halt — or, under heal-merge, eventually rejoin).
-                self.fan_out(ProcessSet::full(self.n), &payload);
+                self.node.fan_out(ProcessSet::full(n), &payload);
                 self.adopt(new_view);
             }
         }

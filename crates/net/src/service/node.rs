@@ -12,7 +12,7 @@ use crate::codec::{
 use crate::detector::SendRing;
 use crate::estimator::ArrivalEstimator;
 use crate::membership::{MembershipNode, View};
-use crate::transport::{Datagram, Transport};
+use crate::transport::Transport;
 use bytes::Bytes;
 use rfd_algo::consensus::{RotatingConsensus, RotatingMsg};
 use rfd_algo::driver::{SlotDriver, SlotSend};
@@ -185,10 +185,10 @@ impl CompactionPolicy {
 /// command values, so dense command ids hold the heap flat.
 #[derive(Debug)]
 pub struct DecisionService<E, T, C> {
-    n: usize,
+    /// The membership, and through it the node's heartbeat half: the
+    /// service reads `n`, the clock, the period, the receive buffer and
+    /// the malformed counter there ([`crate::detector::DetectorNode`]).
     membership: MembershipNode<E, T, C>,
-    clock: C,
-    period: Nanos,
     driver: SlotDriver<RotatingConsensus<u64>>,
     log: ReplicatedLog,
     /// Known, not yet decided commands (ordered: proposals pick the
@@ -243,8 +243,6 @@ pub struct DecisionService<E, T, C> {
     /// of evidence: the group decided without a command this node
     /// holds.
     outvoted: bool,
-    /// Reusable receive buffer for [`Transport::recv_batch`].
-    rx_buf: Vec<Datagram>,
     /// Reusable consensus-frame inbox, refilled each poll.
     consensus_in: Vec<(u64, ProcessId, RotatingMsg<u64>)>,
     /// Reusable queue of the poll's consensus sends, drained oldest
@@ -254,33 +252,31 @@ pub struct DecisionService<E, T, C> {
     /// its datagram before the merge (which needs a contiguous slice).
     sync_scratch: Vec<(u64, u64, u128)>,
     /// Recycled transmit buffers for consensus frames, decision
-    /// announcements and command gossip. (State-transfer frames are
-    /// cold and can be large; they take a plain encode.)
+    /// announcements and command gossip — the service's own ring, not
+    /// the membership's. (State-transfer frames are cold and can be
+    /// large; they take a plain encode.)
     tx: SendRing,
-    /// Datagrams dropped because they failed to decode. Undecodable
-    /// bytes never touch any protocol layer — the service's graceful
-    /// drop-and-count posture toward arbitrary wire input.
-    malformed_frames: u64,
 }
 
 impl<E, T, C> DecisionService<E, T, C>
 where
     E: ArrivalEstimator + Clone,
     T: Transport,
-    C: Clock + Clone,
+    C: Clock,
 {
     /// Creates a service node (initial full view, empty log) whose
     /// membership heartbeats every `period`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero ([`MembershipNode::new`]).
     #[must_use]
     pub fn new(n: usize, prototype: E, transport: T, clock: C, period: Nanos) -> Self {
-        let membership = MembershipNode::new(n, prototype, transport, clock.clone(), period);
+        let membership = MembershipNode::new(n, prototype, transport, clock, period);
         let me = membership.transport().me();
         Self {
-            n,
             last_view: membership.view(),
             membership,
-            clock,
-            period,
             driver: SlotDriver::new(me, n),
             log: ReplicatedLog::new(),
             pool: BTreeSet::new(),
@@ -296,12 +292,10 @@ where
             gossip_tail: 0,
             proposed: None,
             outvoted: false,
-            rx_buf: Vec::new(),
             consensus_in: Vec::new(),
             sends: VecDeque::new(),
             sync_scratch: Vec::new(),
             tx: SendRing::default(),
-            malformed_frames: 0,
         }
     }
 
@@ -374,12 +368,15 @@ where
         self.pool.len()
     }
 
-    /// Datagrams this node dropped as undecodable, plus malformed
-    /// frames its membership layer dropped (out-of-range heartbeat
-    /// senders). Rejected input changes no protocol state.
+    /// Datagrams and frames this node dropped as malformed: undecodable
+    /// bytes, out-of-range heartbeat senders, and consensus frames past
+    /// the slot horizon or overflowing the early buffer. One counter per
+    /// node, kept by its membership's heartbeat half
+    /// ([`MembershipNode::malformed_frames`]). Rejected input changes no
+    /// protocol state.
     #[must_use]
     pub fn malformed_frames(&self) -> u64 {
-        self.malformed_frames + self.membership.malformed_frames()
+        self.membership.malformed_frames()
     }
 
     /// The membership-emulated Perfect-detector output this node feeds
@@ -433,7 +430,8 @@ where
                 // buffer: a correct peer only runs consensus within a
                 // bounded window above its log; anything further is
                 // dropped and counted like an undecodable frame.
-                if from.index() < self.n && cf.slot < self.log.len().saturating_add(SLOT_HORIZON) {
+                let in_fleet = from.index() < self.membership.node.n;
+                if in_fleet && cf.slot < self.log.len().saturating_add(SLOT_HORIZON) {
                     if cf.slot < self.driver.tail() {
                         // The slot is already settled here: a stale or
                         // retransmitted frame. The driver drops it; the
@@ -441,8 +439,8 @@ where
                         self.duplicate_frames_dropped += 1;
                     }
                     consensus_in.push((cf.slot, from, cf.msg.clone()));
-                } else if from.index() < self.n {
-                    self.malformed_frames += 1;
+                } else if in_fleet {
+                    self.membership.node.malformed_frames += 1;
                 }
             }
             WireView::Decided(d) => self.on_decided(from, d, events),
@@ -494,15 +492,16 @@ where
         if self.is_halted() {
             return;
         }
-        let now = self.clock.now();
+        let now = self.membership.node.clock.now();
         let mut consensus_in = std::mem::take(&mut self.consensus_in);
         consensus_in.clear();
-        let mut rx = std::mem::take(&mut self.rx_buf);
+        let mut rx = std::mem::take(&mut self.membership.node.rx_buf);
         self.membership.transport().recv_batch(&mut rx);
-        self.malformed_frames += for_each_frame(&mut rx, |from, delivered_at, frame| {
-            self.route_frame(from, delivered_at, frame, &mut consensus_in, events)
-        });
-        self.rx_buf = rx;
+        self.membership.node.malformed_frames +=
+            for_each_frame(&mut rx, |from, delivered_at, frame| {
+                self.route_frame(from, delivered_at, frame, &mut consensus_in, events)
+            });
+        self.membership.node.rx_buf = rx;
         // A node the drain halted does nothing here, and never polls
         // again.
         self.membership.tick();
@@ -535,7 +534,7 @@ where
         for (slot, from, msg) in consensus_in.drain(..) {
             let full = self.driver.buffered() >= EARLY_FRAMES;
             if full && slot >= self.driver.tail() && !self.driver.is_open(slot) {
-                self.malformed_frames += 1;
+                self.membership.node.malformed_frames += 1;
                 continue;
             }
             self.driver
@@ -569,7 +568,7 @@ where
         self.run_retransmission(now, timeouts, &mut sends);
         self.sends = sends;
         if now >= self.next_gossip {
-            self.next_gossip = now.saturating_add(self.period);
+            self.next_gossip = now.saturating_add(self.membership.node.period);
             // Anti-entropy only on evidence that a peer lacks a pending
             // command. A log that did not grow for a whole period:
             // nothing is being decided, so whoever should propose these
@@ -602,7 +601,11 @@ where
     /// The horizon timeouts at `now`, from the membership's trust
     /// horizon.
     fn timeouts(&self, now: Nanos) -> Timeouts {
-        Timeouts::at(now, self.period, self.membership.trust_horizon())
+        Timeouts::at(
+            now,
+            self.membership.node.period,
+            self.membership.trust_horizon(),
+        )
     }
 
     /// The `attempts`-th current-view member other than this node
@@ -799,7 +802,7 @@ where
     /// Whether `from` is a process of this group other than this node —
     /// the only senders state transfer answers or asks.
     fn is_peer(&self, from: ProcessId) -> bool {
-        from != self.me() && from.index() < self.n
+        from != self.me() && from.index() < self.membership.node.n
     }
 
     fn learn_command(&mut self, value: u64) {
@@ -838,10 +841,7 @@ where
 
     fn broadcast(&mut self, msg: &WireMsg) {
         let payload = self.tx.encode(msg);
-        for to in ProcessSet::full(self.n) {
-            if to != self.me() {
-                self.send_raw(to, payload.clone());
-            }
-        }
+        let node = &self.membership.node;
+        node.fan_out(ProcessSet::full(node.n), &payload);
     }
 }

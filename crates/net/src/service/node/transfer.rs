@@ -17,7 +17,7 @@ impl<E, T, C> DecisionService<E, T, C>
 where
     E: ArrivalEstimator + Clone,
     T: Transport,
-    C: Clock + Clone,
+    C: Clock,
 {
     /// The sender-side half of acknowledged delivery: every gossip
     /// period, serve the missing suffix to any view member whose acked
@@ -241,7 +241,7 @@ where
         self.snapshot_requested_at = Some(self.log.len());
         // Arm the retry timer: a lost request (or lost reply) re-fires
         // toward a rotated member instead of stranding the rejoin.
-        let now = self.clock.now();
+        let now = self.membership.node.clock.now();
         self.retry.arm_snapshot(now, self.timeouts(now));
         self.send_raw(
             from,
