@@ -8,6 +8,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfd_core::{ProcessId, ProcessSet};
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
@@ -226,13 +227,8 @@ struct NetInner {
     rng: StdRng,
     /// Gilbert–Elliott channel state: `true` = bad (burst) state.
     in_burst: bool,
-    /// In-order traffic: datagrams whose due time is `>=` every earlier
-    /// queued one (always true under a fixed delay and a monotone
-    /// clock). Kept sorted by construction, so delivery is an O(1)
-    /// `pop_front` instead of a heap sift over the whole backlog.
-    fifo: VecDeque<InFlight>,
-    /// Out-of-order traffic (randomized delays): the general case,
-    /// merged with `fifo` by `(due, seq)` at delivery time.
+    /// Every datagram in flight, delivered in `(due, seq)` order:
+    /// earliest due first, ties in send order.
     in_flight: BinaryHeap<InFlight>,
     inboxes: Vec<VecDeque<Datagram>>,
     /// Nodes taken down (crashed): they neither send nor receive.
@@ -252,7 +248,9 @@ struct NetInner {
 /// A deterministic in-memory datagram network.
 ///
 /// All endpoints share the [`VirtualClock`]; messages become receivable
-/// once the clock passes their delivery time.
+/// once the clock passes their delivery time. Every datagram in flight
+/// waits in one queue and leaves it earliest delivery time first, equal
+/// times in send order.
 ///
 /// # Examples
 ///
@@ -293,7 +291,6 @@ impl InMemoryNetwork {
                 config,
                 rng: StdRng::seed_from_u64(seed),
                 in_burst: false,
-                fifo: VecDeque::new(),
                 in_flight: BinaryHeap::new(),
                 inboxes: (0..n).map(|_| VecDeque::new()).collect(),
                 down: ProcessSet::empty(),
@@ -384,29 +381,14 @@ impl InMemoryNetwork {
         (g.sent, g.lost, g.delivered)
     }
 
-    /// Moves due in-flight messages to inboxes (lock already held).
-    /// Two-way merge of the sorted `fifo` and the heap by `(due, seq)`:
-    /// delivery order is exactly the single-heap order, but the common
-    /// in-order case never pays a sift.
+    /// Moves due in-flight messages to inboxes in `(due, seq)` order
+    /// (lock already held).
     fn pump_locked(g: &mut NetInner, now: Nanos) {
-        loop {
-            let fifo_key = g.fifo.front().map(|m| (m.due, m.seq));
-            let heap_key = g.in_flight.peek().map(|m| (m.due, m.seq));
-            let from_fifo = match (fifo_key, heap_key) {
-                (Some((due, _)), None) if due <= now => true,
-                (None, Some((due, _))) if due <= now => false,
-                (Some(f), Some(h)) if f.min(h).0 <= now => f < h,
-                _ => break,
-            };
-            let popped = if from_fifo {
-                g.fifo.pop_front()
-            } else {
-                g.in_flight.pop()
-            };
-            // The chosen queue was just peeked non-empty under the same
-            // lock, so `popped` is always `Some`; breaking (instead of
-            // unwrapping) keeps the pump total regardless.
-            let Some(m) = popped else { break };
+        while let Some(next) = g.in_flight.peek_mut() {
+            if next.due > now {
+                break;
+            }
+            let m = PeekMut::pop(next);
             if g.down.contains(m.datagram.to) {
                 continue;
             }
@@ -484,7 +466,7 @@ impl InMemoryNetwork {
     fn enqueue(g: &mut NetInner, due: Nanos, from: ProcessId, to: ProcessId, payload: Bytes) {
         let seq = g.seq;
         g.seq += 1;
-        let entry = InFlight {
+        g.in_flight.push(InFlight {
             due,
             seq,
             datagram: Datagram {
@@ -493,14 +475,7 @@ impl InMemoryNetwork {
                 payload,
                 delivered_at: due,
             },
-        };
-        // `seq` is monotone, so a due no earlier than the FIFO tail
-        // keeps it sorted; only out-of-order dues touch the heap.
-        if g.fifo.back().map_or(true, |tail| due >= tail.due) {
-            g.fifo.push_back(entry);
-        } else {
-            g.in_flight.push(entry);
-        }
+        });
     }
 
     fn recv_for(&self, me: ProcessId) -> Option<Datagram> {

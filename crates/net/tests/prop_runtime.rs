@@ -1,5 +1,6 @@
 //! Property-based tests on the runtime: estimator laws, codec
-//! roundtrips, QoS tracker accounting, virtual network conservation.
+//! roundtrips, QoS tracker accounting, virtual network conservation and
+//! delivery order.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -10,7 +11,8 @@ use rfd_net::estimator::{
     ArrivalEstimator, ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual,
 };
 use rfd_net::qos::QosTracker;
-use rfd_net::transport::{InMemoryNetwork, NetworkConfig, Transport};
+use rfd_net::transport::{ChurnableTransport, Datagram, InMemoryNetwork, NetworkConfig, Transport};
+use rfd_net::WeatherDirective;
 
 fn ms(v: u64) -> Nanos {
     Nanos::from_millis(v)
@@ -152,34 +154,57 @@ proptest! {
 
     // ---------- virtual network ----------
 
-    /// Conservation: sent = lost + delivered + still-in-flight; with the
-    /// clock advanced far enough, in-flight drains to zero (no down
-    /// nodes).
+    /// Conservation and delivery order. Sends are interleaved with clock
+    /// advances and partial drains, over random delays, a fixed delay,
+    /// or random delays with the reordering plane holding some datagrams
+    /// back. Conservation: sent = lost + delivered + still-in-flight;
+    /// with the clock advanced far enough, in-flight drains to zero (no
+    /// down nodes). Order: each receiver's arrivals come in
+    /// non-decreasing `delivered_at`, ties in send order.
     #[test]
     fn network_conserves_datagrams(
-        sends in prop::collection::vec((0usize..3, 0usize..3), 0..60),
+        sends in prop::collection::vec((0usize..3, 0usize..3, 0u64..3), 0..60),
         loss in 0u32..50,
+        medium in 0usize..3,
         seed in any::<u64>()
     ) {
         let clock = VirtualClock::new();
-        let config = NetworkConfig::reliable(ms(1), ms(8))
+        let delays = if medium == 1 { (ms(3), ms(3)) } else { (ms(1), ms(8)) };
+        let config = NetworkConfig::reliable(delays.0, delays.1)
             .with_loss(f64::from(loss) / 100.0)
             .with_seed(seed);
         let net = InMemoryNetwork::new(3, config, clock.clone());
+        if medium == 2 {
+            let hold = WeatherDirective::Reorder { per_mille: 300, hold: ms(6) };
+            net.apply_weather(&hold);
+        }
         let endpoints: Vec<_> = (0..3).map(|i| net.endpoint(ProcessId::new(i))).collect();
-        for (from, to) in &sends {
-            endpoints[*from].send(ProcessId::new(*to), Bytes::from_static(b"x"));
+        let mut arrivals: Vec<Vec<Datagram>> = vec![Vec::new(); 3];
+        for (ix, (from, to, advance)) in (0u64..).zip(&sends) {
+            endpoints[*from].send(ProcessId::new(*to), Bytes::from(ix.to_le_bytes().to_vec()));
+            clock.advance(ms(*advance));
+            endpoints[*to].recv_batch(&mut arrivals[*to]);
         }
         clock.advance(ms(1_000));
-        let mut received = 0u64;
-        for e in &endpoints {
-            while e.recv().is_some() {
-                received += 1;
+        for (e, got) in endpoints.iter().zip(&mut arrivals) {
+            while let Some(datagram) = e.recv() {
+                got.push(datagram);
             }
         }
         let (sent, lost, delivered) = net.stats();
         prop_assert_eq!(sent, sends.len() as u64);
         prop_assert_eq!(lost + delivered, sent);
-        prop_assert_eq!(received, delivered);
+        prop_assert_eq!(arrivals.iter().map(Vec::len).sum::<usize>() as u64, delivered);
+        let send_index = |d: &Datagram| u64::from_le_bytes(d.payload[..].try_into().unwrap());
+        for got in &arrivals {
+            for pair in got.windows(2) {
+                let (a, b) = (&pair[0], &pair[1]);
+                prop_assert!(
+                    (a.delivered_at, send_index(a)) < (b.delivered_at, send_index(b)),
+                    "send {} at {:?} arrived before send {} at {:?}",
+                    send_index(a), a.delivered_at, send_index(b), b.delivered_at
+                );
+            }
+        }
     }
 }
