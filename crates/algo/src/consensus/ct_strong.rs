@@ -4,7 +4,7 @@
 //! algorithm: it solves **uniform** consensus with any Strong failure
 //! detector *even if the number of faulty processes is unbounded*, and —
 //! run with a realistic detector — it is *total* (footnote 4: "the
-//! S-based consensus algorithm of [1] would be total with a realistic
+//! S-based consensus algorithm of \[1\] would be total with a realistic
 //! failure detector").
 //!
 //! Structure (Chandra & Toueg, JACM 1996, Fig. 5):

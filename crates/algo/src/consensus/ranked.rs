@@ -3,7 +3,7 @@
 //! §6.2 separates uniform from correct-restricted consensus: with the
 //! Partially Perfect class `P<` (strong accuracy, but only higher-index
 //! processes must detect a crash) there is an algorithm — after
-//! Guerraoui's atomic-commit construction [8] — that solves
+//! Guerraoui's atomic-commit construction \[8\] — that solves
 //! correct-restricted consensus for **any** number of failures, although
 //! `P<` is strictly weaker than `P`. Uniform agreement, however, can
 //! fail: a low-index process may decide its own value and crash before
