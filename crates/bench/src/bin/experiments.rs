@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! experiments                # full suite
-//! experiments --quick        # reduced seed counts
 //! experiments E4 E7          # selected experiments
 //! experiments --csv DIR      # also write one CSV per experiment
 //! ```
@@ -14,7 +13,6 @@ use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
     let csv_dir: Option<PathBuf> = args
         .iter()
         .position(|a| a == "--csv")
@@ -33,7 +31,7 @@ fn main() {
         if !selected.is_empty() && !selected.iter().any(|s| s == id) {
             continue;
         }
-        let table = run(quick);
+        let table = run();
         table.print();
         ran += 1;
         if let Some(dir) = &csv_dir {

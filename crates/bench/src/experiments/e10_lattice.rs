@@ -19,8 +19,8 @@ const HORIZON: u64 = 500;
 
 /// Runs E10 and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let runs = if quick { 10 } else { 50 };
+pub fn run_experiment() -> Table {
+    let runs = 50;
     let horizon = Time::new(HORIZON);
     let params = CheckParams::with_margin(horizon, 50);
     let mut table = Table::new(
@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn e10_all_checks_pass() {
-        let table = run_experiment(true);
+        let table = run_experiment();
         let text = table.render();
         assert!(text.contains("all respected"), "{text}");
         assert!(!text.contains("FAILED"), "{text}");

@@ -100,8 +100,8 @@ fn line_up() -> Vec<(&'static str, Estimators)> {
 
 /// Runs E11 and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let (seeds, duration_ms) = if quick { (2, 12_000) } else { (4, 30_000) };
+pub fn run_experiment() -> Table {
+    let (seeds, duration_ms) = (4, 30_000);
     let mut table = Table::new(
         "E11 — online detection under churn (n=4, observer p0, streaming driver, \
          period 100ms, delay 2–10ms)",
@@ -139,8 +139,8 @@ pub fn run_experiment(quick: bool) -> Table {
 /// bounded latency; a partitioned minority is excluded *by fiat* (a
 /// false exclusion the service converts into accuracy — §1.3).
 #[must_use]
-pub fn run_membership_ablation(quick: bool) -> Table {
-    let (seeds, duration_ms) = if quick { (2, 12_000) } else { (4, 30_000) };
+pub fn run_membership_ablation() -> Table {
+    let (seeds, duration_ms) = (4, 30_000);
     let mut table = Table::new(
         "E11b — membership under churn (n=4, chen(α=150ms), period 50ms)",
         &[
@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn e11_table_is_complete_and_streaming_matches_batch_everywhere() {
-        let table = run_experiment(true);
+        let table = run_experiment();
         assert_eq!(table.len(), 12, "3 schedules × 4 estimators");
         let rendered = table.render();
         assert!(
@@ -226,7 +226,7 @@ mod tests {
 
     #[test]
     fn e11b_membership_partition_forces_false_exclusions() {
-        let table = run_membership_ablation(true);
+        let table = run_membership_ablation();
         assert_eq!(table.len(), 3);
         // Assert on the underlying report, not the rendered text: the
         // partition schedule must force at least one by-fiat exclusion

@@ -142,8 +142,8 @@ fn push_row(table: &mut Table, schedule_name: &str, est: &str, s: &RowStats) {
 
 /// Runs E12 and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let (seeds, duration_ms) = if quick { (2, 16_000) } else { (4, 30_000) };
+pub fn run_experiment() -> Table {
+    let (seeds, duration_ms) = (4, 30_000);
     let mut table = Table::new(
         "E12 — partition-heal reconvergence (n=4, heal-merge membership, period 50ms)",
         &[
@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn e12_every_simulated_cell_reconverges() {
-        let table = run_experiment(true);
+        let table = run_experiment();
         assert!(table.len() >= 12, "3 schedules × 4 estimators");
         let rendered = table.render();
         assert!(

@@ -162,8 +162,8 @@ fn push_row(
 
 /// Runs E13 and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let (seeds, duration_ms) = if quick { (2, 16_000) } else { (3, 30_000) };
+pub fn run_experiment() -> Table {
+    let (seeds, duration_ms) = (3, 30_000);
     let mut table = Table::new(
         "E13 — live decision service under churn (n=4, heal-merge membership, consensus over emulated P)",
         &[
@@ -231,7 +231,7 @@ mod tests {
         // `gate` asserts agreement/convergence/losslessness per cell;
         // here additionally: the service always decides again after the
         // disruption, on every row.
-        let table = run_experiment(true);
+        let table = run_experiment();
         assert!(table.len() >= 12, "3 schedules × 4 estimators");
         let rendered = table.render();
         assert!(

@@ -11,7 +11,7 @@
 //!
 //! Per estimator, the same single-node partition heals after a *short*
 //! and a *long* hold (the long outage accumulates ~10× the missed
-//! decisions, ~6× in `--quick`), once with compaction
+//! decisions), once with compaction
 //! (`mode = snapshot`) and once without (`mode = suffix`). Each cell
 //! reports the decisions transferred to the rejoiner, the encoded
 //! state-transfer bytes served fleet-wide, the snapshot count, and the
@@ -141,12 +141,8 @@ fn gate(label: &str, snapshot_mode: bool, report: &ServiceReport) -> Cell {
 /// Panics if any cell violates its safety gate or the per-estimator
 /// sub-linearity contrast fails (see the module docs).
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let (seeds, short_hold, long_hold) = if quick {
-        (1, 4_000, 24_000)
-    } else {
-        (2, 6_000, 60_000)
-    };
+pub fn run_experiment() -> Table {
+    let (seeds, short_hold, long_hold) = (2, 6_000, 60_000);
     let mut table = Table::new(
         "E14 — snapshot fast rejoin vs full-suffix replay (n=4, heal-merge, retain-last-8 compaction)",
         &[
@@ -250,7 +246,7 @@ mod tests {
         // `gate` + `contrast_gate` assert the whole claim per cell and
         // per estimator; here additionally: the table has all 16 rows
         // and every snapshot cell actually counted a snapshot.
-        let table = run_experiment(true);
+        let table = run_experiment();
         assert_eq!(table.len(), 16, "4 estimators × 2 outages × 2 modes");
     }
 

@@ -183,8 +183,8 @@ fn qos_pair(proto: Estimators, weather: &Weather, seed: u64) -> QosReport {
 /// Panics if any cell violates a safety gate or the per-estimator
 /// crash-vs-gray contrast fails (see the module docs).
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let seeds = if quick { 1 } else { 2 };
+pub fn run_experiment() -> Table {
+    let seeds = 2;
     let mut table = Table::new(
         "E15 — adversarial weather catalogue (n=5, period 100ms, p0 observes p1; agreement + no-fork gated per cell)",
         &[
@@ -296,7 +296,7 @@ mod tests {
         // `gate` asserts safety per cell and `contrast_gate` the
         // crash-vs-gray claim per estimator; here additionally: the
         // table is complete.
-        let table = run_experiment(true);
+        let table = run_experiment();
         assert_eq!(table.len(), 32, "4 estimators × 8 weathers");
     }
 

@@ -31,11 +31,10 @@
 //! detector-physics counterpart of `service_differential`'s loss
 //! matrix), whereas the adaptive estimators provision themselves.
 //!
-//! Scale tiers: quick mode (CI smoke) runs ~240 commands per cell;
-//! the default full run ~1,500; `RFD_E16_FULL=1` appends the headline
-//! soak — 100,000 commands (≈ 1.4 hours of virtual time) at 10% loss
-//! with periodic outages — which is where the ROADMAP's 10⁵-decision
-//! target is discharged.
+//! Scale tiers: the grid runs ~1,500 commands per cell;
+//! `RFD_E16_FULL=1` appends the headline soak — 100,000 commands
+//! (≈ 1.4 hours of virtual time) at 10% loss with periodic outages —
+//! which is where the ROADMAP's 10⁵-decision target is discharged.
 
 use crate::estimators::Estimators;
 use crate::table::Table;
@@ -243,8 +242,8 @@ fn full_soak_requested() -> bool {
 /// acked decision, grows memory past the retained tail, or exceeds the
 /// rejoin-cost bound (see the module docs).
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let (commands, cycles) = if quick { (120, 2) } else { (600, 3) };
+pub fn run_experiment() -> Table {
+    let (commands, cycles) = (600, 3);
     let mut table = Table::new(
         "E16 — long-horizon lossy soak (n=4, period 50ms, retain-last-16, p3 outage cycles; \
          every-command-decided + agreement + flat memory + flat rejoin gated per cell)",
@@ -304,7 +303,7 @@ mod tests {
     fn e16_quick_grid_covers_the_loss_sweep_for_every_estimator() {
         // `soak` gates liveness, agreement, flat memory and flat
         // rejoin per cell; here additionally: the table is complete.
-        let table = run_experiment(true);
+        let table = run_experiment();
         assert_eq!(table.len(), 16, "4 estimators × 4 losses");
     }
 

@@ -77,8 +77,8 @@ fn sweep<C: ConsensusCore<Val = u64>>(
 
 /// Runs E1 and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let seeds = if quick { 10 } else { 40 };
+pub fn run_experiment() -> Table {
+    let seeds = 40;
     let mut table = Table::new(
         "E1 — totality of consensus decisions (Lemma 4.1)",
         &[
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn e1_shape_matches_the_lemma() {
-        let table = run_experiment(true);
+        let table = run_experiment();
         let text = table.render();
         // Realistic-detector algorithms: 100% total. ◇S baseline: 0%
         // total under the straggler adversary (it decides without p_{n-1}).

@@ -19,8 +19,8 @@ const ROUNDS: u64 = 900;
 
 /// Runs E2 and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let seeds = if quick { 3 } else { 10 };
+pub fn run_experiment() -> Table {
+    let seeds = 10;
     let mut table = Table::new(
         "E2 — T_{D⇒P} reduction quality (Lemma 4.2 / Prop 4.3)",
         &[
@@ -113,20 +113,17 @@ mod tests {
 
     #[test]
     fn e2_emulation_is_always_perfect() {
-        let table = run_experiment(true);
+        let table = run_experiment();
         let text = table.render();
         assert_eq!(table.len(), 8);
-        for line in text.lines().filter(|l| l.contains("3/3")) {
-            let _ = line;
-        }
-        // Every row must report 3/3 perfect emulations.
+        // Every row must report 10/10 perfect emulations.
         let data_rows: Vec<&str> = text
             .lines()
             .filter(|l| l.starts_with("| 4") || l.starts_with("| 8"))
             .collect();
         assert_eq!(data_rows.len(), 8);
         for l in data_rows {
-            assert!(l.contains("3/3"), "emulation must be Perfect: {l}");
+            assert!(l.contains("10/10"), "emulation must be Perfect: {l}");
         }
     }
 }

@@ -56,8 +56,8 @@ fn trb_scenario(n: usize, crash_at: Option<Time>, seeds: u64) -> (usize, usize, 
 
 /// Runs E3 and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let seeds = if quick { 6 } else { 25 };
+pub fn run_experiment() -> Table {
+    let seeds = 25;
     let mut table = Table::new(
         "E3 — terminating reliable broadcast over P (Prop 5.1)",
         &[
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn e3_trb_holds_in_every_scenario() {
-        let table = run_experiment(true);
+        let table = run_experiment();
         let text = table.render();
         assert_eq!(table.len(), 7);
         for l in text

@@ -52,8 +52,8 @@ fn sweep(
 
 /// Runs E4 and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let seeds = if quick { 10 } else { 50 };
+pub fn run_experiment() -> Table {
+    let seeds = 50;
     let mut table = Table::new(
         "E4 — P< separates uniform from correct-restricted consensus (§6.2)",
         &[
@@ -105,7 +105,7 @@ mod tests {
 
     #[test]
     fn e4_correct_restricted_always_uniform_breaks_in_witness() {
-        let table = run_experiment(true);
+        let table = run_experiment();
         let text = table.render();
         let witness: Vec<&str> = text.lines().filter(|l| l.contains("witness")).collect();
         assert_eq!(witness.len(), 1);

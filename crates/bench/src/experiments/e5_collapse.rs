@@ -68,8 +68,8 @@ fn classify<O: Oracle<Value = rfd_core::ProcessSet> + Sync>(
 
 /// Runs E5 and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let runs = if quick { 8 } else { 30 };
+pub fn run_experiment() -> Table {
+    let runs = 30;
     let mut table = Table::new(
         "E5 — the collapse S ∩ R ⊂ P (§6.3): class membership × realism",
         &["oracle", "P", "S", "◇P", "◇S", "P<", "realistic"],
@@ -108,8 +108,8 @@ pub fn run_experiment(quick: bool) -> Table {
 /// Checks the collapse statement on the classification data: every
 /// realistic oracle that was always Strong was also always Perfect.
 #[must_use]
-pub fn collapse_holds(quick: bool) -> bool {
-    let runs = if quick { 8 } else { 30 };
+pub fn collapse_holds() -> bool {
+    let runs = 30;
     let perfect = classify(&PerfectOracle::new(5, 3), 0xE5_01, runs);
     let strong = classify(&StrongOracle::new(4, Time::new(60)), 0xE5_05, runs);
     let marabout = classify(&MaraboutOracle::new(), 0xE5_06, runs);
@@ -127,12 +127,12 @@ mod tests {
 
     #[test]
     fn e5_collapse_statement_holds() {
-        assert!(collapse_holds(true));
+        assert!(collapse_holds());
     }
 
     #[test]
     fn e5_table_has_all_oracles() {
-        let table = run_experiment(true);
+        let table = run_experiment();
         assert_eq!(table.len(), 6);
         let text = table.render();
         assert!(text.contains("marabout"));

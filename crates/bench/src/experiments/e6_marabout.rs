@@ -66,8 +66,8 @@ fn marabout_runs(
 
 /// Runs E6 and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let seeds = if quick { 10 } else { 40 };
+pub fn run_experiment() -> Table {
+    let seeds = 40;
     let mut table = Table::new(
         "E6 — the Marabout algorithm with and without clairvoyance (§6.1)",
         &[
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn e6_marabout_succeeds_realistic_blocks() {
-        let table = run_experiment(true);
+        let table = run_experiment();
         let text = table.render();
         let m_rows: Vec<&str> = text
             .lines()

@@ -9,25 +9,42 @@
 
 use crate::estimators::Estimators;
 use crate::table::Table;
-use crate::{mean_report, ms};
+use crate::{mean_report, ms, p};
+use rfd_net::clock::VirtualClock;
 use rfd_net::estimator::{
     ArrivalEstimator, ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual,
 };
-use rfd_net::qos::{evaluate_qos, QosReport, QosScenario};
+use rfd_net::online::{Fault, FaultSchedule, OnlineRunner, OnlineScenario};
+use rfd_net::qos::QosReport;
+use rfd_net::transport::{InMemoryNetwork, NetworkConfig};
 use rfd_sim::Campaign;
 
-fn scenario(loss: f64, seed: u64, duration_ms: u64) -> QosScenario {
-    QosScenario {
-        period: ms(100),
-        loss,
-        burst: None,
-        min_delay: ms(2),
-        max_delay: ms(12),
-        crash_at: Some(ms(duration_ms * 3 / 4)),
+/// Seeds averaged per row, and each run's length.
+const SEEDS: u64 = 5;
+const DURATION_MS: u64 = 60_000;
+
+/// One seed's two-node fleet at the runner's defaults (100 ms period,
+/// 2–10 ms delay, 5 ms tick): the target `p0` crashes three quarters of
+/// the way through and `p1` observes it.
+///
+/// The numbering is load-bearing. The fleet polls its nodes in id
+/// order, so in every tick the target heartbeats before its observer
+/// polls; numbering the target `p1` reverses that and moves every row
+/// of both tables.
+fn two_node(seed: u64, duration_ms: u64) -> OnlineScenario {
+    OnlineScenario {
+        n: 2,
+        schedule: FaultSchedule::new().at(ms(duration_ms * 3 / 4), Fault::Crash(p(0))),
         duration: ms(duration_ms),
-        sample_every: ms(5),
         seed,
+        ..OnlineScenario::default()
     }
+}
+
+/// Runs the fleet to its end: `p1`'s report about `p0`.
+fn observe<E: ArrivalEstimator + Clone>(mut runner: OnlineRunner<E>) -> QosReport {
+    runner.run_to_end();
+    runner.report(p(1), p(0)).expect("an off-diagonal pair")
 }
 
 fn fmt_report(r: &QosReport) -> [String; 4] {
@@ -46,16 +63,20 @@ fn eval<E: ArrivalEstimator + Clone + Sync>(
     seeds: u64,
     duration_ms: u64,
 ) -> QosReport {
-    // Average across seeds by evaluating each and merging simple means.
-    let reports: Vec<QosReport> = Campaign::sweep(0..seeds)
-        .map(|seed| evaluate_qos(proto.clone(), &scenario(loss, seed, duration_ms)));
+    let reports: Vec<QosReport> = Campaign::sweep(0..seeds).map(|seed| {
+        let scenario = OnlineScenario {
+            loss,
+            delay: (ms(2), ms(12)),
+            ..two_node(seed, duration_ms)
+        };
+        observe(OnlineRunner::new(proto.clone(), scenario))
+    });
     mean_report(&reports)
 }
 
 /// Runs E7 and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let (seeds, duration_ms) = if quick { (2, 20_000) } else { (5, 60_000) };
+pub fn run_experiment() -> Table {
     let mut table = Table::new(
         "E7 — QoS of heartbeat estimators (period 100ms, delay 2–12ms)",
         &[
@@ -71,19 +92,19 @@ pub fn run_experiment(quick: bool) -> Table {
         let rows: Vec<(&str, QosReport)> = vec![
             (
                 "fixed-150ms",
-                eval(FixedTimeout::new(ms(150)), loss, seeds, duration_ms),
+                eval(FixedTimeout::new(ms(150)), loss, SEEDS, DURATION_MS),
             ),
             (
                 "fixed-500ms",
-                eval(FixedTimeout::new(ms(500)), loss, seeds, duration_ms),
+                eval(FixedTimeout::new(ms(500)), loss, SEEDS, DURATION_MS),
             ),
             (
                 "chen(α=50ms)",
                 eval(
                     ChenEstimator::new(ms(50), 32, ms(500)),
                     loss,
-                    seeds,
-                    duration_ms,
+                    SEEDS,
+                    DURATION_MS,
                 ),
             ),
             (
@@ -91,13 +112,13 @@ pub fn run_experiment(quick: bool) -> Table {
                 eval(
                     JacobsonEstimator::new(4.0, ms(500)),
                     loss,
-                    seeds,
-                    duration_ms,
+                    SEEDS,
+                    DURATION_MS,
                 ),
             ),
             (
                 "φ-accrual(φ=3)",
-                eval(PhiAccrual::new(3.0, 64, ms(500)), loss, seeds, duration_ms),
+                eval(PhiAccrual::new(3.0, 64, ms(500)), loss, SEEDS, DURATION_MS),
             ),
         ];
         for (name, r) in rows {
@@ -120,8 +141,7 @@ pub fn run_experiment(quick: bool) -> Table {
 /// estimator line-up. Bursts defeat per-datagram margins; the expected
 /// shape is a much larger accuracy spread than under independent loss.
 #[must_use]
-pub fn run_burst_ablation(quick: bool) -> Table {
-    let (seeds, duration_ms) = if quick { (2, 20_000) } else { (5, 60_000) };
+pub fn run_burst_ablation() -> Table {
     let mut table = Table::new(
         "E7b — Gilbert–Elliott burst-loss ablation (p_enter 2%, p_exit 20%, 90% in-burst loss)",
         &[
@@ -132,10 +152,23 @@ pub fn run_burst_ablation(quick: bool) -> Table {
             "P_A (accuracy)",
         ],
     );
-    let burst = Some((0.02, 0.20, 0.90));
     let burst_eval = |est: Estimators| {
-        let reports: Vec<QosReport> = Campaign::sweep(0..seeds)
-            .map(|s| evaluate_qos(est.clone(), &burst_scenario(burst, s, duration_ms)));
+        let reports: Vec<QosReport> = Campaign::sweep(0..SEEDS).map(|seed| {
+            let scenario = two_node(seed, DURATION_MS);
+            let clock = VirtualClock::new();
+            let config = NetworkConfig::reliable(scenario.delay.0, scenario.delay.1)
+                .with_burst_loss(0.02, 0.20, 0.90)
+                .with_seed(seed);
+            let net = InMemoryNetwork::new(2, config, clock.clone());
+            let endpoints = vec![net.endpoint(p(0)), net.endpoint(p(1))];
+            observe(OnlineRunner::over(
+                est.clone(),
+                scenario,
+                endpoints,
+                net,
+                clock,
+            ))
+        });
         mean_report(&reports)
     };
     for (name, est) in [
@@ -159,16 +192,6 @@ pub fn run_burst_ablation(quick: bool) -> Table {
         table.push(vec![name.into(), td, lm, tm, pa]);
     }
     table
-}
-
-fn burst_scenario(burst: Option<(f64, f64, f64)>, seed: u64, duration_ms: u64) -> QosScenario {
-    QosScenario {
-        burst,
-        crash_at: Some(ms(duration_ms * 3 / 4)),
-        duration: ms(duration_ms),
-        seed,
-        ..QosScenario::default()
-    }
 }
 
 #[cfg(test)]
@@ -205,13 +228,13 @@ mod tests {
 
     #[test]
     fn e7_table_is_complete() {
-        let table = run_experiment(true);
+        let table = run_experiment();
         assert_eq!(table.len(), 20, "5 estimators × 4 loss levels");
     }
 
     #[test]
     fn e7b_burst_table_is_complete_and_everyone_detects() {
-        let table = run_burst_ablation(true);
+        let table = run_burst_ablation();
         assert_eq!(table.len(), 5);
         assert!(!table.render().contains("missed"), "{}", table.render());
     }

@@ -40,8 +40,8 @@ fn emulation_is_perfect(outcome: &MembershipOutcome) -> bool {
 
 /// Runs E8 and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let duration_ms = if quick { 20_000 } else { 60_000 };
+pub fn run_experiment() -> Table {
+    let duration_ms = 60_000;
     let mut table = Table::new(
         "E8 — group membership emulating P (§1.3), 5 nodes, 2 crashes",
         &[
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn e8_table_is_complete() {
-        let table = run_experiment(true);
+        let table = run_experiment();
         assert_eq!(table.len(), 6);
     }
 }

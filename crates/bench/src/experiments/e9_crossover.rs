@@ -82,8 +82,8 @@ fn sweep<C: ConsensusCore<Val = u64>>(
 
 /// Runs E9 and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let seeds = if quick { 5 } else { 20 };
+pub fn run_experiment() -> Table {
+    let seeds = 20;
     let n = 6;
     let mut table = Table::new(
         "E9 — consensus under the f sweep (n=6): the ◇S majority crossover",

@@ -74,8 +74,8 @@ fn sweep<C: ConsensusCore<Val = u64>>(n: usize, f: usize, seeds: u64) -> Row {
 
 /// Runs E9b and returns the result table.
 #[must_use]
-pub fn run_experiment(quick: bool) -> Table {
-    let seeds = if quick { 5 } else { 20 };
+pub fn run_experiment() -> Table {
+    let seeds = 20;
     let n = 8;
     let mut table = Table::new(
         "E9b — early-stopping ablation (flood-set, n=8, P oracle)",
@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn e9b_table_is_complete() {
-        let table = run_experiment(true);
+        let table = run_experiment();
         assert_eq!(table.len(), 5);
     }
 }

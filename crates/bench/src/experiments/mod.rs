@@ -26,8 +26,8 @@ pub mod e9b_ablation;
 
 use crate::table::Table;
 
-/// An experiment entry point: `quick` trades seed counts for speed.
-pub type ExperimentFn = fn(bool) -> Table;
+/// An experiment entry point.
+pub type ExperimentFn = fn() -> Table;
 
 /// The experiment catalog, in suite order, **without running anything**
 /// — callers that want a subset (the `experiments` binary's positional
@@ -59,9 +59,6 @@ pub fn catalog() -> Vec<(&'static str, ExperimentFn)> {
 
 /// Runs every experiment, returning `(id, table)` pairs.
 #[must_use]
-pub fn run_all(quick: bool) -> Vec<(&'static str, Table)> {
-    catalog()
-        .into_iter()
-        .map(|(id, run)| (id, run(quick)))
-        .collect()
+pub fn run_all() -> Vec<(&'static str, Table)> {
+    catalog().into_iter().map(|(id, run)| (id, run())).collect()
 }

@@ -16,9 +16,9 @@
 //! * [`estimator`] — heartbeat timeout strategies: fixed, Chen,
 //!   Jacobson, φ-accrual.
 //! * [`detector`] — the per-node heartbeat detector and node loop.
-//! * [`qos`] — detection time / mistake rate / query accuracy metrics
-//!   and the single-link evaluation harness (experiment E7), plus the
-//!   incremental [`qos::QosMonitor`] for long-running observation.
+//! * [`qos`] — detection time / mistake rate / query accuracy metrics:
+//!   the incremental [`qos::QosMonitor`] every fleet driver samples and
+//!   its post-hoc reference [`qos::QosTracker`].
 //! * [`membership`] — a view-based group membership that **emulates
 //!   `P`** by exclusion, the paper's explanation of why real systems end
 //!   up at the top of the collapsed hierarchy (experiment E8).
@@ -26,7 +26,7 @@
 //!   (crash / recover / partition churn), the transport-generic
 //!   resumable [`OnlineRunner`] with live per-pair QoS, and the
 //!   churn-capable [`online::MembershipWatcher`] with split-brain /
-//!   reconvergence accounting (experiments E11, E12).
+//!   reconvergence accounting (experiments E7, E11, E12).
 //! * [`service`] — the replicated-decision service on top of it all:
 //!   rotating-coordinator consensus per log slot over the
 //!   membership-emulated `P`, TRB-style decision relaying, and
@@ -40,19 +40,22 @@
 //! ## Example: measure an estimator's QoS
 //!
 //! ```
+//! use rfd_core::ProcessId;
 //! use rfd_net::clock::Nanos;
 //! use rfd_net::estimator::ChenEstimator;
-//! use rfd_net::qos::{evaluate_qos, QosScenario};
+//! use rfd_net::online::{Fault, FaultSchedule, OnlineRunner, OnlineScenario};
 //!
-//! let scenario = QosScenario {
-//!     crash_at: Some(Nanos::from_millis(5_000)),
-//!     duration: Nanos::from_millis(10_000),
-//!     ..QosScenario::default()
+//! let ms = Nanos::from_millis;
+//! let (target, observer) = (ProcessId::new(0), ProcessId::new(1));
+//! let scenario = OnlineScenario {
+//!     n: 2,
+//!     schedule: FaultSchedule::new().at(ms(5_000), Fault::Crash(target)),
+//!     duration: ms(10_000),
+//!     ..OnlineScenario::default()
 //! };
-//! let report = evaluate_qos(
-//!     ChenEstimator::new(Nanos::from_millis(100), 16, Nanos::from_millis(400)),
-//!     &scenario,
-//! );
+//! let mut runner = OnlineRunner::new(ChenEstimator::new(ms(100), 16, ms(400)), scenario);
+//! runner.run_to_end();
+//! let report = runner.report(observer, target).unwrap();
 //! assert!(report.detection_time.is_some(), "the crash is detected");
 //! ```
 
@@ -84,7 +87,7 @@ pub use online::{
     run_membership_churn, run_membership_churn_over, Fault, FaultSchedule, MembershipChurnReport,
     MembershipWatcher, OnlineEvent, OnlineRunner, OnlineScenario,
 };
-pub use qos::{evaluate_qos, QosMonitor, QosReport, QosScenario, QosTracker};
+pub use qos::{QosMonitor, QosReport, QosTracker};
 pub use service::{
     run_service, DecisionService, ReplicatedLog, ServiceReport, ServiceRunner, ServiceScenario,
 };

@@ -317,10 +317,12 @@ where
     /// The periodic (send-side) half of the membership loop: heartbeat
     /// emission, view re-announcement, and coordinator exclusion/rejoin
     /// duty. [`MembershipNode::poll`] calls this after draining the
-    /// transport.
-    pub fn tick(&mut self) {
+    /// transport. Returns whether this call emitted the period's
+    /// heartbeat — the beat a layer above runs its own per-period
+    /// duties on.
+    pub fn tick(&mut self) -> bool {
         if self.halted {
-            return;
+            return false;
         }
         let now = self.node.clock.now();
         let me = self.transport().me();
@@ -339,7 +341,9 @@ where
         // Heartbeat the current members — or, in heal-merge mode, every
         // process: cross-cut liveness evidence is what lets the healed
         // sides find each other again.
-        if let Some(hb) = self.node.due_heartbeat(now) {
+        let beat = self.node.due_heartbeat(now);
+        let beating = beat.is_some();
+        if let Some(hb) = beat {
             let hb_targets = if self.heal_merge {
                 ProcessSet::full(n)
             } else {
@@ -417,6 +421,7 @@ where
                 self.adopt(new_view);
             }
         }
+        beating
     }
 }
 

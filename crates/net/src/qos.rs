@@ -1,5 +1,6 @@
-//! QoS metrics for failure detectors (Chen–Toueg–Aguilera, IEEE TC 2002)
-//! and the single-link evaluation harness behind experiment E7.
+//! QoS metrics for failure detectors (Chen–Toueg–Aguilera, IEEE TC 2002),
+//! the scores experiment E7 reads off a two-node
+//! [`crate::online::OnlineRunner`].
 //!
 //! The primary metrics:
 //!
@@ -13,18 +14,14 @@
 //!   the detector answered "trust" (correctly).
 //!
 //! Each metric is accumulated by one type: [`QosMonitor`], the O(1)
-//! incremental accumulator every driver in this crate samples
-//! ([`evaluate_qos`], [`crate::online::OnlineRunner`]). [`QosTracker`] is
+//! incremental accumulator the fleet driver samples
+//! ([`crate::online::OnlineRunner`]). [`QosTracker`] is
 //! the **reference** — it keeps the whole episode list and computes the
 //! same report post hoc — that `tests/prop_qos.rs` compares the monitor
 //! against, bitwise (and checks against a per-tick brute force in
 //! turn); no non-test code calls it.
 
-use crate::clock::{Clock, Nanos, VirtualClock};
-use crate::detector::DetectorNode;
-use crate::estimator::ArrivalEstimator;
-use crate::transport::{InMemoryNetwork, NetworkConfig};
-use rfd_core::ProcessId;
+use crate::clock::Nanos;
 
 /// The reference QoS computation: records every suspect/trust
 /// transition of one observer about one target and computes the metrics
@@ -303,105 +300,42 @@ pub struct QosReport {
     pub query_accuracy: f64,
 }
 
-/// Scenario parameters for the single-link QoS harness.
-#[derive(Clone, Debug)]
-pub struct QosScenario {
-    /// Heartbeat period.
-    pub period: Nanos,
-    /// Network loss probability (independent Bernoulli losses).
-    pub loss: f64,
-    /// Optional Gilbert–Elliott burst-loss override
-    /// `(p_enter, p_exit, loss_in_burst)`; takes precedence over `loss`.
-    pub burst: Option<(f64, f64, f64)>,
-    /// Minimum one-way delay.
-    pub min_delay: Nanos,
-    /// Maximum one-way delay.
-    pub max_delay: Nanos,
-    /// Target crash time, if any.
-    pub crash_at: Option<Nanos>,
-    /// Observation duration.
-    pub duration: Nanos,
-    /// Sampling interval for the observer's query loop.
-    pub sample_every: Nanos,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for QosScenario {
-    fn default() -> Self {
-        Self {
-            period: Nanos::from_millis(100),
-            loss: 0.0,
-            burst: None,
-            min_delay: Nanos::from_millis(2),
-            max_delay: Nanos::from_millis(10),
-            crash_at: None,
-            duration: Nanos::from_millis(60_000),
-            sample_every: Nanos::from_millis(5),
-            seed: 0,
-        }
-    }
-}
-
-/// Runs the two-node scenario — `p1` heartbeats, `p0` observes with the
-/// given estimator — and returns the observer's QoS report about `p1`.
-pub fn evaluate_qos<E: ArrivalEstimator + Clone>(
-    prototype: E,
-    scenario: &QosScenario,
-) -> QosReport {
-    let clock = VirtualClock::new();
-    let base = NetworkConfig::reliable(scenario.min_delay, scenario.max_delay);
-    let config = match scenario.burst {
-        Some((p_enter, p_exit, loss_in_burst)) => {
-            base.with_burst_loss(p_enter, p_exit, loss_in_burst)
-        }
-        None => base.with_loss(scenario.loss),
-    }
-    .with_seed(scenario.seed);
-    let net = InMemoryNetwork::new(2, config, clock.clone());
-    let observer_id = ProcessId::new(0);
-    let target_id = ProcessId::new(1);
-    let mut observer = DetectorNode::new(
-        2,
-        prototype.clone(),
-        net.endpoint(observer_id),
-        clock.clone(),
-        scenario.period,
-    );
-    let mut target = DetectorNode::new(
-        2,
-        prototype,
-        net.endpoint(target_id),
-        clock.clone(),
-        scenario.period,
-    );
-    let mut monitor = QosMonitor::new(scenario.crash_at);
-    let mut crashed = false;
-    while clock.now() < scenario.duration {
-        let now = clock.now();
-        if let Some(c) = scenario.crash_at {
-            if !crashed && now >= c {
-                crashed = true;
-                net.take_down(target_id);
-            }
-        }
-        if !crashed {
-            target.poll();
-        }
-        let suspects = observer.poll();
-        monitor.sample(now, suspects.contains(target_id));
-        clock.advance(scenario.sample_every);
-    }
-    monitor.report(scenario.duration)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::{ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual};
+    use crate::estimator::{
+        ArrivalEstimator, ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual,
+    };
+    use crate::online::{Fault, FaultSchedule, OnlineRunner, OnlineScenario};
+    use rfd_core::ProcessId;
 
     fn ms(v: u64) -> Nanos {
         Nanos::from_millis(v)
+    }
+
+    /// E7's layout: a two-node fleet at the scenario's defaults, the
+    /// target `p0` (crashing at `crash`, if any) judged by `p1`.
+    fn two_node<E: ArrivalEstimator + Clone>(
+        prototype: E,
+        crash: Option<Nanos>,
+        scenario: OnlineScenario,
+    ) -> QosReport {
+        let (target, observer) = (ProcessId::new(0), ProcessId::new(1));
+        let schedule = crash.map_or_else(FaultSchedule::new, |at| {
+            FaultSchedule::new().at(at, Fault::Crash(target))
+        });
+        let mut runner = OnlineRunner::new(
+            prototype,
+            OnlineScenario {
+                n: 2,
+                schedule,
+                ..scenario
+            },
+        );
+        runner.run_to_end();
+        runner
+            .report(observer, target)
+            .expect("an off-diagonal pair")
     }
 
     #[test]
@@ -538,14 +472,18 @@ mod tests {
 
     #[test]
     fn reliable_network_yields_no_mistakes_for_all_estimators() {
-        let scenario = QosScenario {
+        let scenario = OnlineScenario {
             duration: ms(20_000),
-            ..QosScenario::default()
+            ..OnlineScenario::default()
         };
-        let fixed = evaluate_qos(FixedTimeout::new(ms(400)), &scenario);
-        let chen = evaluate_qos(ChenEstimator::new(ms(100), 16, ms(400)), &scenario);
-        let jac = evaluate_qos(JacobsonEstimator::new(4.0, ms(400)), &scenario);
-        let phi = evaluate_qos(PhiAccrual::new(3.0, 32, ms(400)), &scenario);
+        let fixed = two_node(FixedTimeout::new(ms(400)), None, scenario.clone());
+        let chen = two_node(
+            ChenEstimator::new(ms(100), 16, ms(400)),
+            None,
+            scenario.clone(),
+        );
+        let jac = two_node(JacobsonEstimator::new(4.0, ms(400)), None, scenario.clone());
+        let phi = two_node(PhiAccrual::new(3.0, 32, ms(400)), None, scenario);
         for (name, r) in [
             ("fixed", &fixed),
             ("chen", &chen),
@@ -559,15 +497,23 @@ mod tests {
 
     #[test]
     fn crash_is_detected_by_all_estimators() {
-        let scenario = QosScenario {
-            crash_at: Some(ms(10_000)),
+        let crash = Some(ms(10_000));
+        let scenario = OnlineScenario {
             duration: ms(20_000),
-            ..QosScenario::default()
+            ..OnlineScenario::default()
         };
-        let fixed = evaluate_qos(FixedTimeout::new(ms(400)), &scenario);
-        let chen = evaluate_qos(ChenEstimator::new(ms(100), 16, ms(400)), &scenario);
-        let jac = evaluate_qos(JacobsonEstimator::new(4.0, ms(400)), &scenario);
-        let phi = evaluate_qos(PhiAccrual::new(3.0, 32, ms(400)), &scenario);
+        let fixed = two_node(FixedTimeout::new(ms(400)), crash, scenario.clone());
+        let chen = two_node(
+            ChenEstimator::new(ms(100), 16, ms(400)),
+            crash,
+            scenario.clone(),
+        );
+        let jac = two_node(
+            JacobsonEstimator::new(4.0, ms(400)),
+            crash,
+            scenario.clone(),
+        );
+        let phi = two_node(PhiAccrual::new(3.0, 32, ms(400)), crash, scenario);
         for (name, r) in [
             ("fixed", &fixed),
             ("chen", &chen),
@@ -586,17 +532,17 @@ mod tests {
 
     #[test]
     fn lossy_network_hurts_fixed_short_timeouts_most() {
-        let scenario = QosScenario {
+        let scenario = OnlineScenario {
             loss: 0.15,
             duration: ms(60_000),
             seed: 5,
-            ..QosScenario::default()
+            ..OnlineScenario::default()
         };
         // A timeout barely above the period: every lost heartbeat is a
         // mistake.
-        let aggressive = evaluate_qos(FixedTimeout::new(ms(150)), &scenario);
+        let aggressive = two_node(FixedTimeout::new(ms(150)), None, scenario.clone());
         // Adaptive detectors ride it out far better.
-        let phi = evaluate_qos(PhiAccrual::new(5.0, 64, ms(400)), &scenario);
+        let phi = two_node(PhiAccrual::new(5.0, 64, ms(400)), None, scenario);
         assert!(
             aggressive.mistakes > phi.mistakes,
             "aggressive fixed {} vs phi {}",

@@ -21,11 +21,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::ControlFlow;
 
 /// How many pending commands (its smallest) one node re-gossips at a
-/// gossip tick that has evidence someone lacks them — the anti-entropy
-/// that lets a command submitted on a once-partitioned side, or one
-/// whose first broadcast was lost, reach the rest of the group. A tick
-/// without that evidence re-gossips nothing: see
-/// [`DecisionService::poll_into`].
+/// gossip tick (a poll in which its membership heartbeats) that has
+/// evidence someone lacks them — the anti-entropy that lets a command
+/// submitted on a once-partitioned side, or one whose first broadcast
+/// was lost, reach the rest of the group. A tick without that evidence
+/// re-gossips nothing: see [`DecisionService::poll_into`].
 const GOSSIP_BATCH: usize = 8;
 
 /// How far ahead of the local log tail a buffered decision relay may
@@ -230,7 +230,6 @@ pub struct DecisionService<E, T, C> {
     /// protocol state.
     duplicate_frames_dropped: u64,
     last_view: View,
-    next_gossip: Nanos,
     /// The log length at the previous gossip tick: a log still that
     /// long one period later made no progress, which is the first of
     /// the two kinds of evidence that re-gossip pending commands.
@@ -288,7 +287,6 @@ where
             snapshot_requested_at: None,
             retry: RetryPlane::new(n),
             duplicate_frames_dropped: 0,
-            next_gossip: Nanos::ZERO,
             gossip_tail: 0,
             proposed: None,
             outvoted: false,
@@ -484,10 +482,10 @@ where
     /// open the tail slot if a command is pending, step it, send what it
     /// emitted, commit what it decided, and repeat while that grew the
     /// log, so a deciding node proposes the next command in the same
-    /// poll — and, once per heartbeat period, re-gossip pending commands
-    /// if there is evidence a peer lacks one, push to laggards and
-    /// compact. Appends the tick's events to `events`, which a caller
-    /// polling every tick reuses.
+    /// poll — and, in the poll the membership heartbeats in (once per
+    /// period), re-gossip pending commands if there is evidence a peer
+    /// lacks one, push to laggards and compact. Appends the tick's
+    /// events to `events`, which a caller polling every tick reuses.
     pub fn poll_into(&mut self, events: &mut Vec<ServiceOutput>) {
         if self.is_halted() {
             return;
@@ -504,7 +502,7 @@ where
         self.membership.node.rx_buf = rx;
         // A node the drain halted does nothing here, and never polls
         // again.
-        self.membership.tick();
+        let beat = self.membership.tick();
         if self.membership.is_halted() {
             self.consensus_in = consensus_in;
             return;
@@ -567,8 +565,7 @@ where
         let timeouts = self.timeouts(now);
         self.run_retransmission(now, timeouts, &mut sends);
         self.sends = sends;
-        if now >= self.next_gossip {
-            self.next_gossip = now.saturating_add(self.membership.node.period);
+        if beat {
             // Anti-entropy only on evidence that a peer lacks a pending
             // command. A log that did not grow for a whole period:
             // nothing is being decided, so whoever should propose these

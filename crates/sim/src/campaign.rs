@@ -140,18 +140,12 @@ impl Campaign {
     }
 
     /// The worker count a sweep of `jobs` jobs would use: the explicit
-    /// [`Campaign::threads`] value if set, else the `RFD_CAMPAIGN_THREADS`
-    /// environment variable, else the machine's available parallelism —
-    /// always clamped to the job count.
+    /// [`Campaign::threads`] value if set, else the machine's available
+    /// parallelism — always clamped to the job count.
     #[must_use]
     pub fn effective_threads(&self, jobs: usize) -> usize {
         let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let configured = self.threads.or_else(|| {
-            std::env::var("RFD_CAMPAIGN_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        });
-        configured.unwrap_or(hw).clamp(1, jobs.max(1))
+        self.threads.unwrap_or(hw).clamp(1, jobs.max(1))
     }
 
     /// Runs `job` once per seed on a worker pool and returns the results

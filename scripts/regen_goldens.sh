@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
-# The three golden files under crates/bench/golden/ and the one place
+# The two golden files under crates/bench/golden/ and the one place
 # that knows the command behind each:
 #
-#   experiments_quick.txt          experiments --quick
-#   experiments_full.txt           experiments
+#   experiments.txt                experiments
 #   service_e2e_rounds2_seed1.txt  the benchmark's exact metrics, five
 #                                  workloads at --rounds 2 --seed 1
 #
-#   scripts/regen_goldens.sh           rewrite all three
+#   scripts/regen_goldens.sh           rewrite both
 #   scripts/regen_goldens.sh --check   diff each against a fresh run;
 #                                      exit 1 if any differs (CI)
 #
@@ -22,7 +21,7 @@ check=0
 case ${1-} in
   '') ;;
   --check) check=1 ;;
-  *) sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2 ;;
+  *) sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2 ;;
 esac
 [[ $# -le 1 ]] || { echo "regen_goldens: one argument at most" >&2; exit 2; }
 
@@ -73,7 +72,6 @@ one() { # file command...
   ((check)) || printf '%s\n' "$out" >"$file"
 }
 
-one experiments_quick.txt experiments --quick
-one experiments_full.txt experiments
+one experiments.txt experiments
 one service_e2e_rounds2_seed1.txt service_e2e
 exit $status
