@@ -604,7 +604,9 @@ mod tests {
             let mut down = false;
             while clock.now() < ms(20_000) {
                 let now = clock.now();
-                if !down && now >= ms(5_000) {
+                // One outage, [5 s, 10 s): without the upper bound the
+                // guard would fire again on every tick after recovery.
+                if !down && now >= ms(5_000) && now < ms(10_000) {
                     down = true;
                     net.take_down(victim);
                 }

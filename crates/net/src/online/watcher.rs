@@ -37,24 +37,32 @@ pub struct MembershipChurnReport {
     /// these finite.
     pub time_to_reconverge: Vec<Option<Nanos>>,
     /// Decision-log entries adopted via post-heal **state transfer**
-    /// ([`MembershipWatcher::note_state_transfer`]) across the fleet —
-    /// the work the heal-merge re-sync did.
+    /// (suffix merges and snapshot installs) across the fleet — the work
+    /// the heal-merge re-sync did. Filled by the service runner (each
+    /// log's `transferred()` summed); a bare [`MembershipWatcher`]
+    /// reports zero.
     pub decisions_transferred: u64,
     /// Decision-log entries *discarded* while reconciling (a conflicting
     /// suffix lost to the total view order). Zero as long as the service
     /// layer's agreement holds; any other value is a safety red flag.
+    /// Filled by the service runner (each log's `lost()` summed); a bare
+    /// [`MembershipWatcher`] reports zero.
     pub decisions_lost: u64,
-    /// Snapshot summaries served to fast-rejoining peers
-    /// ([`MembershipWatcher::note_sync_served`] with `snapshot: true`) —
-    /// the compaction fast path of the service layer.
+    /// Snapshot summaries served to fast-rejoining peers — the
+    /// compaction fast path of the service layer. Filled by the service
+    /// runner (each node's `snapshots_served()` summed); a bare
+    /// [`MembershipWatcher`] reports zero.
     pub snapshots_sent: u64,
     /// Total encoded bytes of sync and snapshot reply frames served
     /// across the fleet — the transfer cost experiment E14 plots
-    /// against log length.
+    /// against log length. Filled by the service runner (each node's
+    /// `sync_bytes_served()` summed); a bare [`MembershipWatcher`]
+    /// reports zero.
     pub sync_bytes_sent: u64,
-    /// Per noted rejoin ([`MembershipWatcher::note_rejoin`]): the time
-    /// from a heal until every live replica caught up to the pre-heal
-    /// log length — E14's rejoin latency.
+    /// Per resolved heal: the time from the heal until every live
+    /// replica caught up to the pre-heal log length — E14's rejoin
+    /// latency. Filled by the service runner, which times the heals; a
+    /// bare [`MembershipWatcher`] reports none.
     pub rejoin_latencies: Vec<Nanos>,
     /// Adversarial-weather directives applied during the run
     /// ([`MembershipWatcher::note_weather`]) — zero on a crash-only
@@ -99,11 +107,6 @@ pub struct MembershipWatcher {
     /// `(heal time, time to reconverge)` per noted heal; the second
     /// component stays `None` until a convergent observation follows.
     heals: Vec<(Nanos, Option<Nanos>)>,
-    decisions_transferred: u64,
-    decisions_lost: u64,
-    snapshots_sent: u64,
-    sync_bytes_sent: u64,
-    rejoin_latencies: Vec<Nanos>,
     weather_directives: u64,
 }
 
@@ -124,11 +127,6 @@ impl MembershipWatcher {
             last_observed: None,
             split_brain: Nanos::ZERO,
             heals: Vec::new(),
-            decisions_transferred: 0,
-            decisions_lost: 0,
-            snapshots_sent: 0,
-            sync_bytes_sent: 0,
-            rejoin_latencies: Vec::new(),
             weather_directives: 0,
         }
     }
@@ -166,30 +164,6 @@ impl MembershipWatcher {
             return;
         }
         self.down.remove(p);
-    }
-
-    /// Notes one state-transfer reconciliation at the service layer:
-    /// `adopted` log entries were received from a peer, `lost` local
-    /// entries were discarded to the total view order while merging.
-    pub fn note_state_transfer(&mut self, adopted: u64, lost: u64) {
-        self.decisions_transferred += adopted;
-        self.decisions_lost += lost;
-    }
-
-    /// Notes one served state-transfer reply at the service layer:
-    /// `bytes` encoded reply bytes went out, as a `snapshot` summary or
-    /// a plain log-suffix stream.
-    pub fn note_sync_served(&mut self, bytes: u64, snapshot: bool) {
-        self.sync_bytes_sent += bytes;
-        if snapshot {
-            self.snapshots_sent += 1;
-        }
-    }
-
-    /// Notes one completed rejoin: the measured time from a heal until
-    /// every live replica caught back up to the pre-heal log length.
-    pub fn note_rejoin(&mut self, latency: Nanos) {
-        self.rejoin_latencies.push(latency);
     }
 
     /// Notes one applied adversarial-weather directive (see
@@ -301,11 +275,11 @@ impl MembershipWatcher {
             view_changes: self.view_changes,
             split_brain_duration: self.split_brain,
             time_to_reconverge: self.heals.iter().map(|(_, r)| *r).collect(),
-            decisions_transferred: self.decisions_transferred,
-            decisions_lost: self.decisions_lost,
-            snapshots_sent: self.snapshots_sent,
-            sync_bytes_sent: self.sync_bytes_sent,
-            rejoin_latencies: self.rejoin_latencies.clone(),
+            decisions_transferred: 0,
+            decisions_lost: 0,
+            snapshots_sent: 0,
+            sync_bytes_sent: 0,
+            rejoin_latencies: Vec::new(),
             weather_directives: self.weather_directives,
             retransmits_sent: 0,
             duplicate_frames_dropped: 0,

@@ -125,7 +125,6 @@ pub struct ReplicatedLog {
     base_view: ViewStamp,
     transferred: u64,
     lost: u64,
-    compacted: u64,
     snapshots_installed: u64,
 }
 
@@ -140,7 +139,6 @@ impl Default for ReplicatedLog {
             base_view: ViewStamp::default(),
             transferred: 0,
             lost: 0,
-            compacted: 0,
             snapshots_installed: 0,
         }
     }
@@ -219,13 +217,6 @@ impl ReplicatedLog {
     #[must_use]
     pub fn lost(&self) -> u64 {
         self.lost
-    }
-
-    /// Entries dropped locally by [`ReplicatedLog::truncate_prefix`]
-    /// over the log's lifetime.
-    #[must_use]
-    pub fn compacted(&self) -> u64 {
-        self.compacted
     }
 
     /// Snapshots adopted via [`ReplicatedLog::install_snapshot`] over
@@ -320,7 +311,6 @@ impl ReplicatedLog {
             self.base_view = dropped.view;
         }
         self.base = upto;
-        self.compacted += drop as u64;
         drop as u64
     }
 
@@ -558,7 +548,6 @@ mod tests {
         assert_eq!(log.get(3).map(|d| d.value), Some(40));
         assert_eq!(log.get(4).map(|d| (d.index, d.value)), Some((4, 50)));
         assert_eq!(log.values(), vec![40, 50]);
-        assert_eq!(log.compacted(), 3);
         // Appends continue at the absolute tail.
         assert_eq!(log.append(60, stamp(0, 0b111)), 5);
         // Idempotent / clamped edges.

@@ -50,7 +50,12 @@ const SLOT_HORIZON: u64 = 1024;
 /// that never opens cannot grow the heap.
 const EARLY_FRAMES: usize = 1024;
 
-/// A typed event produced by one [`DecisionService::poll_into`].
+/// A typed event produced by one [`DecisionService::poll_into`]: what
+/// a caller must see in order. State transfer is no event: the log
+/// counts what it adopted and lost ([`ReplicatedLog::transferred`],
+/// [`ReplicatedLog::lost`]) and the node what it served
+/// ([`DecisionService::sync_bytes_served`],
+/// [`DecisionService::snapshots_served`]).
 #[derive(Clone, Debug)]
 pub enum ServiceOutput {
     /// A decision was appended to this node's log — the moment a real
@@ -58,30 +63,6 @@ pub enum ServiceOutput {
     Decided(Decision),
     /// The node installed a new membership view.
     ViewInstalled(View),
-    /// A state-transfer reconciliation ran against this node's log.
-    Transferred {
-        /// Entries adopted from the peer.
-        adopted: u64,
-        /// Local entries discarded to the total view order (zero while
-        /// consensus safety holds).
-        lost: u64,
-    },
-    /// This node served a state-transfer request (responder side):
-    /// `bytes` of encoded reply frames went out, as a snapshot summary
-    /// or as plain suffix chunks.
-    SyncServed {
-        /// Total encoded bytes of the reply frames.
-        bytes: u64,
-        /// Whether the reply was a compacted-prefix snapshot (`true`)
-        /// or the ordinary suffix exchange (`false`).
-        snapshot: bool,
-    },
-    /// This node fast-rejoined by installing a remote snapshot,
-    /// covering `covered` decisions it was missing in O(1).
-    SnapshotInstalled {
-        /// Decisions newly covered by the installed summary.
-        covered: u64,
-    },
 }
 
 /// Snapshot-based log-compaction policy: how much decided history a
@@ -229,6 +210,11 @@ pub struct DecisionService<E, T, C> {
     /// in-flight races) — receipt is idempotent, so these change no
     /// protocol state.
     duplicate_frames_dropped: u64,
+    /// Encoded bytes of the sync and snapshot replies this node served
+    /// (the empty gap signal excluded).
+    sync_bytes_served: u64,
+    /// Snapshot replies this node served.
+    snapshots_served: u64,
     last_view: View,
     /// The log length at the previous gossip tick: a log still that
     /// long one period later made no progress, which is the first of
@@ -287,6 +273,8 @@ where
             snapshot_requested_at: None,
             retry: RetryPlane::new(n),
             duplicate_frames_dropped: 0,
+            sync_bytes_served: 0,
+            snapshots_served: 0,
             gossip_tail: 0,
             proposed: None,
             outvoted: false,
@@ -334,6 +322,21 @@ where
     #[must_use]
     pub fn duplicate_frames_dropped(&self) -> u64 {
         self.duplicate_frames_dropped
+    }
+
+    /// Encoded bytes of the state-transfer replies this node served as
+    /// a responder: suffix chunks and snapshot replies. The empty reply
+    /// that signals a compaction gap serves nothing and is not counted.
+    #[must_use]
+    pub fn sync_bytes_served(&self) -> u64 {
+        self.sync_bytes_served
+    }
+
+    /// Snapshot replies this node served to peers that fell behind its
+    /// compacted base — the fast-rejoin path of [`CompactionPolicy`].
+    #[must_use]
+    pub fn snapshots_served(&self) -> u64 {
+        self.snapshots_served
     }
 
     /// This node's identity.
@@ -442,7 +445,7 @@ where
                 }
             }
             WireView::Decided(d) => self.on_decided(from, d, events),
-            WireView::SyncRequest(s) => self.on_sync_request(from, s.from_index, events),
+            WireView::SyncRequest(s) => self.on_sync_request(from, s.from_index),
             WireView::SyncReply(view) => {
                 // The merge needs a contiguous slice; copy the borrowed
                 // entries into the reusable scratch instead of a fresh
@@ -453,7 +456,7 @@ where
                 self.on_sync_reply(from, view.start, &entries, events);
                 self.sync_scratch = entries;
             }
-            WireView::SnapshotRequest(s) => self.on_snapshot_request(from, s.from_index, events),
+            WireView::SnapshotRequest(s) => self.on_snapshot_request(from, s.from_index),
             WireView::SnapshotReply(view) => {
                 let snapshot = Snapshot {
                     upto: view.upto,
@@ -590,7 +593,7 @@ where
             }
             self.gossip_tail = self.log.len();
             self.outvoted = false;
-            self.push_to_laggards(now, timeouts, events);
+            self.push_to_laggards(now, timeouts);
             self.maybe_compact();
         }
     }

@@ -30,12 +30,7 @@ where
     /// would only duplicate the suffix on the wire. Per-peer
     /// exponential backoff while the peer stays stalled; the fuse
     /// re-arms on any progress.
-    pub(super) fn push_to_laggards(
-        &mut self,
-        now: Nanos,
-        timeouts: Timeouts,
-        events: &mut Vec<ServiceOutput>,
-    ) {
+    pub(super) fn push_to_laggards(&mut self, now: Nanos, timeouts: Timeouts) {
         let me = self.me();
         for member in self.membership.view().members {
             if member == me {
@@ -47,7 +42,7 @@ where
                 .push_due(now, timeouts, member, acked, self.log.len())
             {
                 self.retry.sent += 1;
-                self.on_sync_request(member, acked, events);
+                self.on_sync_request(member, acked);
             }
         }
     }
@@ -107,12 +102,7 @@ where
     /// the gap with an **empty** reply starting at the base. The
     /// requester reads that as "prefix is compacted away" and
     /// negotiates a [`SnapshotRequest`] instead.
-    pub(super) fn on_sync_request(
-        &mut self,
-        from: ProcessId,
-        from_index: u64,
-        events: &mut Vec<ServiceOutput>,
-    ) {
+    pub(super) fn on_sync_request(&mut self, from: ProcessId, from_index: u64) {
         if !self.is_peer(from) {
             return;
         }
@@ -127,7 +117,6 @@ where
             );
             return;
         }
-        let mut bytes = 0u64;
         let mut start = from_index;
         while start < self.log.len() {
             let entries: Vec<(u64, u64, u128)> = self
@@ -139,15 +128,9 @@ where
                 .collect();
             let sent = entries.len() as u64;
             let frame = encode(&WireMsg::SyncReply(SyncReply { start, entries }));
-            bytes += frame.len() as u64;
+            self.sync_bytes_served += frame.len() as u64;
             self.send_raw(from, frame);
             start += sent;
-        }
-        if bytes > 0 {
-            events.push(ServiceOutput::SyncServed {
-                bytes,
-                snapshot: false,
-            });
         }
     }
 
@@ -211,10 +194,6 @@ where
             // anyway). Stand the retry down.
             self.retry.disarm_snapshot();
         }
-        events.push(ServiceOutput::Transferred {
-            adopted: outcome.adopted,
-            lost: outcome.lost,
-        });
         self.commit_ready(events);
         // Acknowledged delivery, receiver half: a short chunk is the
         // tail of the responder's stream, so confirm our new length
@@ -255,19 +234,14 @@ where
     /// plus the first chunk of the retained tail. Falls back to the
     /// ordinary suffix exchange when the requester is within the
     /// retained tail (no snapshot needed).
-    pub(super) fn on_snapshot_request(
-        &mut self,
-        from: ProcessId,
-        from_index: u64,
-        events: &mut Vec<ServiceOutput>,
-    ) {
+    pub(super) fn on_snapshot_request(&mut self, from: ProcessId, from_index: u64) {
         if !self.is_peer(from) {
             return;
         }
         self.note_acked(from, from_index);
         let base = self.log.first_index();
         if from_index >= base {
-            self.on_sync_request(from, from_index, events);
+            self.on_sync_request(from, from_index);
             return;
         }
         let Some(snap) = self.log.snapshot(base) else {
@@ -287,10 +261,8 @@ where
             view_members: snap.view.members,
             entries,
         }));
-        events.push(ServiceOutput::SyncServed {
-            bytes: frame.len() as u64,
-            snapshot: true,
-        });
+        self.sync_bytes_served += frame.len() as u64;
+        self.snapshots_served += 1;
         self.send_raw(from, frame);
     }
 
@@ -312,9 +284,9 @@ where
         if !self.retry.awaiting_snapshot() {
             return;
         }
-        let Some(covered) = self.log.install_snapshot(snapshot) else {
+        if self.log.install_snapshot(snapshot).is_none() {
             return;
-        };
+        }
         self.retry.disarm_snapshot();
         self.snapshot_requested_at = None;
         self.gap_synced_at = None;
@@ -330,7 +302,6 @@ where
         // repeated every period while its log stood still), and its
         // decision arrives here by relay.
         self.pool.clear();
-        events.push(ServiceOutput::SnapshotInstalled { covered });
         if !entries.is_empty() {
             self.on_sync_reply(from, snapshot.upto, entries, events);
         }

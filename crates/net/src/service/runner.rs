@@ -57,7 +57,11 @@ impl ServiceScenario {
     }
 }
 
-/// A typed event yielded by [`ServiceRunner::step`].
+/// A typed event yielded by [`ServiceRunner::step`]. State transfer
+/// yields none: read a node's log counters
+/// ([`crate::service::ReplicatedLog::transferred`] and
+/// [`crate::service::ReplicatedLog::lost`]) mid-run, or the fleet sums in
+/// [`ServiceRunner::report`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServiceEvent {
     /// A scheduled fault took effect.
@@ -94,37 +98,6 @@ pub enum ServiceEvent {
         /// The view.
         view: View,
     },
-    /// A node ran a state-transfer reconciliation.
-    Transferred {
-        /// Observation time.
-        at: Nanos,
-        /// The node.
-        node: ProcessId,
-        /// Entries adopted.
-        adopted: u64,
-        /// Entries lost (safety alarm; zero in a healthy run).
-        lost: u64,
-    },
-    /// A node served a state-transfer request (responder side).
-    SyncServed {
-        /// Observation time.
-        at: Nanos,
-        /// The serving node.
-        node: ProcessId,
-        /// Encoded bytes of the reply frames.
-        bytes: u64,
-        /// Whether the reply was a snapshot summary.
-        snapshot: bool,
-    },
-    /// A node fast-rejoined by installing a remote snapshot.
-    SnapshotInstalled {
-        /// Observation time.
-        at: Nanos,
-        /// The rejoining node.
-        node: ProcessId,
-        /// Decisions the summary newly covered.
-        covered: u64,
-    },
 }
 
 /// The post-run report of a [`ServiceRunner`].
@@ -142,9 +115,11 @@ pub struct ServiceReport {
     pub halted: Vec<bool>,
     /// Per node: ground-truth up/down at the end of the run.
     pub up: Vec<bool>,
-    /// The membership watcher's report, including the state-transfer
-    /// metrics (`decisions_transferred` / `decisions_lost`,
-    /// `snapshots_sent` / `sync_bytes_sent` / `rejoin_latencies`).
+    /// The membership watcher's report, with the service fields filled
+    /// from the nodes: state transfer summed over the logs
+    /// (`decisions_transferred` / `decisions_lost`) and the responders
+    /// (`snapshots_sent` / `sync_bytes_sent`), the runner's
+    /// `rejoin_latencies`, and the retransmission-plane counters.
     pub membership: MembershipChurnReport,
     /// Every decision event in observation order.
     pub decisions: Vec<(Nanos, ProcessId, Decision)>,
@@ -237,8 +212,9 @@ impl ServiceReport {
 /// A resumable service-under-churn scenario: `n` [`DecisionService`]
 /// nodes over any substrate, advanced one sample tick at a time —
 /// faults and client commands injected on schedule, decisions and view
-/// changes yielded as typed [`ServiceEvent`]s, the fleet observed by a
-/// [`MembershipWatcher`] (including the state-transfer metrics).
+/// changes yielded as typed [`ServiceEvent`]s, the fleet's views
+/// observed by a [`MembershipWatcher`]. State-transfer counts stay on the
+/// nodes and their logs; [`ServiceRunner::report`] sums them.
 ///
 /// Generic over the same three substrate traits as
 /// [`crate::online::OnlineRunner`]; [`ServiceRunner::new`] builds the
@@ -283,6 +259,8 @@ where
     /// Resolved into a rejoin latency once every live node has caught
     /// up to that length.
     heal_pending: Option<(Nanos, u64)>,
+    /// Per resolved heal, the time until every live node caught up.
+    rejoin_latencies: Vec<Nanos>,
     /// The buffer every node's poll writes its events into, drained
     /// after each poll ([`DecisionService::poll_into`]).
     outputs: Vec<ServiceOutput>,
@@ -350,6 +328,7 @@ where
             watcher: MembershipWatcher::new(n),
             decisions: Vec::new(),
             heal_pending: None,
+            rejoin_latencies: Vec::new(),
             outputs: Vec::new(),
         }
     }
@@ -427,32 +406,6 @@ where
                                 view,
                             });
                         }
-                        ServiceOutput::Transferred { adopted, lost } => {
-                            self.watcher.note_state_transfer(adopted, lost);
-                            events.push(ServiceEvent::Transferred {
-                                at: now,
-                                node: me,
-                                adopted,
-                                lost,
-                            });
-                        }
-                        ServiceOutput::SyncServed { bytes, snapshot } => {
-                            self.watcher.note_sync_served(bytes, snapshot);
-                            events.push(ServiceEvent::SyncServed {
-                                at: now,
-                                node: me,
-                                bytes,
-                                snapshot,
-                            });
-                        }
-                        ServiceOutput::SnapshotInstalled { covered } => {
-                            self.watcher.note_state_transfer(covered, 0);
-                            events.push(ServiceEvent::SnapshotInstalled {
-                                at: now,
-                                node: me,
-                                covered,
-                            });
-                        }
                     }
                 }
             }
@@ -462,7 +415,7 @@ where
                     .filter(|(_, node)| !node.is_halted())
                     .all(|(_, node)| node.log().len() >= target);
                 if caught_up {
-                    self.watcher.note_rejoin(now.saturating_sub(healed_at));
+                    self.rejoin_latencies.push(now.saturating_sub(healed_at));
                     self.heal_pending = None;
                 }
             }
@@ -489,13 +442,19 @@ where
     pub fn report(&self) -> ServiceReport {
         let nodes = &self.fleet.nodes;
         let mut membership = self.watcher.report();
-        // The retransmission-plane counters live on the nodes, not the
-        // watcher: sum them into the fleet report here.
-        membership.retransmits_sent = nodes.iter().map(DecisionService::retransmits_sent).sum();
-        membership.duplicate_frames_dropped = nodes
-            .iter()
-            .map(DecisionService::duplicate_frames_dropped)
-            .sum();
+        // The service counters live where the work happens — on the
+        // nodes and their logs, not the membership watcher: sum them
+        // into the fleet report here.
+        let sum = |count: fn(&DecisionService<E, T, SkewedClock<C>>) -> u64| {
+            nodes.iter().map(count).sum::<u64>()
+        };
+        membership.decisions_transferred = sum(|node| node.log().transferred());
+        membership.decisions_lost = sum(|node| node.log().lost());
+        membership.snapshots_sent = sum(DecisionService::snapshots_served);
+        membership.sync_bytes_sent = sum(DecisionService::sync_bytes_served);
+        membership.rejoin_latencies = self.rejoin_latencies.clone();
+        membership.retransmits_sent = sum(DecisionService::retransmits_sent);
+        membership.duplicate_frames_dropped = sum(DecisionService::duplicate_frames_dropped);
         ServiceReport {
             logs: nodes
                 .iter()

@@ -25,12 +25,12 @@ use rfd_net::bytes::Bytes;
 use rfd_net::clock::{Clock, Nanos, VirtualClock};
 use rfd_net::codec::{
     decode_borrowed, encode, Command, ConsensusFrame, DecidedMsg, Heartbeat, SnapshotReply,
-    SnapshotRequest, SyncReply, SyncRequest, ViewChange, WireMsg,
+    SnapshotRequest, SyncReply, SyncRequest, ViewChange, WireMsg, WireView,
 };
 use rfd_net::detector::DetectorNode;
 use rfd_net::estimator::{ArrivalEstimator, ChenEstimator};
 use rfd_net::membership::MembershipNode;
-use rfd_net::service::DecisionService;
+use rfd_net::service::{CompactionPolicy, DecisionService};
 use rfd_net::transport::{Endpoint, InMemoryNetwork, NetworkConfig, Transport};
 
 fn ms(v: u64) -> Nanos {
@@ -532,6 +532,87 @@ fn duplicated_snapshot_replies_install_once() {
     assert_eq!(node.log().first_index(), 5, "the duplicate changed nothing");
     assert_eq!(node.log().len(), 5);
     assert!(!node.is_halted());
+}
+
+/// The responder counters count what went out, once: a pure-ack
+/// `SyncRequest` from the node's tail serves nothing, a request within
+/// the retained tail adds exactly the bytes of the `SyncReply`
+/// datagrams the requester receives, and a below-base
+/// `SnapshotRequest` adds one snapshot and exactly its reply's bytes.
+/// The empty gap-signal reply to a below-base `SyncRequest` is no
+/// served transfer.
+#[test]
+fn served_transfers_are_counted_by_the_bytes_the_requester_receives() {
+    let clock = VirtualClock::new();
+    let net = InMemoryNetwork::new(N, NetworkConfig::reliable(ms(1), ms(2)), clock.clone());
+    let mut node = DecisionService::new(N, chen(), net.endpoint(p(0)), clock.clone(), ms(50))
+        .with_compaction(CompactionPolicy::retain_last(2));
+    let peers = [net.endpoint(p(1)), net.endpoint(p(2))];
+    let members = (1u128 << N) - 1;
+    // Every peer relays every decision: each acks the whole log, so the
+    // node compacts everything but its two-entry retained tail at its
+    // next beat.
+    for index in 0..10 {
+        for peer in &peers {
+            peer.send(
+                p(0),
+                encode(&WireMsg::Decided(DecidedMsg {
+                    index,
+                    view_id: 0,
+                    view_members: members,
+                    value: 100 + index,
+                })),
+            );
+        }
+        clock.advance(ms(2));
+        node.poll_into(&mut Vec::new());
+    }
+    while node.log().first_index() == 0 && clock.now() < ms(200) {
+        clock.advance(ms(2));
+        node.poll_into(&mut Vec::new());
+    }
+    assert_eq!((node.log().first_index(), node.log().len()), (8, 10));
+    let requester = &peers[0];
+    // Delivers one request from the requester and returns the encoded
+    // lengths of the replies of `tag` it receives (its inbox emptied
+    // first of the node's relays and heartbeats).
+    let mut ask = |request: WireMsg, tag: fn(&WireView<'_>) -> bool| {
+        clock.advance(ms(2));
+        requester.recv_batch(&mut Vec::new());
+        requester.send(p(0), encode(&request));
+        clock.advance(ms(2));
+        node.poll_into(&mut Vec::new());
+        clock.advance(ms(2));
+        let mut inbox = Vec::new();
+        requester.recv_batch(&mut inbox);
+        let replies: Vec<u64> = inbox
+            .iter()
+            .filter(|d| decode_borrowed(&d.payload).is_ok_and(|frame| tag(&frame)))
+            .map(|d| d.payload.len() as u64)
+            .collect();
+        (replies, node.sync_bytes_served(), node.snapshots_served())
+    };
+    let sync_reply = |frame: &WireView<'_>| matches!(frame, WireView::SyncReply(_));
+    let snapshot_reply = |frame: &WireView<'_>| matches!(frame, WireView::SnapshotReply(_));
+    let sync = |from_index| WireMsg::SyncRequest(SyncRequest { from_index });
+
+    // From the node's tail: a pure ack, nothing served.
+    let (replies, bytes, snapshots) = ask(sync(10), sync_reply);
+    assert_eq!((replies.len(), bytes, snapshots), (0, 0, 0));
+    // Below the base: the empty gap signal goes out, but serves nothing.
+    let (replies, bytes, snapshots) = ask(sync(3), sync_reply);
+    assert_eq!((replies.len(), bytes, snapshots), (1, 0, 0));
+    // Within the retained tail: exactly the suffix chunks' bytes.
+    let (replies, bytes, snapshots) = ask(sync(8), sync_reply);
+    assert!(!replies.is_empty());
+    assert_eq!((bytes, snapshots), (replies.iter().sum(), 0));
+    let suffix_bytes = bytes;
+    // Below the base, by snapshot: one snapshot and its reply's bytes.
+    let request = WireMsg::SnapshotRequest(SnapshotRequest { from_index: 3 });
+    let (replies, bytes, snapshots) = ask(request, snapshot_reply);
+    assert_eq!(replies.len(), 1);
+    assert_eq!((bytes, snapshots), (suffix_bytes + replies[0], 1));
+    assert_eq!(node.malformed_frames(), 0);
 }
 
 /// In-horizon consensus frames for a slot not open yet are held for its

@@ -70,7 +70,14 @@ fn main() {
     // ---- act 1: the dashboard ------------------------------------------
     println!("== act 1: live decision service (cut+heal p3, then crash p0) ==");
     let mut runner = ServiceRunner::new(chen(), scenario(0));
-    while let Some(events) = runner.step() {
+    // Each node's state-transfer totals at the previous step: the log
+    // counts what it adopted and lost, so a line prints when one grew.
+    let mut transfer_seen = [(0, 0); 4];
+    loop {
+        let at = runner.now();
+        let Some(events) = runner.step() else {
+            break;
+        };
         for event in events {
             match event {
                 ServiceEvent::Fault { at, fault } => {
@@ -100,18 +107,21 @@ fn main() {
                         view.members
                     );
                 }
-                ServiceEvent::Transferred {
-                    at,
-                    node,
-                    adopted,
-                    lost,
-                } => {
-                    println!(
-                        "[t={:>6}ms] {node} state transfer: +{adopted} entries ({lost} lost)",
-                        at.as_millis()
-                    );
-                }
                 _ => {}
+            }
+        }
+        for (ix, seen) in transfer_seen.iter_mut().enumerate() {
+            let log = runner.node(ix).log();
+            let now = (log.transferred(), log.lost());
+            if now != *seen {
+                println!(
+                    "[t={:>6}ms] {} state transfer: +{} entries ({} lost)",
+                    at.as_millis(),
+                    p(ix),
+                    now.0 - seen.0,
+                    now.1 - seen.1
+                );
+                *seen = now;
             }
         }
     }
