@@ -7,12 +7,12 @@
 //! deliberately violate that — and PR 6 documented the consequence: a
 //! send-once stack wedges forever when one conspiring loss pattern
 //! eats a consensus frame (10% loss, seed 3, slot 0, permanently).
-//! The retransmission plane (state-derived per-slot re-sends, laggard
-//! pushes, snapshot retries — see `ARCHITECTURE.md`) rebuilds the
-//! assumption *on top of* the lossy wire, and E16 is the long-horizon
-//! proof: the compacted decision service, driven through partition /
-//! heal cycles at 0/5/10/20% datagram loss across the estimator zoo,
-//! where **every** cell must
+//! The retransmission plane (state-derived per-slot re-sends and laggard
+//! pushes, which also re-send a lost snapshot — see `ARCHITECTURE.md`)
+//! rebuilds the assumption *on top of* the lossy wire, and E16 is the
+//! long-horizon proof: the compacted decision service, driven through
+//! partition / heal cycles at 0/5/10/20% datagram loss across the
+//! estimator zoo, where **every** cell must
 //!
 //! * decide *every submitted command* (no stalled slot, ever — the
 //!   wedge is dead),

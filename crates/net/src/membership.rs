@@ -191,8 +191,8 @@ where
     /// asked.
     ///
     /// The decision service derives its horizon timeout from this: the
-    /// laggard-push and snapshot retries, which chase a peer that may
-    /// be gone, wait past it, so a crashed peer is excluded first. The
+    /// laggard push, which chases a peer that may be gone, waits past
+    /// it, so a crashed peer is excluded first. The
     /// open slot's retry timer only repairs loss; it runs on a measured
     /// round-trip estimate and uses this horizon only as an upper bound
     /// (and before its first sample).

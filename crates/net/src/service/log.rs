@@ -196,7 +196,7 @@ impl ReplicatedLog {
     /// shorter). If `index` falls inside the compacted prefix this is
     /// the whole retained tail — callers that need the *complete*
     /// history from `index` must check [`ReplicatedLog::first_index`]
-    /// and negotiate a snapshot instead.
+    /// and answer with a snapshot instead.
     #[must_use]
     pub fn suffix(&self, index: u64) -> &[Decision] {
         let from = usize::try_from(index.saturating_sub(self.base))

@@ -35,9 +35,12 @@
 //! that fell behind the retained tail fast-rejoins by installing a
 //! view-stamped [`Snapshot`] instead of replaying history — rejoin
 //! cost tracks the retained tail, not the log length (experiment E14).
-//! The snapshot/compaction state machine and the transfer-negotiation
-//! decision tree are documented in ARCHITECTURE.md ("Decision
-//! lifecycle"); the wire frames in `docs/WIRE.md`.
+//! One exchange moves state: a `SyncRequest` from the requester's tail
+//! is answered with the suffix, or — below the responder's compacted
+//! base — with a snapshot and the first retained chunk. The
+//! snapshot/compaction state machine and that decision tree are
+//! documented in ARCHITECTURE.md ("Decision lifecycle"); the wire
+//! frames in `docs/WIRE.md`.
 
 mod log;
 mod node;

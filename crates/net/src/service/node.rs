@@ -7,7 +7,8 @@ use super::retry::{RetryPlane, Timeouts};
 use super::run_set::RunSet;
 use crate::clock::{Clock, Nanos};
 use crate::codec::{
-    for_each_frame, set_to_members, Command, ConsensusFrame, DecidedMsg, WireMsg, WireView,
+    for_each_frame, set_to_members, Command, ConsensusFrame, DecidedMsg, SnapshotRequest,
+    SyncRequest, WireMsg, WireView,
 };
 use crate::detector::SendRing;
 use crate::estimator::ArrivalEstimator;
@@ -118,19 +119,19 @@ impl CompactionPolicy {
 ///    after a view change re-admits members, nodes exchange log
 ///    suffixes and reconcile them prefix-consistently
 ///    ([`ReplicatedLog::merge_suffix`]). Under a [`CompactionPolicy`]
-///    the suffix exchange is two-tier: a peer within the retained tail
-///    gets plain chunks, one that fell behind the compacted base
-///    negotiates a snapshot ([`Snapshot`]) and fast-rejoins in O(tail)
-///    instead of O(history).
+///    the same request is answered by where it falls: a peer within the
+///    retained tail gets plain chunks, one that fell behind the
+///    compacted base gets a snapshot ([`Snapshot`]) in the same reply
+///    and fast-rejoins in O(tail) instead of O(history).
 ///
 /// Under all three sits the **retransmission plane**, which rebuilds the
 /// paper's quasi-reliable channels on a lossy wire: the open slot's
-/// stalled conversations, the suffix a stalled laggard is missing and
-/// an unanswered snapshot request are re-sent on exponentially
-/// backed-off timeouts. The slot's timer repairs loss, so it waits a
-/// measured RTO (Jacobson/Karels over this node's slot times, Karn's
-/// rule, never past the horizon timeout); the other two chase peers
-/// that may be gone, so they wait one heartbeat period past the
+/// stalled conversations and the suffix (or snapshot) a stalled laggard
+/// is missing are re-sent on exponentially backed-off timeouts. The
+/// slot's timer repairs loss, so it waits a measured RTO
+/// (Jacobson/Karels over this node's slot times, Karn's rule, never
+/// below 20 ms nor past the horizon timeout); the laggard push chases
+/// peers that may be gone, so it waits one heartbeat period past the
 /// membership's trust horizon. The node holds the plane's timers as
 /// one `RetryPlane` (`service/retry.rs`, no I/O) and only decides what
 /// a firing sends; [`DecisionService::retransmits_sent`] counts the
@@ -190,17 +191,19 @@ pub struct DecisionService<E, T, C> {
     /// Compaction policy, if enabled.
     compaction: Option<CompactionPolicy>,
     /// Highest log length each peer is known to hold, learned from the
-    /// indices piggybacked on existing traffic (`Decided` relays, sync
-    /// and snapshot requests). The minimum over current view members is
-    /// the stable index compaction trims behind.
+    /// indices piggybacked on existing traffic (`Decided` relays and
+    /// sync requests). The minimum over current view members is the
+    /// stable index compaction trims behind.
     peer_acked: Vec<u64>,
-    /// The log length at which the last `SnapshotRequest` went out —
-    /// the same once-per-tail-position throttle as `gap_synced_at`,
-    /// for snapshot negotiation.
-    snapshot_requested_at: Option<u64>,
-    /// Every retry timer of the retransmission plane — the open slot's,
-    /// the per-peer laggard-push fuses, the outstanding snapshot
-    /// negotiation's — and the count of frames it re-sent. See the
+    /// The log length at which this node last asked a peer for its
+    /// suffix (`request_sync`): the gate a `SnapshotReply` must pass. A
+    /// summary is installed only in answer to an ask made at the current
+    /// length, and installing closes the gate — a duplicate, unasked or
+    /// forged reply changes nothing.
+    sync_asked_at: Option<u64>,
+    /// Every retry timer of the retransmission plane — the open slot's
+    /// and the per-peer laggard-push fuses — and the count of frames it
+    /// re-sent. See the
     /// "Retransmission plane" section of ARCHITECTURE.md for the timer
     /// derivation.
     retry: RetryPlane,
@@ -210,8 +213,7 @@ pub struct DecisionService<E, T, C> {
     /// in-flight races) — receipt is idempotent, so these change no
     /// protocol state.
     duplicate_frames_dropped: u64,
-    /// Encoded bytes of the sync and snapshot replies this node served
-    /// (the empty gap signal excluded).
+    /// Encoded bytes of the sync and snapshot replies this node served.
     sync_bytes_served: u64,
     /// Snapshot replies this node served.
     snapshots_served: u64,
@@ -270,7 +272,7 @@ where
             gap_synced_at: None,
             compaction: None,
             peer_acked: vec![0; n],
-            snapshot_requested_at: None,
+            sync_asked_at: None,
             retry: RetryPlane::new(n),
             duplicate_frames_dropped: 0,
             sync_bytes_served: 0,
@@ -306,11 +308,11 @@ where
     }
 
     /// Frames re-sent by the retransmission plane: stalled-slot
-    /// consensus re-sends, tail probes, laggard pushes and snapshot
-    /// re-requests. Stays **zero on a calm network** — the slot timer
-    /// waits out a silence within a slot against an RTO learned from
-    /// whole slots, and the other timers wait past the trust horizon,
-    /// so the plane is pure insurance against loss.
+    /// consensus re-sends, tail probes and laggard pushes. Stays **zero
+    /// on a calm network** — the slot timer waits out a silence within a
+    /// slot against an RTO learned from whole slots, and the push fuses
+    /// wait past the trust horizon, so the plane is pure insurance
+    /// against loss.
     #[must_use]
     pub fn retransmits_sent(&self) -> u64 {
         self.retry.sent
@@ -325,8 +327,7 @@ where
     }
 
     /// Encoded bytes of the state-transfer replies this node served as
-    /// a responder: suffix chunks and snapshot replies. The empty reply
-    /// that signals a compaction gap serves nothing and is not counted.
+    /// a responder: suffix chunks and snapshot replies.
     #[must_use]
     pub fn sync_bytes_served(&self) -> u64 {
         self.sync_bytes_served
@@ -445,7 +446,12 @@ where
                 }
             }
             WireView::Decided(d) => self.on_decided(from, d, events),
-            WireView::SyncRequest(s) => self.on_sync_request(from, s.from_index),
+            // Tag 9 asks what a `SyncRequest` asks. This node never
+            // sends it; a peer that does is answered the same way.
+            WireView::SyncRequest(SyncRequest { from_index })
+            | WireView::SnapshotRequest(SnapshotRequest { from_index }) => {
+                self.on_sync_request(from, *from_index);
+            }
             WireView::SyncReply(view) => {
                 // The merge needs a contiguous slice; copy the borrowed
                 // entries into the reusable scratch instead of a fresh
@@ -456,7 +462,6 @@ where
                 self.on_sync_reply(from, view.start, &entries, events);
                 self.sync_scratch = entries;
             }
-            WireView::SnapshotRequest(s) => self.on_snapshot_request(from, s.from_index),
             WireView::SnapshotReply(view) => {
                 let snapshot = Snapshot {
                     upto: view.upto,
@@ -519,9 +524,7 @@ where
                 // State transfer: a changed member set means someone may
                 // hold decisions we missed (and vice versa — they will
                 // ask us symmetrically). Ask every other member for our
-                // missing suffix, and allow a fresh snapshot negotiation
-                // for this view.
-                self.snapshot_requested_at = None;
+                // missing suffix.
                 for to in view.members {
                     if to != self.me() {
                         self.request_sync(to);
@@ -670,7 +673,6 @@ where
             }
             self.retry.sent += resent;
         }
-        self.retry_snapshot(now, timeouts);
     }
 
     /// Routes consensus sends, oldest first: peers get encoded frames,

@@ -1,12 +1,12 @@
 //! State transfer and compaction: the half of a [`DecisionService`]
-//! node that moves decided history between logs — suffix sync, snapshot
-//! negotiation, the laggard push — and trims what every member holds.
+//! node that moves decided history between logs — one exchange, a
+//! [`SyncRequest`] from the requester's tail answered with the suffix or,
+//! below a compacted base, with a snapshot; the laggard push — and trims
+//! what every member holds.
 
 use super::{DecisionService, ServiceOutput};
 use crate::clock::{Clock, Nanos};
-use crate::codec::{
-    encode, SnapshotReply, SnapshotRequest, SyncReply, SyncRequest, WireMsg, MAX_SYNC_ENTRIES,
-};
+use crate::codec::{encode, SnapshotReply, SyncReply, SyncRequest, WireMsg, MAX_SYNC_ENTRIES};
 use crate::estimator::ArrivalEstimator;
 use crate::service::log::{Snapshot, ViewStamp};
 use crate::service::retry::Timeouts;
@@ -47,34 +47,6 @@ where
         }
     }
 
-    /// Retry of an unanswered snapshot negotiation: while a snapshot
-    /// request is outstanding and peers' acked lengths show we are
-    /// genuinely behind, re-send the request to a rotated member — a
-    /// single lost `SnapshotRequest`/`SnapshotReply` can no longer
-    /// strand a rejoiner behind the once-per-tail-position throttle.
-    pub(super) fn retry_snapshot(&mut self, now: Nanos, timeouts: Timeouts) {
-        let Some(attempts) = self.retry.snapshot_due(now, timeouts) else {
-            return;
-        };
-        let me = self.me();
-        let mut members = self.membership.view().members.iter();
-        if !members.any(|p| p != me && self.acked_by(p) > self.log.len()) {
-            // Caught up through other channels — stand down.
-            self.retry.disarm_snapshot();
-            return;
-        }
-        if let Some(target) = self.rotated_member(attempts) {
-            self.snapshot_requested_at = Some(self.log.len());
-            self.send_raw(
-                target,
-                encode(&WireMsg::SnapshotRequest(SnapshotRequest {
-                    from_index: self.log.len(),
-                })),
-            );
-            self.retry.sent += 1;
-        }
-    }
-
     /// Trims the log behind the all-replica stable index, keeping the
     /// policy's retained tail. The stable index is the lowest log
     /// length acknowledged by any *current view member* (piggybacked
@@ -97,35 +69,36 @@ where
         self.log.truncate_prefix(target);
     }
 
-    /// A state-transfer request: stream the suffix back in chunks — or,
-    /// if the requester's tail fell below our compacted base, signal
-    /// the gap with an **empty** reply starting at the base. The
-    /// requester reads that as "prefix is compacted away" and
-    /// negotiates a [`SnapshotRequest`] instead.
+    /// A state-transfer request (a `SyncRequest`, or a
+    /// `SnapshotRequest`, which asks the same): stream the suffix from
+    /// the requester's tail back in chunks — or, if that tail fell below
+    /// our compacted base, send a [`SnapshotReply`]: a summary of the
+    /// compacted prefix plus the first chunk of the retained tail.
     pub(super) fn on_sync_request(&mut self, from: ProcessId, from_index: u64) {
         if !self.is_peer(from) {
             return;
         }
         self.note_acked(from, from_index);
-        if from_index < self.log.first_index() {
-            self.send_raw(
-                from,
-                encode(&WireMsg::SyncReply(SyncReply {
-                    start: self.log.first_index(),
-                    entries: Vec::new(),
-                })),
-            );
+        let base = self.log.first_index();
+        if from_index < base {
+            let Some(snap) = self.log.snapshot(base) else {
+                return;
+            };
+            let frame = encode(&WireMsg::SnapshotReply(SnapshotReply {
+                upto: snap.upto,
+                digest: snap.digest,
+                view_id: snap.view.id,
+                view_members: snap.view.members,
+                entries: self.chunk_from(base),
+            }));
+            self.sync_bytes_served += frame.len() as u64;
+            self.snapshots_served += 1;
+            self.send_raw(from, frame);
             return;
         }
         let mut start = from_index;
         while start < self.log.len() {
-            let entries: Vec<(u64, u64, u128)> = self
-                .log
-                .suffix(start)
-                .iter()
-                .take(MAX_SYNC_ENTRIES)
-                .map(|d| (d.value, d.view.id, d.view.members))
-                .collect();
+            let entries = self.chunk_from(start);
             let sent = entries.len() as u64;
             let frame = encode(&WireMsg::SyncReply(SyncReply { start, entries }));
             self.sync_bytes_served += frame.len() as u64;
@@ -134,10 +107,19 @@ where
         }
     }
 
+    /// One chunk of the retained log from `start` on, as wire entries:
+    /// what a `SyncReply` or a `SnapshotReply` carries.
+    fn chunk_from(&self, start: u64) -> Vec<(u64, u64, u128)> {
+        self.log
+            .suffix(start)
+            .iter()
+            .take(MAX_SYNC_ENTRIES)
+            .map(|d| (d.value, d.view.id, d.view.members))
+            .collect()
+    }
+
     /// A state-transfer chunk (already copied out of its datagram):
-    /// reconcile it into the log. An empty chunk starting above our
-    /// tail is a responder's compaction gap-signal — negotiate a
-    /// snapshot with that responder instead of merging.
+    /// reconcile it into the log.
     pub(super) fn on_sync_reply(
         &mut self,
         from: ProcessId,
@@ -145,10 +127,6 @@ where
         entries: &[(u64, u64, u128)],
         events: &mut Vec<ServiceOutput>,
     ) {
-        if entries.is_empty() && start > self.log.len() {
-            self.maybe_request_snapshot(from);
-            return;
-        }
         let before = self.log.len();
         let outcome = self.log.merge_suffix(start, entries);
         if outcome.adopted == 0 && outcome.lost == 0 {
@@ -176,7 +154,7 @@ where
                 // ahead, so it acts as a pure ack that stands the
                 // pusher's fuse down.
                 self.duplicate_frames_dropped += 1;
-                self.request_sync(from);
+                self.confirm_tail(from);
             }
             return;
         }
@@ -187,13 +165,6 @@ where
         for d in self.log.suffix(rewritten_from).to_vec() {
             self.note_committed(d.index, d.value);
         }
-        if outcome.adopted > 0 {
-            // Entries are flowing through the plain sync path after
-            // all: an outstanding snapshot negotiation is moot (a late
-            // reply that no longer extends the log would be rejected
-            // anyway). Stand the retry down.
-            self.retry.disarm_snapshot();
-        }
         self.commit_ready(events);
         // Acknowledged delivery, receiver half: a short chunk is the
         // tail of the responder's stream, so confirm our new length
@@ -203,74 +174,23 @@ where
         // a middle chunk was lost it re-pulls the remainder. Full-width
         // chunks skip the confirm (more of the stream is in flight).
         if entries.len() < MAX_SYNC_ENTRIES {
-            self.request_sync(from);
+            self.confirm_tail(from);
         }
     }
 
-    /// Sends one [`SnapshotRequest`] to `from`, at most once per tail
-    /// position — every compacted responder gap-signals, and one
-    /// snapshot per stall is enough.
-    fn maybe_request_snapshot(&mut self, from: ProcessId) {
-        if !self.is_peer(from) {
-            return;
-        }
-        if self.snapshot_requested_at == Some(self.log.len()) {
-            return;
-        }
-        self.snapshot_requested_at = Some(self.log.len());
-        // Arm the retry timer: a lost request (or lost reply) re-fires
-        // toward a rotated member instead of stranding the rejoin.
-        let now = self.membership.node.clock.now();
-        self.retry.arm_snapshot(now, self.timeouts(now));
-        self.send_raw(
-            from,
-            encode(&WireMsg::SnapshotRequest(SnapshotRequest {
-                from_index: self.log.len(),
-            })),
-        );
-    }
-
-    /// A fast-rejoin request: serve a summary of our compacted prefix
-    /// plus the first chunk of the retained tail. Falls back to the
-    /// ordinary suffix exchange when the requester is within the
-    /// retained tail (no snapshot needed).
-    pub(super) fn on_snapshot_request(&mut self, from: ProcessId, from_index: u64) {
-        if !self.is_peer(from) {
-            return;
-        }
-        self.note_acked(from, from_index);
-        let base = self.log.first_index();
-        if from_index >= base {
-            self.on_sync_request(from, from_index);
-            return;
-        }
-        let Some(snap) = self.log.snapshot(base) else {
-            return;
-        };
-        let entries: Vec<(u64, u64, u128)> = self
-            .log
-            .suffix(base)
-            .iter()
-            .take(MAX_SYNC_ENTRIES)
-            .map(|d| (d.value, d.view.id, d.view.members))
-            .collect();
-        let frame = encode(&WireMsg::SnapshotReply(SnapshotReply {
-            upto: snap.upto,
-            digest: snap.digest,
-            view_id: snap.view.id,
-            view_members: snap.view.members,
-            entries,
-        }));
-        self.sync_bytes_served += frame.len() as u64;
-        self.snapshots_served += 1;
-        self.send_raw(from, frame);
-    }
-
-    /// A fast-rejoin reply: install the summary (only if we asked for
-    /// one and it extends our log — rejects change nothing), merge the
-    /// included tail chunk, and pull whatever tail remains with an
-    /// ordinary [`SyncRequest`]. Installing is O(1) in the covered
-    /// history: the prefix arrives as a digest, not as entries.
+    /// A fast-rejoin reply: install the summary, merge the included
+    /// tail chunk, and pull whatever tail remains. Installing is O(1) in
+    /// the covered history: the prefix arrives as a digest, not as
+    /// entries.
+    ///
+    /// A summary is installed only in answer to a [`Self::request_sync`]
+    /// made at our current length, and only if it extends the log. Any
+    /// other reply — a duplicate, one overtaken by another transfer, an
+    /// unasked laggard push, a forgery — changes nothing and is answered
+    /// with one `SyncRequest` from our tail. That ack is what stands a
+    /// pusher with a stale watermark for us down. If the reply would
+    /// have extended the log, we are behind that peer's base, so the ack
+    /// is an ask and the peer's answer installs.
     pub(super) fn on_snapshot_reply(
         &mut self,
         from: ProcessId,
@@ -281,14 +201,17 @@ where
         if !self.is_peer(from) {
             return;
         }
-        if !self.retry.awaiting_snapshot() {
+        let len = self.log.len();
+        if self.sync_asked_at != Some(len) || self.log.install_snapshot(snapshot).is_none() {
+            if snapshot.upto > len {
+                self.request_sync(from);
+            } else {
+                self.confirm_tail(from);
+            }
             return;
         }
-        if self.log.install_snapshot(snapshot).is_none() {
-            return;
-        }
-        self.retry.disarm_snapshot();
-        self.snapshot_requested_at = None;
+        // One ask, one install: the pulls below confirm, they don't ask.
+        self.sync_asked_at = None;
         self.gap_synced_at = None;
         // The log jumped past every local in-flight slot: retire the
         // driver's instance and early traffic below the new base…
@@ -306,12 +229,22 @@ where
             self.on_sync_reply(from, snapshot.upto, entries, events);
         }
         // The responder may retain more tail than one chunk carries.
-        self.request_sync(from);
+        self.confirm_tail(from);
     }
 
-    /// Asks `to` for the log suffix from our tail on. Also what a
-    /// caught-up node acks with: a request from the tail serves nothing.
-    pub(super) fn request_sync(&self, to: ProcessId) {
+    /// Asks `to` for the log suffix from our tail on, and opens the gate
+    /// for one [`SnapshotReply`] at this length: a responder whose base
+    /// lies above our tail answers with a snapshot.
+    pub(super) fn request_sync(&mut self, to: ProcessId) {
+        self.sync_asked_at = Some(self.log.len());
+        self.confirm_tail(to);
+    }
+
+    /// Sends `to` a [`SyncRequest`] from our tail without opening the
+    /// snapshot gate: it tells `to` our length and pulls any suffix `to`
+    /// holds beyond it. From a caught-up node it serves nothing — a pure
+    /// ack.
+    fn confirm_tail(&self, to: ProcessId) {
         self.send_raw(
             to,
             encode(&WireMsg::SyncRequest(SyncRequest {

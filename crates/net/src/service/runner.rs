@@ -688,7 +688,7 @@ mod tests {
     fn compaction_rejoin_goes_through_a_snapshot_and_still_converges() {
         // p3 misses a long stretch of decisions while partitioned; with
         // a short retained tail the majority compacts past p3's log, so
-        // the post-heal catch-up must negotiate a snapshot transfer —
+        // the post-heal catch-up must go through a snapshot transfer —
         // and the fleet must still converge, deterministically per seed.
         let scenario = spaced_commands(
             ServiceScenario {

@@ -25,12 +25,15 @@
 use proptest::prelude::*;
 use rfd_core::{ProcessId, ProcessSet};
 use rfd_net::clock::{ClockSkew, Nanos, Pacer, VirtualClock};
-use rfd_net::codec::{encode, DecidedMsg, Heartbeat, SyncReply, WireMsg, MAX_SYNC_ENTRIES};
+use rfd_net::codec::{
+    decode_borrowed, encode, DecidedMsg, Heartbeat, SnapshotReply, SyncReply, SyncRequest, WireMsg,
+    WireView, MAX_SYNC_ENTRIES,
+};
 use rfd_net::estimator::{ArrivalEstimator, ChenEstimator};
 use rfd_net::membership::MembershipNode;
 use rfd_net::online::{Fault, FaultSchedule, MembershipWatcher, OnlineScenario};
 use rfd_net::service::{
-    run_service, CompactionPolicy, ServiceEvent, ServiceRunner, ServiceScenario,
+    run_service, CompactionPolicy, DecisionService, ServiceEvent, ServiceRunner, ServiceScenario,
 };
 use rfd_net::transport::{ChurnableTransport, InMemoryNetwork, NetworkConfig, Transport};
 use rfd_net::weather::Weather;
@@ -527,8 +530,9 @@ fn snapshot_rejoin_matches_suffix_rejoin_final_state() {
 }
 
 /// A rejoiner *far* older than the retained tail (retain-last-2 against
-/// ~40 missed decisions) still converges: the gap signal, snapshot
-/// install, and follow-up suffix chunks compose across any gap size.
+/// ~40 missed decisions) still converges: the snapshot answering its
+/// `SyncRequest`, the install, and follow-up suffix chunks compose
+/// across any gap size.
 #[test]
 fn rejoiner_far_older_than_the_retained_tail_converges() {
     let report = run_service(chen(), &rejoin_scenario(Some(2)));
@@ -623,6 +627,177 @@ fn snapshot_handoff_chunks_a_retained_tail_wider_than_one_datagram() {
             );
         }
     }
+}
+
+/// When the links into p3 heal in [`lost_reply_scenario`], in ms.
+const REPLIES_LOST_UNTIL: u64 = 14_300;
+
+/// [`rejoin_scenario`] under retain-last-2 with every reply to p3's
+/// asks dropped. p3 first merges p1 alone (14 005 ms) and asks it, then
+/// adopts the full view (14 020 ms) and asks everyone; its links from p1
+/// and then from p0 and p2 are blocked until [`REPLIES_LOST_UNTIL`], so
+/// each snapshot those asks fetch is lost. No view change after that
+/// alters p3's members, so p3 asks nothing more.
+fn lost_reply_scenario() -> ServiceScenario {
+    let p3 = ProcessSet::singleton(p(3));
+    let healed = Some(ms(REPLIES_LOST_UNTIL));
+    Weather::new()
+        .one_way(ProcessSet::singleton(p(1)), p3, ms(14_006), healed)
+        .one_way([p(0), p(2)].into_iter().collect(), p3, ms(14_021), healed)
+        .apply_to_service(rejoin_scenario(Some(2)))
+}
+
+/// A rejoiner whose snapshot replies are all lost is repaired by no
+/// timer of its own: the peers' laggard push re-sends the snapshot once
+/// the links heal, and the rejoiner, still at the length it asked at,
+/// installs it.
+#[test]
+fn a_lost_snapshot_reply_is_repaired_by_the_laggard_push() {
+    let mut runner = ServiceRunner::new(chen(), lost_reply_scenario());
+    let full = ProcessSet::full(4);
+    let mut installed_at = None;
+    while runner.step().is_some() {
+        let now = runner.now();
+        let p3 = runner.node(3);
+        if now > ms(14_030) {
+            assert_eq!(
+                p3.view().members,
+                full,
+                "p3 holds the full view from 14 030 ms on, so it asks nothing more"
+            );
+        }
+        if installed_at.is_none() && p3.log().snapshots_installed() > 0 {
+            installed_at = Some(now);
+        }
+    }
+    let installed_at = installed_at.expect("p3 never installed a snapshot");
+    assert!(
+        installed_at > ms(REPLIES_LOST_UNTIL),
+        "the replies to p3's asks were to be lost, yet it installed at {installed_at}"
+    );
+    let pushed: u64 = (0..3).map(|ix| runner.node(ix).retransmits_sent()).sum();
+    assert!(pushed > 0, "only a laggard push can have repaired p3");
+    let report = runner.report();
+    assert!(report.agreement_holds());
+    assert!(report.live_logs_converged(), "{:?}", report.logs);
+    assert_eq!(report.membership.decisions_lost, 0);
+}
+
+/// A snapshot reply that extends nothing is acked: the receiver answers
+/// with exactly one `SyncRequest` from its tail and changes nothing. The
+/// ack is what stands a pusher with a stale watermark down — without it,
+/// each peer that answered a rejoiner's ask with a snapshot it no longer
+/// needed kept pushing one every backoff interval until the run ended.
+#[test]
+fn a_stale_snapshot_reply_is_acked_so_the_pusher_stands_down() {
+    let clock = VirtualClock::new();
+    let net = InMemoryNetwork::new(3, NetworkConfig::reliable(ms(1), ms(2)), clock.clone());
+    let mut node = DecisionService::new(3, chen(), net.endpoint(p(0)), clock.clone(), ms(50));
+    let pusher = net.endpoint(p(1));
+    let members = (1u128 << 3) - 1;
+    for index in 0..10 {
+        pusher.send(
+            p(0),
+            encode(&WireMsg::Decided(DecidedMsg {
+                index,
+                view_id: 0,
+                view_members: members,
+                value: 100 + index,
+            })),
+        );
+    }
+    clock.advance(ms(2));
+    node.poll_into(&mut Vec::new());
+    assert_eq!(node.log().len(), 10);
+    clock.advance(ms(2));
+    pusher.recv_batch(&mut Vec::new());
+    pusher.send(
+        p(0),
+        encode(&WireMsg::SnapshotReply(SnapshotReply {
+            upto: 8,
+            digest: 0xDEAD_BEEF,
+            view_id: 0,
+            view_members: members,
+            entries: vec![(108, 0, members), (109, 0, members)],
+        })),
+    );
+    clock.advance(ms(2));
+    node.poll_into(&mut Vec::new());
+    clock.advance(ms(2));
+    let mut inbox = Vec::new();
+    pusher.recv_batch(&mut inbox);
+    let state_transfer: Vec<WireView<'_>> = inbox
+        .iter()
+        .filter_map(|d| decode_borrowed(&d.payload).ok())
+        .filter(|frame| {
+            matches!(
+                frame,
+                WireView::SyncRequest(_)
+                    | WireView::SyncReply(_)
+                    | WireView::SnapshotRequest(_)
+                    | WireView::SnapshotReply(_)
+            )
+        })
+        .collect();
+    assert!(
+        matches!(
+            state_transfer[..],
+            [WireView::SyncRequest(SyncRequest { from_index: 10 })]
+        ),
+        "{state_transfer:?}"
+    );
+    assert_eq!(node.log().len(), 10);
+    assert_eq!(node.log().snapshots_installed(), 0);
+
+    // The fleet: p3 rejoins after a 6 s outage with the workload still
+    // running until 1 s before the heal. The peers whose snapshots it
+    // no longer needed hear its ack, so no node serves a snapshot in the
+    // last six seconds of the run.
+    for seed in 0..2 {
+        let mut runner = ServiceRunner::new(chen(), short_outage_scenario(seed));
+        let served = |runner: &ServiceRunner<ChenEstimator>| -> Vec<u64> {
+            (0..4)
+                .map(|ix| runner.node(ix).snapshots_served())
+                .collect()
+        };
+        while runner.now() < ms(10_000) {
+            runner.step();
+        }
+        let settled = served(&runner);
+        assert!(settled.iter().sum::<u64>() > 0, "{settled:?}");
+        runner.run_to_end();
+        assert_eq!(
+            served(&runner),
+            settled,
+            "seed {seed}: a pusher kept pushing"
+        );
+        assert!(runner.report().live_logs_converged());
+    }
+}
+
+/// p3 is cut off from 2 s to 8 s under retain-last-8 while the others
+/// decide a command every 300 ms until 7 s; the run ends at 16 s.
+fn short_outage_scenario(seed: u64) -> ServiceScenario {
+    let mut scenario = ServiceScenario {
+        online: OnlineScenario {
+            n: 4,
+            period: ms(50),
+            duration: ms(16_000),
+            seed,
+            heal_merge: true,
+            schedule: FaultSchedule::new()
+                .at(ms(2_000), Fault::Partition(ProcessSet::singleton(p(3))))
+                .at(ms(8_000), Fault::Heal),
+            ..OnlineScenario::default()
+        },
+        ..ServiceScenario::default()
+    }
+    .with_compaction(CompactionPolicy::retain_last(8));
+    for (k, at) in (1_000..=7_000).step_by(300).enumerate() {
+        let value = 100 + k as u64;
+        scenario = scenario.command(ms(at), p(k % 3), value);
+    }
+    scenario
 }
 
 // ---- every frame is evidence of life ---------------------------------

@@ -283,8 +283,8 @@ proptest! {
 
     /// Unsolicited snapshot replies — forged summaries with
     /// attacker-chosen (possibly astronomical) `upto` — are ignored
-    /// outright: the receiver never armed `awaiting_snapshot`, so the
-    /// log keeps its base and length and no arena inflates. This is
+    /// outright: the receiver never asked for a suffix, so the log
+    /// keeps its base and length and no arena inflates. This is
     /// the compaction analogue of the `SLOT_HORIZON` pin: installation
     /// cost must never scale with an attacker-chosen index.
     #[test]
@@ -488,26 +488,38 @@ fn duplicated_decided_relays_append_once() {
 }
 
 /// Re-delivered `SnapshotReply` frames install exactly once: the first
-/// copy consumes the armed `awaiting_snapshot` latch, so the duplicate
-/// (and any later forgery, however large its `upto`) is dropped without
-/// touching the log.
+/// copy answers the node's own `SyncRequest` and closes the gate it
+/// opened, so the duplicate (and any later forgery, however large its
+/// `upto`) is dropped without touching the log.
 #[test]
 fn duplicated_snapshot_replies_install_once() {
     let clock = VirtualClock::new();
     let net = InMemoryNetwork::new(N, NetworkConfig::reliable(ms(1), ms(2)), clock.clone());
     let mut node = DecisionService::new(N, chen(), net.endpoint(p(0)), clock.clone(), ms(50));
     let peer = net.endpoint(p(1));
-    // A compaction gap-signal (empty chunk starting above our tail)
-    // arms the snapshot negotiation…
+    // A relay ahead of the empty log makes the node ask the relay's
+    // sender for the suffix from its tail…
     peer.send(
         p(0),
-        encode(&WireMsg::SyncReply(SyncReply {
-            start: 5,
-            entries: Vec::new(),
+        encode(&WireMsg::Decided(DecidedMsg {
+            index: 4,
+            view_id: 1,
+            view_members: (1u128 << N) - 1,
+            value: 7,
         })),
     );
     clock.advance(ms(2));
     node.poll_into(&mut Vec::new());
+    clock.advance(ms(2));
+    let mut inbox = Vec::new();
+    peer.recv_batch(&mut inbox);
+    assert!(
+        inbox.iter().any(|d| matches!(
+            decode_borrowed(&d.payload),
+            Ok(WireView::SyncRequest(SyncRequest { from_index: 0 }))
+        )),
+        "the node asks from its tail"
+    );
     // …then the reply arrives twice (duplication plane), followed by a
     // bigger forgery (stale reordered reply from another epoch).
     let reply = |upto: u64| {
@@ -524,11 +536,7 @@ fn duplicated_snapshot_replies_install_once() {
         clock.advance(ms(2));
         node.poll_into(&mut Vec::new());
     }
-    assert_eq!(
-        node.log().snapshots_installed(),
-        1,
-        "one armed request, one install"
-    );
+    assert_eq!(node.log().snapshots_installed(), 1, "one ask, one install");
     assert_eq!(node.log().first_index(), 5, "the duplicate changed nothing");
     assert_eq!(node.log().len(), 5);
     assert!(!node.is_halted());
@@ -537,10 +545,9 @@ fn duplicated_snapshot_replies_install_once() {
 /// The responder counters count what went out, once: a pure-ack
 /// `SyncRequest` from the node's tail serves nothing, a request within
 /// the retained tail adds exactly the bytes of the `SyncReply`
-/// datagrams the requester receives, and a below-base
-/// `SnapshotRequest` adds one snapshot and exactly its reply's bytes.
-/// The empty gap-signal reply to a below-base `SyncRequest` is no
-/// served transfer.
+/// datagrams the requester receives, and a below-base `SyncRequest` —
+/// or a below-base `SnapshotRequest`, which asks the same — adds one
+/// snapshot and exactly its reply's bytes.
 #[test]
 fn served_transfers_are_counted_by_the_bytes_the_requester_receives() {
     let clock = VirtualClock::new();
@@ -599,19 +606,24 @@ fn served_transfers_are_counted_by_the_bytes_the_requester_receives() {
     // From the node's tail: a pure ack, nothing served.
     let (replies, bytes, snapshots) = ask(sync(10), sync_reply);
     assert_eq!((replies.len(), bytes, snapshots), (0, 0, 0));
-    // Below the base: the empty gap signal goes out, but serves nothing.
-    let (replies, bytes, snapshots) = ask(sync(3), sync_reply);
-    assert_eq!((replies.len(), bytes, snapshots), (1, 0, 0));
+    // Below the base: one snapshot and its reply's bytes.
+    let (replies, bytes, snapshots) = ask(sync(3), snapshot_reply);
+    assert_eq!(replies.len(), 1);
+    assert_eq!((bytes, snapshots), (replies[0], 1));
+    let snapshot_bytes = bytes;
     // Within the retained tail: exactly the suffix chunks' bytes.
     let (replies, bytes, snapshots) = ask(sync(8), sync_reply);
     assert!(!replies.is_empty());
-    assert_eq!((bytes, snapshots), (replies.iter().sum(), 0));
-    let suffix_bytes = bytes;
-    // Below the base, by snapshot: one snapshot and its reply's bytes.
+    assert_eq!(
+        (bytes, snapshots),
+        (snapshot_bytes + replies.iter().sum::<u64>(), 1)
+    );
+    let served_bytes = bytes;
+    // Below the base, by the older tag: the same answer.
     let request = WireMsg::SnapshotRequest(SnapshotRequest { from_index: 3 });
     let (replies, bytes, snapshots) = ask(request, snapshot_reply);
     assert_eq!(replies.len(), 1);
-    assert_eq!((bytes, snapshots), (suffix_bytes + replies[0], 1));
+    assert_eq!((bytes, snapshots), (served_bytes + replies[0], 2));
     assert_eq!(node.malformed_frames(), 0);
 }
 
