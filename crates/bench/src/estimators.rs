@@ -68,24 +68,6 @@ impl ArrivalEstimator for Estimators {
         }
     }
 
-    fn is_suspect(&self, now: Nanos) -> bool {
-        match self {
-            Estimators::Fixed(e) => e.is_suspect(now),
-            Estimators::Chen(e) => e.is_suspect(now),
-            Estimators::Jacobson(e) => e.is_suspect(now),
-            Estimators::Phi(e) => e.is_suspect(now),
-        }
-    }
-
-    fn is_suspect_given(&self, deadline: Option<Nanos>, now: Nanos) -> bool {
-        match self {
-            Estimators::Fixed(e) => e.is_suspect_given(deadline, now),
-            Estimators::Chen(e) => e.is_suspect_given(deadline, now),
-            Estimators::Jacobson(e) => e.is_suspect_given(deadline, now),
-            Estimators::Phi(e) => e.is_suspect_given(deadline, now),
-        }
-    }
-
     fn suspicion_level(&self, now: Nanos) -> f64 {
         match self {
             Estimators::Fixed(e) => e.suspicion_level(now),

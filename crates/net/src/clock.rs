@@ -7,7 +7,7 @@
 //! the wall [`SystemClock`] (the UDP examples).
 
 use core::fmt;
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -99,10 +99,7 @@ pub trait Pacer: Clock {
 
 impl Pacer for VirtualClock {
     fn pace_to(&self, t: Nanos) {
-        let mut now = self.now.lock();
-        if t > *now {
-            *now = t;
-        }
+        self.now.fetch_max(t.as_nanos(), Ordering::SeqCst);
     }
 }
 
@@ -134,7 +131,8 @@ impl Pacer for SystemClock {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct VirtualClock {
-    now: Arc<Mutex<Nanos>>,
+    /// Nanoseconds since the origin; it only ever moves forwards.
+    now: Arc<AtomicU64>,
 }
 
 impl VirtualClock {
@@ -146,8 +144,11 @@ impl VirtualClock {
 
     /// Advances the clock by `delta`.
     pub fn advance(&self, delta: Nanos) {
-        let mut now = self.now.lock();
-        *now = now.saturating_add(delta);
+        let _ = self
+            .now
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |now| {
+                Some(now.saturating_add(delta.as_nanos()))
+            });
     }
 
     /// Jumps the clock to `t` (must not move backwards).
@@ -156,15 +157,14 @@ impl VirtualClock {
     ///
     /// Panics if `t` precedes the current time.
     pub fn set(&self, t: Nanos) {
-        let mut now = self.now.lock();
-        assert!(t >= *now, "virtual clocks do not run backwards");
-        *now = t;
+        let was = self.now.fetch_max(t.as_nanos(), Ordering::SeqCst);
+        assert!(t.as_nanos() >= was, "virtual clocks do not run backwards");
     }
 }
 
 impl Clock for VirtualClock {
     fn now(&self) -> Nanos {
-        *self.now.lock()
+        Nanos(self.now.load(Ordering::SeqCst))
     }
 }
 

@@ -24,12 +24,14 @@ use std::ops::ControlFlow;
 /// Any other frame from a peer is evidence it was alive when the frame
 /// arrived — the paper's `T_{D⇒P}` reading of a message as an is-alive
 /// tag. [`on_evidence`](Self::on_evidence) raises the peer's
-/// *alive-until* instant to arrival + margin: the peer is suspected only
-/// when its estimator says so **and** that instant has passed, and
-/// [`deadline`](Self::deadline) is the later of the two. Evidence never
-/// feeds the estimator, so its arrival statistics stay heartbeat-only,
-/// and a detector that never hears evidence answers exactly as a
-/// heartbeat-only one.
+/// *alive-until* instant to arrival + margin. The peer's trusted-until
+/// instant, [`deadline`](Self::deadline), is the later of the freshness
+/// point and the alive-until instant, and it is the whole suspicion
+/// rule: [`suspects`](Self::suspects) names a peer exactly when `now`
+/// has passed it, for every estimator — the paper's "suspected, i.e.,
+/// timed-out". Evidence never feeds the estimator, so its arrival
+/// statistics stay heartbeat-only, and a detector that never hears
+/// evidence answers exactly as a heartbeat-only one.
 ///
 /// # Examples
 ///
@@ -73,14 +75,17 @@ struct Monitor<E> {
     alive_until: Option<Nanos>,
 }
 
-impl<E: ArrivalEstimator> Monitor<E> {
-    fn is_suspect(&self, now: Nanos) -> bool {
-        self.est.is_suspect_given(self.deadline, now)
-            && !matches!(self.alive_until, Some(alive) if now <= alive)
-    }
-
+impl<E> Monitor<E> {
+    /// The later of the stored freshness point and the alive-until
+    /// instant; `None` while the freshness point is.
     fn trusted_until(&self) -> Option<Nanos> {
         self.deadline.map(|d| d.max(self.alive_until.unwrap_or(d)))
+    }
+
+    /// The one suspicion rule: suspected exactly when `now` is past the
+    /// trusted-until instant.
+    fn is_suspect(&self, now: Nanos) -> bool {
+        self.trusted_until().is_some_and(|d| now > d)
     }
 }
 
@@ -137,9 +142,12 @@ impl<E: ArrivalEstimator + Clone> HeartbeatDetector<E> {
         }
     }
 
-    /// The suspected set at `now`. Peers that never sent a heartbeat are
-    /// *not* suspected (no evidence either way yet — detectors begin
-    /// trusting, matching the paper's accuracy-first reading).
+    /// The suspected set at `now`: every peer whose
+    /// [`deadline`](Self::deadline) has passed, one integer comparison
+    /// each. Peers that never sent a heartbeat are *not* suspected (no
+    /// evidence either way yet — detectors begin trusting, matching the
+    /// paper's accuracy-first reading), nor are peers whose estimator
+    /// has no deadline.
     #[must_use]
     pub fn suspects(&self, now: Nanos) -> ProcessSet {
         let mut s = ProcessSet::empty();

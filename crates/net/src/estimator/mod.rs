@@ -18,8 +18,10 @@
 //!   φ.
 //!
 //! All of them implement [`ArrivalEstimator`]: observe heartbeat
-//! arrivals, then answer "is the peer suspect at time `t`?" and with what
-//! confidence.
+//! arrivals, then name the instant until which the peer is trusted (its
+//! freshness point) and how suspicious a silence looks. Suspicion itself
+//! has one rule for all four: the peer is suspected exactly when that
+//! instant has passed — the paper's "suspected, i.e., timed-out".
 
 mod chen;
 mod fixed;
@@ -41,12 +43,12 @@ pub trait ArrivalEstimator: fmt::Debug {
     fn observe(&mut self, now: Nanos);
 
     /// The time until which the peer is trusted, given the arrivals seen
-    /// so far (the current *freshness point*). `None` before the first
-    /// arrival, and also when no threshold crossing exists within the
-    /// estimator's probe horizon (e.g. [`PhiAccrual`] under a
-    /// huge-variance window): a returned deadline is a guarantee that the
-    /// peer becomes suspect once it passes, so estimators must never
-    /// fabricate one.
+    /// so far (the current *freshness point*); the peer is suspected
+    /// exactly when it has passed. `None` before the first arrival, and
+    /// also when no threshold crossing exists within the estimator's
+    /// probe horizon (e.g. [`PhiAccrual`] under a huge-variance window):
+    /// the peer is then never suspected, so estimators must never
+    /// fabricate a deadline.
     ///
     /// **Contract:** the deadline is a pure function of the arrivals
     /// observed so far — only [`observe`](Self::observe) may change it,
@@ -56,21 +58,13 @@ pub trait ArrivalEstimator: fmt::Debug {
     /// poll until the next one from the value it kept.
     fn deadline(&self) -> Option<Nanos>;
 
-    /// Whether the peer is suspected at `now`.
+    /// Whether the peer is suspected at `now`: exactly when `now` is past
+    /// its [`deadline`](Self::deadline), the one suspicion rule of every
+    /// estimator. A convenience for callers holding a bare estimator;
+    /// [`HeartbeatDetector`](crate::detector::HeartbeatDetector) applies
+    /// the same rule to the deadline it stored.
     fn is_suspect(&self, now: Nanos) -> bool {
-        self.is_suspect_given(self.deadline(), now)
-    }
-
-    /// [`is_suspect`](Self::is_suspect) for a caller that already holds
-    /// `deadline`, the value [`deadline`](Self::deadline) returned after
-    /// the latest [`observe`](Self::observe) — the per-poll question of
-    /// [`HeartbeatDetector`](crate::detector::HeartbeatDetector). The
-    /// default is the freshness-point rule, one integer comparison. An
-    /// estimator whose suspicion is not a deadline comparison
-    /// ([`PhiAccrual`] thresholds φ itself) overrides this and
-    /// `is_suspect` together; a wrapper forwards both.
-    fn is_suspect_given(&self, deadline: Option<Nanos>, now: Nanos) -> bool {
-        matches!(deadline, Some(d) if now > d)
+        self.deadline().is_some_and(|d| now > d)
     }
 
     /// A monotone suspicion level at `now`: `0.0` right after a

@@ -6,10 +6,15 @@ use crate::clock::Nanos;
 /// Accrual detector: instead of a binary suspect bit, output a continuous
 /// suspicion level
 /// `φ(t) = −log₁₀ P(next heartbeat arrives after t)`
-/// under a normal model of inter-arrival times, and suspect when φ
+/// under a normal model of inter-arrival times, and suspect once φ
 /// crosses a threshold. φ = 1 means ≈10 % chance the silence is benign,
 /// φ = 3 means ≈0.1 %. This is the design adopted by Cassandra and Akka —
 /// the modern descendant of the paper's "group membership timeout".
+///
+/// The crossing is the freshness point:
+/// [`deadline`](ArrivalEstimator::deadline) bisects it once per arrival,
+/// and, as for every estimator, the peer is suspected exactly when the
+/// deadline has passed — a poll compares integers, it never evaluates φ.
 ///
 /// The model's mean and deviation are estimated from the `k` gaps in
 /// the window, so the next gap follows the normal law's prediction
@@ -127,16 +132,6 @@ impl ArrivalEstimator for PhiAccrual {
             }
         }
         Some(last.saturating_add(Nanos::from_nanos(hi)))
-    }
-
-    fn is_suspect(&self, now: Nanos) -> bool {
-        self.window.last_arrival().is_some() && self.phi(now) >= self.threshold
-    }
-
-    fn is_suspect_given(&self, _deadline: Option<Nanos>, now: Nanos) -> bool {
-        // φ itself decides, not the bisected crossing: the two differ at
-        // `now == deadline`.
-        self.is_suspect(now)
     }
 
     fn suspicion_level(&self, now: Nanos) -> f64 {

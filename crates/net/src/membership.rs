@@ -60,6 +60,41 @@ impl View {
     pub fn coordinator(&self) -> Option<ProcessId> {
         self.members.min()
     }
+
+    /// This view as a [`ViewStamp`], whose order is the total view order.
+    pub(crate) fn stamp(&self) -> ViewStamp {
+        ViewStamp {
+            id: self.id,
+            members: set_to_members(self.members),
+        }
+    }
+}
+
+/// A view as the wire and the decision log carry it, and the **total
+/// view order** of the heal-merge membership: primary key the monotone
+/// view id, tiebreaker the member bitmap. Concurrent merge proposals
+/// from two healed sides can carry the same id; comparing bitmaps makes
+/// every node pick the same winner, so the fleet converges instead of
+/// holding equal-id, different-member views. The derived `Ord` is
+/// exactly that `(id, members)` lexicographic order, so heal-merge
+/// adoption and the log's conflict rule are plain comparisons. The
+/// `Default` stamp `(0, ∅)` is the bottom of that order, used before any
+/// view is installed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ViewStamp {
+    /// Monotone view identifier.
+    pub id: u64,
+    /// Member bitmap of the view (bit `i` = `pᵢ`).
+    pub members: u128,
+}
+
+impl ViewStamp {
+    /// The members as a [`ProcessSet`] (restricted to an `n`-process
+    /// universe).
+    #[must_use]
+    pub fn member_set(&self, n: usize) -> ProcessSet {
+        members_to_set(self.members, n)
+    }
 }
 
 /// One membership node: a [`DetectorNode`] plus views. The detector node
@@ -210,23 +245,12 @@ where
         horizon
     }
 
-    /// Total order on views used by heal-merge adoption: primary key the
-    /// monotone id, tiebreaker the member bitmap. Concurrent merge
-    /// proposals from two healed sides can carry the same id; comparing
-    /// bitmaps makes every node pick the same winner, so the fleet
-    /// converges instead of holding equal-id, different-member views.
-    fn rank(view: View) -> (u64, u128) {
-        (view.id, set_to_members(view.members))
-    }
-
     fn adopt(&mut self, view: View) {
         if self.heal_merge {
             // Reconciliation mode: never halt. A view that omits this
             // (live) node is ignored — the node keeps its own view and
             // keeps heartbeating until a coordinator merges it back in.
-            if view.members.contains(self.transport().me())
-                && Self::rank(view) > Self::rank(self.view)
-            {
+            if view.members.contains(self.transport().me()) && view.stamp() > self.view.stamp() {
                 self.view = view;
                 self.views_installed += 1;
             }

@@ -10,7 +10,7 @@
 //! two replicas can prove their compacted prefixes equal without
 //! keeping them ([`ReplicatedLog::digest_at`]).
 
-use rfd_core::ProcessSet;
+use crate::membership::ViewStamp;
 
 /// FNV-1a offset basis: the digest chain's starting value.
 const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -35,29 +35,6 @@ fn fold_decision(digest: u64, decision: &Decision) -> u64 {
     d = fold_word(d, decision.view.id);
     d = fold_word(d, members as u64);
     fold_word(d, (members >> 64) as u64)
-}
-
-/// The membership view a decision was taken in, carrying the **total
-/// view order** of the heal-merge membership: primary key the monotone
-/// view id, tiebreaker the member bitmap. The derived `Ord` is exactly
-/// that `(id, members)` lexicographic order, so "resolved by the total
-/// view order" is a plain comparison. The `Default` stamp `(0, ∅)` is
-/// the bottom of that order, used before any view is installed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ViewStamp {
-    /// Monotone view identifier.
-    pub id: u64,
-    /// Member bitmap of the view (bit `i` = `pᵢ`).
-    pub members: u128,
-}
-
-impl ViewStamp {
-    /// The members as a [`ProcessSet`] (restricted to an `n`-process
-    /// universe).
-    #[must_use]
-    pub fn member_set(&self, n: usize) -> ProcessSet {
-        crate::codec::members_to_set(self.members, n)
-    }
 }
 
 /// One totally ordered decision of the service: the `index`-th entry of

@@ -48,6 +48,7 @@ mod retry;
 mod run_set;
 mod runner;
 
-pub use log::{Decision, MergeOutcome, ReplicatedLog, Snapshot, ViewStamp};
+pub use crate::membership::ViewStamp;
+pub use log::{Decision, MergeOutcome, ReplicatedLog, Snapshot};
 pub use node::{CompactionPolicy, DecisionService, ServiceOutput};
 pub use runner::{run_service, ServiceEvent, ServiceReport, ServiceRunner, ServiceScenario};

@@ -2,17 +2,17 @@
 
 mod transfer;
 
-use super::log::{Decision, ReplicatedLog, Snapshot, ViewStamp};
+use super::log::{Decision, ReplicatedLog, Snapshot};
 use super::retry::{RetryPlane, Timeouts};
 use super::run_set::RunSet;
 use crate::clock::{Clock, Nanos};
 use crate::codec::{
-    for_each_frame, set_to_members, Command, ConsensusFrame, DecidedMsg, SnapshotRequest,
-    SyncRequest, WireMsg, WireView,
+    for_each_frame, Command, ConsensusFrame, DecidedMsg, SnapshotRequest, SyncRequest, WireMsg,
+    WireView,
 };
 use crate::detector::SendRing;
 use crate::estimator::ArrivalEstimator;
-use crate::membership::{MembershipNode, View};
+use crate::membership::{MembershipNode, View, ViewStamp};
 use crate::transport::Transport;
 use bytes::Bytes;
 use rfd_algo::consensus::{RotatingConsensus, RotatingMsg};
@@ -561,7 +561,7 @@ where
             self.driver.tick_into(suspects, &mut sends);
             self.flush_consensus(&mut sends, suspects);
             if let Some(&value) = self.driver.decision(next) {
-                self.apply_at_tail(value, self.stamp(), events);
+                self.apply_at_tail(value, self.membership.view().stamp(), events);
                 self.commit_ready(events);
             }
             if self.log.len() == next {
@@ -826,15 +826,6 @@ where
         self.pool.remove(&value);
         self.decided_values.insert(value);
         self.driver.resolve(index, value);
-    }
-
-    /// The current view as a [`ViewStamp`].
-    fn stamp(&self) -> ViewStamp {
-        let view = self.membership.view();
-        ViewStamp {
-            id: view.id,
-            members: set_to_members(view.members),
-        }
     }
 
     fn send_raw(&self, to: ProcessId, payload: Bytes) {

@@ -8,7 +8,8 @@ use super::{DecisionService, ServiceOutput};
 use crate::clock::{Clock, Nanos};
 use crate::codec::{encode, SnapshotReply, SyncReply, SyncRequest, WireMsg, MAX_SYNC_ENTRIES};
 use crate::estimator::ArrivalEstimator;
-use crate::service::log::{Snapshot, ViewStamp};
+use crate::membership::ViewStamp;
+use crate::service::log::Snapshot;
 use crate::service::retry::Timeouts;
 use crate::transport::Transport;
 use rfd_core::ProcessId;

@@ -33,12 +33,11 @@
 //! every arrival time an estimator sees is coherent with the driver's
 //! clock regardless of what the inner transport recorded.
 
-use super::{ChurnableTransport, Datagram, Transport};
+use super::{lock, ChurnableTransport, Datagram, Transport};
 use crate::clock::Clock;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use rfd_core::{ProcessId, ProcessSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 #[derive(Debug, Default)]
 struct InjectorState {
@@ -80,27 +79,27 @@ impl FaultInjector {
     /// Whether `node` is currently muted (crashed).
     #[must_use]
     pub fn is_down(&self, node: ProcessId) -> bool {
-        self.state.lock().down.contains(node)
+        lock(&self.state).down.contains(node)
     }
 
     /// The active partition side, if any.
     #[must_use]
     pub fn partition(&self) -> Option<ProcessSet> {
-        self.state.lock().partition
+        lock(&self.state).partition
     }
 
     /// `(forwarded, dropped)` datagram counters across the cluster
     /// (drops include muting and partition crossings).
     #[must_use]
     pub fn stats(&self) -> (u64, u64) {
-        let g = self.state.lock();
+        let g = lock(&self.state);
         (g.forwarded, g.dropped)
     }
 
     /// Whether a send from `from` to `to` passes the fault plane right
     /// now, charging the counters.
     fn admits_send(&self, from: ProcessId, to: ProcessId) -> bool {
-        let mut g = self.state.lock();
+        let mut g = lock(&self.state);
         if g.down.contains(from) || g.down.contains(to) || g.cut(from, to) {
             g.dropped += 1;
             return false;
@@ -112,22 +111,22 @@ impl FaultInjector {
 
 impl ChurnableTransport for FaultInjector {
     fn take_down(&self, node: ProcessId) {
-        self.state.lock().down.insert(node);
+        lock(&self.state).down.insert(node);
     }
 
     fn bring_up(&self, node: ProcessId) {
-        let mut g = self.state.lock();
+        let mut g = lock(&self.state);
         if g.down.remove(node) {
             g.flush.insert(node);
         }
     }
 
     fn set_partition(&self, side: ProcessSet) {
-        self.state.lock().partition = Some(side);
+        lock(&self.state).partition = Some(side);
     }
 
     fn heal_partition(&self) {
-        self.state.lock().partition = None;
+        lock(&self.state).partition = None;
     }
 }
 
@@ -210,7 +209,7 @@ impl<T: Transport, C: Clock> Transport for FaultyTransport<T, C> {
 
     fn recv(&self) -> Option<Datagram> {
         let me = self.inner.me();
-        let mut g = self.injector.state.lock();
+        let mut g = lock(&self.injector.state);
         if g.down.contains(me) || g.flush.remove(me) {
             // Muted, or freshly recovered: discard everything buffered
             // during the outage. Holding the lock is fine — the inner

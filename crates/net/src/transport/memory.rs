@@ -1,16 +1,15 @@
 //! A deterministic in-memory network driven by a virtual clock.
 
-use super::{ChurnableTransport, Datagram, Transport};
+use super::{lock, ChurnableTransport, Datagram, Transport};
 use crate::clock::{Clock, ClockSkew, Nanos, VirtualClock};
 use crate::weather::WeatherDirective;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfd_core::{ProcessId, ProcessSet};
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The datagram loss process.
 #[derive(Clone, Debug, PartialEq)]
@@ -334,7 +333,7 @@ impl InMemoryNetwork {
     /// its previous life. Like traffic that comes due while it is down,
     /// the discarded inbox is charged to no counter.
     pub fn take_down(&self, node: ProcessId) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         g.down.insert(node);
         if let Some(inbox) = g.inboxes.get_mut(node.index()) {
             inbox.clear();
@@ -345,13 +344,13 @@ impl InMemoryNetwork {
     /// Datagrams addressed to it that came due while it was down stay
     /// dropped.
     pub fn bring_up(&self, node: ProcessId) {
-        self.inner.lock().down.remove(node);
+        lock(&self.inner).down.remove(node);
     }
 
     /// Whether a node is down.
     #[must_use]
     pub fn is_down(&self, node: ProcessId) -> bool {
-        self.inner.lock().down.contains(node)
+        lock(&self.inner).down.contains(node)
     }
 
     /// Installs a network partition: datagrams between `side` and its
@@ -359,25 +358,25 @@ impl InMemoryNetwork {
     /// [`InMemoryNetwork::heal_partition`]. Traffic within either side is
     /// unaffected. Replaces any previous partition.
     pub fn set_partition(&self, side: ProcessSet) {
-        self.inner.lock().partition = Some(side);
+        lock(&self.inner).partition = Some(side);
     }
 
     /// Heals the active partition, if any.
     pub fn heal_partition(&self) {
-        self.inner.lock().partition = None;
+        lock(&self.inner).partition = None;
     }
 
     /// The active partition side, if any.
     #[must_use]
     pub fn partition(&self) -> Option<ProcessSet> {
-        self.inner.lock().partition
+        lock(&self.inner).partition
     }
 
     /// `(sent, lost, delivered)` counters. A duplicated datagram is one
     /// send and up to two deliveries.
     #[must_use]
     pub fn stats(&self) -> (u64, u64, u64) {
-        let g = self.inner.lock();
+        let g = lock(&self.inner);
         (g.sent, g.lost, g.delivered)
     }
 
@@ -401,7 +400,7 @@ impl InMemoryNetwork {
 
     fn send_from(&self, from: ProcessId, to: ProcessId, payload: Bytes) {
         let now = self.clock.now();
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         let g = &mut *g; // split the guard so disjoint fields borrow freely
         if g.down.contains(from) || g.down.contains(to) {
             return;
@@ -480,7 +479,7 @@ impl InMemoryNetwork {
 
     fn recv_for(&self, me: ProcessId) -> Option<Datagram> {
         let now = self.clock.now();
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         Self::pump_locked(&mut g, now);
         if g.down.contains(me) {
             return None;
@@ -493,7 +492,7 @@ impl InMemoryNetwork {
     /// [`InMemoryNetwork::recv_for`]).
     fn recv_all_for(&self, me: ProcessId, into: &mut Vec<Datagram>) -> usize {
         let now = self.clock.now();
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         Self::pump_locked(&mut g, now);
         if g.down.contains(me) {
             return 0;
@@ -533,7 +532,7 @@ impl ChurnableTransport for InMemoryNetwork {
     /// later send overtakes a held one. A directive that leaves every
     /// plane off returns the medium to its calm send path.
     fn apply_weather(&self, directive: &WeatherDirective) -> bool {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         let planes = g.weather.get_or_insert_with(Planes::default);
         planes.apply(*directive);
         if planes.is_calm() {

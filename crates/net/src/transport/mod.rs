@@ -22,6 +22,14 @@ use crate::clock::Nanos;
 use crate::weather::WeatherDirective;
 use bytes::Bytes;
 use rfd_core::{ProcessId, ProcessSet};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks the medium's or the fault injector's shared state. A holder
+/// that panicked poisons nothing: every critical section leaves the
+/// state whole, so the guard is recovered rather than the panic spread.
+fn lock<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A received datagram.
 #[derive(Clone, Debug)]
@@ -106,5 +114,24 @@ pub trait ChurnableTransport {
     fn apply_weather(&self, directive: &WeatherDirective) -> bool {
         let _ = directive;
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lock;
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn lock_survives_a_panicked_holder() {
+        let state = Arc::new(Mutex::new(0));
+        let held = Arc::clone(&state);
+        let _ = std::thread::spawn(move || {
+            let _guard = lock(&held);
+            panic!("poison the lock");
+        })
+        .join();
+        *lock(&state) += 1;
+        assert_eq!(*lock(&state), 1);
     }
 }

@@ -214,10 +214,7 @@ impl Kind {
 
     /// The reference verdict at `now` after `arrivals`.
     fn is_suspect(self, arrivals: &[Nanos], now: Nanos) -> bool {
-        match self {
-            Kind::Phi => !arrivals.is_empty() && phi(arrivals, now) >= THRESHOLD,
-            _ => matches!(self.deadline(arrivals), Some(d) if now > d),
-        }
+        matches!(self.deadline(arrivals), Some(d) if now > d)
     }
 }
 
@@ -337,8 +334,14 @@ fn check<E: ArrivalEstimator + Clone>(
                     .filter(|&ix| peers[ix].is_suspect(kind, now))
                     .map(p)
                     .collect();
-                assert_eq!(detector.suspects(now), want, "{kind:?} suspects({now})");
+                let suspects = detector.suspects(now);
+                assert_eq!(suspects, want, "{kind:?} suspects({now})");
                 for (ix, peer) in peers.iter().enumerate().skip(1) {
+                    assert_eq!(
+                        suspects.contains(p(ix)),
+                        detector.deadline(p(ix)).is_some_and(|d| now > d),
+                        "{kind:?} suspicion and deadline disagree at {now}, p{ix}"
+                    );
                     let est = detector.monitor(p(ix)).expect("a monitored peer");
                     assert_eq!(est.is_suspect(now), kind.is_suspect(&peer.arrivals, now));
                 }
