@@ -11,6 +11,17 @@
 //! The algorithm is **total** (Lemma 4.1): with a strongly accurate
 //! detector, every round's wait covers every non-crashed process, so the
 //! decision's causal chain contains a message from each of them.
+//!
+//! Always running `n` rounds is the worst case for `f = n − 1`. The
+//! early-stopping variant, [`EarlyFloodSetConsensus`], differs in one
+//! stopping rule: it also decides once the participant set has been
+//! **stable for two consecutive rounds** (the `min(f+2, n)` flavor: one
+//! stable round proves everyone converged on the same value set; the
+//! second guards *uniform* agreement against a decider that crashes
+//! immediately after deciding while slower processes still observe
+//! churn). It is a design-choice ablation: experiment E9b
+//! (`docs/EXPERIMENTS.md`) compares its decision latency against the
+//! fixed-round version as `f` varies.
 
 use super::{ConsensusCore, Outbox};
 use rfd_core::{ProcessId, ProcessSet};
@@ -30,21 +41,38 @@ pub enum FloodSetMsg<V> {
     Decided(V),
 }
 
-/// Flood-set consensus state machine (class `P`).
+/// Flood-set consensus state machine (class `P`). With `EARLY` it also
+/// decides after two participant-stable rounds.
 #[derive(Clone, Debug)]
-pub struct FloodSetConsensus<V> {
+pub struct FloodSetConsensus<V, const EARLY: bool = false> {
     n: usize,
     round: u32,
     values: BTreeSet<V>,
     sent_this_round: bool,
     received: ProcessSet,
+    /// Participant set of the previous completed round (early rule only).
+    prev_participants: Option<ProcessSet>,
+    /// Consecutive rounds with an unchanged participant set (early rule
+    /// only).
+    stable_streak: u32,
     /// Round-`r` messages for rounds we have not reached yet.
     buffered: Vec<(u32, ProcessId, Vec<V>)>,
     decision: Option<V>,
     announced: bool,
 }
 
-impl<V: Clone + Eq + Ord> FloodSetConsensus<V> {
+/// Early-deciding flood-set consensus (class `P`): decides after two
+/// participant-stable rounds, or after `n` rounds at the latest.
+pub type EarlyFloodSetConsensus<V> = FloodSetConsensus<V, true>;
+
+impl<V: Clone + Eq + Ord, const EARLY: bool> FloodSetConsensus<V, EARLY> {
+    /// The round this process is currently in (diagnostic; the ablation
+    /// reads it to compare round counts).
+    #[must_use]
+    pub fn round(&self) -> u32 {
+        self.round
+    }
+
     fn enter_round(&mut self) {
         self.sent_this_round = false;
         self.received = ProcessSet::empty();
@@ -71,6 +99,22 @@ impl<V: Clone + Eq + Ord> FloodSetConsensus<V> {
         })
     }
 
+    /// Records a completed round's participant set and says whether the
+    /// early rule lets the process decide now: two consecutive rounds
+    /// with an unchanged participant set. Always `false` without `EARLY`.
+    fn stable_twice(&mut self) -> bool {
+        if !EARLY {
+            return false;
+        }
+        if self.prev_participants == Some(self.received) {
+            self.stable_streak += 1;
+        } else {
+            self.stable_streak = 0;
+        }
+        self.prev_participants = Some(self.received);
+        self.stable_streak >= 2
+    }
+
     fn decide(&mut self, out: &mut Outbox<FloodSetMsg<V>>) -> Option<V> {
         let v = self
             .values
@@ -85,7 +129,7 @@ impl<V: Clone + Eq + Ord> FloodSetConsensus<V> {
     }
 }
 
-impl<V: Clone + Eq + Ord> ConsensusCore for FloodSetConsensus<V> {
+impl<V: Clone + Eq + Ord, const EARLY: bool> ConsensusCore for FloodSetConsensus<V, EARLY> {
     type Msg = FloodSetMsg<V>;
     type Val = V;
 
@@ -99,6 +143,8 @@ impl<V: Clone + Eq + Ord> ConsensusCore for FloodSetConsensus<V> {
             values,
             sent_this_round: false,
             received: ProcessSet::empty(),
+            prev_participants: None,
+            stable_streak: 0,
             buffered: Vec::new(),
             decision: None,
             announced: false,
@@ -147,9 +193,10 @@ impl<V: Clone + Eq + Ord> ConsensusCore for FloodSetConsensus<V> {
                 values: self.values.iter().cloned().collect(),
             });
         }
-        // Advance when every non-suspected process has been heard.
+        // Advance when every non-suspected process has been heard;
+        // decide after the exhaustive bound (or the early rule).
         if self.wait_satisfied(suspects) {
-            if self.round as usize >= self.n {
+            if self.stable_twice() || self.round as usize >= self.n {
                 return self.decide(out);
             }
             self.round += 1;
@@ -166,6 +213,15 @@ impl<V: Clone + Eq + Ord> ConsensusCore for FloodSetConsensus<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::check_consensus;
+    use crate::consensus::ConsensusAutomaton;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use rfd_core::oracles::{Oracle, PerfectOracle};
+    use rfd_core::{FailurePattern, Time};
+    use rfd_sim::{run, ticks_for_rounds, SimConfig, StopCondition};
+
+    const ROUNDS: u64 = 700;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -266,5 +322,67 @@ mod tests {
         assert_eq!(c.round, 2);
         assert!(c.received.contains(p(1)));
         assert!(c.values.contains(&1));
+    }
+
+    #[test]
+    fn early_floodset_is_uniform_consensus_random_sweep() {
+        let mut rng = StdRng::seed_from_u64(0xEF);
+        let oracle = PerfectOracle::new(6, 3);
+        for n in [3usize, 5, 7] {
+            for seed in 0..15u64 {
+                let pattern = FailurePattern::random(n, n - 1, Time::new(ROUNDS), &mut rng);
+                let history = oracle.generate(&pattern, ticks_for_rounds(n, ROUNDS), seed);
+                let props: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
+                let automata = ConsensusAutomaton::<EarlyFloodSetConsensus<u64>>::fleet(&props);
+                let config =
+                    SimConfig::new(seed, ROUNDS).with_stop(StopCondition::EachCorrectOutput(1));
+                let result = run(&pattern, &history, automata, &config);
+                let v = check_consensus(&pattern, &result.trace, &props);
+                assert!(
+                    v.is_uniform_consensus(),
+                    "n={n} seed={seed} pattern={pattern:?}: {v:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn early_decider_finishes_before_the_exhaustive_bound_when_failure_free() {
+        let n = 8;
+        let pattern = FailurePattern::new(n);
+        let oracle = PerfectOracle::new(6, 3);
+        let history = oracle.generate(&pattern, ticks_for_rounds(n, ROUNDS), 0);
+        let props: Vec<u64> = (0..n as u64).collect();
+        let automata = ConsensusAutomaton::<EarlyFloodSetConsensus<u64>>::fleet(&props);
+        let config = SimConfig::new(1, ROUNDS).with_stop(StopCondition::EachCorrectOutput(1));
+        let result = run(&pattern, &history, automata, &config);
+        // The first decider must have stopped well before n rounds.
+        let max_round = result
+            .automata
+            .iter()
+            .map(|a| a.core().round())
+            .max()
+            .unwrap();
+        assert!(
+            max_round < n as u32,
+            "early stopping should beat the n-round bound (saw round {max_round})"
+        );
+    }
+
+    #[test]
+    fn early_floodset_is_total() {
+        let oracle = PerfectOracle::new(6, 3);
+        let mut rng = StdRng::seed_from_u64(0xEE);
+        for seed in 0..10u64 {
+            let n = 5;
+            let pattern = FailurePattern::random(n, n - 1, Time::new(ROUNDS), &mut rng);
+            let history = oracle.generate(&pattern, ticks_for_rounds(n, ROUNDS), seed);
+            let props: Vec<u64> = (0..n as u64).collect();
+            let automata = ConsensusAutomaton::<EarlyFloodSetConsensus<u64>>::fleet(&props);
+            let config =
+                SimConfig::new(seed, ROUNDS).with_stop(StopCondition::EachCorrectOutput(1));
+            let result = run(&pattern, &history, automata, &config);
+            assert_eq!(result.trace.check_totality(&pattern), Ok(()), "seed={seed}");
+        }
     }
 }

@@ -12,8 +12,9 @@
 //!   a realistic detector (footnote 4 of the paper).
 //! * [`FloodSetConsensus`] — a `P`-based flood-set algorithm (the
 //!   sufficiency half of Proposition 4.3); also total.
-//! * [`EarlyFloodSetConsensus`] — the early-stopping variant (decide
-//!   after two stable rounds instead of always `n`); the latency
+//! * [`EarlyFloodSetConsensus`] — the same algorithm with one more
+//!   stopping rule (decide after two stable rounds instead of always
+//!   `n`): an alias of `FloodSetConsensus<V, true>`, the latency
 //!   ablation of E9b.
 //! * [`RotatingConsensus`] — the Chandra–Toueg `◇S` rotating-coordinator
 //!   algorithm; requires a **correct majority** and is *not* total — the
@@ -29,15 +30,13 @@
 //! the reductions of §4.3 wrap cores directly).
 
 mod ct_strong;
-mod early;
 mod floodset;
 mod marabout;
 mod ranked;
 mod rotating;
 
 pub use ct_strong::{StrongConsensus, StrongMsg};
-pub use early::{EarlyFloodSetConsensus, EarlyFloodSetMsg};
-pub use floodset::{FloodSetConsensus, FloodSetMsg};
+pub use floodset::{EarlyFloodSetConsensus, FloodSetConsensus, FloodSetMsg};
 pub use marabout::{MaraboutConsensus, MaraboutMsg};
 pub use ranked::{RankedConsensus, RankedMsg};
 pub use rotating::{RotatingConsensus, RotatingMsg};

@@ -12,7 +12,8 @@
 //! * **Broadcast** ([`broadcast`]): reliable broadcast and the
 //!   consensus-sequence atomic broadcast.
 //! * **Reductions** ([`reduction`]): `T_{D⇒P}` (§4.3) and the TRB → `P`
-//!   emulation (§5), both exposing their `output(P)` for class checking.
+//!   emulation (§5), two instances of one driver, both exposing their
+//!   `output(P)` for class checking.
 //! * **Verdicts** ([`check`]): uniform/correct-restricted consensus and
 //!   TRB property checkers with violation witnesses.
 //! * **Step drivers** ([`driver`]): the [`SlotDriver`] adapter that runs

@@ -18,176 +18,59 @@
 //! crashed process sends nothing in later instances, whose decisions
 //! therefore lack its tag: strong completeness.
 
+use super::emulation::{Emulation, Instance};
 use crate::consensus::{ConsensusCore, Outbox};
 use rfd_core::{ProcessId, ProcessSet};
-use rfd_sim::{Automaton, Envelope, StepContext};
-
-/// A consensus message wrapped with its instance number and alive-tags.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InstanceMsg<M> {
-    /// Consensus instance number (0-based).
-    pub instance: u64,
-    /// Alive-tags: the instance-scoped causal past of the send.
-    pub alive: ProcessSet,
-    /// The wrapped consensus message.
-    pub inner: M,
-}
 
 /// The `T_{D⇒P}` emulation automaton, generic over the total consensus
 /// core `C` (e.g. [`crate::consensus::StrongConsensus`] or
 /// [`crate::consensus::FloodSetConsensus`]).
+pub type PerfectEmulation<C> = Emulation<AliveTagged<C>>;
+
+/// One `T_{D⇒P}` instance: a consensus core proposing the process's own
+/// index, plus the alive-tags gathered for it.
 #[derive(Debug)]
-pub struct PerfectEmulation<C: ConsensusCore> {
-    me: ProcessId,
+pub struct AliveTagged<C> {
     n: usize,
-    instance: u64,
     core: C,
-    /// Alive-tags gathered for the current instance (always contains
-    /// `me`).
+    /// Alive-tags gathered for this instance (always contains `me`).
     alive: ProcessSet,
-    /// The emulated Perfect detector output — grows monotonically.
-    output_p: ProcessSet,
-    /// Messages for future instances.
-    buffered: Vec<(u64, ProcessId, ProcessSet, C::Msg)>,
-    /// Decisions observed (instance, decided alive set) — diagnostics.
-    decisions: u64,
 }
 
-impl<C> PerfectEmulation<C>
+impl<C> Instance for AliveTagged<C>
 where
     C: ConsensusCore,
     C::Val: From<u64>,
 {
-    /// Creates the emulation process `me` of `n`.
-    #[must_use]
-    pub fn new(me: ProcessId, n: usize) -> Self {
+    type Tag = ProcessSet;
+    type Msg = C::Msg;
+
+    fn start(me: ProcessId, n: usize, _k: u64) -> Self {
         Self {
-            me,
             n,
-            instance: 0,
             core: C::new(me, n, C::Val::from(me.index() as u64)),
             alive: ProcessSet::singleton(me),
-            output_p: ProcessSet::empty(),
-            buffered: Vec::new(),
-            decisions: 0,
         }
     }
 
-    /// Builds the fleet.
-    #[must_use]
-    pub fn fleet(n: usize) -> Vec<Self> {
-        (0..n).map(|ix| Self::new(ProcessId::new(ix), n)).collect()
+    fn tag(&self) -> ProcessSet {
+        self.alive
     }
 
-    /// The current `output(P)` of this process.
-    #[must_use]
-    pub fn output_p(&self) -> ProcessSet {
-        self.output_p
+    fn absorb(&mut self, alive: ProcessSet) {
+        self.alive |= alive;
     }
 
-    /// Number of consensus instances this process has seen decide.
-    #[must_use]
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    fn next_instance(&mut self) {
-        self.instance += 1;
-        self.core = C::new(self.me, self.n, C::Val::from(self.me.index() as u64));
-        self.alive = ProcessSet::singleton(self.me);
-    }
-
-    /// Runs one core step (with optional input), wrapping sends with the
-    /// current instance and alive-tags. Returns `true` if the instance
-    /// decided.
-    fn drive(
+    fn step(
         &mut self,
         input: Option<(ProcessId, &C::Msg)>,
         suspects: ProcessSet,
-        sends: &mut Vec<(ProcessId, InstanceMsg<C::Msg>)>,
-    ) -> bool {
-        let mut out = Outbox::new(self.me, self.n);
-        let decided = self.core.step(input, suspects, &mut out);
-        for (to, msg) in out.drain() {
-            sends.push((
-                to,
-                InstanceMsg {
-                    instance: self.instance,
-                    alive: self.alive,
-                    inner: msg,
-                },
-            ));
-        }
-        if decided.is_some() {
-            // §4.3 step 3: suspect exactly the processes whose alive-tag
-            // is missing from the decision event.
-            self.output_p |= self.alive.complement_within(self.n);
-            self.decisions += 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-impl<C> Automaton for PerfectEmulation<C>
-where
-    C: ConsensusCore,
-    C::Val: From<u64>,
-{
-    type Msg = InstanceMsg<C::Msg>;
-    /// Each decision event outputs the updated `output(P)` snapshot.
-    type Output = ProcessSet;
-
-    fn on_step(
-        &mut self,
-        input: Option<&Envelope<Self::Msg>>,
-        ctx: &mut StepContext<Self::Msg, Self::Output>,
-    ) {
-        let mut sends: Vec<(ProcessId, InstanceMsg<C::Msg>)> = Vec::new();
-        // Classify the input.
-        let mut inner_input: Option<(ProcessId, C::Msg)> = None;
-        if let Some(env) = input {
-            let msg = &env.payload;
-            if msg.instance == self.instance {
-                self.alive |= msg.alive;
-                inner_input = Some((env.from, msg.inner.clone()));
-            } else if msg.instance > self.instance {
-                self.buffered
-                    .push((msg.instance, env.from, msg.alive, msg.inner.clone()));
-            }
-            // Older instances: already decided here — tags are stale and
-            // suspicions are never retracted, so drop them.
-        }
-        // Drive the current instance; on decision, roll into the next and
-        // replay any buffered traffic (possibly cascading).
-        let mut decided = self.drive(
-            inner_input.as_ref().map(|(f, m)| (*f, m)),
-            ctx.suspects(),
-            &mut sends,
-        );
-        while decided {
-            ctx.output(self.output_p);
-            self.next_instance();
-            let instance = self.instance;
-            let buffered = std::mem::take(&mut self.buffered);
-            decided = false;
-            for (k, from, alive, msg) in buffered {
-                if k == instance && !decided {
-                    self.alive |= alive;
-                    decided |= self.drive(Some((from, &msg)), ctx.suspects(), &mut sends);
-                } else if k > instance || (k == instance && decided) {
-                    self.buffered.push((k, from, alive, msg));
-                }
-            }
-        }
-        for (to, msg) in sends {
-            ctx.send(to, msg);
-        }
-    }
-
-    fn emulated_suspects(&self) -> Option<ProcessSet> {
-        Some(self.output_p)
+        out: &mut Outbox<C::Msg>,
+    ) -> Option<ProcessSet> {
+        // §4.3 step 3: suspect exactly the processes whose alive-tag is
+        // missing from the decision event.
+        let decided = self.core.step(input, suspects, out);
+        decided.map(|_| self.alive.complement_within(self.n))
     }
 }
 
@@ -195,6 +78,7 @@ where
 mod tests {
     use super::*;
     use crate::consensus::FloodSetConsensus;
+    use rfd_sim::Automaton;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -212,17 +96,17 @@ mod tests {
     #[test]
     fn alive_tags_start_with_self() {
         let e = Emu::new(p(2), 3);
-        assert_eq!(e.alive, ProcessSet::singleton(p(2)));
+        assert_eq!(e.current.alive, ProcessSet::singleton(p(2)));
     }
 
     #[test]
     fn instance_rollover_resets_alive_and_keeps_output() {
         let mut e = Emu::new(p(0), 2);
-        e.alive.insert(p(1));
+        e.current.alive.insert(p(1));
         e.output_p.insert(p(1));
         e.next_instance();
         assert_eq!(e.instance, 1);
-        assert_eq!(e.alive, ProcessSet::singleton(p(0)));
+        assert_eq!(e.current.alive, ProcessSet::singleton(p(0)));
         assert!(e.output_p.contains(p(1)), "suspicions are never retracted");
     }
 }

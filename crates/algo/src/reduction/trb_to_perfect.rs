@@ -8,164 +8,60 @@
 //! the initiator has actually crashed (here: the `P`-based TRB stack's
 //! suspicion path fires only after a real crash).
 
+use super::emulation::{Emulation, Instance};
+use crate::consensus::Outbox;
 use crate::trb::{TrbMsg, TrbProcess};
 use rfd_core::{ProcessId, ProcessSet};
-use rfd_sim::{Automaton, Envelope, StepContext};
-
-use crate::consensus::Outbox;
-
-/// A TRB message wrapped with its instance number.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TrbInstanceMsg {
-    /// Instance number `k`; the initiator is `p_{k mod n}`.
-    pub instance: u64,
-    /// The wrapped TRB message (payloads are synthetic `k` values).
-    pub inner: TrbMsg<u64>,
-}
 
 /// The §5 emulation automaton: round-robin TRB instances; `nil`
 /// deliveries populate `output(P)`.
+pub type TrbEmulation = Emulation<TrbInstance>;
+
+/// TRB instance `k`, initiated by `p_{k mod n}` with the synthetic
+/// payload `k`; delivering `nil` suspects the initiator.
 #[derive(Debug)]
-pub struct TrbEmulation {
-    me: ProcessId,
-    n: usize,
-    instance: u64,
+pub struct TrbInstance {
+    initiator: ProcessId,
     trb: TrbProcess<u64>,
-    output_p: ProcessSet,
-    buffered: Vec<(u64, ProcessId, TrbMsg<u64>)>,
-    deliveries: u64,
 }
 
-impl TrbEmulation {
-    /// Creates the emulation process `me` of `n`.
-    #[must_use]
-    pub fn new(me: ProcessId, n: usize) -> Self {
-        Self {
-            me,
-            n,
-            instance: 0,
-            trb: Self::instance_process(me, n, 0),
-            output_p: ProcessSet::empty(),
-            buffered: Vec::new(),
-            deliveries: 0,
-        }
-    }
-
-    /// Builds the fleet.
-    #[must_use]
-    pub fn fleet(n: usize) -> Vec<Self> {
-        (0..n).map(|ix| Self::new(ProcessId::new(ix), n)).collect()
-    }
-
+impl TrbInstance {
     /// The initiator of instance `k`.
     #[must_use]
     pub fn initiator(n: usize, k: u64) -> ProcessId {
         ProcessId::new((k % n as u64) as usize)
     }
+}
 
-    /// The current `output(P)` of this process.
-    #[must_use]
-    pub fn output_p(&self) -> ProcessSet {
-        self.output_p
-    }
+impl Instance for TrbInstance {
+    type Tag = ();
+    type Msg = TrbMsg<u64>;
 
-    /// Number of TRB instances delivered by this process.
-    #[must_use]
-    pub fn deliveries(&self) -> u64 {
-        self.deliveries
-    }
-
-    fn instance_process(me: ProcessId, n: usize, k: u64) -> TrbProcess<u64> {
+    fn start(me: ProcessId, n: usize, k: u64) -> Self {
         let initiator = Self::initiator(n, k);
         let payload = (me == initiator).then_some(k);
-        TrbProcess::new(me, n, initiator, payload)
+        Self {
+            initiator,
+            trb: TrbProcess::new(me, n, initiator, payload),
+        }
     }
 
-    fn next_instance(&mut self) {
-        self.instance += 1;
-        self.trb = Self::instance_process(self.me, self.n, self.instance);
-    }
+    fn tag(&self) {}
 
-    fn drive(
+    fn absorb(&mut self, (): ()) {}
+
+    fn step(
         &mut self,
         input: Option<(ProcessId, &TrbMsg<u64>)>,
         suspects: ProcessSet,
-        sends: &mut Vec<(ProcessId, TrbInstanceMsg)>,
-    ) -> bool {
-        let mut out = Outbox::new(self.me, self.n);
-        let delivered = self.trb.step(input, suspects, &mut out);
-        for (to, msg) in out.drain() {
-            sends.push((
-                to,
-                TrbInstanceMsg {
-                    instance: self.instance,
-                    inner: msg,
-                },
-            ));
-        }
-        match delivered {
-            Some(None) => {
-                // nil delivered: suspect the initiator, permanently.
-                self.output_p.insert(Self::initiator(self.n, self.instance));
-                self.deliveries += 1;
-                true
-            }
-            Some(Some(_)) => {
-                self.deliveries += 1;
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-impl Automaton for TrbEmulation {
-    type Msg = TrbInstanceMsg;
-    /// Each delivery outputs the updated `output(P)` snapshot.
-    type Output = ProcessSet;
-
-    fn on_step(
-        &mut self,
-        input: Option<&Envelope<Self::Msg>>,
-        ctx: &mut StepContext<Self::Msg, Self::Output>,
-    ) {
-        let mut sends: Vec<(ProcessId, TrbInstanceMsg)> = Vec::new();
-        let mut inner_input: Option<(ProcessId, TrbMsg<u64>)> = None;
-        if let Some(env) = input {
-            let msg = &env.payload;
-            if msg.instance == self.instance {
-                inner_input = Some((env.from, msg.inner.clone()));
-            } else if msg.instance > self.instance {
-                self.buffered
-                    .push((msg.instance, env.from, msg.inner.clone()));
-            }
-        }
-        let mut delivered = self.drive(
-            inner_input.as_ref().map(|(f, m)| (*f, m)),
-            ctx.suspects(),
-            &mut sends,
-        );
-        while delivered {
-            ctx.output(self.output_p);
-            self.next_instance();
-            let instance = self.instance;
-            let buffered = std::mem::take(&mut self.buffered);
-            delivered = false;
-            for (k, from, msg) in buffered {
-                if k == instance && !delivered {
-                    delivered |= self.drive(Some((from, &msg)), ctx.suspects(), &mut sends);
-                } else if k > instance || (k == instance && delivered) {
-                    self.buffered.push((k, from, msg));
-                }
-            }
-        }
-        for (to, msg) in sends {
-            ctx.send(to, msg);
-        }
-    }
-
-    fn emulated_suspects(&self) -> Option<ProcessSet> {
-        Some(self.output_p)
+        out: &mut Outbox<TrbMsg<u64>>,
+    ) -> Option<ProcessSet> {
+        // nil delivered: suspect the initiator, permanently.
+        let delivered = self.trb.step(input, suspects, out)?;
+        Some(match delivered {
+            None => ProcessSet::singleton(self.initiator),
+            Some(_) => ProcessSet::empty(),
+        })
     }
 }
 
@@ -179,15 +75,15 @@ mod tests {
 
     #[test]
     fn initiator_rotates_round_robin() {
-        assert_eq!(TrbEmulation::initiator(3, 0), p(0));
-        assert_eq!(TrbEmulation::initiator(3, 4), p(1));
-        assert_eq!(TrbEmulation::initiator(3, 5), p(2));
+        assert_eq!(TrbInstance::initiator(3, 0), p(0));
+        assert_eq!(TrbInstance::initiator(3, 4), p(1));
+        assert_eq!(TrbInstance::initiator(3, 5), p(2));
     }
 
     #[test]
     fn fresh_emulation_suspects_nobody() {
         let e = TrbEmulation::new(p(1), 3);
         assert!(e.output_p().is_empty());
-        assert_eq!(e.deliveries(), 0);
+        assert_eq!(e.completed(), 0);
     }
 }

@@ -71,7 +71,7 @@ pub fn run_experiment() -> Table {
                             .iter()
                             .enumerate()
                             .filter(|(ix, _)| pattern.correct().contains(ProcessId::new(*ix)))
-                            .map(|(_, a)| a.decisions())
+                            .map(|(_, a)| a.completed())
                             .min()
                             .unwrap_or(0);
                         (report.is_in(ClassId::Perfect), latencies, instances)

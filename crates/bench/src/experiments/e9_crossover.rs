@@ -17,17 +17,22 @@ use rfd_core::{FailurePattern, ProcessId, Time};
 use rfd_sim::campaign::{Campaign, RunPlan};
 use rfd_sim::{ticks_for_rounds, SimConfig, StopCondition};
 
-const ROUNDS: u64 = 800;
+pub(super) const ROUNDS: u64 = 800;
 
-struct Row {
-    terminated: usize,
+/// One sweep cell: how many seeds terminated, and the sums their means
+/// are taken over.
+pub(super) struct Row {
+    pub(super) terminated: usize,
     runs: usize,
-    latency_sum: u64,
-    latency_count: u64,
+    pub(super) latency_sum: u64,
+    pub(super) latency_count: u64,
     msgs_sum: u64,
 }
 
-fn sweep<C: ConsensusCore<Val = u64>>(
+/// Runs `seeds` seeds of `C` at `n` with `f` staggered crashes, asserting
+/// on every seed that uniform agreement and validity hold (terminated or
+/// not); E9b runs its ablation through it too.
+pub(super) fn sweep<C: ConsensusCore<Val = u64>>(
     n: usize,
     f: usize,
     history_of: impl Fn(&FailurePattern, u64) -> rfd_core::History<rfd_core::ProcessSet> + Sync,
@@ -48,8 +53,12 @@ fn sweep<C: ConsensusCore<Val = u64>>(
             automata: ConsensusAutomaton::<C>::fleet(&props),
             config,
         },
-        |_seed, pattern, result| {
+        |seed, pattern, result| {
             let verdict = check_consensus(pattern, &result.trace, &props);
+            assert!(
+                verdict.uniform_agreement.is_ok() && verdict.validity.is_ok(),
+                "consensus must stay safe: n={n} f={f} seed={seed}: {verdict:?}"
+            );
             verdict.termination.is_ok().then(|| {
                 let last_decision = result
                     .trace

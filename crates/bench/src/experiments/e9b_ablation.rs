@@ -6,70 +6,18 @@
 //! convergence of the two as `f → n − 1` (churn keeps resetting the
 //! stability streak), at identical correctness.
 
+use super::e9_crossover::{sweep, Row, ROUNDS};
 use crate::table::{pct, Table};
-use rfd_algo::check::check_consensus;
-use rfd_algo::consensus::{
-    ConsensusAutomaton, ConsensusCore, EarlyFloodSetConsensus, FloodSetConsensus,
-};
+use rfd_algo::consensus::{ConsensusCore, EarlyFloodSetConsensus, FloodSetConsensus};
 use rfd_core::oracles::{Oracle, PerfectOracle};
-use rfd_core::{FailurePattern, ProcessId, Time};
-use rfd_sim::campaign::{Campaign, RunPlan};
-use rfd_sim::{ticks_for_rounds, SimConfig, StopCondition};
+use rfd_sim::ticks_for_rounds;
 
-const ROUNDS: u64 = 800;
-
-struct Row {
-    terminated: usize,
-    latency_sum: u64,
-    latency_count: u64,
-}
-
-fn sweep<C: ConsensusCore<Val = u64>>(n: usize, f: usize, seeds: u64) -> Row {
+/// E9's sweep over the `P` oracle: its crash schedule, its round budget
+/// and its per-seed safety assertion.
+fn sweep_p<C: ConsensusCore<Val = u64>>(n: usize, f: usize, seeds: u64) -> Row {
     let oracle = PerfectOracle::new(6, 3);
     let horizon = ticks_for_rounds(n, ROUNDS);
-    let props: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-    let mut pattern = FailurePattern::new(n);
-    for k in 0..f {
-        pattern.set_crash(ProcessId::new(k), Time::new(20 + 30 * k as u64));
-    }
-    let base = SimConfig::new(0, ROUNDS).with_stop(StopCondition::EachCorrectOutput(1));
-    let per_seed: Vec<Option<u64>> = Campaign::new(base).seeds(0..seeds).run(
-        |seed, config| RunPlan {
-            pattern: pattern.clone(),
-            oracle: oracle.generate(&pattern, horizon, seed),
-            automata: ConsensusAutomaton::<C>::fleet(&props),
-            config,
-        },
-        |seed, pattern, result| {
-            let verdict = check_consensus(pattern, &result.trace, &props);
-            assert!(
-                verdict.uniform_agreement.is_ok() && verdict.validity.is_ok(),
-                "ablation must preserve safety: n={n} f={f} seed={seed}: {verdict:?}"
-            );
-            verdict.termination.is_ok().then(|| {
-                result
-                    .trace
-                    .first_outputs(n)
-                    .into_iter()
-                    .flatten()
-                    .filter(|e| pattern.correct().contains(e.process))
-                    .map(|e| e.time.ticks())
-                    .max()
-                    .unwrap_or(0)
-            })
-        },
-    );
-    let mut row = Row {
-        terminated: 0,
-        latency_sum: 0,
-        latency_count: 0,
-    };
-    for last in per_seed.into_iter().flatten() {
-        row.terminated += 1;
-        row.latency_sum += last;
-        row.latency_count += 1;
-    }
-    row
+    sweep::<C>(n, f, |p, s| oracle.generate(p, horizon, s), seeds)
 }
 
 /// Runs E9b and returns the result table.
@@ -88,8 +36,8 @@ pub fn run_experiment() -> Table {
         ],
     );
     for f in [0usize, 1, 2, 4, 7] {
-        let full = sweep::<FloodSetConsensus<u64>>(n, f, seeds);
-        let early = sweep::<EarlyFloodSetConsensus<u64>>(n, f, seeds);
+        let full = sweep_p::<FloodSetConsensus<u64>>(n, f, seeds);
+        let early = sweep_p::<EarlyFloodSetConsensus<u64>>(n, f, seeds);
         let mean = |r: &Row| {
             if r.latency_count > 0 {
                 r.latency_sum as f64 / r.latency_count as f64
@@ -115,8 +63,8 @@ mod tests {
 
     #[test]
     fn e9b_early_stopping_wins_when_failure_free() {
-        let full = sweep::<FloodSetConsensus<u64>>(8, 0, 5);
-        let early = sweep::<EarlyFloodSetConsensus<u64>>(8, 0, 5);
+        let full = sweep_p::<FloodSetConsensus<u64>>(8, 0, 5);
+        let early = sweep_p::<EarlyFloodSetConsensus<u64>>(8, 0, 5);
         assert_eq!(full.terminated, 5);
         assert_eq!(early.terminated, 5);
         assert!(

@@ -1,6 +1,6 @@
 //! Eventually Perfect (`◇P`) and Eventually Strong (`◇S`) oracles.
 
-use super::{build_suspect_history, mix, perfect_edits, Edit, Oracle};
+use super::{build_suspect_history, detection_delay, mix, perfect_edits, Edit, Oracle};
 use crate::pattern::FailurePattern;
 use crate::process::{ProcessId, ProcessSet};
 use crate::time::Time;
@@ -54,15 +54,6 @@ impl EventuallyPerfectOracle {
         self.gst
     }
 
-    fn detection_delay(&self, seed: u64, observer: ProcessId, crashed: ProcessId) -> u64 {
-        if self.jitter == 0 {
-            self.base_delay
-        } else {
-            self.base_delay
-                + mix(seed, observer.index() as u64, crashed.index() as u64) % (self.jitter + 1)
-        }
-    }
-
     /// The mistake edits (false suspicions strictly before GST) for each
     /// observer. Mistakes never target an already-crashed process at their
     /// start time; they may overlap a later crash harmlessly (the perfect
@@ -100,8 +91,13 @@ impl EventuallyPerfectOracle {
                 // its detection time; do not let the mistake's removal
                 // cancel that permanent suspicion.
                 let removal_blocked = pattern.crash_time(target).is_some_and(|ct| {
-                    let det =
-                        ct.advance(self.detection_delay(seed, ProcessId::new(observer_ix), target));
+                    let det = ct.advance(detection_delay(
+                        self.base_delay,
+                        self.jitter,
+                        seed,
+                        ProcessId::new(observer_ix),
+                        target,
+                    ));
                     det <= end
                 });
                 observer_events.push((start, Edit::Add(target)));
@@ -129,7 +125,7 @@ impl Oracle for EventuallyPerfectOracle {
 
     fn generate(&self, pattern: &FailurePattern, horizon: Time, seed: u64) -> History<ProcessSet> {
         let mut events = perfect_edits(pattern, horizon, |observer, crashed| {
-            self.detection_delay(seed, observer, crashed)
+            detection_delay(self.base_delay, self.jitter, seed, observer, crashed)
         });
         for (observer_ix, mut list) in self
             .mistake_edits(pattern, horizon, seed)

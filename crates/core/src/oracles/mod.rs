@@ -71,6 +71,23 @@ pub(crate) fn mix(seed: u64, a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The detection delay of a realistic crash detector: `observer` starts
+/// suspecting `crashed` `base + jitter(seed, observer, crashed)` ticks
+/// after the crash, the jitter drawn from `[0, jitter]`.
+#[must_use]
+pub(crate) fn detection_delay(
+    base: u64,
+    jitter: u64,
+    seed: u64,
+    observer: ProcessId,
+    crashed: ProcessId,
+) -> u64 {
+    if jitter == 0 {
+        return base;
+    }
+    base + mix(seed, observer.index() as u64, crashed.index() as u64) % (jitter + 1)
+}
+
 /// One suspicion edit in a per-observer event list.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Edit {

@@ -1,6 +1,6 @@
 //! The Perfect oracle: class `P`, realistic.
 
-use super::{build_suspect_history, mix, perfect_edits, Oracle};
+use super::{build_suspect_history, detection_delay, perfect_edits, Oracle};
 use crate::pattern::FailurePattern;
 use crate::process::ProcessSet;
 use crate::time::Time;
@@ -64,12 +64,7 @@ impl Oracle for PerfectOracle {
 
     fn generate(&self, pattern: &FailurePattern, horizon: Time, seed: u64) -> History<ProcessSet> {
         let events = perfect_edits(pattern, horizon, |observer, crashed| {
-            let j = if self.jitter == 0 {
-                0
-            } else {
-                mix(seed, observer.index() as u64, crashed.index() as u64) % (self.jitter + 1)
-            };
-            self.base_delay + j
+            detection_delay(self.base_delay, self.jitter, seed, observer, crashed)
         });
         build_suspect_history(pattern.num_processes(), events)
     }

@@ -1,6 +1,6 @@
 //! The Partially Perfect oracle: class `P<` (§6.2), realistic.
 
-use super::{build_suspect_history, mix, perfect_edits, Oracle};
+use super::{build_suspect_history, detection_delay, perfect_edits, Oracle};
 use crate::pattern::FailurePattern;
 use crate::process::ProcessSet;
 use crate::time::Time;
@@ -62,12 +62,7 @@ impl Oracle for RankedOracle {
         let far = horizon.next().advance(1);
         let events = perfect_edits(pattern, horizon, |observer, crashed| {
             if observer.index() > crashed.index() {
-                let j = if self.jitter == 0 {
-                    0
-                } else {
-                    mix(seed, observer.index() as u64, crashed.index() as u64) % (self.jitter + 1)
-                };
-                self.base_delay + j
+                detection_delay(self.base_delay, self.jitter, seed, observer, crashed)
             } else {
                 // Push the edit past the horizon: lower-index observers
                 // never suspect.

@@ -211,9 +211,23 @@ pub fn strong_completeness(
     history: &History<ProcessSet>,
     params: &CheckParams,
 ) -> PropertyResult {
+    completeness_among(pattern, history, params, |_, _| true)
+}
+
+/// Eventually every crashed process is permanently suspected by every
+/// correct observer that `obliged(observer, crashed)` names.
+fn completeness_among(
+    pattern: &FailurePattern,
+    history: &History<ProcessSet>,
+    params: &CheckParams,
+    obliged: impl Fn(ProcessId, ProcessId) -> bool,
+) -> PropertyResult {
     let start = params.window_start();
     for crashed in pattern.faulty() {
         for observer in pattern.correct() {
+            if !obliged(observer, crashed) {
+                continue;
+            }
             if let Some(at) = first_gap(history, observer, crashed, start, params.horizon) {
                 return Err(PropertyViolation::MissingSuspicion {
                     observer,
@@ -265,22 +279,9 @@ pub fn partial_completeness(
     history: &History<ProcessSet>,
     params: &CheckParams,
 ) -> PropertyResult {
-    let start = params.window_start();
-    for crashed in pattern.faulty() {
-        for observer in pattern.correct() {
-            if observer.index() <= crashed.index() {
-                continue;
-            }
-            if let Some(at) = first_gap(history, observer, crashed, start, params.horizon) {
-                return Err(PropertyViolation::MissingSuspicion {
-                    observer,
-                    crashed,
-                    at,
-                });
-            }
-        }
-    }
-    Ok(())
+    completeness_among(pattern, history, params, |observer, crashed| {
+        observer.index() > crashed.index()
+    })
 }
 
 /// **Strong accuracy**: no process is suspected (by any module) before it
