@@ -8,7 +8,8 @@
 //! that tolerates any number of crashes, as the paper's collapse
 //! predicts.
 
-use crate::consensus::{ConsensusCore, FloodSetConsensus, FloodSetMsg, Outbox};
+use crate::consensus::{FloodSetConsensus, FloodSetMsg};
+use crate::driver::SlotDriver;
 use rfd_core::ProcessId;
 use rfd_sim::{Automaton, Envelope, StepContext};
 use std::collections::BTreeSet;
@@ -69,10 +70,9 @@ pub struct AbDelivery<V> {
 }
 
 /// Atomic broadcast automaton over flood-set (`P`-based) consensus.
-#[derive(Clone, Debug)]
-pub struct AtomicBroadcast<V> {
+#[derive(Debug)]
+pub struct AtomicBroadcast<V: Clone + Eq + Ord> {
     me: ProcessId,
-    n: usize,
     to_send: Vec<V>,
     sent: bool,
     /// Items seen (gossiped) but not yet delivered.
@@ -81,11 +81,9 @@ pub struct AtomicBroadcast<V> {
     delivered: BTreeSet<(u16, u64)>,
     /// Gossip keys already forwarded.
     forwarded: BTreeSet<(u16, u64)>,
-    /// Current consensus instance number.
-    k: u64,
-    inner: Option<FloodSetConsensus<Batch<V>>>,
-    /// Consensus messages for instances ahead of us.
-    buffered: Vec<(u64, ProcessId, FloodSetMsg<Batch<V>>)>,
+    /// The consensus sequence: one instance per slot, the tail's live,
+    /// later slots' traffic buffered until the tail settles.
+    slots: SlotDriver<FloodSetConsensus<Batch<V>>>,
 }
 
 impl<V: Clone + Eq + Ord> AtomicBroadcast<V> {
@@ -94,15 +92,12 @@ impl<V: Clone + Eq + Ord> AtomicBroadcast<V> {
     pub fn new(me: ProcessId, n: usize, to_send: Vec<V>) -> Self {
         Self {
             me,
-            n,
             to_send,
             sent: false,
             pending: BTreeSet::new(),
             delivered: BTreeSet::new(),
             forwarded: BTreeSet::new(),
-            k: 0,
-            inner: None,
-            buffered: Vec::new(),
+            slots: SlotDriver::new(me, n),
         }
     }
 
@@ -121,55 +116,23 @@ impl<V: Clone + Eq + Ord> AtomicBroadcast<V> {
         Batch(self.pending.iter().cloned().collect())
     }
 
-    fn ensure_instance(&mut self) {
-        if self.inner.is_none() {
-            self.inner = Some(FloodSetConsensus::new(self.me, self.n, self.proposal()));
-        }
-    }
-
-    fn replay_buffered(&mut self, ctx: &mut StepContext<AbMsg<V>, AbDelivery<V>>) {
-        let k = self.k;
-        let buffered = std::mem::take(&mut self.buffered);
-        for (bk, from, msg) in buffered {
-            if bk == k {
-                self.ensure_instance();
-                self.drive_inner(Some((from, &msg)), ctx);
-            } else if bk > k {
-                self.buffered.push((bk, from, msg));
-            }
-        }
-    }
-
-    fn drive_inner(
+    /// Delivers the not yet delivered items of `instance`'s decision.
+    fn deliver(
         &mut self,
-        input: Option<(ProcessId, &FloodSetMsg<Batch<V>>)>,
+        instance: u64,
+        Batch(items): Batch<V>,
         ctx: &mut StepContext<AbMsg<V>, AbDelivery<V>>,
     ) {
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        let mut out = Outbox::new(self.me, self.n);
-        let decided = inner.step(input, ctx.suspects(), &mut out);
-        let k = self.k;
-        for (to, msg) in out.drain() {
-            ctx.send(to, AbMsg::Consensus { k, inner: msg });
-        }
-        if let Some(Batch(items)) = decided {
-            for item in items {
-                let key = (item.0, item.1);
-                if self.delivered.insert(key) {
-                    self.pending.remove(&item);
-                    ctx.output(AbDelivery {
-                        instance: k,
-                        origin: ProcessId::new(item.0 as usize),
-                        seq: item.1,
-                        value: item.2,
-                    });
-                }
+        for item in items {
+            if self.delivered.insert((item.0, item.1)) {
+                self.pending.remove(&item);
+                ctx.output(AbDelivery {
+                    instance,
+                    origin: ProcessId::new(usize::from(item.0)),
+                    seq: item.1,
+                    value: item.2,
+                });
             }
-            self.k += 1;
-            self.inner = None;
-            self.replay_buffered(ctx);
         }
     }
 }
@@ -194,8 +157,10 @@ impl<V: Clone + Eq + Ord> Automaton for AtomicBroadcast<V> {
                 ctx.broadcast_others(AbMsg::Gossip(item));
             }
         }
-        // Handle the input.
-        let mut inner_input: Option<(ProcessId, FloodSetMsg<Batch<V>>)> = None;
+        let suspects = ctx.suspects();
+        let mut sends = Vec::new();
+        let mut decided = None;
+        let mut stepped = false;
         if let Some(env) = input {
             match &env.payload {
                 AbMsg::Gossip(item) => {
@@ -208,21 +173,37 @@ impl<V: Clone + Eq + Ord> Automaton for AtomicBroadcast<V> {
                     }
                 }
                 AbMsg::Consensus { k, inner } => {
-                    if *k == self.k {
-                        self.ensure_instance();
-                        inner_input = Some((env.from, inner.clone()));
-                    } else if *k > self.k {
-                        self.buffered.push((*k, env.from, inner.clone()));
-                    }
+                    stepped = self.slots.is_open(*k);
+                    decided = self
+                        .slots
+                        .on_message_into(*k, env.from, inner, suspects, &mut sends);
                 }
             }
         }
-        // Start an instance when there is work to order.
-        if self.inner.is_none() && !self.pending.is_empty() {
-            self.ensure_instance();
+        // One step per step: a λ-step unless the input stepped the tail.
+        if !stepped {
+            decided = self.slots.tick_into(suspects, &mut sends);
         }
-        if self.inner.is_some() {
-            self.drive_inner(inner_input.as_ref().map(|(f, m)| (*f, m)), ctx);
+        // Deliver each decision and open the next slot while there is
+        // work to order or traffic for it, cascading while the replayed
+        // backlog decides.
+        loop {
+            if let Some(batch) = decided.take() {
+                self.deliver(self.slots.tail() - 1, batch, ctx);
+            }
+            let tail = self.slots.tail();
+            if self.slots.is_open(tail) || (self.pending.is_empty() && self.slots.buffered() == 0) {
+                break;
+            }
+            decided = self
+                .slots
+                .open_into(tail, self.proposal(), suspects, &mut sends);
+            if decided.is_none() {
+                break;
+            }
+        }
+        for (to, k, inner) in sends {
+            ctx.send(to, AbMsg::Consensus { k, inner });
         }
     }
 }
@@ -230,6 +211,7 @@ impl<V: Clone + Eq + Ord> Automaton for AtomicBroadcast<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfd_core::{ProcessSet, Time};
 
     #[test]
     fn batch_ordering_prefers_nonempty() {
@@ -239,6 +221,48 @@ mod tests {
         assert_eq!(empty.cmp(&Batch(Vec::new())), core::cmp::Ordering::Equal);
         let two = Batch(vec![(0, 0, 5u64), (1, 0, 6)]);
         assert!(one < two, "lexicographic on contents otherwise");
+    }
+
+    /// Steps p0 of 3 on `Consensus { k, Decided(batch) }` from `from`;
+    /// returns `(instance, value)` per delivery.
+    fn on_decided(
+        ab: &mut AtomicBroadcast<u64>,
+        from: usize,
+        k: u64,
+        batch: Batch<u64>,
+    ) -> Vec<(u64, u64)> {
+        let (me, from) = (ProcessId::new(0), ProcessId::new(from));
+        let env = Envelope {
+            id: 0,
+            from,
+            to: me,
+            payload: AbMsg::Consensus {
+                k,
+                inner: FloodSetMsg::Decided(batch),
+            },
+            sent_at: Time::ZERO,
+            causal_past: ProcessSet::singleton(from),
+        };
+        let mut ctx = StepContext::new_for_embedding(me, 3, ProcessSet::empty());
+        ab.on_step(Some(&env), &mut ctx);
+        let (_, deliveries) = ctx.into_effects();
+        deliveries.iter().map(|d| (d.instance, d.value)).collect()
+    }
+
+    /// Two copies of instance 1's decision arrive before instance 0
+    /// decides. Deciding 0 replays them: the first decides 1, and the
+    /// second copy belongs to the settled instance 1, so it must not
+    /// decide instance 2, whose own decision comes later.
+    #[test]
+    fn a_settled_instances_buffered_frames_do_not_drive_the_next_one() {
+        let mut ab: AtomicBroadcast<u64> = AtomicBroadcast::new(ProcessId::new(0), 3, vec![]);
+        let b1 = Batch(vec![(1, 1, 11)]);
+        assert!(on_decided(&mut ab, 1, 1, b1.clone()).is_empty());
+        assert!(on_decided(&mut ab, 2, 1, b1).is_empty());
+        let b0 = Batch(vec![(1, 0, 10)]);
+        assert_eq!(on_decided(&mut ab, 1, 0, b0), [(0, 10), (1, 11)]);
+        let b2 = Batch(vec![(2, 0, 20)]);
+        assert_eq!(on_decided(&mut ab, 1, 2, b2), [(2, 20)]);
     }
 
     #[test]

@@ -15,8 +15,8 @@ use rfd_core::ProcessId;
 use rfd_sim::{Automaton, Envelope, StepContext};
 
 /// Consensus automaton built on an embedded [`AtomicBroadcast`].
-#[derive(Clone, Debug)]
-pub struct ConsensusViaAbcast<V> {
+#[derive(Debug)]
+pub struct ConsensusViaAbcast<V: Clone + Eq + Ord> {
     inner: AtomicBroadcast<V>,
     decision: Option<V>,
 }

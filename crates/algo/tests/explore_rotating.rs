@@ -17,6 +17,11 @@
 //! safety fails in a finite prefix, and every prefix of a run that loses
 //! a message is a prefix of one that only delays it.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the visited-state HashSet is only probed, never iterated"
+)]
+
 use rfd_algo::check::check_consensus;
 use rfd_algo::consensus::{ConsensusCore, Outbox, RotatingConsensus, RotatingMsg};
 use rfd_core::{FailurePattern, ProcessId, ProcessSet, Time};

@@ -50,8 +50,9 @@ impl ProcessId {
     ///
     /// This is the constructor for wire-facing code: a corrupt or
     /// foreign datagram can claim any sender index, and the panicking
-    /// [`ProcessId::new`] is forbidden there by `rfd-lint`'s
-    /// wire-safety rule.
+    /// [`ProcessId::new`] is forbidden in the non-test code of
+    /// `rfd-net`'s datagram-facing modules (a test in
+    /// `crates/net/tests/wire_fuzz.rs` scans them for it).
     ///
     /// # Examples
     ///

@@ -157,15 +157,7 @@ pub fn first_suspicion(
     suspect: ProcessId,
     upto: Time,
 ) -> Option<Time> {
-    for (t, v) in history.changes(observer) {
-        if t > upto {
-            break;
-        }
-        if v.contains(suspect) {
-            return Some(t);
-        }
-    }
-    None
+    first_in_window(history, observer, Time::ZERO, upto, |v| v.contains(suspect))
 }
 
 /// Tests whether `observer` suspects `suspect` at every time in
@@ -178,29 +170,27 @@ pub fn suspected_throughout(
     from: Time,
     to: Time,
 ) -> bool {
-    if !history.value(observer, from).contains(suspect) {
-        return false;
-    }
-    history
-        .changes(observer)
-        .filter(|(t, _)| *t > from && *t <= to)
-        .all(|(_, v)| v.contains(suspect))
+    first_in_window(history, observer, from, to, |v| !v.contains(suspect)).is_none()
 }
 
-fn first_gap(
+/// The first time in `[from, to]` at which `observer`'s output satisfies
+/// `pred`: `from` itself if the value in force there does, else the
+/// first change point inside the window whose value does. The one scan
+/// every window property shares.
+fn first_in_window(
     history: &History<ProcessSet>,
     observer: ProcessId,
-    suspect: ProcessId,
     from: Time,
     to: Time,
+    pred: impl Fn(&ProcessSet) -> bool,
 ) -> Option<Time> {
-    if !history.value(observer, from).contains(suspect) {
+    if pred(history.value(observer, from)) {
         return Some(from);
     }
     history
         .changes(observer)
         .filter(|(t, _)| *t > from && *t <= to)
-        .find(|(_, v)| !v.contains(suspect))
+        .find(|(_, v)| pred(v))
         .map(|(t, _)| t)
 }
 
@@ -228,7 +218,10 @@ fn completeness_among(
             if !obliged(observer, crashed) {
                 continue;
             }
-            if let Some(at) = first_gap(history, observer, crashed, start, params.horizon) {
+            let gap = first_in_window(history, observer, start, params.horizon, |v| {
+                !v.contains(crashed)
+            });
+            if let Some(at) = gap {
                 return Err(PropertyViolation::MissingSuspicion {
                     observer,
                     crashed,
@@ -252,7 +245,10 @@ pub fn weak_completeness(
     for crashed in pattern.faulty() {
         let mut witness_gap = None;
         let found = correct.iter().any(|observer| {
-            match first_gap(history, observer, crashed, start, params.horizon) {
+            let gap = first_in_window(history, observer, start, params.horizon, |v| {
+                !v.contains(crashed)
+            });
+            match gap {
                 None => true,
                 Some(at) => {
                     witness_gap.get_or_insert((observer, at));
@@ -346,17 +342,10 @@ pub fn eventual_strong_accuracy(
     let correct = pattern.correct();
     for observer in correct {
         for suspect in correct {
-            if suspected_in_window(history, observer, suspect, start, params.horizon) {
-                let at = if history.value(observer, start).contains(suspect) {
-                    start
-                } else {
-                    history
-                        .changes(observer)
-                        .filter(|(t, v)| *t > start && *t <= params.horizon && v.contains(suspect))
-                        .map(|(t, _)| t)
-                        .next()
-                        .unwrap_or(start)
-                };
+            let late = first_in_window(history, observer, start, params.horizon, |v| {
+                v.contains(suspect)
+            });
+            if let Some(at) = late {
                 return Err(PropertyViolation::LateSuspicion {
                     observer,
                     suspect,
@@ -383,7 +372,10 @@ pub fn eventual_weak_accuracy(
     }
     let immune_exists = correct.iter().any(|candidate| {
         correct.iter().all(|observer| {
-            !suspected_in_window(history, observer, candidate, start, params.horizon)
+            first_in_window(history, observer, start, params.horizon, |v| {
+                v.contains(candidate)
+            })
+            .is_none()
         })
     });
     if immune_exists {
@@ -391,22 +383,6 @@ pub fn eventual_weak_accuracy(
     } else {
         Err(PropertyViolation::NoImmuneProcess)
     }
-}
-
-fn suspected_in_window(
-    history: &History<ProcessSet>,
-    observer: ProcessId,
-    suspect: ProcessId,
-    from: Time,
-    to: Time,
-) -> bool {
-    if history.value(observer, from).contains(suspect) {
-        return true;
-    }
-    history
-        .changes(observer)
-        .filter(|(t, _)| *t > from && *t <= to)
-        .any(|(_, v)| v.contains(suspect))
 }
 
 #[cfg(test)]

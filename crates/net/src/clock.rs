@@ -6,6 +6,11 @@
 //! under the deterministic [`VirtualClock`] (tests, QoS experiments) and
 //! the wall [`SystemClock`] (the UDP examples).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the wall clock and real sleeps live here and nowhere else"
+)]
+
 use core::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

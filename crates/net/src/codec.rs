@@ -33,6 +33,16 @@
 //! The owned functions are thin shims over the zero-copy tier and
 //! accept/produce byte-identical frames.
 
+// Wire-safety: no datagram may panic this module (ARCHITECTURE.md,
+// "Determinism & wire-safety invariants"); its unit tests are exempt.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::clock::Nanos;
 use crate::transport::Datagram;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -46,9 +56,11 @@ const MAGIC: u16 = 0xFD02; // "failure detector, DSN'02"
 ///
 /// Every tag must appear in the encode dispatch, in
 /// [`decode_borrowed`]'s match, as a [`WireMsg`]/[`WireView`] variant,
-/// and as a row of ARCHITECTURE.md's tag table; `rfd-lint`'s wire-tag
-/// exhaustiveness check cross-checks all five places so a new tag
-/// cannot ship half-wired.
+/// and as a row of the tag tables in ARCHITECTURE.md and `docs/WIRE.md`.
+/// The compiler holds the enums' matches exhaustive; the unit test
+/// `every_tag_is_encoded_decoded_and_documented` checks each variant's
+/// tag byte and round trip against these constants and both tables, so
+/// a new tag cannot ship half-wired.
 pub mod tags {
     /// [`Heartbeat`](super::Heartbeat) liveness evidence.
     pub const HEARTBEAT: u8 = 1;
@@ -557,7 +569,10 @@ fn encode_frame(msg: &WireMsg, b: &mut Vec<u8>) {
             );
             b.put_u8(tags::SYNC_REPLY);
             b.put_u64(s.start);
-            #[allow(clippy::cast_possible_truncation)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "the assert above caps the entries at MAX_SYNC_ENTRIES"
+            )]
             b.put_u16(s.entries.len() as u16);
             for (value, view_id, view_members) in &s.entries {
                 b.put_u64(*value);
@@ -580,7 +595,10 @@ fn encode_frame(msg: &WireMsg, b: &mut Vec<u8>) {
             b.put_u64(s.digest);
             b.put_u64(s.view_id);
             b.put_u128(s.view_members);
-            #[allow(clippy::cast_possible_truncation)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "the assert above caps the entries at MAX_SYNC_ENTRIES"
+            )]
             b.put_u16(s.entries.len() as u16);
             for (value, view_id, view_members) in &s.entries {
                 b.put_u64(*value);
@@ -602,7 +620,10 @@ fn put_batch_body(frames: &[WireMsg], b: &mut Vec<u8>) {
         frames.len()
     );
     b.put_u8(tags::BATCH);
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "the assert above caps the frames at MAX_BATCH_FRAMES"
+    )]
     b.put_u8(frames.len() as u8);
     for sub in frames {
         assert!(
@@ -610,7 +631,10 @@ fn put_batch_body(frames: &[WireMsg], b: &mut Vec<u8>) {
             "batches must not nest — flatten before encoding"
         );
         let len = encoded_len(sub);
-        #[allow(clippy::cast_possible_truncation)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "a frame fits a datagram, far below u16::MAX bytes"
+        )]
         b.put_u16(len as u16);
         encode_frame(sub, b);
     }
@@ -1006,7 +1030,10 @@ mod tests {
         bad.put_u16(0xFD02);
         bad.put_u8(8);
         bad.put_u8(1);
-        #[allow(clippy::cast_possible_truncation)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "a one-heartbeat frame is a few bytes"
+        )]
         bad.put_u16(inner.len() as u16);
         bad.put_slice(&inner);
         assert_eq!(decode(&bad), Err(DecodeError::Malformed));
@@ -1152,6 +1179,117 @@ mod tests {
         bad[43] = 0;
         bad[44] = 9; // claims 9 entries, carries 1
         assert_eq!(decode(&bad), Err(DecodeError::Truncated));
+    }
+
+    /// One sample frame per [`WireMsg`] variant, with the tag an
+    /// exhaustive match names for it: a new variant does not compile
+    /// until it has a tag here.
+    fn one_frame_per_variant() -> Vec<(WireMsg, u8)> {
+        let samples = vec![
+            WireMsg::Heartbeat(Heartbeat {
+                sender: 1,
+                seq: 2,
+                sent_at: Nanos::from_millis(3),
+            }),
+            WireMsg::ViewChange(ViewChange {
+                view_id: 4,
+                members: 0b101,
+            }),
+            WireMsg::Command(Command { value: 5 }),
+            WireMsg::Consensus(ConsensusFrame {
+                slot: 6,
+                msg: RotatingMsg::Ack { r: 1 },
+            }),
+            WireMsg::Decided(DecidedMsg {
+                index: 7,
+                view_id: 1,
+                view_members: 0b11,
+                value: 8,
+            }),
+            WireMsg::SyncRequest(SyncRequest { from_index: 9 }),
+            WireMsg::SyncReply(SyncReply {
+                start: 10,
+                entries: vec![(11, 1, 0b11)],
+            }),
+            WireMsg::Batch(vec![WireMsg::Command(Command { value: 12 })]),
+            WireMsg::SnapshotRequest(SnapshotRequest { from_index: 13 }),
+            WireMsg::SnapshotReply(SnapshotReply {
+                upto: 14,
+                digest: 15,
+                view_id: 1,
+                view_members: 0b11,
+                entries: vec![(16, 1, 0b11)],
+            }),
+        ];
+        samples
+            .into_iter()
+            .map(|msg| {
+                let tag = match &msg {
+                    WireMsg::Heartbeat(_) => tags::HEARTBEAT,
+                    WireMsg::ViewChange(_) => tags::VIEW_CHANGE,
+                    WireMsg::Command(_) => tags::COMMAND,
+                    WireMsg::Consensus(_) => tags::CONSENSUS,
+                    WireMsg::Decided(_) => tags::DECIDED,
+                    WireMsg::SyncRequest(_) => tags::SYNC_REQUEST,
+                    WireMsg::SyncReply(_) => tags::SYNC_REPLY,
+                    WireMsg::Batch(_) => tags::BATCH,
+                    WireMsg::SnapshotRequest(_) => tags::SNAPSHOT_REQUEST,
+                    WireMsg::SnapshotReply(_) => tags::SNAPSHOT_REPLY,
+                };
+                (msg, tag)
+            })
+            .collect()
+    }
+
+    /// The tag values of a markdown doc's tag table (the first table
+    /// whose header has a `Tag` cell), sorted: every number in each data
+    /// row's first cell, so a combined `6 / 7` row counts for both.
+    fn tag_table(md: &str) -> Vec<u8> {
+        let mut rows = md.lines().skip_while(|line| {
+            !(line.starts_with('|') && line.split('|').any(|cell| cell.trim() == "Tag"))
+        });
+        rows.next();
+        let mut values: Vec<u8> = rows
+            .take_while(|line| line.starts_with('|'))
+            .filter_map(|row| row.split('|').nth(1))
+            .flat_map(|cell| cell.split(|c: char| !c.is_ascii_digit()))
+            .filter_map(|number| number.parse().ok())
+            .collect();
+        values.sort_unstable();
+        values
+    }
+
+    /// A tag cannot ship half-wired: every variant encodes under its own
+    /// tag and round-trips, the tags produced are exactly the `mod tags`
+    /// constants, and both tag tables list exactly those values.
+    #[test]
+    fn every_tag_is_encoded_decoded_and_documented() {
+        let module = include_str!("codec.rs")
+            .split("pub mod tags {")
+            .nth(1)
+            .and_then(|rest| rest.split("\n}").next())
+            .expect("codec.rs declares `pub mod tags`");
+        let mut declared: Vec<u8> = module
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("pub const "))
+            .filter_map(|decl| decl.split_once("= ")?.1.strip_suffix(';')?.parse().ok())
+            .collect();
+        declared.sort_unstable();
+        let mut produced = Vec::new();
+        for (msg, tag) in one_frame_per_variant() {
+            let frame = encode(&msg);
+            assert_eq!(frame.get(2), Some(&tag), "{msg:?} is sent under its tag");
+            assert_eq!(decode(&frame), Ok(msg), "tag {tag} round-trips");
+            produced.push(tag);
+        }
+        produced.sort_unstable();
+        assert_eq!(produced, declared, "one variant per `mod tags` constant");
+        for (doc, md) in [
+            ("docs/WIRE.md", include_str!("../../../docs/WIRE.md")),
+            ("ARCHITECTURE.md", include_str!("../../../ARCHITECTURE.md")),
+        ] {
+            assert_eq!(tag_table(md), declared, "{doc}'s tag table");
+        }
     }
 
     #[test]

@@ -1,6 +1,16 @@
 //! The heartbeat failure-detection service: one estimator per monitored
 //! peer, a suspect-set view, and a transport-driven node loop.
 
+// Wire-safety: no datagram may panic this module (ARCHITECTURE.md,
+// "Determinism & wire-safety invariants"); its unit tests are exempt.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::clock::{Clock, Nanos};
 use crate::codec::{encode_batch_into, encode_into, for_each_frame, Heartbeat, WireMsg, WireView};
 use crate::estimator::ArrivalEstimator;
@@ -335,7 +345,10 @@ where
             return None;
         }
         let hb = WireMsg::Heartbeat(Heartbeat {
-            #[allow(clippy::cast_possible_truncation)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "a ProcessId index is below MAX_PROCESSES"
+            )]
             sender: self.transport.me().index() as u16,
             seq: self.seq,
             sent_at: now,

@@ -33,6 +33,16 @@
 //! observes (frames inside a batch are processed in order at the same
 //! delivery instant).
 
+// Wire-safety: no datagram may panic this module (ARCHITECTURE.md,
+// "Determinism & wire-safety invariants"); its unit tests are exempt.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::clock::{Clock, Nanos};
 use crate::codec::{
     encode, for_each_frame, members_to_set, set_to_members, Heartbeat, ViewChange, WireMsg,

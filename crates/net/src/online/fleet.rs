@@ -192,3 +192,186 @@ pub(crate) fn run_to_end<Ev>(mut step: impl FnMut() -> Option<Vec<Ev>>) -> Vec<E
     }
     all
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::{Clock, VirtualClock};
+    use crate::online::FaultSchedule;
+
+    fn ms(v: u64) -> Nanos {
+        Nanos::from_millis(v)
+    }
+
+    fn p(i: usize) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    /// A transport that carries nothing: the fleet core never touches
+    /// a node's traffic, only its identity.
+    struct Silent(ProcessId);
+
+    impl Transport for Silent {
+        fn me(&self) -> ProcessId {
+            self.0
+        }
+        fn send(&self, _to: ProcessId, _payload: bytes::Bytes) {}
+        fn recv(&self) -> Option<crate::transport::Datagram> {
+            None
+        }
+    }
+
+    /// A fault plane that only records what the schedule did to it.
+    #[derive(Default)]
+    struct Recorder(std::cell::RefCell<Vec<String>>);
+
+    impl ChurnableTransport for &Recorder {
+        fn take_down(&self, node: ProcessId) {
+            self.0.borrow_mut().push(format!("down {node}"));
+        }
+        fn bring_up(&self, node: ProcessId) {
+            self.0.borrow_mut().push(format!("up {node}"));
+        }
+        fn set_partition(&self, side: ProcessSet) {
+            self.0.borrow_mut().push(format!("cut {}", side.len()));
+        }
+        fn heal_partition(&self) {
+            self.0.borrow_mut().push("heal".into());
+        }
+    }
+
+    /// A stub fleet whose "nodes" are poll counters: `ids` are the
+    /// endpoint identities handed over, in that order.
+    fn stub_fleet<'a>(
+        scenario: OnlineScenario,
+        ids: &[usize],
+        plane: &'a Recorder,
+    ) -> Fleet<u32, VirtualClock, &'a Recorder> {
+        let endpoints = ids.iter().map(|&ix| Silent(p(ix))).collect();
+        Fleet::over(scenario, endpoints, plane, VirtualClock::new(), |_, _| 0)
+    }
+
+    /// Steps the stub fleet to the end, polling (= counting) every up
+    /// node; returns per tick `(now, applied faults, up set)`.
+    fn drive(
+        fleet: &mut Fleet<u32, VirtualClock, &Recorder>,
+    ) -> Vec<(u64, Vec<Fault>, ProcessSet)> {
+        let mut ticks = Vec::new();
+        while let Some(tick) = fleet.step(|mut tick| {
+            for (_, polls) in tick.up_nodes() {
+                *polls += 1;
+            }
+            let faults = tick.faults.iter().map(|(_, fault)| *fault).collect();
+            (tick.now.as_millis(), faults, tick.up)
+        }) {
+            ticks.push(tick);
+        }
+        ticks
+    }
+
+    fn stub_scenario(schedule: FaultSchedule) -> OnlineScenario {
+        OnlineScenario {
+            n: 3,
+            duration: ms(50),
+            sample_every: ms(10),
+            schedule,
+            ..OnlineScenario::default()
+        }
+    }
+
+    #[test]
+    fn fleet_crash_and_recover_flip_up_and_skip_polling() {
+        let plane = Recorder::default();
+        let schedule = FaultSchedule::new()
+            .at(ms(10), Fault::Crash(p(1)))
+            .at(ms(25), Fault::Recover(p(1)));
+        let mut fleet = stub_fleet(stub_scenario(schedule), &[0, 1, 2], &plane);
+        let ticks = drive(&mut fleet);
+        let up_of_p1: Vec<bool> = ticks.iter().map(|(_, _, up)| up.contains(p(1))).collect();
+        // Ticks at 0, 10, 20, 30, 40 ms: down from the 10 ms tick, back
+        // at the first tick at or after 25 ms.
+        assert_eq!(up_of_p1, vec![true, false, false, true, true]);
+        assert_eq!(fleet.nodes, vec![5, 3, 5], "a down node is not polled");
+        assert_eq!(*plane.0.borrow(), vec!["down p1", "up p1"]);
+    }
+
+    #[test]
+    fn fleet_applies_same_instant_faults_in_insertion_order() {
+        let plane = Recorder::default();
+        let schedule = FaultSchedule::new()
+            .at(ms(20), Fault::Crash(p(2)))
+            .at(ms(20), Fault::Partition(ProcessSet::singleton(p(0))))
+            .at(ms(20), Fault::Recover(p(2)))
+            .at(ms(20), Fault::Heal);
+        let mut fleet = stub_fleet(stub_scenario(schedule), &[0, 1, 2], &plane);
+        let ticks = drive(&mut fleet);
+        assert_eq!(*plane.0.borrow(), vec!["down p2", "cut 1", "up p2", "heal"]);
+        let (at, faults, up) = &ticks[2];
+        assert_eq!(*at, 20);
+        assert_eq!(faults.len(), 4, "the tick body sees all four, in order");
+        assert_eq!(faults[0], Fault::Crash(p(2)));
+        assert_eq!(faults[3], Fault::Heal);
+        assert!(
+            up.contains(p(2)),
+            "crash then recover in one tick leaves p2 up"
+        );
+        assert!(ticks.iter().all(|(at, f, _)| *at == 20 || f.is_empty()));
+    }
+
+    #[test]
+    fn fleet_never_fires_a_fault_scheduled_past_the_duration() {
+        let plane = Recorder::default();
+        // The last tick is at 40 ms; `duration` itself is not a tick.
+        let schedule = FaultSchedule::new()
+            .at(ms(50), Fault::Crash(p(0)))
+            .at(ms(41), Fault::Heal);
+        let mut fleet = stub_fleet(stub_scenario(schedule), &[0, 1, 2], &plane);
+        let ticks = drive(&mut fleet);
+        assert_eq!(ticks.len(), 5);
+        assert!(plane.0.borrow().is_empty());
+        assert_eq!(fleet.up, ProcessSet::full(3));
+    }
+
+    #[test]
+    fn fleet_step_returns_none_at_the_duration_and_stays_there() {
+        let plane = Recorder::default();
+        let mut fleet = stub_fleet(stub_scenario(FaultSchedule::new()), &[0, 1, 2], &plane);
+        assert!(!fleet.is_done());
+        assert_eq!(drive(&mut fleet).len(), 5);
+        assert!(fleet.is_done());
+        assert_eq!(fleet.clock.now(), ms(50));
+        for _ in 0..3 {
+            assert!(fleet.step(|_| ()).is_none());
+        }
+        assert_eq!(
+            fleet.clock.now(),
+            ms(50),
+            "a finished fleet paces no further"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one endpoint per process")]
+    fn fleet_rejects_a_wrong_endpoint_count() {
+        let plane = Recorder::default();
+        let _ = stub_fleet(stub_scenario(FaultSchedule::new()), &[0, 1], &plane);
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoints out of order")]
+    fn fleet_rejects_endpoints_out_of_order() {
+        let plane = Recorder::default();
+        let _ = stub_fleet(stub_scenario(FaultSchedule::new()), &[0, 2, 1], &plane);
+    }
+
+    /// A schedule naming a process the fleet does not have used to die
+    /// with a bare index-out-of-bounds at the tick the fault fired; it
+    /// is now refused at construction, naming the fault.
+    #[test]
+    #[should_panic(expected = "Crash(p5) at 20.000ms names a process outside the fleet of 3")]
+    fn fleet_rejects_a_schedule_naming_a_process_outside_it() {
+        let plane = Recorder::default();
+        let schedule = FaultSchedule::new().at(ms(20), Fault::Crash(p(5)));
+        let _ = stub_fleet(stub_scenario(schedule), &[0, 1, 2], &plane);
+    }
+}

@@ -245,3 +245,285 @@ pub fn reports_equal(a: &QosReport, b: &QosReport) -> bool {
         && a.longest_mistake == b.longest_mistake
         && a.query_accuracy.to_bits() == b.query_accuracy.to_bits()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::SystemClock;
+    use crate::estimator::{ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual};
+    use crate::online::FaultSchedule;
+    use crate::qos::QosTracker;
+    use crate::transport::udp::loopback_cluster;
+    use crate::transport::{faulty_cluster, NetworkConfig};
+
+    fn ms(v: u64) -> Nanos {
+        Nanos::from_millis(v)
+    }
+
+    fn p(i: usize) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    /// Replays the finished runner's `events` into one reference
+    /// [`QosTracker`] per ordered pair and asserts that each finalizes to
+    /// the live monitor's report, bitwise: the event stream reports
+    /// every verdict flip, so it is a complete record of the run.
+    fn assert_events_replay_to_every_report<E, T, C, N>(
+        runner: &OnlineRunner<E, T, C, N>,
+        events: &[OnlineEvent],
+        scenario: &OnlineScenario,
+    ) where
+        E: ArrivalEstimator + Clone,
+        T: Transport,
+        C: Pacer + Clone,
+        N: ChurnableTransport,
+    {
+        let n = scenario.n;
+        let mut trackers = vec![vec![QosTracker::new(); n]; n];
+        for event in events {
+            if let OnlineEvent::Suspicion {
+                observer,
+                target,
+                at,
+                suspected,
+            } = event
+            {
+                trackers[observer.index()][target.index()].sample(*at, *suspected);
+            }
+        }
+        for (a, row) in trackers.iter().enumerate() {
+            for (b, tracker) in row.iter().enumerate().filter(|(b, _)| *b != a) {
+                let live = runner.report(p(a), p(b)).expect("an off-diagonal pair");
+                let replayed =
+                    tracker.finalize(scenario.schedule.final_crash(p(b)), scenario.duration);
+                assert!(
+                    reports_equal(&live, &replayed),
+                    "({a},{b}): monitor {live:?} vs replay {replayed:?}"
+                );
+            }
+        }
+    }
+
+    /// E11's three schedules at n = 4: all 12 pairs' live reports equal
+    /// the replay of the event stream.
+    #[test]
+    fn the_event_stream_replays_to_every_monitor_report() {
+        let d = 12_000;
+        let minority: ProcessSet = [p(2), p(3)].into_iter().collect();
+        let schedules = [
+            FaultSchedule::new().at(ms(d / 2), Fault::Crash(p(2))),
+            FaultSchedule::new()
+                .at(ms(d / 4), Fault::Crash(p(2)))
+                .at(ms(d / 2), Fault::Recover(p(2)))
+                .at(ms(3 * d / 4), Fault::Crash(p(2))),
+            FaultSchedule::new()
+                .at(ms(d / 4), Fault::Partition(minority))
+                .at(ms(d / 2), Fault::Heal)
+                .at(ms(3 * d / 4), Fault::Crash(p(3))),
+        ];
+        for schedule in schedules {
+            let scenario = OnlineScenario {
+                n: 4,
+                duration: ms(d),
+                schedule,
+                ..OnlineScenario::default()
+            };
+            let mut runner =
+                OnlineRunner::new(JacobsonEstimator::new(4.0, ms(500)), scenario.clone());
+            let events = runner.run_to_end();
+            assert_events_replay_to_every_report(&runner, &events, &scenario);
+        }
+    }
+
+    #[test]
+    fn online_runner_detects_a_final_crash_and_matches_batch() {
+        let scenario = OnlineScenario {
+            n: 3,
+            duration: ms(20_000),
+            schedule: FaultSchedule::new().at(ms(12_000), Fault::Crash(p(2))),
+            ..OnlineScenario::default()
+        };
+        let mut runner =
+            OnlineRunner::new(ChenEstimator::new(ms(50), 32, ms(500)), scenario.clone());
+        let events = runner.run_to_end();
+        assert!(runner.is_done());
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, OnlineEvent::Fault { fault: Fault::Crash(q), .. } if *q == p(2))));
+        for obs in [p(0), p(1)] {
+            let r = runner.report(obs, p(2)).unwrap();
+            let td = r.detection_time.expect("crash detected");
+            assert!(td.as_millis() < 2_000, "{obs}: T_D = {td}");
+        }
+        assert_events_replay_to_every_report(&runner, &events, &scenario);
+        assert!(runner.report(p(1), p(1)).is_none(), "the diagonal");
+        assert!(runner.report(p(9), p(0)).is_none(), "no such observer");
+        assert!(runner.report(p(0), p(9)).is_none(), "no such target");
+    }
+
+    #[test]
+    fn recovery_clears_suspicion_and_counts_the_outage_as_mistake() {
+        // p1 crashes at 5 s and recovers at 8 s; no final crash.
+        let scenario = OnlineScenario {
+            n: 2,
+            duration: ms(20_000),
+            schedule: FaultSchedule::new()
+                .at(ms(5_000), Fault::Crash(p(1)))
+                .at(ms(8_000), Fault::Recover(p(1))),
+            ..OnlineScenario::default()
+        };
+        let mut runner = OnlineRunner::new(JacobsonEstimator::new(4.0, ms(500)), scenario);
+        let events = runner.run_to_end();
+        let flips: Vec<bool> = events
+            .iter()
+            .filter_map(|e| match e {
+                OnlineEvent::Suspicion {
+                    observer,
+                    target,
+                    suspected,
+                    ..
+                } if *observer == p(0) && *target == p(1) => Some(*suspected),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            flips.windows(2).all(|w| w[0] != w[1]),
+            "suspicion transitions must alternate: {flips:?}"
+        );
+        assert!(
+            flips.contains(&true) && flips.contains(&false),
+            "the outage must be suspected and then cleared: {flips:?}"
+        );
+        let r = runner.report(p(0), p(1)).unwrap();
+        assert!(r.detection_time.is_none(), "no final crash to detect");
+        assert!(r.mistakes >= 1, "the outage shows up as a mistake episode");
+        // Thanks to the Jacobson outage clamp, the detector re-arms after
+        // the recovery: a fresh silence is suspected again promptly.
+        assert!(r.query_accuracy > 0.5, "{r:?}");
+    }
+
+    #[test]
+    fn partition_causes_cross_side_suspicion_then_heals() {
+        let mut side = ProcessSet::empty();
+        side.insert(p(0));
+        side.insert(p(1));
+        let scenario = OnlineScenario {
+            n: 4,
+            duration: ms(20_000),
+            schedule: FaultSchedule::new()
+                .at(ms(6_000), Fault::Partition(side))
+                .at(ms(10_000), Fault::Heal),
+            ..OnlineScenario::default()
+        };
+        let mut runner = OnlineRunner::new(PhiAccrual::new(3.0, 32, ms(500)), scenario);
+        runner.run_to_end();
+        // Across the cut: mistakes (the partition looked like a crash).
+        let cross = runner.report(p(0), p(2)).unwrap();
+        assert!(cross.mistakes >= 1, "{cross:?}");
+        assert!(cross.detection_time.is_none());
+        // Within a side: clean.
+        let within = runner.report(p(0), p(1)).unwrap();
+        assert_eq!(within.mistakes, 0, "{within:?}");
+    }
+
+    /// Which of two nodes is the target changes only the poll order
+    /// (nodes poll in id order): E7's layout — target `p0`, polled
+    /// before its observer `p1` — and the reverse both detect the crash
+    /// and make no mistakes.
+    #[test]
+    fn online_runner_agrees_with_the_batch_harness_shape() {
+        let crash = ms(15_000);
+        let report = |target: usize| {
+            let observer = 1 - target;
+            let scenario = OnlineScenario {
+                n: 2,
+                duration: ms(20_000),
+                schedule: FaultSchedule::new().at(crash, Fault::Crash(p(target))),
+                ..OnlineScenario::default()
+            };
+            let mut runner = OnlineRunner::new(FixedTimeout::new(ms(400)), scenario);
+            runner.run_to_end();
+            runner.report(p(observer), p(target)).unwrap()
+        };
+        for r in [report(1), report(0)] {
+            let td = r.detection_time.expect("crash detected");
+            assert!(td.as_millis() < 2_000, "T_D = {td} (report {r:?})");
+            assert_eq!(r.mistakes, 0, "{r:?}");
+        }
+    }
+
+    /// The generic runner over a [`crate::transport::FaultyTransport`]
+    /// cluster (reliable in-memory medium, every fault injected by the
+    /// wrapper) behaves like the native in-memory runner: the crash is
+    /// detected and the event stream still replays to every report.
+    #[test]
+    fn generic_runner_over_a_faulty_transport_detects_and_matches_batch() {
+        let scenario = OnlineScenario {
+            n: 3,
+            duration: ms(20_000),
+            schedule: FaultSchedule::new()
+                .at(ms(6_000), Fault::Partition(ProcessSet::singleton(p(1))))
+                .at(ms(9_000), Fault::Heal)
+                .at(ms(12_000), Fault::Crash(p(2))),
+            ..OnlineScenario::default()
+        };
+        let clock = VirtualClock::new();
+        let config = NetworkConfig::reliable(scenario.delay.0, scenario.delay.1);
+        let net = InMemoryNetwork::new(scenario.n, config, clock.clone());
+        let endpoints = (0..scenario.n)
+            .map(|ix| net.endpoint(ProcessId::new(ix)))
+            .collect();
+        let (nodes, injector) = faulty_cluster(endpoints, clock.clone());
+        let mut runner = OnlineRunner::over(
+            ChenEstimator::new(ms(50), 32, ms(500)),
+            scenario.clone(),
+            nodes,
+            injector,
+            clock,
+        );
+        let events = runner.run_to_end();
+        assert!(events.iter().any(|e| matches!(
+            e,
+            OnlineEvent::Fault {
+                fault: Fault::Heal,
+                ..
+            }
+        )));
+        let r = runner.report(p(0), p(2)).unwrap();
+        let td = r
+            .detection_time
+            .expect("crash detected through the wrapper");
+        assert!(td.as_millis() < 2_000, "T_D = {td}");
+        // The partition of p1 looked like a crash to p0: a mistake.
+        let cross = runner.report(p(0), p(1)).unwrap();
+        assert!(cross.mistakes >= 1, "{cross:?}");
+        assert_events_replay_to_every_report(&runner, &events, &scenario);
+    }
+
+    /// The whole online stack over *real* loopback UDP sockets, paced by
+    /// the wall clock: a short scenario (~1.2 s) in which the victim is
+    /// crash-muted and the survivor must detect it.
+    #[test]
+    fn wall_clock_udp_runner_detects_a_muted_peer() {
+        let scenario = OnlineScenario {
+            n: 2,
+            period: ms(40),
+            sample_every: ms(10),
+            duration: ms(1_600),
+            schedule: FaultSchedule::new().at(ms(500), Fault::Crash(p(1))),
+            ..OnlineScenario::default()
+        };
+        let clock = SystemClock::new();
+        let transports = loopback_cluster(2).expect("bind loopback");
+        let (nodes, injector) = faulty_cluster(transports, clock.clone());
+        let mut runner =
+            OnlineRunner::over(FixedTimeout::new(ms(150)), scenario, nodes, injector, clock);
+        runner.run_to_end();
+        assert!(runner.is_done());
+        let r = runner.report(p(0), p(1)).unwrap();
+        // Wall-clock tolerant: typical T_D is ~160 ms, the bound only
+        // guards against the detection being missed entirely.
+        let td = r.detection_time.expect("mute detected over real sockets");
+        assert!(td.as_millis() < 1_000, "T_D = {td} (report {r:?})");
+    }
+}

@@ -168,3 +168,30 @@ impl OnlineScenario {
         (endpoints, net, clock)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ms(v: u64) -> Nanos {
+        Nanos::from_millis(v)
+    }
+
+    fn p(i: usize) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    #[test]
+    fn schedule_final_crash_sees_through_churn() {
+        let s = FaultSchedule::new()
+            .at(ms(10_000), Fault::Recover(p(1)))
+            .at(ms(5_000), Fault::Crash(p(1)))
+            .at(ms(20_000), Fault::Crash(p(1)));
+        assert_eq!(s.final_crash(p(1)), Some(ms(20_000)));
+        assert_eq!(s.first_crash(p(1)), Some(ms(5_000)));
+        assert_eq!(s.final_crash(p(2)), None);
+        // Events come back time-sorted regardless of insertion order.
+        let times: Vec<u64> = s.events().iter().map(|(t, _)| t.as_millis()).collect();
+        assert_eq!(times, vec![5_000, 10_000, 20_000]);
+    }
+}

@@ -387,3 +387,123 @@ where
     });
     watcher.report()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::estimator::ChenEstimator;
+    use crate::online::FaultSchedule;
+
+    fn ms(v: u64) -> Nanos {
+        Nanos::from_millis(v)
+    }
+
+    fn p(i: usize) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    /// Heal-merge reconciliation: the same partition/heal schedule
+    /// split-brains forever under the default service but reconverges —
+    /// with finite, reported latency — once merging is on.
+    #[test]
+    fn heal_merge_reconverges_where_the_default_splits_forever() {
+        let mut minority = ProcessSet::empty();
+        minority.insert(p(2));
+        minority.insert(p(3));
+        let scenario = OnlineScenario {
+            n: 4,
+            period: ms(50),
+            duration: ms(30_000),
+            sample_every: ms(1),
+            schedule: FaultSchedule::new()
+                .at(ms(5_000), Fault::Partition(minority))
+                .at(ms(10_000), Fault::Heal),
+            ..OnlineScenario::default()
+        };
+        let chen = || ChenEstimator::new(ms(150), 16, ms(600));
+
+        let split = run_membership_churn(chen(), &scenario);
+        assert_eq!(
+            split.time_to_reconverge,
+            vec![None],
+            "split-brain is forever"
+        );
+        assert!(split.split_brain_duration >= ms(15_000), "{split:?}");
+
+        let merged = run_membership_churn(
+            chen(),
+            &OnlineScenario {
+                heal_merge: true,
+                ..scenario
+            },
+        );
+        let ttr = merged.time_to_reconverge[0].expect("fleet reconverged after the heal");
+        assert!(ttr < ms(5_000), "time to reconverge {ttr}");
+        // Split-brain covers (roughly) the partition plus the merge
+        // window — far less than the merge-less forever.
+        assert!(merged.split_brain_duration < split.split_brain_duration);
+        // The minority was still excluded by fiat *during* the cut.
+        assert!(
+            !merged.false_exclusions.is_empty(),
+            "{:?}",
+            merged.false_exclusions
+        );
+    }
+
+    #[test]
+    fn membership_churn_excludes_crashed_members_with_low_latency() {
+        let scenario = OnlineScenario {
+            n: 4,
+            period: ms(50),
+            duration: ms(30_000),
+            sample_every: ms(1),
+            schedule: FaultSchedule::new().at(ms(5_000), Fault::Crash(p(2))),
+            ..OnlineScenario::default()
+        };
+        let report = run_membership_churn(ChenEstimator::new(ms(150), 16, ms(600)), &scenario);
+        let latency = report.exclusion_latency[2].expect("crashed member excluded");
+        assert!(latency.as_millis() < 5_000, "latency {latency}");
+        assert!(report.false_exclusions.is_empty());
+        assert!(report.view_changes >= 1);
+    }
+
+    #[test]
+    fn membership_partition_forces_by_fiat_exclusions() {
+        // A minority side {3} is cut off long enough to be excluded; it
+        // never crashed, so the watcher must report a false exclusion —
+        // the paper's by-fiat accuracy made measurable.
+        let scenario = OnlineScenario {
+            n: 4,
+            period: ms(50),
+            duration: ms(30_000),
+            sample_every: ms(1),
+            schedule: FaultSchedule::new()
+                .at(ms(5_000), Fault::Partition(ProcessSet::singleton(p(3))))
+                .at(ms(15_000), Fault::Heal),
+            ..OnlineScenario::default()
+        };
+        let report = run_membership_churn(ChenEstimator::new(ms(150), 16, ms(600)), &scenario);
+        assert!(
+            report.false_exclusions.contains(p(3)),
+            "{:?}",
+            report.false_exclusions
+        );
+        assert!(report.exclusion_latency[3].is_none(), "p3 never crashed");
+    }
+
+    #[test]
+    fn watcher_counts_view_changes_and_ignores_recovered_crashes() {
+        let mut w = MembershipWatcher::new(3);
+        w.note_crash(p(2), ms(100));
+        w.note_recover(p(2));
+        let mut v1 = ProcessSet::full(3);
+        v1.remove(p(2));
+        w.observe(ms(200), vec![(p(0), 1, v1), (p(1), 1, v1)]);
+        let r = w.report();
+        // p2 crashed (then recovered) before the exclusion: accurate, not
+        // false; latency measured from the first crash.
+        assert!(r.false_exclusions.is_empty());
+        assert_eq!(r.exclusion_latency[2], Some(ms(100)));
+        assert_eq!(r.view_changes, 2);
+    }
+}

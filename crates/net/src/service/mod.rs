@@ -42,6 +42,16 @@
 //! documented in ARCHITECTURE.md ("Decision lifecycle"); the wire
 //! frames in `docs/WIRE.md`.
 
+// Wire-safety: no datagram may panic this module (ARCHITECTURE.md,
+// "Determinism & wire-safety invariants"); its unit tests are exempt.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 mod log;
 mod node;
 mod retry;

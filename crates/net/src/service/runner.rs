@@ -349,9 +349,16 @@ where
     /// clock is the driver clock seen through that node's
     /// [`crate::clock::ClockSkew`] (identity unless the scenario skews
     /// it).
+    ///
+    /// # Panics
+    ///
+    /// If `ix` is not a node of the fleet.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "harness accessor: ix is caller-chosen, never datagram-derived"
+    )]
     pub fn node(&self, ix: usize) -> &DecisionService<E, T, SkewedClock<C>> {
-        // rfd-lint: allow(wire-safety, harness accessor with a documented panic contract; ix is caller-chosen and never datagram-derived)
         &self.fleet.nodes[ix]
     }
 

@@ -10,6 +10,16 @@
 //! ([`ChurnableTransport`]), so the same crash / recover / partition
 //! schedules run over genuine OS sockets.
 
+// Wire-safety: no datagram may panic this module (ARCHITECTURE.md,
+// "Determinism & wire-safety invariants"); its unit tests are exempt.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod faulty;
 pub mod memory;
 pub mod udp;

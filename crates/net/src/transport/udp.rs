@@ -1,5 +1,10 @@
 //! Real UDP transport for end-to-end examples.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "real sockets run on the wall clock by design"
+)]
+
 use super::{Datagram, Transport};
 use crate::clock::{Clock, SystemClock};
 use bytes::Bytes;

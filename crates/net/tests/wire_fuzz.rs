@@ -1,10 +1,14 @@
-//! Dynamic companion to `rfd-lint`'s wire-safety rule: property fuzz
-//! feeding arbitrary and mutated datagrams into the runtime nodes.
+//! Dynamic companion to the wire-safety lints: property fuzz feeding
+//! arbitrary and mutated datagrams into the runtime nodes.
 //!
-//! The static pass proves no `unwrap`/`panic!`/unchecked indexing is
-//! *written* in datagram-facing code; these properties check the same
-//! contract *observably* — an attacker-controlled datagram never
-//! panics a [`DetectorNode`], [`MembershipNode`] or [`DecisionService`]
+//! Clippy proves no `unwrap`/`expect`/`panic!`/unchecked indexing is
+//! *written* in datagram-facing code (each such module denies
+//! `clippy::{unwrap_used, expect_used, panic, indexing_slicing}` at its
+//! top), and the one static test here bans the panicking
+//! `ProcessId::new(` from their non-test lines, a per-module ban clippy
+//! cannot scope. The properties check the same contract *observably*
+//! — an attacker-controlled datagram never panics a [`DetectorNode`],
+//! [`MembershipNode`] or [`DecisionService`]
 //! (the three callers of the crate's one receive loop), rejected frames
 //! leave node state untouched, and every rejection is charged to the
 //! `malformed_frames` counter exactly once. This regression-pins the PR 5
@@ -661,4 +665,51 @@ fn early_consensus_frames_are_held_up_to_a_cap_and_counted_beyond_it() {
     let decided: Vec<u64> = node.log().suffix(0).iter().map(|d| d.value).collect();
     assert_eq!(decided, vec![7]);
     assert_eq!(node.view(), view);
+}
+
+/// The datagram-facing modules: those that parse or route bytes an
+/// arbitrary peer controls, the modules that deny the wire-safety lints.
+const WIRE_FACING: [&str; 5] = [
+    "codec.rs",
+    "membership.rs",
+    "detector.rs",
+    "service",
+    "transport",
+];
+
+/// `ProcessId::new` panics on an out-of-range index, so a sender index
+/// read off the wire must go through `ProcessId::try_new`. Scans each
+/// wire-facing file up to its first `#[cfg(test)]`, comments cut.
+#[test]
+fn wire_facing_modules_never_call_the_panicking_process_id_constructor() {
+    fn scan(path: &std::path::Path, hits: &mut Vec<String>) {
+        if path.is_dir() {
+            for entry in std::fs::read_dir(path).expect("readable source dir") {
+                scan(&entry.expect("readable dir entry").path(), hits);
+            }
+            return;
+        }
+        let source = std::fs::read_to_string(path).expect("readable source file");
+        let code = source
+            .lines()
+            .take_while(|line| !line.contains("#[cfg(test)]"));
+        for (ix, line) in code.enumerate() {
+            if line
+                .split("//")
+                .next()
+                .is_some_and(|c| c.contains("ProcessId::new("))
+            {
+                hits.push(format!("{}:{}", path.display(), ix + 1));
+            }
+        }
+    }
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut hits = Vec::new();
+    for module in WIRE_FACING {
+        scan(&src.join(module), &mut hits);
+    }
+    assert!(
+        hits.is_empty(),
+        "use ProcessId::try_new and drop the frame: {hits:?}"
+    );
 }

@@ -55,6 +55,10 @@ fn main() -> std::io::Result<()> {
                 d0.suspicion_level(victim, now),
             );
         }
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "paces a real-socket demo in wall-clock time"
+        )]
         std::thread::sleep(Duration::from_millis(5));
     }
 

@@ -11,7 +11,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 total=0
-for dir in crates/{core,sim,algo,net,bench,lint}/src vendor examples; do
+for dir in crates/{core,sim,algo,net,bench}/src vendor examples; do
   lines=$(find "$dir" -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { tests = 0 }
     /#\[cfg\(test\)\]/ { tests = 1 }
