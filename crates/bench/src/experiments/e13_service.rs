@@ -23,6 +23,7 @@
 //! [`rfd_net::transport::FaultyTransport`] is timing-dependent: a
 //! smoke test for shape only, like E12's.
 
+use super::assert_service_safe;
 use crate::estimators::Estimators;
 use crate::table::Table;
 use crate::{ms, p};
@@ -112,21 +113,7 @@ fn scenario(
 /// Gates a cell's report (agreement + post-heal convergence + lossless
 /// transfer), then reduces it to the row metrics.
 fn gate(sched: &Schedule, report: &ServiceReport) -> (u64, Option<u64>, u64, u64) {
-    assert!(
-        report.agreement_holds(),
-        "[{}] uniform agreement violated",
-        sched.name
-    );
-    assert!(
-        report.live_logs_converged(),
-        "[{}] post-heal logs failed to converge",
-        sched.name
-    );
-    assert_eq!(
-        report.membership.decisions_lost, 0,
-        "[{}] state transfer discarded decisions",
-        sched.name
-    );
+    assert_service_safe(sched.name, report);
     let recover = report
         .first_decision_at_or_after(ms(sched.recover_from_ms))
         .map(|at| at.saturating_sub(ms(sched.recover_from_ms)).as_millis());

@@ -29,6 +29,7 @@
 //!
 //! Deterministic per seed, pinned by the tests.
 
+use super::assert_service_safe;
 use crate::estimators::Estimators;
 use crate::table::Table;
 use crate::{mean, ms, p};
@@ -93,18 +94,7 @@ struct Cell {
 /// Gates one cell (agreement, convergence, losslessness, the mode's
 /// transfer path actually taken) and reduces the report.
 fn gate(label: &str, snapshot_mode: bool, report: &ServiceReport) -> Cell {
-    assert!(
-        report.agreement_holds(),
-        "[{label}] uniform agreement violated"
-    );
-    assert!(
-        report.live_logs_converged(),
-        "[{label}] post-heal logs failed to converge"
-    );
-    assert_eq!(
-        report.membership.decisions_lost, 0,
-        "[{label}] state transfer discarded decisions"
-    );
+    assert_service_safe(label, report);
     if snapshot_mode {
         assert!(
             report.membership.snapshots_sent > 0,

@@ -24,6 +24,7 @@
 //! **every** estimator, and flapping degrades at least the aggressive
 //! fixed timeout. Deterministic per seed, pinned by the tests.
 
+use super::assert_service_safe;
 use crate::estimators::Estimators;
 use crate::table::Table;
 use crate::{mean, ms, p};
@@ -145,21 +146,10 @@ struct Cell {
     accuracy: f64,
 }
 
-/// Gates one cell's service report: the three safety properties every
-/// weather must leave intact.
+/// Gates one cell's service report: the safety properties every
+/// weather must leave intact, and at least one decision.
 fn gate(label: &str, report: &ServiceReport) {
-    assert!(
-        report.agreement_holds(),
-        "[{label}] uniform agreement violated under weather"
-    );
-    assert!(
-        report.live_logs_converged(),
-        "[{label}] live logs forked and failed to reconverge"
-    );
-    assert_eq!(
-        report.membership.decisions_lost, 0,
-        "[{label}] the weather cost an acked decision"
-    );
+    assert_service_safe(label, report);
     assert!(
         report.decided_len() >= 1,
         "[{label}] the service decided nothing all run"

@@ -36,6 +36,7 @@
 //! (≈ 1.4 hours of virtual time) at 10% loss with periodic outages —
 //! which is where the ROADMAP's 10⁵-decision target is discharged.
 
+use super::assert_service_safe;
 use crate::estimators::Estimators;
 use crate::table::Table;
 use crate::{ms, p};
@@ -163,15 +164,7 @@ fn soak(label: &str, proto: Estimators, loss: f64, commands: u64, cycles: u64, s
         report.decided_len()
     );
     // Safety: agreement everywhere, nothing acked ever lost.
-    assert!(report.agreement_holds(), "[{label}] agreement violated");
-    assert!(
-        report.live_logs_converged(),
-        "[{label}] live logs failed to reconverge"
-    );
-    assert_eq!(
-        report.membership.decisions_lost, 0,
-        "[{label}] state transfer lost an acked decision"
-    );
+    assert_service_safe(label, &report);
     // Flat memory: every retained log stays within a small multiple of
     // the compaction tail, and every pool drained to empty.
     let max_retained = report.logs.iter().map(Vec::len).max().unwrap_or(0);

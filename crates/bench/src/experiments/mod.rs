@@ -25,6 +25,7 @@ pub mod e9_crossover;
 pub mod e9b_ablation;
 
 use crate::table::Table;
+use rfd_net::service::ServiceReport;
 
 /// An experiment entry point.
 pub type ExperimentFn = fn() -> Table;
@@ -61,4 +62,27 @@ pub fn catalog() -> Vec<(&'static str, ExperimentFn)> {
 #[must_use]
 pub fn run_all() -> Vec<(&'static str, Table)> {
     catalog().into_iter().map(|(id, run)| (id, run())).collect()
+}
+
+/// Gates a service cell on the three safety properties every service
+/// experiment (E13–E16) shares: uniform agreement, compacted prefixes
+/// included; live logs converged; no acked decision lost to state
+/// transfer. Each experiment adds its own asserts after it.
+///
+/// # Panics
+///
+/// Panics naming `label` and the property that failed.
+pub(crate) fn assert_service_safe(label: &str, report: &ServiceReport) {
+    assert!(
+        report.agreement_holds(),
+        "[{label}] uniform agreement violated"
+    );
+    assert!(
+        report.live_logs_converged(),
+        "[{label}] live logs failed to converge"
+    );
+    assert_eq!(
+        report.membership.decisions_lost, 0,
+        "[{label}] state transfer lost an acked decision"
+    );
 }

@@ -45,7 +45,7 @@
 
 use crate::clock::Nanos;
 use crate::transport::Datagram;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use rfd_algo::consensus::RotatingMsg;
 use rfd_core::{ProcessId, ProcessSet};
 use std::ops::ControlFlow;
@@ -166,10 +166,11 @@ pub struct SyncReply {
     pub entries: Vec<(u64, u64, u128)>,
 }
 
-/// A fast-rejoin request: "my log ends at `from_index`, which you said
-/// is below your compacted base — send me a snapshot instead". Issued
-/// when a [`SyncReply`] comes back starting *above* the requested
-/// index, the responder's signal that the prefix is compacted away.
+/// A fast-rejoin request: "my log ends at `from_index`". Answered
+/// exactly as a [`SyncRequest`] with the same index — the suffix, or a
+/// [`SnapshotReply`] if `from_index` lies below the responder's
+/// compacted base. This implementation no longer sends it; the tag
+/// stays so a peer that does is still answered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SnapshotRequest {
     /// Absolute length of the requester's log (first missing index).
@@ -266,9 +267,7 @@ impl<'a> SyncReplyView<'a> {
 
     /// Iterates `(value, view_id, view_members)` entries in place.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64, u128)> + 'a {
-        self.raw
-            .chunks_exact(SYNC_ENTRY_LEN)
-            .map(|mut chunk| (chunk.get_u64(), chunk.get_u64(), chunk.get_u128()))
+        read_entries(self.raw)
     }
 
     /// Copies the view into an owned [`SyncReply`].
@@ -313,9 +312,7 @@ impl<'a> SnapshotReplyView<'a> {
 
     /// Iterates `(value, view_id, view_members)` tail entries in place.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64, u128)> + 'a {
-        self.raw
-            .chunks_exact(SYNC_ENTRY_LEN)
-            .map(|mut chunk| (chunk.get_u64(), chunk.get_u64(), chunk.get_u128()))
+        read_entries(self.raw)
     }
 
     /// Copies the view into an owned [`SnapshotReply`].
@@ -360,7 +357,7 @@ impl<'a> BatchView<'a> {
     pub fn iter(&self) -> BatchIter<'a> {
         BatchIter {
             remaining: self.count,
-            rest: self.raw,
+            rest: Reader(self.raw),
         }
     }
 }
@@ -369,7 +366,7 @@ impl<'a> BatchView<'a> {
 #[derive(Clone, Debug)]
 pub struct BatchIter<'a> {
     remaining: u8,
-    rest: &'a [u8],
+    rest: Reader<'a>,
 }
 
 impl<'a> Iterator for BatchIter<'a> {
@@ -381,14 +378,10 @@ impl<'a> Iterator for BatchIter<'a> {
         }
         self.remaining -= 1;
         // [`decode_borrowed`] validated every sub-frame before handing
-        // out the view, so these checks cannot fire — but the iterator
+        // out the view, so these reads cannot fail — but the iterator
         // stays total anyway: on any inconsistency it ends the batch
         // instead of panicking on attacker-reachable state.
-        let (prefix, after_len) = split_checked(self.rest, 2)?;
-        let len = usize::from(u16::from_be_bytes(prefix.try_into().ok()?));
-        let (frame, tail) = split_checked(after_len, len)?;
-        self.rest = tail;
-        match decode_borrowed(frame) {
+        match self.rest.sub_frame().and_then(decode_borrowed) {
             Ok(view) => Some(view),
             Err(_) => {
                 debug_assert!(false, "batch was validated by decode_borrowed");
@@ -399,10 +392,68 @@ impl<'a> Iterator for BatchIter<'a> {
     }
 }
 
-/// `split_at` without the panic: `None` when `data` is shorter than
-/// `mid`.
-fn split_checked(data: &[u8], mid: usize) -> Option<(&[u8], &[u8])> {
-    (data.len() >= mid).then(|| data.split_at(mid))
+/// A checked cursor over a datagram, big-endian (network order) like
+/// the encoder: every read that runs past the end answers
+/// [`DecodeError::Truncated`] and consumes nothing, so a frame's
+/// layout is just its fields read in wire order.
+#[derive(Clone, Debug)]
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or(DecodeError::Truncated)?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> Result<u8, DecodeError> {
+        self.array().map(u8::from_be_bytes)
+    }
+
+    fn u16(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(u16::from_be_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    fn u128(&mut self) -> Result<u128, DecodeError> {
+        self.array().map(u128::from_be_bytes)
+    }
+
+    /// The next `n` bytes, borrowed.
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or(DecodeError::Truncated)?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// A `u16` length prefix and the sub-frame it measures.
+    fn sub_frame(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = self.u16()?;
+        self.bytes(usize::from(len))
+    }
+
+    /// A `u16` entry count and the raw entry array it measures; a count
+    /// above [`MAX_SYNC_ENTRIES`] is [`DecodeError::Malformed`].
+    fn entries(&mut self) -> Result<&'a [u8], DecodeError> {
+        let count = usize::from(self.u16()?);
+        if count > MAX_SYNC_ENTRIES {
+            return Err(DecodeError::Malformed);
+        }
+        self.bytes(count * SYNC_ENTRY_LEN)
+    }
+}
+
+/// Reads a raw entry array (a whole number of [`SYNC_ENTRY_LEN`]-byte
+/// entries, as [`Reader::entries`] returns it) in place.
+fn read_entries(raw: &[u8]) -> impl Iterator<Item = (u64, u64, u128)> + '_ {
+    let mut rd = Reader(raw);
+    std::iter::from_fn(move || Some((rd.u64().ok()?, rd.u64().ok()?, rd.u128().ok()?)))
 }
 
 /// A decoded wire message that borrows variable-length payloads from
@@ -455,32 +506,30 @@ impl WireView<'_> {
     }
 }
 
-/// The exact encoded frame length of a message, in bytes.
-///
-/// `encode(msg).len() == encoded_len(msg)` for every encodable message;
-/// the batch encoder uses this to emit sub-frame length prefixes in one
-/// forward pass.
-#[must_use]
-pub fn encoded_len(msg: &WireMsg) -> usize {
-    let body = match msg {
-        WireMsg::Heartbeat(_) => 2 + 8 + 8,
-        WireMsg::ViewChange(_) => 8 + 16,
-        WireMsg::Command(_) | WireMsg::SyncRequest(_) | WireMsg::SnapshotRequest(_) => 8,
-        WireMsg::Consensus(frame) => {
-            8 + 1
-                + match frame.msg {
-                    RotatingMsg::Estimate { .. } => 24,
-                    RotatingMsg::Propose { .. } => 16,
-                    RotatingMsg::Ack { .. } | RotatingMsg::Nack { .. } => 8,
-                    RotatingMsg::Decide(_) => 8,
-                }
-        }
-        WireMsg::Decided(_) => 8 + 8 + 16 + 8,
-        WireMsg::SyncReply(s) => 8 + 2 + s.entries.len() * SYNC_ENTRY_LEN,
-        WireMsg::SnapshotReply(s) => 8 + 8 + 8 + 16 + 2 + s.entries.len() * SYNC_ENTRY_LEN,
-        WireMsg::Batch(frames) => 1 + frames.iter().map(|sub| 2 + encoded_len(sub)).sum::<usize>(),
-    };
-    2 + 1 + body
+/// Big-endian (network order) writes onto a frame under construction.
+trait Put {
+    fn put_u8(&mut self, v: u8);
+    fn put_u16(&mut self, v: u16);
+    fn put_u64(&mut self, v: u64);
+    fn put_u128(&mut self, v: u128);
+}
+
+impl Put for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+
+    fn put_u16(&mut self, v: u16) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn put_u128(&mut self, v: u128) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
 }
 
 /// Encodes a message into `buf`, **clearing it first** — the frame
@@ -498,7 +547,6 @@ pub fn encode_into(msg: &WireMsg, buf: &mut BytesMut) {
     // backing vector instead of paying `Arc::make_mut` per field.
     let v = buf.as_mut_vec();
     v.clear();
-    v.reserve(encoded_len(msg));
     encode_frame(msg, v);
 }
 
@@ -562,57 +610,51 @@ fn encode_frame(msg: &WireMsg, b: &mut Vec<u8>) {
             b.put_u64(s.from_index);
         }
         WireMsg::SyncReply(s) => {
-            assert!(
-                s.entries.len() <= MAX_SYNC_ENTRIES,
-                "SyncReply overflows a chunk: {} entries",
-                s.entries.len()
-            );
             b.put_u8(tags::SYNC_REPLY);
             b.put_u64(s.start);
-            #[allow(
-                clippy::cast_possible_truncation,
-                reason = "the assert above caps the entries at MAX_SYNC_ENTRIES"
-            )]
-            b.put_u16(s.entries.len() as u16);
-            for (value, view_id, view_members) in &s.entries {
-                b.put_u64(*value);
-                b.put_u64(*view_id);
-                b.put_u128(*view_members);
-            }
+            put_entries(&s.entries, b);
         }
         WireMsg::SnapshotRequest(s) => {
             b.put_u8(tags::SNAPSHOT_REQUEST);
             b.put_u64(s.from_index);
         }
         WireMsg::SnapshotReply(s) => {
-            assert!(
-                s.entries.len() <= MAX_SYNC_ENTRIES,
-                "SnapshotReply overflows a chunk: {} entries",
-                s.entries.len()
-            );
             b.put_u8(tags::SNAPSHOT_REPLY);
             b.put_u64(s.upto);
             b.put_u64(s.digest);
             b.put_u64(s.view_id);
             b.put_u128(s.view_members);
-            #[allow(
-                clippy::cast_possible_truncation,
-                reason = "the assert above caps the entries at MAX_SYNC_ENTRIES"
-            )]
-            b.put_u16(s.entries.len() as u16);
-            for (value, view_id, view_members) in &s.entries {
-                b.put_u64(*value);
-                b.put_u64(*view_id);
-                b.put_u128(*view_members);
-            }
+            put_entries(&s.entries, b);
         }
         WireMsg::Batch(frames) => put_batch_body(frames, b),
     }
 }
 
+/// Appends a reply's entry count, then its `(value, view_id,
+/// view_members)` entries. Shared by [`SyncReply`] and
+/// [`SnapshotReply`].
+fn put_entries(entries: &[(u64, u64, u128)], b: &mut Vec<u8>) {
+    assert!(
+        entries.len() <= MAX_SYNC_ENTRIES,
+        "a reply overflows a chunk: {} entries",
+        entries.len()
+    );
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "the assert above caps the entries at MAX_SYNC_ENTRIES"
+    )]
+    b.put_u16(entries.len() as u16);
+    for (value, view_id, view_members) in entries {
+        b.put_u64(*value);
+        b.put_u64(*view_id);
+        b.put_u128(*view_members);
+    }
+}
+
 /// Appends a batch tag and body: sub-frame count, then each sub-frame
-/// length-prefixed. Shared by the [`WireMsg::Batch`] arm of the frame
-/// encoder and the slice-based [`encode_batch_into`].
+/// behind a `u16` length prefix, filled in once the sub-frame is
+/// written. Shared by the [`WireMsg::Batch`] arm of the frame encoder
+/// and the slice-based [`encode_batch_into`].
 fn put_batch_body(frames: &[WireMsg], b: &mut Vec<u8>) {
     assert!(
         frames.len() <= MAX_BATCH_FRAMES,
@@ -630,13 +672,17 @@ fn put_batch_body(frames: &[WireMsg], b: &mut Vec<u8>) {
             !matches!(sub, WireMsg::Batch(_)),
             "batches must not nest — flatten before encoding"
         );
-        let len = encoded_len(sub);
+        let prefix = b.len();
+        b.put_u16(0);
+        encode_frame(sub, b);
         #[allow(
             clippy::cast_possible_truncation,
             reason = "a frame fits a datagram, far below u16::MAX bytes"
         )]
-        b.put_u16(len as u16);
-        encode_frame(sub, b);
+        let len = (b.len() - prefix - 2) as u16;
+        if let Some(slot) = b.get_mut(prefix..prefix + 2) {
+            slot.copy_from_slice(&len.to_be_bytes());
+        }
     }
 }
 
@@ -651,10 +697,8 @@ fn put_batch_body(frames: &[WireMsg], b: &mut Vec<u8>) {
 ///
 /// As [`encode_into`] of the equivalent [`WireMsg::Batch`].
 pub fn encode_batch_into(frames: &[WireMsg], buf: &mut BytesMut) {
-    let total = 2 + 1 + 1 + frames.iter().map(|sub| 2 + encoded_len(sub)).sum::<usize>();
     let v = buf.as_mut_vec();
     v.clear();
-    v.reserve(total);
     v.put_u16(MAGIC);
     put_batch_body(frames, v);
 }
@@ -667,7 +711,7 @@ pub fn encode_batch_into(frames: &[WireMsg], buf: &mut BytesMut) {
 /// As [`encode_into`].
 #[must_use]
 pub fn encode(msg: &WireMsg) -> Bytes {
-    let mut b = BytesMut::with_capacity(encoded_len(msg));
+    let mut b = BytesMut::new();
     encode_frame(msg, b.as_mut_vec());
     b.freeze()
 }
@@ -682,164 +726,84 @@ pub fn encode(msg: &WireMsg) -> Bytes {
 /// # Errors
 ///
 /// Returns [`DecodeError`] on short or malformed input.
-pub fn decode_borrowed(mut data: &[u8]) -> Result<WireView<'_>, DecodeError> {
-    if data.len() < 3 {
-        return Err(DecodeError::Truncated);
-    }
-    if data.get_u16() != MAGIC {
+pub fn decode_borrowed(data: &[u8]) -> Result<WireView<'_>, DecodeError> {
+    let mut rd = Reader(data);
+    // Both header fields before the magic check: a datagram too short
+    // for a header is truncated, whatever its first bytes.
+    let (magic, tag) = (rd.u16()?, rd.u8()?);
+    if magic != MAGIC {
         return Err(DecodeError::Malformed);
     }
-    match data.get_u8() {
-        tags::HEARTBEAT => {
-            if data.len() < 2 + 8 + 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(WireView::Heartbeat(Heartbeat {
-                sender: data.get_u16(),
-                seq: data.get_u64(),
-                sent_at: Nanos::from_nanos(data.get_u64()),
-            }))
-        }
-        tags::VIEW_CHANGE => {
-            if data.len() < 8 + 16 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(WireView::ViewChange(ViewChange {
-                view_id: data.get_u64(),
-                members: data.get_u128(),
-            }))
-        }
-        tags::COMMAND => {
-            if data.len() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(WireView::Command(Command {
-                value: data.get_u64(),
-            }))
-        }
+    // Struct literals below evaluate their fields in the order written,
+    // which is wire order.
+    Ok(match tag {
+        tags::HEARTBEAT => WireView::Heartbeat(Heartbeat {
+            sender: rd.u16()?,
+            seq: rd.u64()?,
+            sent_at: Nanos::from_nanos(rd.u64()?),
+        }),
+        tags::VIEW_CHANGE => WireView::ViewChange(ViewChange {
+            view_id: rd.u64()?,
+            members: rd.u128()?,
+        }),
+        tags::COMMAND => WireView::Command(Command { value: rd.u64()? }),
         tags::CONSENSUS => {
-            if data.len() < 8 + 1 {
-                return Err(DecodeError::Truncated);
-            }
-            let slot = data.get_u64();
-            let kind = data.get_u8();
-            let need = match kind {
-                1 => 24,
-                2 => 16,
-                3..=5 => 8,
-                _ => return Err(DecodeError::Malformed),
-            };
-            if data.len() < need {
-                return Err(DecodeError::Truncated);
-            }
-            let msg = match kind {
+            let slot = rd.u64()?;
+            let msg = match rd.u8()? {
                 1 => RotatingMsg::Estimate {
-                    r: data.get_u64(),
-                    ts: data.get_u64(),
-                    v: data.get_u64(),
+                    r: rd.u64()?,
+                    ts: rd.u64()?,
+                    v: rd.u64()?,
                 },
                 2 => RotatingMsg::Propose {
-                    r: data.get_u64(),
-                    v: data.get_u64(),
+                    r: rd.u64()?,
+                    v: rd.u64()?,
                 },
-                3 => RotatingMsg::Ack { r: data.get_u64() },
-                4 => RotatingMsg::Nack { r: data.get_u64() },
-                _ => RotatingMsg::Decide(data.get_u64()),
+                3 => RotatingMsg::Ack { r: rd.u64()? },
+                4 => RotatingMsg::Nack { r: rd.u64()? },
+                5 => RotatingMsg::Decide(rd.u64()?),
+                _ => return Err(DecodeError::Malformed),
             };
-            Ok(WireView::Consensus(ConsensusFrame { slot, msg }))
+            WireView::Consensus(ConsensusFrame { slot, msg })
         }
-        tags::DECIDED => {
-            if data.len() < 8 + 8 + 16 + 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(WireView::Decided(DecidedMsg {
-                index: data.get_u64(),
-                view_id: data.get_u64(),
-                view_members: data.get_u128(),
-                value: data.get_u64(),
-            }))
-        }
-        tags::SYNC_REQUEST => {
-            if data.len() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(WireView::SyncRequest(SyncRequest {
-                from_index: data.get_u64(),
-            }))
-        }
-        tags::SYNC_REPLY => {
-            if data.len() < 8 + 2 {
-                return Err(DecodeError::Truncated);
-            }
-            let start = data.get_u64();
-            let count = usize::from(data.get_u16());
-            if count > MAX_SYNC_ENTRIES {
-                return Err(DecodeError::Malformed);
-            }
-            let Some(raw) = data.get(..count * SYNC_ENTRY_LEN) else {
-                return Err(DecodeError::Truncated);
-            };
-            Ok(WireView::SyncReply(SyncReplyView { start, raw }))
-        }
+        tags::DECIDED => WireView::Decided(DecidedMsg {
+            index: rd.u64()?,
+            view_id: rd.u64()?,
+            view_members: rd.u128()?,
+            value: rd.u64()?,
+        }),
+        tags::SYNC_REQUEST => WireView::SyncRequest(SyncRequest {
+            from_index: rd.u64()?,
+        }),
+        tags::SYNC_REPLY => WireView::SyncReply(SyncReplyView {
+            start: rd.u64()?,
+            raw: rd.entries()?,
+        }),
         tags::BATCH => {
-            if data.is_empty() {
-                return Err(DecodeError::Truncated);
-            }
-            let count = data.get_u8();
+            let count = rd.u8()?;
             if usize::from(count) > MAX_BATCH_FRAMES {
                 return Err(DecodeError::Malformed);
             }
-            let raw = data;
-            let mut rest = data;
+            let raw = rd.0;
             for _ in 0..count {
-                if rest.len() < 2 {
-                    return Err(DecodeError::Truncated);
-                }
-                let len = usize::from(rest.get_u16());
-                if rest.len() < len {
-                    return Err(DecodeError::Truncated);
-                }
-                let (frame, tail) = rest.split_at(len);
-                if matches!(decode_borrowed(frame)?, WireView::Batch(_)) {
+                if matches!(decode_borrowed(rd.sub_frame()?)?, WireView::Batch(_)) {
                     return Err(DecodeError::Malformed);
                 }
-                rest = tail;
             }
-            Ok(WireView::Batch(BatchView { count, raw }))
+            WireView::Batch(BatchView { count, raw })
         }
-        tags::SNAPSHOT_REQUEST => {
-            if data.len() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(WireView::SnapshotRequest(SnapshotRequest {
-                from_index: data.get_u64(),
-            }))
-        }
-        tags::SNAPSHOT_REPLY => {
-            if data.len() < 8 + 8 + 8 + 16 + 2 {
-                return Err(DecodeError::Truncated);
-            }
-            let upto = data.get_u64();
-            let digest = data.get_u64();
-            let view_id = data.get_u64();
-            let view_members = data.get_u128();
-            let count = usize::from(data.get_u16());
-            if count > MAX_SYNC_ENTRIES {
-                return Err(DecodeError::Malformed);
-            }
-            let Some(raw) = data.get(..count * SYNC_ENTRY_LEN) else {
-                return Err(DecodeError::Truncated);
-            };
-            Ok(WireView::SnapshotReply(SnapshotReplyView {
-                upto,
-                digest,
-                view_id,
-                view_members,
-                raw,
-            }))
-        }
-        _ => Err(DecodeError::Malformed),
-    }
+        tags::SNAPSHOT_REQUEST => WireView::SnapshotRequest(SnapshotRequest {
+            from_index: rd.u64()?,
+        }),
+        tags::SNAPSHOT_REPLY => WireView::SnapshotReply(SnapshotReplyView {
+            upto: rd.u64()?,
+            digest: rd.u64()?,
+            view_id: rd.u64()?,
+            view_members: rd.u128()?,
+            raw: rd.entries()?,
+        }),
+        _ => return Err(DecodeError::Malformed),
+    })
 }
 
 /// Decodes a datagram into an owned [`WireMsg`]. Thin shim over
@@ -1026,72 +990,26 @@ mod tests {
         // Hand-built frame: a batch whose single sub-frame is itself a
         // batch (the encoder refuses to produce this).
         let inner = encode(&WireMsg::Batch(Vec::new()));
-        let mut bad = BytesMut::new();
+        let mut bad = Vec::new();
         bad.put_u16(0xFD02);
         bad.put_u8(8);
         bad.put_u8(1);
         #[allow(
             clippy::cast_possible_truncation,
-            reason = "a one-heartbeat frame is a few bytes"
+            reason = "an empty batch is a few bytes"
         )]
         bad.put_u16(inner.len() as u16);
-        bad.put_slice(&inner);
+        bad.extend_from_slice(&inner);
         assert_eq!(decode(&bad), Err(DecodeError::Malformed));
     }
 
     #[test]
     fn batch_with_short_subframe_is_truncated() {
-        let mut bad = BytesMut::new();
+        let mut bad = Vec::new();
         bad.put_u16(0xFD02);
         bad.put_u8(8);
         bad.put_u8(2); // claims two sub-frames, carries none
         assert_eq!(decode(&bad), Err(DecodeError::Truncated));
-    }
-
-    #[test]
-    fn encoded_len_matches_the_encoder() {
-        let msgs = vec![
-            WireMsg::Heartbeat(Heartbeat {
-                sender: 1,
-                seq: 2,
-                sent_at: Nanos::from_millis(3),
-            }),
-            WireMsg::ViewChange(ViewChange {
-                view_id: 1,
-                members: 0b1,
-            }),
-            WireMsg::Command(Command { value: 9 }),
-            WireMsg::Consensus(ConsensusFrame {
-                slot: 1,
-                msg: RotatingMsg::Ack { r: 2 },
-            }),
-            WireMsg::Decided(DecidedMsg {
-                index: 0,
-                view_id: 0,
-                view_members: 0,
-                value: 0,
-            }),
-            WireMsg::SyncRequest(SyncRequest { from_index: 0 }),
-            WireMsg::SyncReply(SyncReply {
-                start: 0,
-                entries: vec![(1, 2, 3), (4, 5, 6)],
-            }),
-            WireMsg::SnapshotRequest(SnapshotRequest { from_index: 7 }),
-            WireMsg::SnapshotReply(SnapshotReply {
-                upto: 9,
-                digest: 1,
-                view_id: 2,
-                view_members: 0b11,
-                entries: vec![(1, 2, 3)],
-            }),
-            WireMsg::Batch(vec![
-                WireMsg::Command(Command { value: 1 }),
-                WireMsg::SyncRequest(SyncRequest { from_index: 2 }),
-            ]),
-        ];
-        for msg in msgs {
-            assert_eq!(encode(&msg).len(), encoded_len(&msg), "{msg:?}");
-        }
     }
 
     #[test]
@@ -1104,7 +1022,7 @@ mod tests {
         encode_into(&big, &mut buf);
         let small = WireMsg::Command(Command { value: 1 });
         encode_into(&small, &mut buf);
-        assert_eq!(buf.len(), encoded_len(&small), "clears, never appends");
+        assert_eq!(&buf[..], &encode(&small)[..], "clears, never appends");
         assert_eq!(decode(&buf).unwrap(), small);
     }
 

@@ -25,16 +25,12 @@ fn fold_word(mut digest: u64, word: u64) -> u64 {
     digest
 }
 
-/// Folds one decision (index, value and full view stamp) into the
-/// digest chain. Order-sensitive by construction: swapping two entries
-/// changes the digest.
+/// Folds one decision's (index, value) into the digest chain.
+/// Order-sensitive by construction: swapping two entries changes the
+/// digest. The view stamp stays out: replicas may stamp one decision
+/// with different views, and agreement is about the value alone.
 fn fold_decision(digest: u64, decision: &Decision) -> u64 {
-    let members = decision.view.members;
-    let mut d = fold_word(digest, decision.index);
-    d = fold_word(d, decision.value);
-    d = fold_word(d, decision.view.id);
-    d = fold_word(d, members as u64);
-    fold_word(d, (members >> 64) as u64)
+    fold_word(fold_word(digest, decision.index), decision.value)
 }
 
 /// One totally ordered decision of the service: the `index`-th entry of
@@ -203,11 +199,12 @@ impl ReplicatedLog {
         self.snapshots_installed
     }
 
-    /// The chained digest of the prefix `[0, index)`, or `None` if
-    /// `index` is below the compacted base (those entries are gone) or
-    /// beyond the log end. Two replicas whose `digest_at(i)` agree held
-    /// bit-identical decisions over `[0, i)` — the compaction-era form
-    /// of prefix consistency.
+    /// The chained digest of the (index, value) pairs of the prefix
+    /// `[0, index)`, or `None` if `index` is below the compacted base
+    /// (those entries are gone) or beyond the log end. Two replicas
+    /// whose `digest_at(i)` agree decided the same values over
+    /// `[0, i)`, whatever view each stamped them with — the
+    /// compaction-era form of prefix consistency.
     #[must_use]
     pub fn digest_at(&self, index: u64) -> Option<u64> {
         let skip = index.checked_sub(self.base)?;
@@ -659,6 +656,24 @@ mod tests {
         }
         assert!(!a.prefix_consistent_with(&c));
         assert!(!c.prefix_consistent_with(&a));
+    }
+
+    #[test]
+    fn equal_values_under_different_view_stamps_agree_across_compaction() {
+        // Replicas may stamp one decision with different views (a relay
+        // received in a later view): the digest compares what was
+        // decided, not the stamps.
+        let mut a = ReplicatedLog::new();
+        let mut b = ReplicatedLog::new();
+        for v in [1, 2, 3, 4] {
+            a.append(v, stamp(1, 0b111));
+            b.append(v, stamp(2, 0b011));
+        }
+        a.truncate_prefix(3);
+        b.truncate_prefix(3);
+        assert_eq!(a.digest_at(3), b.digest_at(3));
+        assert!(a.prefix_consistent_with(&b));
+        assert!(b.prefix_consistent_with(&a));
     }
 
     #[test]

@@ -123,6 +123,11 @@ pub struct ServiceReport {
     pub membership: MembershipChurnReport,
     /// Every decision event in observation order.
     pub decisions: Vec<(Nanos, ProcessId, Decision)>,
+    /// Whether every pair of final logs is
+    /// [`prefix_consistent_with`](crate::service::ReplicatedLog::prefix_consistent_with)
+    /// the other, decided when the report is taken (the compacted
+    /// prefixes' digests live on the logs, not in `logs`).
+    agreement: bool,
 }
 
 /// Whether two retained logs agree on every index both retain.
@@ -143,17 +148,13 @@ fn retained_overlap_agrees(a: &[Decision], b: &[Decision]) -> bool {
 
 impl ServiceReport {
     /// Uniform agreement over the final logs: every pair of replicas —
-    /// crashed, halted or live — agrees on every index both decided
-    /// **and retained** (compacted prefixes are digest-checked at the
-    /// log layer; see `ReplicatedLog::prefix_consistent_with`).
+    /// crashed, halted or live — agrees on every index both decided,
+    /// retained entries value by value and compacted prefixes by digest
+    /// at the pair's common base
+    /// ([`ReplicatedLog::prefix_consistent_with`](crate::service::ReplicatedLog::prefix_consistent_with)).
     #[must_use]
     pub fn agreement_holds(&self) -> bool {
-        self.logs.iter().enumerate().all(|(a, log_a)| {
-            self.logs
-                .iter()
-                .skip(a + 1)
-                .all(|log_b| retained_overlap_agrees(log_a, log_b))
-        })
+        self.agreement
     }
 
     /// Whether every live (up, non-halted) replica ended at the same
@@ -475,6 +476,12 @@ where
                 .collect(),
             membership,
             decisions: self.decisions.clone(),
+            agreement: nodes.iter().enumerate().all(|(a, node_a)| {
+                nodes
+                    .iter()
+                    .skip(a + 1)
+                    .all(|node_b| node_a.log().prefix_consistent_with(node_b.log()))
+            }),
         }
     }
 }

@@ -3,70 +3,22 @@
 //! or outright arbitrary datagrams must return an error (or a different
 //! message), never panic and never over-allocate.
 
+mod common;
+
 use proptest::prelude::*;
 use rfd_algo::consensus::RotatingMsg;
 use rfd_net::bytes::BytesMut;
-use rfd_net::clock::Nanos;
 use rfd_net::codec::{
-    decode, decode_borrowed, encode, encode_batch_into, encoded_len, Command, ConsensusFrame,
-    DecidedMsg, DecodeError, Heartbeat, SyncReply, SyncRequest, ViewChange, WireMsg,
-    MAX_BATCH_FRAMES, MAX_SYNC_ENTRIES,
+    decode, decode_borrowed, encode, encode_batch_into, ConsensusFrame, DecodeError, SyncRequest,
+    WireMsg, WireView, MAX_BATCH_FRAMES,
 };
-
-/// Builds one arbitrary wire message from a flattened parameter tuple
-/// (the vendored proptest subset has no `prop_oneof`; a selector byte
-/// plus generic scalars covers every variant and sub-variant).
-fn wire_msg(selector: u8, a: u64, b: u64, wide: u128, entries: Vec<(u64, u64, u128)>) -> WireMsg {
-    match selector % 7 {
-        0 => WireMsg::Heartbeat(Heartbeat {
-            sender: a as u16,
-            seq: b,
-            sent_at: Nanos::from_nanos(a ^ b),
-        }),
-        1 => WireMsg::ViewChange(ViewChange {
-            view_id: a,
-            members: wide,
-        }),
-        2 => WireMsg::Command(Command { value: a }),
-        3 => WireMsg::Consensus(ConsensusFrame {
-            slot: a,
-            msg: match b % 5 {
-                0 => RotatingMsg::Estimate {
-                    r: b,
-                    ts: a.wrapping_add(b),
-                    v: wide as u64,
-                },
-                1 => RotatingMsg::Propose {
-                    r: b,
-                    v: wide as u64,
-                },
-                2 => RotatingMsg::Ack { r: b },
-                3 => RotatingMsg::Nack { r: b },
-                _ => RotatingMsg::Decide(wide as u64),
-            },
-        }),
-        4 => WireMsg::Decided(DecidedMsg {
-            index: a,
-            view_id: b,
-            view_members: wide,
-            value: a.wrapping_mul(3),
-        }),
-        5 => WireMsg::SyncRequest(SyncRequest { from_index: a }),
-        _ => WireMsg::SyncReply(SyncReply { start: a, entries }),
-    }
-}
 
 proptest! {
     /// Every message survives an encode/decode round trip bit-exact.
     #[test]
     fn round_trip_is_identity(
-        selector in 0u8..7,
-        a in any::<u64>(),
-        b in any::<u64>(),
-        wide in any::<u128>(),
-        entries in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u128>()), 0..=MAX_SYNC_ENTRIES),
+        msg in common::wire_frame(),
     ) {
-        let msg = wire_msg(selector, a, b, wide, entries);
         let encoded = encode(&msg);
         prop_assert_eq!(decode(&encoded), Ok(msg));
     }
@@ -80,39 +32,34 @@ proptest! {
         let _ = decode(&bytes);
     }
 
-    /// Every strict prefix of a valid datagram fails to decode — the
-    /// formats carry no optional tail, so truncation is always caught.
+    /// Every strict prefix of a valid datagram is `Truncated` — the
+    /// formats carry no optional tail, so truncation is always caught,
+    /// and it is never mistaken for corruption.
     #[test]
     fn truncated_datagrams_are_rejected(
-        selector in 0u8..7,
-        a in any::<u64>(),
-        b in any::<u64>(),
-        wide in any::<u128>(),
-        entries in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u128>()), 0..=MAX_SYNC_ENTRIES),
+        msg in common::wire_frame(),
         cut in any::<usize>(),
     ) {
-        let msg = wire_msg(selector, a, b, wide, entries);
         let encoded = encode(&msg);
         let cut = cut % encoded.len();
-        prop_assert!(decode(&encoded[..cut]).is_err(), "prefix of {} bytes decoded", cut);
+        prop_assert_eq!(
+            decode(&encoded[..cut]),
+            Err(DecodeError::Truncated),
+            "prefix of {} bytes",
+            cut
+        );
     }
 
     /// The zero-copy decoder agrees with the owned one on every valid
     /// datagram: `decode_borrowed(bytes).map(into_owned) == decode(bytes)`.
     #[test]
     fn borrowed_decode_matches_owned_on_valid_frames(
-        selector in 0u8..7,
-        a in any::<u64>(),
-        b in any::<u64>(),
-        wide in any::<u128>(),
-        entries in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u128>()), 0..=MAX_SYNC_ENTRIES),
+        msg in common::wire_frame(),
     ) {
-        let msg = wire_msg(selector, a, b, wide, entries);
         let encoded = encode(&msg);
         let borrowed = decode_borrowed(&encoded).expect("valid frame").into_owned();
         prop_assert_eq!(&borrowed, &msg);
         prop_assert_eq!(decode(&encoded), Ok(borrowed));
-        prop_assert_eq!(encoded.len(), encoded_len(&msg), "encoded_len must be exact");
     }
 
     /// ...and on arbitrary bytes the two decoders return the same
@@ -131,7 +78,7 @@ proptest! {
             bytes[2] = 8;
         }
         let owned = decode(&bytes);
-        let borrowed = decode_borrowed(&bytes).map(rfd_net::codec::WireView::into_owned);
+        let borrowed = decode_borrowed(&bytes).map(WireView::into_owned);
         prop_assert_eq!(owned, borrowed);
     }
 
@@ -141,12 +88,8 @@ proptest! {
     /// output to encoding the equivalent `WireMsg::Batch`.
     #[test]
     fn batch_equals_its_singleton_sequence(
-        selectors in prop::collection::vec((0u8..7, any::<u64>(), any::<u64>(), any::<u128>()), 0..8),
+        frames in prop::collection::vec(common::sub_frame(), 0..8),
     ) {
-        let frames: Vec<WireMsg> = selectors
-            .into_iter()
-            .map(|(s, a, b, wide)| wire_msg(s, a, b, wide, Vec::new()))
-            .collect();
         prop_assert!(frames.len() <= MAX_BATCH_FRAMES);
         let mut via_slice = BytesMut::new();
         encode_batch_into(&frames, &mut via_slice);
@@ -160,7 +103,7 @@ proptest! {
         // decoding each sub-frame individually equals direct encoding.
         let view = decode_borrowed(&via_owned).expect("valid batch");
         let sub: Vec<WireMsg> = match view {
-            rfd_net::codec::WireView::Batch(batch) => batch.iter().map(rfd_net::codec::WireView::into_owned).collect(),
+            WireView::Batch(batch) => batch.iter().map(WireView::into_owned).collect(),
             other => { prop_assert!(false, "borrowed batch decoded to {:?}", other); unreachable!() }
         };
         for (msg, direct) in sub.iter().zip(&frames) {
@@ -172,15 +115,10 @@ proptest! {
     /// to the original message (every encoded byte is load-bearing).
     #[test]
     fn bit_flips_never_panic_or_alias(
-        selector in 0u8..7,
-        a in any::<u64>(),
-        b in any::<u64>(),
-        wide in any::<u128>(),
-        entries in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u128>()), 0..=MAX_SYNC_ENTRIES),
+        msg in common::wire_frame(),
         position in any::<usize>(),
         mask in 1u8..=255,
     ) {
-        let msg = wire_msg(selector, a, b, wide, entries);
         let mut corrupted = encode(&msg).to_vec();
         let position = position % corrupted.len();
         corrupted[position] ^= mask;
@@ -203,6 +141,10 @@ fn corrupt_magic_and_tag_are_malformed() {
     let mut bad_tag = good.to_vec();
     bad_tag[2] = 0xEE;
     assert_eq!(decode(&bad_tag), Err(DecodeError::Malformed));
+    // The whole header is read before the magic is checked: two bytes
+    // are too short for one, whatever they hold.
+    assert_eq!(decode(&[0, 0]), Err(DecodeError::Truncated));
+    assert_eq!(decode(&[0, 0, 1]), Err(DecodeError::Malformed));
 }
 
 #[test]

@@ -22,6 +22,8 @@
 //! no re-triggered snapshot installs), so a duplicating, reordering
 //! network can never talk a replica out of agreement.
 
+mod common;
+
 use proptest::prelude::*;
 use rfd_algo::consensus::RotatingMsg;
 use rfd_core::ProcessId;
@@ -139,56 +141,6 @@ impl Rig {
 /// `(value, view, members)` triples.
 type ChunkFrame = (u64, Vec<(u64, u64, u128)>);
 
-/// One arbitrary-but-valid wire message from flattened scalars (the
-/// same selector scheme as `codec_prop.rs`).
-fn wire_msg(selector: u8, a: u64, b: u64, wide: u128, entries: Vec<(u64, u64, u128)>) -> WireMsg {
-    match selector % 9 {
-        0 => WireMsg::Heartbeat(Heartbeat {
-            sender: a as u16,
-            seq: b,
-            sent_at: Nanos::from_nanos(a ^ b),
-        }),
-        1 => WireMsg::ViewChange(ViewChange {
-            view_id: a,
-            members: wide,
-        }),
-        2 => WireMsg::Command(Command { value: a }),
-        3 => WireMsg::Consensus(ConsensusFrame {
-            slot: a,
-            msg: match b % 5 {
-                0 => RotatingMsg::Estimate {
-                    r: b,
-                    ts: a.wrapping_add(b),
-                    v: wide as u64,
-                },
-                1 => RotatingMsg::Propose {
-                    r: b,
-                    v: wide as u64,
-                },
-                2 => RotatingMsg::Ack { r: b },
-                3 => RotatingMsg::Nack { r: b },
-                _ => RotatingMsg::Decide(wide as u64),
-            },
-        }),
-        4 => WireMsg::Decided(DecidedMsg {
-            index: a,
-            view_id: b,
-            view_members: wide,
-            value: a.wrapping_mul(3),
-        }),
-        5 => WireMsg::SyncRequest(SyncRequest { from_index: a }),
-        6 => WireMsg::SyncReply(SyncReply { start: a, entries }),
-        7 => WireMsg::SnapshotRequest(SnapshotRequest { from_index: a }),
-        _ => WireMsg::SnapshotReply(SnapshotReply {
-            upto: a,
-            digest: b,
-            view_id: a ^ b,
-            view_members: wide,
-            entries,
-        }),
-    }
-}
-
 proptest! {
     /// Undecodable datagrams, the same corpus into all three node
     /// types: no panic, no state change, and every rejected datagram
@@ -258,11 +210,7 @@ proptest! {
     /// legally change state — the property there is survival.)
     #[test]
     fn service_survives_bit_flipped_frames(
-        selector in 0u8..9,
-        a in any::<u64>(),
-        b in any::<u64>(),
-        wide in any::<u128>(),
-        entries in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u128>()), 0..8),
+        frame in common::wire_frame(),
         flip_at in any::<usize>(),
         flip_bit in 0u8..8,
     ) {
@@ -270,7 +218,7 @@ proptest! {
         let net = InMemoryNetwork::new(N, NetworkConfig::reliable(ms(1), ms(2)), clock.clone());
         let mut node = DecisionService::new(N, chen(), net.endpoint(p(0)), clock.clone(), ms(50));
         let attacker = net.endpoint(p(1));
-        let mut bytes = encode(&wire_msg(selector, a, b, wide, entries)).to_vec();
+        let mut bytes = encode(&frame).to_vec();
         let ix = flip_at % bytes.len();
         bytes[ix] ^= 1 << flip_bit;
         let still_decodes = decode_borrowed(&bytes).is_ok();
